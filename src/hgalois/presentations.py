@@ -10,9 +10,25 @@ normal forms is a separate, checkable property (`unresolved_critical_pairs`).
 
 Invertible generators therefore normalize to signed powers: in k[g,g^-1]
 the normal forms are exactly g^m with m in Z.
+
+Critical pairs are scanned in a fixed order: rule pairs (r1, r2) in the
+order of `itertools.product(rules, rules)`, then the overlap length k of a
+suffix of lhs(r1) with a prefix of lhs(r2), then the position of lhs(r2)
+strictly inside lhs(r1).  The syntactic overlaps of a rule pair never
+change once both rules exist, so each rule keeps one row of them, built
+when rules are added: a new rule appends its overlaps (old, new) to every
+existing row and opens a row for (new, every rule).  The new rule has the
+highest index, so reading the rows in order is the product order.  The
+scan is lazy: `complete_rules` stops it at the first unresolved pair,
+while `unresolved_critical_pairs` runs it to the end.
+
+A rule keeps its rhs as a term map and holds its presentation only by weak
+reference, so a presentation is freed by reference counting as soon as
+the last outside reference to it goes, without the cycle collector.
 """
 
 import itertools
+import weakref
 
 from .errors import ConfluenceError, DegreeCapError, InputError
 
@@ -72,13 +88,25 @@ class GeneratorSymbol:
 
 
 class RewriteRule:
-    """An oriented rule  lhs (word) -> rhs (element of the presentation)."""
+    """An oriented rule  lhs (word) -> rhs (element of the presentation).
 
-    __slots__ = ("lhs", "rhs")
+    The rhs terms are stored as `rhs_terms`; the presentation is held by
+    weak reference, so `rhs` raises `InputError` once it has been freed.
+    """
+
+    __slots__ = ("lhs", "rhs_terms", "_owner")
 
     def __init__(self, lhs: Word, rhs: "Element"):
         self.lhs = tuple(lhs)
-        self.rhs = rhs
+        self.rhs_terms = rhs.terms
+        self._owner = weakref.ref(rhs.presentation)
+
+    @property
+    def rhs(self) -> "Element":
+        presentation = self._owner()
+        if presentation is None:
+            raise InputError(f"the presentation of rule {word_str(self.lhs)} -> ... has been freed")
+        return Element(presentation, self.rhs_terms)
 
     def __repr__(self):
         return f"{word_str(self.lhs)} -> {self.rhs}"
@@ -198,6 +226,9 @@ class AlgebraPresentation:
         self.atoms: list[str] = atoms
 
         self.rules: list[RewriteRule] = []
+        # one row per rule r1: (length, overlap word, position of r2, r2)
+        # for every overlap of r1 with r2, in scan order (module docstring)
+        self._overlaps: list[list[tuple]] = []
         self.user_relations: list[tuple[Word, dict]] = []
         self._rules_by_first: dict[str, list[RewriteRule]] = {}
         self._basis_cache = None
@@ -270,7 +301,10 @@ class AlgebraPresentation:
                     f"reorder generators or reorient the relation"
                 )
         rule = RewriteRule(lhs, rhs)
+        for old, row in zip(self.rules, self._overlaps):
+            row.extend(_overlaps(old, rule))
         self.rules.append(rule)
+        self._overlaps.append([o for other in self.rules for o in _overlaps(rule, other)])
         self._rules_by_first.setdefault(lhs[0], []).append(rule)
         self._basis_cache = None
         self._table_cache = None
@@ -300,9 +334,11 @@ class AlgebraPresentation:
     def reduce_terms(self, terms: dict, *, cap=None, operation="normal_form") -> dict:
         """Fully reduce a {word: coeff} map.
 
-        Rules never increase word length, so the cap only needs checking on
-        entry of each pending word.  Single-word normal forms are memoized
-        (the result of a terminating reduction does not depend on the cap).
+        Rules never increase word length, so the cap is checked once per
+        word, on entry and before the memo lookup: a memoized normal form
+        does not excuse a word longer than the cap.  Single-word normal
+        forms are memoized (the result of a terminating reduction does not
+        depend on the cap).
         """
         cap = self.cap if cap is None else cap
         out: dict = {}
@@ -318,6 +354,8 @@ class AlgebraPresentation:
         return out
 
     def _word_nf(self, word: Word, cap, operation) -> dict:
+        if len(word) > cap:
+            raise DegreeCapError(operation, len(word), cap)
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
@@ -325,8 +363,6 @@ class AlgebraPresentation:
         stack = [(word, self.field.one)]
         while stack:
             w, coeff = stack.pop()
-            if len(w) > cap:
-                raise DegreeCapError(operation, len(w), cap)
             cached = self._nf_cache.get(w)
             if cached is not None:
                 for nf_word, nf_coeff in cached.items():
@@ -346,7 +382,7 @@ class AlgebraPresentation:
             else:
                 pos, rule = hit
                 head, tail = w[:pos], w[pos + len(rule.lhs):]
-                for rw, rc in rule.rhs.terms.items():
+                for rw, rc in rule.rhs_terms.items():
                     stack.append((head + rw + tail, coeff * rc))
         self._nf_cache[word] = out
         return out
@@ -405,78 +441,75 @@ class AlgebraPresentation:
 
     def unresolved_critical_pairs(self, *, max_overlap=None):
         """All critical pairs whose two one-step reducts have different normal
-        forms, as (overlap word, rule1, rule2, nonzero difference) tuples.
+        forms, as (overlap word, rule1, rule2, nonzero difference) tuples, in
+        scan order (module docstring).
 
         Overlaps considered: proper suffix/prefix overlaps of two rule
         left-hand sides and full containment of one lhs in another, i.e.
-        words of length at most len(l1)+len(l2)-1.
+        words of length at most len(l1)+len(l2)-1.  Suffix/prefix overlaps
+        longer than `max_overlap` (default: twice the longest lhs, at most
+        the cap) are skipped.
         """
+        return list(self._unresolved_pairs(max_overlap))
+
+    def _unresolved_pairs(self, max_overlap):
+        """Lazy scan behind `unresolved_critical_pairs`, over the overlap rows."""
         if max_overlap is None:
             max_lhs = max((len(r.lhs) for r in self.rules), default=0)
             max_overlap = min(2 * max_lhs, self.cap)
-        bad = []
-
-        def compare(word, pos1, r1, pos2, r2):
-            a = self.reduce_terms(self._one_step(word, pos1, r1))
-            b = self.reduce_terms(self._one_step(word, pos2, r2))
-            if a != b:
-                diff = dict(a)
-                for w, c in b.items():
-                    s = diff.get(w, self.field.zero) - c
-                    if s:
-                        diff[w] = s
-                    else:
-                        diff.pop(w, None)
-                bad.append((word, r1, r2, diff))
-
-        for r1, r2 in itertools.product(self.rules, repeat=2):
-            l1, l2 = r1.lhs, r2.lhs
-            # suffix of l1 == prefix of l2 (length k), overlap word l1 + l2[k:];
-            # k = len covers prefix/suffix containments of the shorter lhs
-            for k in range(1, min(len(l1), len(l2)) + 1):
-                if r1 is r2 and k == len(l1):
+        for r1, row in zip(self.rules, self._overlaps):
+            for length, word, pos2, r2 in row:
+                if length > max_overlap:
                     continue
-                if l1[len(l1) - k:] == l2[:k]:
-                    word = l1 + l2[k:]
-                    if len(word) <= max_overlap:
-                        compare(word, 0, r1, len(l1) - k, r2)
-            # l2 strictly inside l1
-            if len(l2) < len(l1):
-                for pos in range(1, len(l1) - len(l2)):
-                    if l1[pos:pos + len(l2)] == l2:
-                        compare(l1, 0, r1, pos, r2)
-        return bad
+                a = self.reduce_terms(self._one_step(word, 0, r1))
+                b = self.reduce_terms(self._one_step(word, pos2, r2))
+                if a != b:
+                    diff = dict(a)
+                    for w, c in b.items():
+                        s = diff.get(w, self.field.zero) - c
+                        if s:
+                            diff[w] = s
+                        else:
+                            diff.pop(w, None)
+                    yield word, r1, r2, diff
 
     def complete_rules(self, *, max_new_rules=500, max_overlap=None):
         """Bounded completion: orient each unresolved critical-pair difference
         by its leading monomial and add it as a rule, until locally confluent.
+        Returns the number of rules added.
+
+        Each round restarts the lazy scan and resolves the first unresolved
+        pair in scan order, so the rules added, and their order, are those
+        of a full rescan after every rule; the round that finds no pair is
+        a full scan and proves local confluence.  Later pairs cannot be
+        carried over from one round to the next: before the system is
+        confluent, a pair that resolved may fail once a rule is added.
 
         Every added rule is a consequence of the existing ones (the
         difference of two reductions of one word), so the presented algebra
         is unchanged.  Terminates because rules never increase word length
-        and there are finitely many words below the cap.
+        and there are finitely many words below the cap.  Adding more than
+        `max_new_rules` rules raises `ConfluenceError`, naming the overlap
+        still unresolved.
         """
-        added = 0
-        while True:
-            pairs = self.unresolved_critical_pairs(max_overlap=max_overlap)
-            if not pairs:
+        for added in itertools.count():
+            pair = next(self._unresolved_pairs(max_overlap), None)
+            if pair is None:
                 return added
-            _, _, _, diff = pairs[0]
+            word, r1, r2, diff = pair
+            if added == max_new_rules:
+                raise ConfluenceError(
+                    f"completion did not stabilize after {max_new_rules} rules; "
+                    f"unresolved overlap: {word_str(word)} between [{r1}] and [{r2}]"
+                )
             lead = max(diff, key=self.word_key)
             lead_coeff = diff[lead]
             rhs = {w: -(c / lead_coeff) for w, c in diff.items() if w != lead}
             self._add_rule(lead, rhs)
-            added += 1
-            if added > max_new_rules:
-                word, r1, r2, _ = pairs[0]
-                raise ConfluenceError(
-                    f"completion did not stabilize after {max_new_rules} rules; "
-                    f"last unresolved overlap: {word_str(word)}"
-                )
 
     def _one_step(self, word: Word, pos: int, rule: RewriteRule) -> dict:
         head, tail = word[:pos], word[pos + len(rule.lhs):]
-        return {head + rw + tail: rc for rw, rc in rule.rhs.terms.items()}
+        return {head + rw + tail: rc for rw, rc in rule.rhs_terms.items()}
 
     # ------------------------------------------------------------------
     # finite basis and linear algebra
@@ -591,6 +624,27 @@ class AlgebraPresentation:
     def __repr__(self):
         gens = ",".join(g.name + ("^±1" if g.invertible else "") for g in self.generators)
         return f"AlgebraPresentation({self.name or gens}; {len(self.rules)} rules)"
+
+
+def _overlaps(r1: RewriteRule, r2: RewriteRule) -> list:
+    """Overlaps of lhs(r1) with lhs(r2), in scan order, as (length, word,
+    position of lhs(r2) in word, r2); lhs(r1) starts every word at 0."""
+    l1, l2 = r1.lhs, r2.lhs
+    out = []
+    # suffix of l1 == prefix of l2 (length k), overlap word l1 + l2[k:];
+    # k = len covers prefix/suffix containments of the shorter lhs
+    for k in range(1, min(len(l1), len(l2)) + 1):
+        if r1 is r2 and k == len(l1):
+            continue
+        if l1[len(l1) - k:] == l2[:k]:
+            word = l1 + l2[k:]
+            out.append((len(word), word, len(l1) - k, r2))
+    # l2 strictly inside l1; length 0, since max_overlap never skips these
+    if len(l2) < len(l1):
+        for pos in range(1, len(l1) - len(l2)):
+            if l1[pos:pos + len(l2)] == l2:
+                out.append((0, l1, pos, r2))
+    return out
 
 
 def transport_element(element: Element, presentation: AlgebraPresentation) -> Element:

@@ -8,6 +8,8 @@ generators.  Checker verdicts are compared against these in the tests.
 
 import itertools
 
+from hgalois import ConfluenceError, word_str
+
 
 def naive_word_reduce(rules, word, field):
     """{word: coeff} normal form by scanning the rule list front to back."""
@@ -288,3 +290,70 @@ def jacobi_verdict_full_basis(p):
         if total:
             return False
     return True
+
+
+def reference_unresolved_critical_pairs(pres, *, max_overlap=None):
+    """Full scan over every rule pair, copied from the package's original
+    `unresolved_critical_pairs`: the pair order the package must keep."""
+    if max_overlap is None:
+        max_lhs = max((len(r.lhs) for r in pres.rules), default=0)
+        max_overlap = min(2 * max_lhs, pres.cap)
+    bad = []
+
+    def one_step(word, pos, rule):
+        head, tail = word[:pos], word[pos + len(rule.lhs):]
+        return {head + rw + tail: rc for rw, rc in rule.rhs.terms.items()}
+
+    def compare(word, pos1, r1, pos2, r2):
+        a = pres.reduce_terms(one_step(word, pos1, r1))
+        b = pres.reduce_terms(one_step(word, pos2, r2))
+        if a != b:
+            diff = dict(a)
+            for w, c in b.items():
+                s = diff.get(w, pres.field.zero) - c
+                if s:
+                    diff[w] = s
+                else:
+                    diff.pop(w, None)
+            bad.append((word, r1, r2, diff))
+
+    for r1, r2 in itertools.product(pres.rules, repeat=2):
+        l1, l2 = r1.lhs, r2.lhs
+        # suffix of l1 == prefix of l2 (length k), overlap word l1 + l2[k:];
+        # k = len covers prefix/suffix containments of the shorter lhs
+        for k in range(1, min(len(l1), len(l2)) + 1):
+            if r1 is r2 and k == len(l1):
+                continue
+            if l1[len(l1) - k:] == l2[:k]:
+                word = l1 + l2[k:]
+                if len(word) <= max_overlap:
+                    compare(word, 0, r1, len(l1) - k, r2)
+        # l2 strictly inside l1
+        if len(l2) < len(l1):
+            for pos in range(1, len(l1) - len(l2)):
+                if l1[pos:pos + len(l2)] == l2:
+                    compare(l1, 0, r1, pos, r2)
+    return bad
+
+
+def reference_complete_rules(pres, *, max_new_rules=500, max_overlap=None):
+    """Completion by a full rescan after every new rule, copied from the
+    package's original `complete_rules`.  Its budget check runs one rule
+    late; the comparisons never reach the budget."""
+    added = 0
+    while True:
+        pairs = reference_unresolved_critical_pairs(pres, max_overlap=max_overlap)
+        if not pairs:
+            return added
+        _, _, _, diff = pairs[0]
+        lead = max(diff, key=pres.word_key)
+        lead_coeff = diff[lead]
+        rhs = {w: -(c / lead_coeff) for w, c in diff.items() if w != lead}
+        pres._add_rule(lead, rhs)
+        added += 1
+        if added > max_new_rules:
+            word, r1, r2, _ = pairs[0]
+            raise ConfluenceError(
+                f"completion did not stabilize after {max_new_rules} rules; "
+                f"last unresolved overlap: {word_str(word)}"
+            )
