@@ -14,13 +14,7 @@ import json
 import os
 import sys
 
-from .envelope import (
-    TripleEnvelope,
-    build_envelope,
-    check_lemma55,
-    check_thm59,
-    relation_instance_report,
-)
+from .envelope import TripleEnvelope, check_lemma55, check_thm59
 from .errors import HgError, JobError
 from .examples import builtin_job, builtin_listing
 from .hopf_galois import (
@@ -141,24 +135,23 @@ def _cmd_poisson_ore_extend(job):
 
 
 def _cmd_build_envelope(job):
-    env = build_envelope(job.poisson(), cap=job.envelope_cap())
-    entries = relation_instance_report(env).entries
+    env = job.envelope()
     result = {
         "source_dimension": len(env.basis),
         "generators": [g.name for g in env.presentation.generators],
         "rules": [repr(r) for r in env.presentation.rules],
     }
-    return entries, result
+    return env.relation_report.entries, result
 
 
 def _cmd_check_lemma55(job):
-    env = build_envelope(job.poisson(), cap=job.envelope_cap())
+    env = job.envelope()
     words = job.lemma55_words(env.source.presentation)
     return check_lemma55(TripleEnvelope(env), words).entries, None
 
 
 def _cmd_check_thm59(job):
-    env = build_envelope(job.poisson(), cap=job.envelope_cap())
+    env = job.envelope()
     ph = PoissonHopfGaloisStructure(job.poisson(), job.hopf_galois())
     return check_thm59(ph, env).entries, None
 

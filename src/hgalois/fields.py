@@ -9,20 +9,27 @@ from fractions import Fraction
 
 from .errors import InputError
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 class Rationals:
-    """The field of rational numbers; elements are `Fraction` instances."""
+    """The field of rational numbers; elements are `Fraction` instances.
+
+    `zero` and `one` return shared constants; coefficients are immutable,
+    so no caller can change them.
+    """
 
     characteristic = 0
     name = "rationals"
 
     @property
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     @property
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def of_int(self, n: int):
         return Fraction(n)
@@ -130,7 +137,11 @@ def _is_prime(p: int) -> bool:
 
 
 class PrimeField:
-    """GF(p) for a prime p; elements are `FpElement` residues."""
+    """GF(p) for a prime p; elements are `FpElement` residues.
+
+    `zero` and `one` return one shared residue each; an `FpElement` is
+    assigned only in `__init__`, so sharing it is safe.
+    """
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -138,14 +149,16 @@ class PrimeField:
         self.p = p
         self.characteristic = p
         self.name = f"GF({p})"
+        self._zero = FpElement(0, p)
+        self._one = FpElement(1, p)
 
     @property
     def zero(self):
-        return FpElement(0, self.p)
+        return self._zero
 
     @property
     def one(self):
-        return FpElement(1, self.p)
+        return self._one
 
     def of_int(self, n: int):
         return FpElement(n, self.p)

@@ -9,6 +9,7 @@ rejected everywhere.
 import json
 import re
 
+from .envelope import EnvelopePresentation, build_envelope
 from .errors import CharacteristicError, InputError, JobError
 from .fields import field_from_spec
 from .hopf_galois import (
@@ -55,6 +56,20 @@ def expand_token(token: str, path: str):
     return (name + "^-1",) * (-n)
 
 
+def json_int(value, path: str) -> int:
+    """A JSON integer; booleans, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise JobError(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def json_bool(value, path: str) -> bool:
+    """A JSON boolean; strings such as "false" are rejected, not read as truthy."""
+    if not isinstance(value, bool):
+        raise JobError(path, f"expected true or false, got {value!r}")
+    return value
+
+
 def parse_word(tokens, path: str):
     if not isinstance(tokens, list):
         raise JobError(path, "word must be an array of tokens")
@@ -80,12 +95,14 @@ class Job:
                 f"{self.field.characteristic}"
             )
         self.cap_override = cap_override
-        self.cap = cap_override if cap_override is not None else int(doc.get("cap", 12))
+        self.cap = cap_override if cap_override is not None \
+            else json_int(doc.get("cap", 12), f"{self.name}.cap")
         self.commands = list(doc.get("commands", []))
         for c in self.commands:
             if c not in KNOWN_COMMANDS:
                 raise JobError(f"{self.name}.commands", f"unknown command {c!r}")
         self._presentation = None
+        self._envelope = None
 
     # ------------------------------------------------------------------
     def coeff(self, text, path):
@@ -138,6 +155,12 @@ class Job:
             terms[key] = terms.get(key, self.field.zero) + c
         return TensorElement(pres_tuple, signature, terms, self.field)
 
+    def block_cap(self, block, default, path) -> int:
+        """The degree cap of a block: the override, else its "cap" field."""
+        if self.cap_override is not None:
+            return self.cap_override
+        return json_int(block.get("cap", default), f"{path}.cap")
+
     # ------------------------------------------------------------------
     def parse_presentation(self, block, path, *, cap=None) -> AlgebraPresentation:
         if not isinstance(block, dict):
@@ -149,8 +172,9 @@ class Job:
                 g = {"name": g}
             if not isinstance(g, dict) or "name" not in g:
                 raise JobError(gpath, 'generator must be {"name": ..., "invertible"?: bool}')
+            invertible = json_bool(g.get("invertible", False), f"{gpath}.invertible")
             try:
-                gens.append(GeneratorSymbol(g["name"], bool(g.get("invertible", False))))
+                gens.append(GeneratorSymbol(g["name"], invertible))
             except InputError as exc:
                 raise JobError(gpath, str(exc))
         if not gens:
@@ -170,6 +194,8 @@ class Job:
             rhs_terms = {}
             for j, term in enumerate(rel.get("rhs", [])):
                 tpath = f"{rpath}.rhs[{j}]"
+                if not isinstance(term, dict):
+                    raise JobError(tpath, 'term must be {"coeff": ..., "word": [...]}')
                 word = parse_word(term.get("word", []), f"{tpath}.word")
                 for atom in word:
                     if atom not in valid:
@@ -178,12 +204,12 @@ class Job:
                 rhs_terms[word] = rhs_terms.get(word, self.field.zero) + c
             relations.append((lhs, rhs_terms))
         if cap is None:
-            cap = self.cap_override if self.cap_override is not None \
-                else int(block.get("cap", self.cap))
+            cap = self.block_cap(block, self.cap, path)
+        commutative = json_bool(block.get("commutative", False), f"{path}.commutative")
         try:
             return AlgebraPresentation(
                 self.field, gens, relations,
-                commutative=bool(block.get("commutative", False)),
+                commutative=commutative,
                 cap=cap,
                 name=block.get("name", self.name),
             )
@@ -286,6 +312,7 @@ class Job:
         path = f"{self.name}.ore"
         if "tau" not in block:
             raise JobError(path, 'missing "tau"')
+        cap = self.block_cap(block, 8, path)
         try:
             tau = GeneratorMap.algebra_map(
                 pres, pres, self.generator_images(pres, block["tau"], f"{path}.tau"),
@@ -297,8 +324,6 @@ class Job:
                     self.generator_images(pres, block["tau_inverse"], f"{path}.tau_inverse"),
                     name="tau_inverse")
             delta = self.generator_images(pres, block.get("delta", {}), f"{path}.delta")
-            cap = self.cap_override if self.cap_override is not None \
-                else int(block.get("cap", 8))
             data = OreData(pres, tau, delta, tau_inverse=tau_inverse,
                            variable=block.get("variable", "z"), cap=cap)
         except InputError as exc:
@@ -314,14 +339,14 @@ class Job:
         block = self.doc["poisson_ore"]
         pres = self.presentation
         path = f"{self.name}.poisson_ore"
+        cap = self.block_cap(block, 8, path)
         try:
             data = PoissonOreData(
                 self.poisson(),
                 self.generator_images(pres, block.get("alpha", {}), f"{path}.alpha"),
                 self.generator_images(pres, block.get("delta", {}), f"{path}.delta"),
                 variable=block.get("variable", "x"),
-                cap=self.cap_override if self.cap_override is not None
-                else int(block.get("cap", 8)))
+                cap=cap)
         except InputError as exc:
             raise JobError(path, str(exc))
         g = self.element(pres, block.get("grouplike", []), f"{path}.grouplike")
@@ -333,9 +358,14 @@ class Job:
         block = self.doc.get("envelope", {})
         if not isinstance(block, dict):
             raise JobError(f"{self.name}.envelope", "envelope block must be an object")
-        if self.cap_override is not None:
-            return self.cap_override
-        return int(block.get("cap", 6))
+        return self.block_cap(block, 6, f"{self.name}.envelope")
+
+    def envelope(self) -> EnvelopePresentation:
+        """The envelope of the job's Poisson algebra, built on first use and
+        shared by every envelope command of the job."""
+        if self._envelope is None:
+            self._envelope = build_envelope(self.poisson(), cap=self.envelope_cap())
+        return self._envelope
 
     def lemma55_words(self, pres):
         block = self.doc.get("envelope", {})

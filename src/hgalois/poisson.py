@@ -25,7 +25,7 @@ from .hopf_galois import (
 from .maps import GeneratorMap, check_map_respects_relations
 from .presentations import Element
 from .reports import VerificationReport
-from .tensors import TensorElement
+from .tensors import TensorElement, add_outer
 
 ANCHOR_POISSON = "Def 3.1 Poisson algebra"
 ANCHOR_JACOBI = "Def 3.1 Jacobi identity"
@@ -154,17 +154,17 @@ def tensor_bracket(p_left: PoissonStructure, p_right: PoissonStructure,
     pa, pb = p_left.presentation, p_right.presentation
     if t1.factors != (pa, pb) or t2.factors != (pa, pb):
         raise InputError("tensor factors do not match the Poisson presentations")
-    out = TensorElement.zero(t1.factors, t1.signature, t1.field)
+    out: dict = {}
     for (a, b), c1 in t1.terms.items():
         ea, eb = pa.element({a: pa.field.one}), pb.element({b: pb.field.one})
         for (a2, b2), c2 in t2.terms.items():
             ea2, eb2 = pa.element({a2: pa.field.one}), pb.element({b2: pb.field.one})
             coeff = c1 * c2
-            out = out + TensorElement.outer(
-                [ea * ea2, p_right.bracket(eb, eb2)], t1.signature).scale(coeff)
-            out = out + TensorElement.outer(
-                [p_left.bracket(ea, ea2), eb * eb2], t1.signature).scale(coeff)
-    return out
+            add_outer(out, [(ea * ea2).terms, p_right.bracket(eb, eb2).terms],
+                      coeff, t1.field)
+            add_outer(out, [p_left.bracket(ea, ea2).terms, (eb * eb2).terms],
+                      coeff, t1.field)
+    return TensorElement(t1.factors, t1.signature, out, t1.field, normalize=False)
 
 
 def triple_bracket(p: PoissonStructure, s: TensorElement, t: TensorElement) -> TensorElement:
@@ -180,20 +180,17 @@ def triple_bracket(p: PoissonStructure, s: TensorElement, t: TensorElement) -> T
     if s.signature != t.signature:
         raise InputError("tensor signature mismatch")
     one = pres.field.one
-    out = TensorElement.zero(s.factors, s.signature, s.field)
+    out: dict = {}
     for (x, y, z), c1 in s.terms.items():
         ex, ey, ez = (pres.element({w: one}) for w in (x, y, z))
         for (x2, y2, z2), c2 in t.terms.items():
             ex2, ey2, ez2 = (pres.element({w: one}) for w in (x2, y2, z2))
             coeff = c1 * c2
-            xx, yy, zz = ex * ex2, ey * ey2, ez * ez2
-            out = out + TensorElement.outer(
-                [p.bracket(ex, ex2), yy, zz], s.signature).scale(coeff)
-            out = out - TensorElement.outer(
-                [xx, p.bracket(ey, ey2), zz], s.signature).scale(coeff)
-            out = out + TensorElement.outer(
-                [xx, yy, p.bracket(ez, ez2)], s.signature).scale(coeff)
-    return out
+            xx, yy, zz = (ex * ex2).terms, (ey * ey2).terms, (ez * ez2).terms
+            add_outer(out, [p.bracket(ex, ex2).terms, yy, zz], coeff, pres.field)
+            add_outer(out, [xx, p.bracket(ey, ey2).terms, zz], -coeff, pres.field)
+            add_outer(out, [xx, yy, p.bracket(ez, ez2).terms], coeff, pres.field)
+    return TensorElement(s.factors, s.signature, out, s.field, normalize=False)
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ the last outside reference to it goes, without the cycle collector.
 """
 
 import itertools
+import operator
 import weakref
 
 from .errors import ConfluenceError, DegreeCapError, InputError
@@ -70,6 +71,20 @@ def word_to_tokens(word: Word) -> list[str]:
             base, exp = atom, n
         tokens.append(base if exp == 1 else f"{base}^{exp}")
     return tokens
+
+
+def merge_terms(terms: dict, other: dict, op, zero) -> dict:
+    """A copy of `terms` with each coefficient c of `other` combined in as
+    op(terms[w], c) (op is `operator.add` or `operator.sub`); zero sums are
+    dropped."""
+    out = dict(terms)
+    for w, c in other.items():
+        s = op(out.get(w, zero), c)
+        if s:
+            out[w] = s
+        else:
+            out.pop(w, None)
+    return out
 
 
 class GeneratorSymbol:
@@ -125,21 +140,18 @@ class Element:
         if self.presentation is not other.presentation:
             raise InputError("elements belong to different presentations")
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if not isinstance(other, Element):
             return NotImplemented
         self._check_same(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, self.presentation.field.zero) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        return Element(self.presentation, terms)
+        return Element(self.presentation, merge_terms(
+            self.terms, other.terms, op, self.presentation.field.zero))
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
         return Element(self.presentation, {w: -c for w, c in self.terms.items()})
@@ -374,7 +386,8 @@ class AlgebraPresentation:
                 continue
             hit = self._find_redex(w)
             if hit is None:
-                s = out.get(w, self.field.zero) + coeff
+                # an irreducible entry word keeps the field's shared one
+                s = out[w] + coeff if w in out else coeff
                 if s:
                     out[w] = s
                 else:

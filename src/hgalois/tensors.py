@@ -12,12 +12,33 @@ which act on elements of the algebra itself, not of its opposite.
 """
 
 import itertools
+import operator
 
 from .errors import InputError
-from .presentations import Element, word_str
+from .presentations import Element, merge_terms, word_str
 
 PLAIN = False
 OP = True
+
+
+def add_outer(terms: dict, slots, coeff, field) -> None:
+    """terms += coeff * (s_1 ⊗ ... ⊗ s_k) for slot term maps s_i, in one
+    pass; zero sums are dropped.  Factors that are the field's shared one
+    (the coefficient of a word that is its own normal form) are skipped."""
+    one, zero = field.one, field.zero
+    for combo in itertools.product(*(slot.items() for slot in slots)):
+        c = coeff
+        for _, f in combo:
+            if f is not one:
+                c = c * f
+        if not c:
+            continue
+        words = tuple(w for w, _ in combo)
+        s = terms.get(words, zero) + c
+        if s:
+            terms[words] = s
+        else:
+            terms.pop(words, None)
 
 
 class TensorElement:
@@ -40,27 +61,26 @@ class TensorElement:
 
     # ------------------------------------------------------------------
     def _normalize(self, raw) -> dict:
+        """Each slot word replaced by its memoized normal form; a term whose
+        slots are all in normal form is kept as it is."""
         out: dict = {}
+        factors = self.factors
+        zero = self.field.zero
         for key, coeff in raw.items():
             if not coeff:
                 continue
             key = tuple(tuple(w) for w in key)
-            if len(key) != len(self.factors):
+            if len(key) != len(factors):
                 raise InputError("tensor term rank differs from factor count")
-            reduced = [self.factors[i].reduce_terms({key[i]: self.field.one})
-                       for i in range(len(key))]
-            for combo in itertools.product(*(r.items() for r in reduced)):
-                words = tuple(w for w, _ in combo)
-                c = coeff
-                for _, f in combo:
-                    c = c * f
-                if not c:
-                    continue
-                s = out.get(words, self.field.zero) + c
+            nfs = [f._word_nf(w, f.cap, "normal_form") for f, w in zip(factors, key)]
+            if all(len(nf) == 1 and w in nf for nf, w in zip(nfs, key)):
+                s = out.get(key, zero) + coeff
                 if s:
-                    out[words] = s
+                    out[key] = s
                 else:
-                    out.pop(words, None)
+                    out.pop(key, None)
+            else:
+                add_outer(out, nfs, coeff, self.field)
         return out
 
     @classmethod
@@ -82,13 +102,7 @@ class TensorElement:
         factors = tuple(e.presentation for e in elements)
         field = factors[0].field if factors else None
         terms: dict = {}
-        for combo in itertools.product(*(e.terms.items() for e in elements)):
-            words = tuple(w for w, _ in combo)
-            c = field.one
-            for _, f in combo:
-                c = c * f
-            if c:
-                terms[words] = terms.get(words, field.zero) + c
+        add_outer(terms, [e.terms for e in elements], field.one, field)
         return cls(factors, signature, terms, field, normalize=False)
 
     @classmethod
@@ -108,21 +122,19 @@ class TensorElement:
     def rank(self):
         return len(self.factors)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._check_shape(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, self.field.zero) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return TensorElement(self.factors, self.signature, terms, self.field, normalize=False)
+        return TensorElement(self.factors, self.signature,
+                             merge_terms(self.terms, other.terms, op, self.field.zero),
+                             self.field, normalize=False)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
         return TensorElement(self.factors, self.signature,

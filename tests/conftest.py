@@ -113,6 +113,17 @@ def make_kxy(field=QQ):
     return pres, poisson
 
 
+def log_canonical_x2y3(field=QQ):
+    """k[x,y]/(x^2, y^3) with the log-canonical bracket {x, y} = 2/3 xy."""
+    pres = AlgebraPresentation(
+        field, [GeneratorSymbol("x"), GeneratorSymbol("y")],
+        relations=[(("x", "x"), {}), (("y", "y", "y"), {})],
+        commutative=True, name="x2y3",
+    )
+    q = field.parse("2/3")
+    return PoissonStructure(pres, {("x", "y"): pres.element({("x", "y"): q})})
+
+
 def make_kxy_hopf(pres):
     one = pres.field.one
     zero = pres.field.zero

@@ -357,3 +357,132 @@ def reference_complete_rules(pres, *, max_new_rules=500, max_overlap=None):
                 f"completion did not stabilize after {max_new_rules} rules; "
                 f"last unresolved overlap: {word_str(word)}"
             )
+
+
+# ----------------------------------------------------------------------
+# Per-term Lemma 5.5 evaluation, copied from the package's original
+# `TensorElement._normalize`/`__mul__`, `EnvelopePresentation.alpha_of`/
+# `beta_of`, `TripleEnvelope._apply3`/`alpha3`/`xi` and `triple_bracket`:
+# every slot reduced through `reduce_terms`, every image rebuilt from
+# `atom_element`, and every outer product added into a fresh sum.  All
+# return term maps {key: coeff}.
+
+def _add_into(terms, other, field, sign=1):
+    out = dict(terms)
+    for k, c in other.items():
+        s = out.get(k, field.zero) + (c if sign > 0 else -c)
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def reference_outer(terms_list, field):
+    """Terms of the pure tensor of the given element term maps."""
+    terms = {}
+    for combo in itertools.product(*(t.items() for t in terms_list)):
+        words = tuple(w for w, _ in combo)
+        c = field.one
+        for _, f in combo:
+            c = c * f
+        if c:
+            terms[words] = terms.get(words, field.zero) + c
+    return terms
+
+
+def reference_normalize(factors, field, raw):
+    """Every slot word of every term reduced by `reduce_terms`, one at a time."""
+    out = {}
+    for key, coeff in raw.items():
+        if not coeff:
+            continue
+        key = tuple(tuple(w) for w in key)
+        reduced = [factors[i].reduce_terms({key[i]: field.one}) for i in range(len(key))]
+        for combo in itertools.product(*(r.items() for r in reduced)):
+            words = tuple(w for w, _ in combo)
+            c = coeff
+            for _, f in combo:
+                c = c * f
+            if not c:
+                continue
+            s = out.get(words, field.zero) + c
+            if s:
+                out[words] = s
+            else:
+                out.pop(words, None)
+    return out
+
+
+def reference_tensor_mul(s, t):
+    """Slot-wise product of two tensors; op slots reverse the operand order."""
+    field = s.field
+    raw = {}
+    for ks, cs in s.terms.items():
+        for kt, ct in t.terms.items():
+            words = tuple(kt[i] + ks[i] if s.signature[i] else ks[i] + kt[i]
+                          for i in range(len(s.factors)))
+            acc = raw.get(words, field.zero) + cs * ct
+            if acc:
+                raw[words] = acc
+            else:
+                raw.pop(words, None)
+    return reference_normalize(s.factors, field, raw)
+
+
+def _reference_map_of(env, names, word, unit_terms):
+    envp = env.presentation
+    i = list(env.basis).index(word)
+    return dict(unit_terms) if i == 0 else envp.atom_element(names[i]).terms
+
+
+def reference_alpha_word(env, word):
+    return _reference_map_of(env, env.alpha_names, word, env.presentation.one().terms)
+
+
+def reference_beta_word(env, word):
+    return _reference_map_of(env, env.beta_names, word, {})
+
+
+def _reference_apply3(env, t, slot_maps):
+    field = env.presentation.field
+    out = {}
+    for words, coeff in t.terms.items():
+        images = [slot_maps[k](env, w) for k, w in enumerate(words)]
+        scaled = {k: c * coeff for k, c in reference_outer(images, field).items()}
+        out = _add_into(out, scaled, field)
+    return out
+
+
+def reference_alpha3(env, t):
+    a = reference_alpha_word
+    return _reference_apply3(env, t, (a, a, a))
+
+
+def reference_xi(env, t):
+    """xi = alpha⊗alpha⊗beta + alpha⊗beta⊗alpha + beta⊗alpha⊗alpha."""
+    a, b = reference_alpha_word, reference_beta_word
+    field = env.presentation.field
+    out = _reference_apply3(env, t, (a, a, b))
+    out = _add_into(out, _reference_apply3(env, t, (a, b, a)), field)
+    return _add_into(out, _reference_apply3(env, t, (b, a, a)), field)
+
+
+def reference_triple_bracket(p, s, t):
+    """{x⊗y⊗z, x'⊗y'⊗z'} = {x,x'}⊗yy'⊗zz' - xx'⊗{y,y'}⊗zz' + xx'⊗yy'⊗{z,z'}."""
+    pres = p.presentation
+    field = pres.field
+    one = field.one
+    out = {}
+    for (x, y, z), c1 in s.terms.items():
+        ex, ey, ez = (pres.element({w: one}) for w in (x, y, z))
+        for (x2, y2, z2), c2 in t.terms.items():
+            ex2, ey2, ez2 = (pres.element({w: one}) for w in (x2, y2, z2))
+            coeff = c1 * c2
+            xx, yy, zz = ex * ex2, ey * ey2, ez * ez2
+            for sign, parts in ((1, (p.bracket(ex, ex2), yy, zz)),
+                                (-1, (xx, p.bracket(ey, ey2), zz)),
+                                (1, (xx, yy, p.bracket(ez, ez2)))):
+                outer = reference_outer([e.terms for e in parts], field)
+                out = _add_into(out, {k: c * coeff for k, c in outer.items()}, field, sign)
+    return out

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from hgalois.cli import main
+from hgalois import envelope, jobs
+from hgalois.cli import main, render_json, run_commands
 from hgalois.examples import BUILTINS, builtin_job, builtin_listing
+from hgalois.jobs import Job
 
 ALL_BUILTINS = sorted(BUILTINS)
 
@@ -199,3 +201,74 @@ def test_report_written_message(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "report written" in out
     assert report.exists()
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+BAD_FIELDS = [
+    ("sweedler_h4", ("cap",), "abc", "sweedler_h4.cap"),
+    ("sweedler_h4", ("cap",), 6.0, "sweedler_h4.cap"),
+    ("sweedler_h4", ("presentation", "cap"), "abc", "sweedler_h4.presentation.cap"),
+    ("z2_zero_bracket", ("envelope", "cap"), "abc", "z2_zero_bracket.envelope.cap"),
+    ("z2_zero_bracket", ("envelope", "cap"), True, "z2_zero_bracket.envelope.cap"),
+    ("ore_q2_laurent", ("ore", "cap"), "abc", "ore_q2_laurent.ore.cap"),
+    ("poisson_ore_laurent", ("poisson_ore", "cap"), "abc",
+     "poisson_ore_laurent.poisson_ore.cap"),
+    ("laurent_lambda1", ("presentation", "generators", 0, "invertible"), "false",
+     "laurent_lambda1.presentation.generators[0].invertible"),
+    ("laurent_lambda1", ("presentation", "commutative"), "false",
+     "laurent_lambda1.presentation.commutative"),
+    ("sweedler_h4", ("presentation", "relations", 0, "rhs", 0), "1",
+     "sweedler_h4.presentation.relations[0].rhs[0]"),
+]
+
+
+@pytest.mark.parametrize("name,path,value,field", BAD_FIELDS,
+                         ids=[f"{b[0]}:{b[3].split('.', 1)[1]}={b[2]!r}" for b in BAD_FIELDS])
+def test_bad_field_exits_two_and_names_it(name, path, value, field, tmp_path, capsys):
+    doc = builtin_job(name)
+    _set(doc, path, value)
+    job = tmp_path / "bad.json"
+    job.write_text(json.dumps(doc))
+    assert run_cli("run", "--input", str(job)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_envelope_commands_share_one_build(monkeypatch):
+    """build-envelope, check-lemma55 and check-thm59 in one job build the
+    envelope and run its relation report once, and report exactly what a
+    fresh job per command reports."""
+    calls = {"build_envelope": 0, "relation_instance_report": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(jobs, "build_envelope")
+    counted(envelope, "relation_instance_report")
+    doc = builtin_job("z2_zero_bracket")
+    commands = ["build-envelope", "check-lemma55", "check-thm59"]
+    entries, summary = run_commands(Job(doc), commands)
+    assert calls == {"build_envelope": 1, "relation_instance_report": 1}
+
+    parts = [run_commands(Job(doc), [command]) for command in commands]
+    assert calls["build_envelope"] == 1 + len(commands)
+    checks = sum(s["checks"] for _, s in parts)
+    passed = sum(s["passed"] for _, s in parts)
+    expected = {
+        "job": doc["name"], "field": "rationals", "commands": commands,
+        "checks": checks, "passed": passed, "failed": checks - passed,
+        "status": "pass" if passed == checks else "fail",
+        "results": {k: v for _, s in parts for k, v in s.get("results", {}).items()},
+    }
+    assert render_json(entries, summary) == \
+        render_json([e for part, _ in parts for e in part], expected)

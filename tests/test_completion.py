@@ -14,12 +14,11 @@ from hgalois import (
     Element,
     GeneratorSymbol,
     InputError,
-    PoissonStructure,
     RewriteRule,
     build_envelope,
     word_str,
 )
-from conftest import make_kxy
+from conftest import log_canonical_x2y3, make_kxy
 
 from oracles import reference_complete_rules, reference_unresolved_critical_pairs
 
@@ -41,16 +40,6 @@ def envelope_seed(p, cap, monkeypatch):
         with pytest.raises(_Seed) as exc:
             build_envelope(p, cap=cap)
     return exc.value.args[0]
-
-
-def log_canonical_x2y3(field):
-    pres = AlgebraPresentation(
-        field, [GeneratorSymbol("x"), GeneratorSymbol("y")],
-        relations=[(("x", "x"), {}), (("y", "y", "y"), {})],
-        commutative=True, name="x2y3",
-    )
-    q = field.parse("2/3")
-    return PoissonStructure(pres, {("x", "y"): pres.element({("x", "y"): q})})
 
 
 def braid_like():

@@ -1,0 +1,126 @@
+"""The Lemma 5.5 fast path against the per-term references in oracles.py:
+xi and alpha3 from cached basis-word images, triple brackets and tensor
+products accumulated in one pass, and memo-backed slot normalisation."""
+
+import itertools
+
+import pytest
+
+from hgalois import (
+    GF,
+    QQ,
+    DegreeCapError,
+    Element,
+    InputError,
+    PoissonStructure,
+    TensorElement,
+    TripleEnvelope,
+    build_envelope,
+    triple_bracket,
+)
+from hgalois.envelope import MU_SIGNATURE
+from conftest import log_canonical_x2y3, make_kxy, make_kz2
+
+from oracles import (
+    reference_alpha3,
+    reference_alpha_word,
+    reference_beta_word,
+    reference_tensor_mul,
+    reference_triple_bracket,
+    reference_xi,
+)
+
+
+def _z2():
+    pres, _ = make_kz2(gen="c")
+    return PoissonStructure(pres, {})
+
+
+ENVELOPES = {
+    "kxy_truncated_q": (lambda: make_kxy(QQ)[1], 6),
+    "kxy_truncated_gf421": (lambda: make_kxy(GF(421))[1], 6),
+    "log_canonical_x2y3": (lambda: log_canonical_x2y3(QQ), 6),
+    "z2": (_z2, 6),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ENVELOPES))
+def case(request):
+    """(Poisson algebra, envelope, triple envelope, sample triples): the
+    pure tensors of unit and generators that `check_lemma55` draws from."""
+    make, cap = ENVELOPES[request.param]
+    p = make()
+    env = build_envelope(p, cap=cap)
+    pres = p.presentation
+    elems = [pres.one()] + [pres.atom_element(a) for a in pres.atoms]
+    triples = [TensorElement.outer(combo, MU_SIGNATURE)
+               for combo in itertools.product(elems, repeat=3)]
+    return p, env, TripleEnvelope(env), triples
+
+
+def _pairs(triples):
+    return list(itertools.product(triples, repeat=2))
+
+
+def test_basis_word_images_match_atom_normal_forms(case):
+    p, env, _, _ = case
+    pres = p.presentation
+    for word in env.basis:
+        value = Element(pres, {word: pres.field.one})
+        assert env.alpha_of(value).terms == reference_alpha_word(env, word)
+        assert env.beta_of(value).terms == reference_beta_word(env, word)
+
+
+def test_alpha_of_rejects_a_word_outside_the_basis(case):
+    p, env, te, _ = case
+    pres = p.presentation
+    outside = (pres.atoms[0],) * (len(env.basis) + 1)
+    value = Element(pres, {outside: pres.field.one})
+    with pytest.raises(InputError, match="is not a basis word"):
+        env.alpha_of(value)
+    with pytest.raises(InputError, match="is not a basis word"):
+        env.beta_of(value)
+    t = TensorElement((pres, pres, pres), MU_SIGNATURE,
+                      {(outside, (), ()): pres.field.one}, normalize=False)
+    with pytest.raises(InputError, match="is not a basis word"):
+        te.xi(t)
+
+
+def test_xi_and_alpha3_match_on_triples_brackets_and_products(case):
+    p, env, te, triples = case
+    for t in triples:
+        assert te.xi(t).terms == reference_xi(env, t)
+        assert te.alpha3(t).terms == reference_alpha3(env, t)
+    for t1, t2 in _pairs(triples):
+        for t in (triple_bracket(p, t1, t2), t1 * t2):
+            assert te.xi(t).terms == reference_xi(env, t)
+            assert te.alpha3(t).terms == reference_alpha3(env, t)
+
+
+def test_triple_bracket_matches(case):
+    p, _, _, triples = case
+    for t1, t2 in _pairs(triples):
+        assert triple_bracket(p, t1, t2).terms == reference_triple_bracket(p, t1, t2)
+
+
+def test_tensor_products_match(case):
+    _, _, te, triples = case
+    images = [f(t) for t in triples for f in (te.xi, te.alpha3)]
+    for s, t in itertools.chain(_pairs(triples), _pairs(images[::5])):
+        assert (s * t).terms == reference_tensor_mul(s, t)
+
+
+def test_slot_word_over_the_cap_still_raises(case):
+    _, env, _, _ = case
+    envp = env.presentation
+    atom = env.alpha_names[1]
+    long_word = (atom,) * (envp.cap // 2 + 1)
+    t = TensorElement((envp, envp, envp), MU_SIGNATURE,
+                      {(long_word, (), ()): envp.field.one}, normalize=False)
+    with pytest.raises(DegreeCapError) as fast:
+        t * t
+    with pytest.raises(DegreeCapError) as reference:
+        reference_tensor_mul(t, t)
+    assert fast.value.operation == reference.value.operation == "normal_form"
+    assert (fast.value.word_length, fast.value.cap) == \
+        (reference.value.word_length, reference.value.cap) == (len(long_word) * 2, envp.cap)
