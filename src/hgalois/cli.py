@@ -145,9 +145,8 @@ def _cmd_build_envelope(job):
 
 
 def _cmd_check_lemma55(job):
-    env = job.envelope()
-    words = job.lemma55_words(env.source.presentation)
-    return check_lemma55(TripleEnvelope(env), words).entries, None
+    words = job.lemma55_words(job.presentation)
+    return check_lemma55(TripleEnvelope(job.envelope()), words).entries, None
 
 
 def _cmd_check_thm59(job):

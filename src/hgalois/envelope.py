@@ -24,13 +24,12 @@ empty word and b(1) is zero, both forced by the defining laws.
 import itertools
 
 from .errors import InputError
+from .hopf_galois import MU_SIGNATURE
 from .maps import GeneratorMap, check_map_respects_relations
 from .poisson import PoissonStructure, triple_bracket
 from .presentations import AlgebraPresentation, Element, GeneratorSymbol, word_str
 from .reports import VerificationReport
 from .tensors import TensorElement, add_outer
-
-MU_SIGNATURE = (False, True, False)
 
 ANCHOR_DEFINING = "Def 5.1 Eq (5.1)"
 ANCHOR_MIRROR = "Remark 5.4 Eq (5.1')"

@@ -45,12 +45,19 @@ KNOWN_COMMANDS = (
 )
 
 
-def expand_token(token: str, path: str):
+def expand_token(token: str, path: str, cap: int):
+    """The atoms of one token; an exponent whose expansion is longer than
+    the degree cap is rejected before the word is built."""
     m = _TOKEN_RE.match(str(token))
     if not m:
         raise JobError(path, f"cannot parse word token {token!r}")
     name, exp = m.group(1), m.group(2)
-    n = 1 if exp is None else int(exp)
+    try:
+        n = 1 if exp is None else int(exp)
+    except ValueError:  # more digits than int() converts
+        n = None
+    if n is None or abs(n) > cap:
+        raise JobError(path, f"token {token!r} expands to more atoms than the degree cap {cap}")
     if n >= 0:
         return (name,) * n
     return (name + "^-1",) * (-n)
@@ -70,12 +77,12 @@ def json_bool(value, path: str) -> bool:
     return value
 
 
-def parse_word(tokens, path: str):
+def parse_word(tokens, path: str, cap: int):
     if not isinstance(tokens, list):
         raise JobError(path, "word must be an array of tokens")
     word = ()
     for i, token in enumerate(tokens):
-        word += expand_token(token, f"{path}[{i}]")
+        word += expand_token(token, f"{path}[{i}]", cap)
     return word
 
 
@@ -97,11 +104,20 @@ class Job:
         self.cap_override = cap_override
         self.cap = cap_override if cap_override is not None \
             else json_int(doc.get("cap", 12), f"{self.name}.cap")
-        self.commands = list(doc.get("commands", []))
-        for c in self.commands:
+        commands = doc.get("commands", [])
+        if not isinstance(commands, list):
+            raise JobError(f"{self.name}.commands", "commands must be an array of strings")
+        for i, c in enumerate(commands):
+            if not isinstance(c, str):
+                raise JobError(f"{self.name}.commands[{i}]", f"expected a string, got {c!r}")
             if c not in KNOWN_COMMANDS:
                 raise JobError(f"{self.name}.commands", f"unknown command {c!r}")
+        self.commands = list(commands)
+        # parsed blocks, built on first use and shared by every command
         self._presentation = None
+        self._hopf_galois = None
+        self._poisson = None
+        self._hopf = None
         self._envelope = None
 
     # ------------------------------------------------------------------
@@ -122,7 +138,7 @@ class Job:
             tpath = f"{path}[{i}]"
             if not isinstance(term, dict) or set(term) - {"coeff", "word"}:
                 raise JobError(tpath, 'term must be {"coeff": ..., "word": [...]}')
-            word = parse_word(term.get("word", []), f"{tpath}.word")
+            word = parse_word(term.get("word", []), f"{tpath}.word", pres.cap)
             try:
                 pres.validate_word(word)
             except InputError as exc:
@@ -144,7 +160,8 @@ class Job:
                 raise JobError(f"{tpath}.factors",
                                f"expected {len(pres_tuple)} factor words")
             key = tuple(
-                parse_word(w, f"{tpath}.factors[{k}]") for k, w in enumerate(factors)
+                parse_word(w, f"{tpath}.factors[{k}]", pres_tuple[k].cap)
+                for k, w in enumerate(factors)
             )
             for k, w in enumerate(key):
                 try:
@@ -179,6 +196,8 @@ class Job:
                 raise JobError(gpath, str(exc))
         if not gens:
             raise JobError(f"{path}.generators", "at least one generator is required")
+        if cap is None:
+            cap = self.block_cap(block, self.cap, path)
         relations = []
         names = {g.name for g in gens}
         inv_names = {g.name + "^-1" for g in gens if g.invertible}
@@ -187,7 +206,7 @@ class Job:
             rpath = f"{path}.relations[{i}]"
             if not isinstance(rel, dict) or "lhs" not in rel:
                 raise JobError(rpath, 'relation must be {"lhs": [...], "rhs": [...]}')
-            lhs = parse_word(rel["lhs"], f"{rpath}.lhs")
+            lhs = parse_word(rel["lhs"], f"{rpath}.lhs", cap)
             for atom in lhs:
                 if atom not in valid:
                     raise JobError(f"{rpath}.lhs", f"unknown generator token {atom!r}")
@@ -196,15 +215,13 @@ class Job:
                 tpath = f"{rpath}.rhs[{j}]"
                 if not isinstance(term, dict):
                     raise JobError(tpath, 'term must be {"coeff": ..., "word": [...]}')
-                word = parse_word(term.get("word", []), f"{tpath}.word")
+                word = parse_word(term.get("word", []), f"{tpath}.word", cap)
                 for atom in word:
                     if atom not in valid:
                         raise JobError(f"{tpath}.word", f"unknown generator token {atom!r}")
                 c = self.coeff(term.get("coeff", "1"), f"{tpath}.coeff")
                 rhs_terms[word] = rhs_terms.get(word, self.field.zero) + c
             relations.append((lhs, rhs_terms))
-        if cap is None:
-            cap = self.block_cap(block, self.cap, path)
         commutative = json_bool(block.get("commutative", False), f"{path}.commutative")
         try:
             return AlgebraPresentation(
@@ -237,6 +254,12 @@ class Job:
         }
 
     def hopf_galois(self) -> HopfGaloisStructure:
+        """The "mu" block, parsed on first use and shared by every command."""
+        if self._hopf_galois is None:
+            self._hopf_galois = self._parse_hopf_galois()
+        return self._hopf_galois
+
+    def _parse_hopf_galois(self) -> HopfGaloisStructure:
         if "mu" not in self.doc:
             raise JobError(self.name, 'this command needs a "mu" block')
         pres = self.presentation
@@ -251,6 +274,13 @@ class Job:
             raise JobError(f"{self.name}.mu", str(exc))
 
     def poisson(self) -> PoissonStructure:
+        """The "bracket" block (zero bracket if absent), parsed on first use
+        and shared by every command, so they share its bracket tables."""
+        if self._poisson is None:
+            self._poisson = self._parse_poisson()
+        return self._poisson
+
+    def _parse_poisson(self) -> PoissonStructure:
         pres = self.presentation
         table = {}
         for i, entry in enumerate(self.doc.get("bracket", [])):
@@ -268,6 +298,12 @@ class Job:
             raise JobError(f"{self.name}.bracket", str(exc))
 
     def hopf(self) -> HopfStructure:
+        """The "hopf" block, parsed on first use and shared by every command."""
+        if self._hopf is None:
+            self._hopf = self._parse_hopf()
+        return self._hopf
+
+    def _parse_hopf(self) -> HopfStructure:
         if "hopf" not in self.doc:
             raise JobError(self.name, 'this command needs a "hopf" block')
         block = self.doc["hopf"]
@@ -354,11 +390,14 @@ class Job:
             raise JobError(f"{path}.grouplike", "a group-like element is required")
         return data, g
 
-    def envelope_cap(self) -> int:
+    def envelope_block(self) -> dict:
         block = self.doc.get("envelope", {})
         if not isinstance(block, dict):
             raise JobError(f"{self.name}.envelope", "envelope block must be an object")
-        return self.block_cap(block, 6, f"{self.name}.envelope")
+        return block
+
+    def envelope_cap(self) -> int:
+        return self.block_cap(self.envelope_block(), 6, f"{self.name}.envelope")
 
     def envelope(self) -> EnvelopePresentation:
         """The envelope of the job's Poisson algebra, built on first use and
@@ -368,17 +407,19 @@ class Job:
         return self._envelope
 
     def lemma55_words(self, pres):
-        block = self.doc.get("envelope", {})
-        words = block.get("sample_words")
+        words = self.envelope_block().get("sample_words")
         if words is None:
             return None
+        path = f"{self.name}.envelope.sample_words"
+        if not isinstance(words, list):
+            raise JobError(path, "sample_words must be an array of words")
         out = []
         for i, w in enumerate(words):
-            word = parse_word(w, f"{self.name}.envelope.sample_words[{i}]")
+            word = parse_word(w, f"{path}[{i}]", pres.cap)
             try:
                 out.append(pres.validate_word(word))
             except InputError as exc:
-                raise JobError(f"{self.name}.envelope.sample_words[{i}]", str(exc))
+                raise JobError(f"{path}[{i}]", str(exc))
         return out
 
     def quotient(self) -> tuple:

@@ -4,11 +4,14 @@ A `GeneratorMap` stores one target tensor per atom of the source
 presentation and extends to words by slot-wise tensor multiplication, so
 twisted target slots automatically make the extension anti-multiplicative
 there.  Images of formal inverses are derived from single-term images
-when not supplied, and are always verified to multiply to the unit.
+when not supplied, and are always verified to multiply to the unit.  The
+image of every word is computed once, as the image of the word without its
+last atom times that atom's image, and kept in a word table until a target
+presentation gains a rule.
 """
 
 from .errors import InputError
-from .presentations import Element, inverse_atom, word_str
+from .presentations import Element, WordTable, axpy, inverse_atom, word_str
 from .reports import CheckEntry, VerificationReport
 from .tensors import OP, PLAIN, TensorElement
 
@@ -33,6 +36,7 @@ class GeneratorMap:
         missing = [a for a in source.atoms if a not in self.images]
         if missing:
             raise InputError(f"{name}: missing image for generator {missing[0]!r}")
+        self._word_images = WordTable(self.targets)
 
     def _coerce_image(self, atom, img) -> TensorElement:
         if isinstance(img, Element):
@@ -75,12 +79,22 @@ class GeneratorMap:
         return len(self.targets)
 
     def apply_word(self, word) -> TensorElement:
-        out = TensorElement.unit(self.targets, self.signature, self.field)
-        for atom in word:
-            img = self.images.get(atom)
+        """The image of a word: the unit times the atom images from left to
+        right.  Every prefix image is kept in the word table, so a word is
+        the kept image of its longest known prefix times the rest."""
+        word = tuple(word)
+        table = self._word_images.current()
+        if not table:
+            table[()] = TensorElement.unit(self.targets, self.signature, self.field)
+        k = len(word)
+        while word[:k] not in table:
+            k -= 1
+        out = table[word[:k]]
+        for n in range(k, len(word)):
+            img = self.images.get(word[n])
             if img is None:
-                raise InputError(f"{self.name}: no image for atom {atom!r}")
-            out = out * img
+                raise InputError(f"{self.name}: no image for atom {word[n]!r}")
+            out = table[word[:n + 1]] = out * img
         return out
 
     def apply(self, value) -> TensorElement:
@@ -88,10 +102,11 @@ class GeneratorMap:
         if isinstance(value, Element):
             if value.presentation is not self.source:
                 raise InputError(f"{self.name}: element from a different presentation")
-            out = TensorElement.zero(self.targets, self.signature, self.field)
+            out: dict = {}
             for word, coeff in value.terms.items():
-                out = out + self.apply_word(word).scale(coeff)
-            return out
+                axpy(out, self.apply_word(word).terms, coeff, self.field.zero)
+            return TensorElement(self.targets, self.signature, out, self.field,
+                                 normalize=False)
         return self.apply_word(self.source.validate_word(value))
 
     def apply_element(self, value) -> Element:

@@ -6,7 +6,11 @@ Brackets against a formal inverse are forced, never user data:
 
     {a, g^-1} = -g^-2 {a, g}
 
-which follows from 0 = {a, g^-1 g}.  The module also provides the induced
+which follows from 0 = {a, g^-1 g}.  Atom brackets and the bracket {u, v}
+of each pair of words are computed once, by the Leibniz sum over letter
+pairs, and kept in word tables until the presentation gains a rule; the
+bracket of two elements sums their coefficient products times the tabled
+word brackets.  The module also provides the induced
 brackets on tensor squares and on the twisted triple product (with its
 negative middle term), and the compatibility checks tying a bracket to a
 Hopf-Galois or Hopf structure.
@@ -23,7 +27,7 @@ from .hopf_galois import (
     pushforward,
 )
 from .maps import GeneratorMap, check_map_respects_relations
-from .presentations import Element
+from .presentations import Element, WordTable, axpy
 from .reports import VerificationReport
 from .tensors import TensorElement, add_outer
 
@@ -73,9 +77,19 @@ class PoissonStructure:
             if (a, b) in self.table and self.table[(a, b)] != value:
                 raise InputError(f"conflicting bracket values for pair ({a},{b})")
             self.table[(a, b)] = presentation.normal_form(value)
+        self._atom_brackets = WordTable([presentation])
+        self._word_brackets = WordTable([presentation])
 
     # ------------------------------------------------------------------
     def atom_bracket(self, s: str, t: str) -> Element:
+        """{s, t} for atoms, memoized per ordered pair."""
+        memo = self._atom_brackets.current()
+        value = memo.get((s, t))
+        if value is None:
+            value = memo[(s, t)] = self._forced_atom_bracket(s, t)
+        return value
+
+    def _forced_atom_bracket(self, s: str, t: str) -> Element:
         pres = self.presentation
         if s == t:
             return pres.zero()
@@ -92,25 +106,44 @@ class PoissonStructure:
             return pres.normal_form(-(inv_sq * self.atom_bracket(base, t)))
         return self.table.get((s, t), pres.zero())
 
+    def _word_bracket(self, u, v) -> dict:
+        """{u, v} for words as a term map: the Leibniz sum over letter pairs
+        of (u without u_i) * {u_i, v_j} * (v without v_j)."""
+        pres = self.presentation
+        one, zero = pres.field.one, pres.field.zero
+        out: dict = {}
+        for i in range(len(u)):
+            rest_u = pres.element({u[:i] + u[i + 1:]: one})
+            for j in range(len(v)):
+                core = self.atom_bracket(u[i], v[j])
+                if not core:
+                    continue
+                rest_v = pres.element({v[:j] + v[j + 1:]: one})
+                axpy(out, (rest_u * core * rest_v).terms, one, zero)
+        return out
+
+    def bracket_terms(self, a: dict, b: dict) -> dict:
+        """The bracket of two term maps, as a term map: the sum of
+        ca * cb * {u, v} over their terms, {u, v} read from the word-pair
+        table (filled on first use)."""
+        memo = self._word_brackets.current()
+        zero = self.presentation.field.zero
+        out: dict = {}
+        for wa, ca in a.items():
+            for wb, cb in b.items():
+                pair = memo.get((wa, wb))
+                if pair is None:
+                    pair = memo[(wa, wb)] = self._word_bracket(wa, wb)
+                axpy(out, pair, ca * cb, zero)
+        return out
+
     def bracket(self, a: Element, b: Element) -> Element:
         """Bilinear, antisymmetric, Leibniz-in-each-argument extension."""
         pres = self.presentation
         for e in (a, b):
             if not isinstance(e, Element) or e.presentation is not pres:
                 raise InputError("bracket: elements must belong to the Poisson algebra")
-        out = pres.zero()
-        for wa, ca in a.terms.items():
-            for wb, cb in b.terms.items():
-                coeff = ca * cb
-                for i in range(len(wa)):
-                    rest_a = pres.element({wa[:i] + wa[i + 1:]: pres.field.one})
-                    for j in range(len(wb)):
-                        core = self.atom_bracket(wa[i], wb[j])
-                        if not core:
-                            continue
-                        rest_b = pres.element({wb[:j] + wb[j + 1:]: pres.field.one})
-                        out = out + (rest_a * core * rest_b).scale(coeff)
-        return out
+        return Element(pres, self.bracket_terms(a.terms, b.terms))
 
     def atoms(self):
         return list(self.presentation.atoms)
@@ -146,6 +179,12 @@ def check_poisson(p: PoissonStructure) -> VerificationReport:
     return report
 
 
+def _slot_nf(pres, word) -> Element:
+    """The normal form of a tensor slot word, read from the presentation's
+    memo under its degree cap."""
+    return Element(pres, pres._word_nf(word, pres.cap, "normal_form"))
+
+
 def tensor_bracket(p_left: PoissonStructure, p_right: PoissonStructure,
                    t1: TensorElement, t2: TensorElement) -> TensorElement:
     """Bracket on A ⊗ B:  {a⊗b, a'⊗b'} = aa' ⊗ {b,b'} + {a,a'} ⊗ bb'."""
@@ -156,13 +195,13 @@ def tensor_bracket(p_left: PoissonStructure, p_right: PoissonStructure,
         raise InputError("tensor factors do not match the Poisson presentations")
     out: dict = {}
     for (a, b), c1 in t1.terms.items():
-        ea, eb = pa.element({a: pa.field.one}), pb.element({b: pb.field.one})
+        ea, eb = _slot_nf(pa, a), _slot_nf(pb, b)
         for (a2, b2), c2 in t2.terms.items():
-            ea2, eb2 = pa.element({a2: pa.field.one}), pb.element({b2: pb.field.one})
+            ea2, eb2 = _slot_nf(pa, a2), _slot_nf(pb, b2)
             coeff = c1 * c2
-            add_outer(out, [(ea * ea2).terms, p_right.bracket(eb, eb2).terms],
+            add_outer(out, [(ea * ea2).terms, p_right.bracket_terms(eb.terms, eb2.terms)],
                       coeff, t1.field)
-            add_outer(out, [p_left.bracket(ea, ea2).terms, (eb * eb2).terms],
+            add_outer(out, [p_left.bracket_terms(ea.terms, ea2.terms), (eb * eb2).terms],
                       coeff, t1.field)
     return TensorElement(t1.factors, t1.signature, out, t1.field, normalize=False)
 
@@ -179,17 +218,16 @@ def triple_bracket(p: PoissonStructure, s: TensorElement, t: TensorElement) -> T
         raise InputError("tensor factors do not match the Poisson presentation")
     if s.signature != t.signature:
         raise InputError("tensor signature mismatch")
-    one = pres.field.one
     out: dict = {}
     for (x, y, z), c1 in s.terms.items():
-        ex, ey, ez = (pres.element({w: one}) for w in (x, y, z))
+        ex, ey, ez = (_slot_nf(pres, w) for w in (x, y, z))
         for (x2, y2, z2), c2 in t.terms.items():
-            ex2, ey2, ez2 = (pres.element({w: one}) for w in (x2, y2, z2))
+            ex2, ey2, ez2 = (_slot_nf(pres, w) for w in (x2, y2, z2))
             coeff = c1 * c2
             xx, yy, zz = (ex * ex2).terms, (ey * ey2).terms, (ez * ez2).terms
-            add_outer(out, [p.bracket(ex, ex2).terms, yy, zz], coeff, pres.field)
-            add_outer(out, [xx, p.bracket(ey, ey2).terms, zz], -coeff, pres.field)
-            add_outer(out, [xx, yy, p.bracket(ez, ez2).terms], coeff, pres.field)
+            add_outer(out, [p.bracket_terms(ex.terms, ex2.terms), yy, zz], coeff, pres.field)
+            add_outer(out, [xx, p.bracket_terms(ey.terms, ey2.terms), zz], -coeff, pres.field)
+            add_outer(out, [xx, yy, p.bracket_terms(ez.terms, ez2.terms)], coeff, pres.field)
     return TensorElement(s.factors, s.signature, out, s.field, normalize=False)
 
 

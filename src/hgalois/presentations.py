@@ -87,6 +87,43 @@ def merge_terms(terms: dict, other: dict, op, zero) -> dict:
     return out
 
 
+def axpy(dst: dict, src: dict, scale, zero) -> None:
+    """dst += src * scale in place, each coefficient multiplied as c * scale;
+    zero sums are dropped."""
+    for w, c in src.items():
+        s = dst.get(w, zero) + c * scale
+        if s:
+            dst[w] = s
+        else:
+            dst.pop(w, None)
+
+
+class WordTable:
+    """A memo keyed by words or word pairs whose entries were computed from
+    normal forms in some presentations.
+
+    Every new rule replaces a presentation's normal-form memo; `current()`
+    compares those memo objects with the ones the table was filled under
+    and starts an empty table when any of them changed, so an entry never
+    outlives a rule added after it was computed.
+    """
+
+    __slots__ = ("_presentations", "_memos", "_entries")
+
+    def __init__(self, presentations):
+        self._presentations = tuple(presentations)
+        self._memos = tuple(p._nf_cache for p in self._presentations)
+        self._entries: dict = {}
+
+    def current(self) -> dict:
+        for p, memo in zip(self._presentations, self._memos):
+            if p._nf_cache is not memo:
+                self._memos = tuple(p._nf_cache for p in self._presentations)
+                self._entries = {}
+                break
+        return self._entries
+
+
 class GeneratorSymbol:
     """A named generator; invertible ones carry a formal inverse atom."""
 

@@ -51,21 +51,11 @@ def serialize_witness(witness, render_coeff):
     if isinstance(witness, str):
         return {"kind": "note", "text": witness}
     if isinstance(witness, Element):
-        return {
-            "kind": "element",
-            "terms": [
-                {"coeff": render_coeff(c), "word": word_to_tokens(w)}
-                for w, c in witness.sorted_terms()
-            ],
-        }
-    # tensor
+        return {"kind": "element", "terms": element_terms_json(witness, render_coeff)}
     return {
         "kind": "tensor",
         "signature": ["op" if s else "plain" for s in witness.signature],
-        "terms": [
-            {"coeff": render_coeff(c), "factors": [word_to_tokens(w) for w in words]}
-            for words, c in witness.sorted_terms()
-        ],
+        "terms": tensor_terms_json(witness, render_coeff),
     }
 
 

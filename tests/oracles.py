@@ -8,7 +8,7 @@ generators.  Checker verdicts are compared against these in the tests.
 
 import itertools
 
-from hgalois import ConfluenceError, word_str
+from hgalois import ConfluenceError, InputError, TensorElement, word_str
 
 
 def naive_word_reduce(rules, word, field):
@@ -480,9 +480,67 @@ def reference_triple_bracket(p, s, t):
             ex2, ey2, ez2 = (pres.element({w: one}) for w in (x2, y2, z2))
             coeff = c1 * c2
             xx, yy, zz = ex * ex2, ey * ey2, ez * ez2
-            for sign, parts in ((1, (p.bracket(ex, ex2), yy, zz)),
-                                (-1, (xx, p.bracket(ey, ey2), zz)),
-                                (1, (xx, yy, p.bracket(ez, ez2)))):
+            for sign, parts in ((1, (reference_bracket(p, ex, ex2), yy, zz)),
+                                (-1, (xx, reference_bracket(p, ey, ey2), zz)),
+                                (1, (xx, yy, reference_bracket(p, ez, ez2)))):
                 outer = reference_outer([e.terms for e in parts], field)
                 out = _add_into(out, {k: c * coeff for k, c in outer.items()}, field, sign)
+    return out
+
+
+# ----------------------------------------------------------------------
+# Word-level extensions, copied from the package's original
+# `PoissonStructure.atom_bracket`/`bracket` and `GeneratorMap.apply_word`/
+# `apply`: nothing is memoized, every letter pair of every term pair is
+# evaluated again, and every word is folded from the unit.
+
+def reference_atom_bracket(p, s, t):
+    """{s, t} for atoms; brackets against an inverse atom are forced."""
+    pres = p.presentation
+    if s == t:
+        return pres.zero()
+    if pres.atom_key(s) > pres.atom_key(t):
+        return -reference_atom_bracket(p, t, s)
+    if pres.atom_key(t)[1]:
+        inv_sq = pres.element({(t, t): pres.field.one})
+        return pres.normal_form(-(inv_sq * reference_atom_bracket(p, s, t[:-3])))
+    if pres.atom_key(s)[1]:
+        inv_sq = pres.element({(s, s): pres.field.one})
+        return pres.normal_form(-(inv_sq * reference_atom_bracket(p, s[:-3], t)))
+    return p.table.get((s, t), pres.zero())
+
+
+def reference_bracket(p, a, b):
+    """Leibniz extension, one letter pair at a time, added into a fresh sum."""
+    pres = p.presentation
+    out = pres.zero()
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            coeff = ca * cb
+            for i in range(len(wa)):
+                rest_a = pres.element({wa[:i] + wa[i + 1:]: pres.field.one})
+                for j in range(len(wb)):
+                    core = reference_atom_bracket(p, wa[i], wb[j])
+                    if not core:
+                        continue
+                    rest_b = pres.element({wb[:j] + wb[j + 1:]: pres.field.one})
+                    out = out + (rest_a * core * rest_b).scale(coeff)
+    return out
+
+
+def reference_apply_word(gmap, word):
+    """The unit times the atom images, left to right."""
+    out = TensorElement.unit(gmap.targets, gmap.signature, gmap.field)
+    for atom in word:
+        img = gmap.images.get(atom)
+        if img is None:
+            raise InputError(f"{gmap.name}: no image for atom {atom!r}")
+        out = out * img
+    return out
+
+
+def reference_apply(gmap, element):
+    out = TensorElement.zero(gmap.targets, gmap.signature, gmap.field)
+    for word, coeff in element.terms.items():
+        out = out + reference_apply_word(gmap, word).scale(coeff)
     return out

@@ -225,6 +225,18 @@ BAD_FIELDS = [
      "laurent_lambda1.presentation.commutative"),
     ("sweedler_h4", ("presentation", "relations", 0, "rhs", 0), "1",
      "sweedler_h4.presentation.relations[0].rhs[0]"),
+    ("sweedler_h4", ("commands",), 5, "sweedler_h4.commands"),
+    ("sweedler_h4", ("commands",), "check-hopf-galois", "sweedler_h4.commands"),
+    ("sweedler_h4", ("commands",), ["check-hopf-galois", 5], "sweedler_h4.commands[1]"),
+    ("kxy_truncated", ("envelope", "sample_words"), 5, "kxy_truncated.envelope.sample_words"),
+    # exponents whose expansion exceeds the cap are rejected before the
+    # word is built (a tuple of 10^8 atoms otherwise)
+    ("sweedler_h4", ("presentation", "relations", 0, "lhs"), ["g^100000000"],
+     "sweedler_h4.presentation.relations[0].lhs[0]"),
+    ("sweedler_h4", ("mu", "g", 0, "factors", 1), ["g", "g^-100000000"],
+     "sweedler_h4.mu.g[0].factors[1][1]"),
+    ("kxy_truncated", ("envelope", "sample_words", 1), ["x^" + "9" * 5000],
+     "kxy_truncated.envelope.sample_words[1][0]"),
 ]
 
 
@@ -239,29 +251,19 @@ def test_bad_field_exits_two_and_names_it(name, path, value, field, tmp_path, ca
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
-def test_envelope_commands_share_one_build(monkeypatch):
-    """build-envelope, check-lemma55 and check-thm59 in one job build the
-    envelope and run its relation report once, and report exactly what a
-    fresh job per command reports."""
-    calls = {"build_envelope": 0, "relation_instance_report": 0}
+def _count_calls(monkeypatch, calls, module, name):
+    real = getattr(module, name)
 
-    def counted(module, name):
-        real = getattr(module, name)
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
 
-    counted(jobs, "build_envelope")
-    counted(envelope, "relation_instance_report")
-    doc = builtin_job("z2_zero_bracket")
-    commands = ["build-envelope", "check-lemma55", "check-thm59"]
-    entries, summary = run_commands(Job(doc), commands)
-    assert calls == {"build_envelope": 1, "relation_instance_report": 1}
-
+def _assert_same_as_fresh_jobs(doc, commands, entries, summary):
+    """The report of one job equals, byte for byte, the reports of a fresh
+    job per command, put together."""
     parts = [run_commands(Job(doc), [command]) for command in commands]
-    assert calls["build_envelope"] == 1 + len(commands)
     checks = sum(s["checks"] for _, s in parts)
     passed = sum(s["passed"] for _, s in parts)
     expected = {
@@ -272,3 +274,61 @@ def test_envelope_commands_share_one_build(monkeypatch):
     }
     assert render_json(entries, summary) == \
         render_json([e for part, _ in parts for e in part], expected)
+
+
+def test_envelope_commands_share_one_build(monkeypatch):
+    """build-envelope, check-lemma55 and check-thm59 in one job build the
+    envelope and run its relation report once, and report exactly what a
+    fresh job per command reports."""
+    calls = {"build_envelope": 0, "relation_instance_report": 0}
+    _count_calls(monkeypatch, calls, jobs, "build_envelope")
+    _count_calls(monkeypatch, calls, envelope, "relation_instance_report")
+    doc = builtin_job("z2_zero_bracket")
+    commands = ["build-envelope", "check-lemma55", "check-thm59"]
+    entries, summary = run_commands(Job(doc), commands)
+    assert calls == {"build_envelope": 1, "relation_instance_report": 1}
+    _assert_same_as_fresh_jobs(doc, commands, entries, summary)
+    assert calls["build_envelope"] == 1 + len(commands)
+
+
+def _laurent_with_hopf():
+    """laurent_lambda1 plus the Hopf data of k[g^±1, x]: Delta(x) = x⊗1 + g⊗x."""
+    doc = builtin_job("laurent_lambda1")
+    doc["hopf"] = {
+        "comultiplication": {
+            "g": [{"coeff": "1", "factors": [["g"], ["g"]]}],
+            "x": [{"coeff": "1", "factors": [["x"], []]},
+                  {"coeff": "1", "factors": [["g"], ["x"]]}],
+        },
+        "counit": {"g": "1", "x": "0"},
+        "antipode": {"g": [{"coeff": "1", "word": ["g^-1"]}],
+                     "x": [{"coeff": "-1", "word": ["g^-1", "x"]}]},
+    }
+    return doc
+
+
+def test_structure_commands_share_one_parse(monkeypatch):
+    """The Poisson, Hopf-Galois and Hopf blocks are parsed once per job and
+    shared by every command, and the report is what a fresh job per command
+    reports."""
+    calls = {"PoissonStructure": 0, "mu_map": 0, "hopf_structure": 0}
+    for name in calls:
+        _count_calls(monkeypatch, calls, jobs, name)
+    doc = _laurent_with_hopf()
+    commands = ["check-poisson", "check-poisson-hg", "check-poisson-hopf",
+                "check-hopf-galois", "convert hopf-to-galois"]
+    job = Job(doc)
+    entries, summary = run_commands(job, commands)
+    assert calls == {"PoissonStructure": 1, "mu_map": 1, "hopf_structure": 1}
+    assert job.poisson() is job.poisson() and job.hopf() is job.hopf()
+    _assert_same_as_fresh_jobs(doc, commands, entries, summary)
+
+
+def test_failed_parse_is_not_cached():
+    """A block that failed to parse fails again on the next command."""
+    doc = builtin_job("laurent_lambda1")
+    doc["bracket"].append({"pair": ["x", "g^-1"], "value": []})
+    job = Job(doc)
+    for _ in range(2):
+        with pytest.raises(jobs.JobError, match=r"laurent_lambda1\.bracket: .*forced"):
+            job.poisson()
