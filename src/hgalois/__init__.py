@@ -20,7 +20,7 @@ from .presentations import (
     transport_element,
     word_str,
 )
-from .tensors import OP, PLAIN, TensorElement, tensor_multiply
+from .tensors import OP, PLAIN, TensorElement
 from .maps import GeneratorMap, check_map_respects_relations, compose
 from .reports import CheckEntry, VerificationReport
 from .hopf_galois import (

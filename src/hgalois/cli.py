@@ -24,7 +24,7 @@ from .hopf_galois import (
     hopf_to_galois,
     pushforward,
 )
-from .jobs import KNOWN_COMMANDS, Job, load_job
+from .jobs import Job, load_job
 from .ore import check_thm28, check_thm44, build_poisson_ore, extend_mu_ore
 from .poisson import (
     PoissonHopfGaloisStructure,
@@ -35,6 +35,15 @@ from .poisson import (
     poisson_pushforward,
 )
 from .reports import element_terms_json, entry_to_json, tensor_terms_json
+
+
+def _mu_json(hg, render) -> dict:
+    return {atom: tensor_terms_json(img, render) for atom, img in sorted(hg.mu.images.items())}
+
+
+def _bracket_json(p, render) -> list:
+    return [{"pair": [a, b], "value": element_terms_json(v, render)}
+            for (a, b), v in sorted(p.table.items())]
 
 
 def _cmd_check_hopf_galois(job):
@@ -62,10 +71,7 @@ def _cmd_convert_hopf_to_galois(job):
     if all(e.passed for e in entries):
         hg = hopf_to_galois(hs)
         entries += check_hopf_galois(hg).entries
-        result = {"mu": {
-            atom: tensor_terms_json(img, job.field.render)
-            for atom, img in sorted(hg.mu.images.items())
-        }}
+        result = {"mu": _mu_json(hg, job.field.render)}
     return entries, result
 
 
@@ -105,10 +111,7 @@ def _cmd_ore_extend(job):
         entries += check_hopf_galois(extended).entries
         result = {
             "presentation": repr(extended.presentation),
-            "mu": {
-                atom: tensor_terms_json(img, job.field.render)
-                for atom, img in sorted(extended.mu.images.items())
-            },
+            "mu": _mu_json(extended, job.field.render),
         }
     return entries, result
 
@@ -123,13 +126,9 @@ def _cmd_poisson_ore_extend(job):
     data, _ = job.poisson_ore_data()
     extended = build_poisson_ore(data)
     entries = check_poisson(extended).entries
-    render = job.field.render
     result = {
         "presentation": repr(extended.presentation),
-        "bracket": [
-            {"pair": [a, b], "value": element_terms_json(v, render)}
-            for (a, b), v in sorted(extended.table.items())
-        ],
+        "bracket": _bracket_json(extended, job.field.render),
     }
     return entries, result
 
@@ -164,23 +163,12 @@ def _cmd_pushforward(job):
         entries = (check_hopf_galois(pushed.hopf_galois).entries
                    + check_poisson(pushed.poisson).entries
                    + check_poisson_hg(pushed).entries)
-        result = {
-            "mu": {
-                atom: tensor_terms_json(img, render)
-                for atom, img in sorted(pushed.hopf_galois.mu.images.items())
-            },
-            "bracket": [
-                {"pair": [a, b], "value": element_terms_json(v, render)}
-                for (a, b), v in sorted(pushed.poisson.table.items())
-            ],
-        }
+        result = {"mu": _mu_json(pushed.hopf_galois, render),
+                  "bracket": _bracket_json(pushed.poisson, render)}
     else:
         pushed = pushforward(job.hopf_galois(), f, section)
         entries = check_hopf_galois(pushed).entries
-        result = {"mu": {
-            atom: tensor_terms_json(img, render)
-            for atom, img in sorted(pushed.mu.images.items())
-        }}
+        result = {"mu": _mu_json(pushed, render)}
     return entries, result
 
 
@@ -200,8 +188,6 @@ COMMANDS = {
     "check-thm59": _cmd_check_thm59,
     "pushforward": _cmd_pushforward,
 }
-
-assert set(COMMANDS) == set(KNOWN_COMMANDS)
 
 
 def run_commands(job: Job, commands) -> tuple:

@@ -22,12 +22,21 @@ empty word and b(1) is zero, both forced by the defining laws.
 """
 
 import itertools
+import operator
 
 from .errors import InputError
 from .hopf_galois import MU_SIGNATURE
 from .maps import GeneratorMap, check_map_respects_relations
 from .poisson import PoissonStructure, triple_bracket
-from .presentations import AlgebraPresentation, Element, GeneratorSymbol, word_str
+from .presentations import (
+    AlgebraPresentation,
+    Element,
+    GeneratorSymbol,
+    SparseEchelon,
+    axpy,
+    merge_terms,
+    word_str,
+)
 from .reports import VerificationReport
 from .tensors import TensorElement, add_outer
 
@@ -87,12 +96,7 @@ class EnvelopePresentation:
         zero = self.presentation.field.zero
         out: dict = {}
         for word, coeff in value.terms.items():
-            for w, c in self.word_image(images, word).items():
-                s = out.get(w, zero) + coeff * c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+            axpy(out, self.word_image(images, word), coeff, zero)
         return Element(self.presentation, out)
 
     def alpha_of(self, value: Element) -> Element:
@@ -148,38 +152,18 @@ def build_envelope(p: PoissonStructure, cap: int = 6) -> EnvelopePresentation:
     beta_names = [None] + [f"b[{labels[i]}]" for i in range(1, n)]
     generators = [GeneratorSymbol(name) for name in alpha_names[1:] + beta_names[1:]]
 
-    def alpha_word_vec(vec) -> dict:
-        out = {}
-        for k, c in vec.items():
-            word = () if k == 0 else (alpha_names[k],)
-            out[word] = out.get(word, field.zero) + c
-        return {w: c for w, c in out.items() if c}
-
-    def beta_word_vec(vec) -> dict:
-        out = {}
-        for k, c in vec.items():
-            if k == 0:
-                continue
-            word = (beta_names[k],)
-            out[word] = out.get(word, field.zero) + c
-        return {w: c for w, c in out.items() if c}
-
     relations = []
     for i in range(1, n):
         for j in range(1, n):
             relations.append(((alpha_names[i], alpha_names[j]),
-                              alpha_word_vec(table[(i, j)])))
-            commuted = {(alpha_names[j], beta_names[i]): field.one}
-            for w, c in alpha_word_vec(br_of(i, j)).items():
-                commuted[w] = commuted.get(w, field.zero) + c
-            relations.append(((beta_names[i], alpha_names[j]),
-                              {w: c for w, c in commuted.items() if c}))
+                              _alpha_words(table[(i, j)], alpha_names)))
+            relations.append(((beta_names[i], alpha_names[j]), merge_terms(
+                {(alpha_names[j], beta_names[i]): field.one},
+                _alpha_words(br_of(i, j), alpha_names), operator.add, field.zero)))
             if i > j:
-                swapped = {(beta_names[j], beta_names[i]): field.one}
-                for w, c in beta_word_vec(br_of(i, j)).items():
-                    swapped[w] = swapped.get(w, field.zero) + c
-                relations.append(((beta_names[i], beta_names[j]),
-                                  {w: c for w, c in swapped.items() if c}))
+                relations.append(((beta_names[i], beta_names[j]), merge_terms(
+                    {(beta_names[j], beta_names[i]): field.one},
+                    _beta_words(br_of(i, j), beta_names), operator.add, field.zero)))
 
     relations.extend(_product_relation_rules(
         field, n, table, alpha_names, beta_names))
@@ -201,6 +185,17 @@ def build_envelope(p: PoissonStructure, cap: int = 6) -> EnvelopePresentation:
     return env
 
 
+def _alpha_words(vec, alpha_names) -> dict:
+    """A coordinate vector {basis index: coeff} as a map of alpha words;
+    a(1) is the empty word.  Distinct indices give distinct words."""
+    return {(() if k == 0 else (alpha_names[k],)): c for k, c in vec.items()}
+
+
+def _beta_words(vec, beta_names) -> dict:
+    """A coordinate vector as a map of beta words; b(1) is zero."""
+    return {(beta_names[k],): c for k, c in vec.items() if k}
+
+
 def _product_relation_rules(field, n, table, alpha_names, beta_names):
     """Echelonized consequences of beta(a_i a_j) = a_i b_j + a_j b_i.
 
@@ -208,82 +203,40 @@ def _product_relation_rules(field, n, table, alpha_names, beta_names):
     span is closed under left multiplication by each a_p, and the closure
     is row-reduced with the largest word (degree, then position) as pivot.
     """
-
-    atom_rank = {}
-    for pos, name in enumerate(alpha_names[1:] + beta_names[1:]):
-        atom_rank[name] = pos
+    zero, one = field.zero, field.one
+    atom_rank = {name: pos for pos, name in enumerate(alpha_names[1:] + beta_names[1:])}
 
     def word_order(word):
         return (len(word), tuple(atom_rank[a] for a in word))
-
-    def vec_reduce(vec, pivots):
-        vec = {w: c for w, c in vec.items() if c}
-        while vec:
-            lead = max(vec, key=word_order)
-            row = pivots.get(lead)
-            if row is None:
-                return vec, lead
-            factor = vec[lead]
-            for w, c in row.items():
-                s = vec.get(w, field.zero) - factor * c
-                if s:
-                    vec[w] = s
-                else:
-                    vec.pop(w, None)
-        return vec, None
 
     def left_mult(p_idx, vec):
         out = {}
         for word, coeff in vec.items():
             if len(word) == 1:  # (b_k,)
-                new = (alpha_names[p_idx],) + word
-                out[new] = out.get(new, field.zero) + coeff
+                image = {(alpha_names[p_idx],) + word: one}
             else:  # (a_m, b_k)
                 m = alpha_names.index(word[0])
-                for q, c in table[(p_idx, m)].items():
-                    new = word[1:] if q == 0 else (alpha_names[q],) + word[1:]
-                    out[new] = out.get(new, field.zero) + coeff * c
-        return {w: c for w, c in out.items() if c}
+                image = {w + word[1:]: c for w, c in
+                         _alpha_words(table[(p_idx, m)], alpha_names).items()}
+            axpy(out, image, coeff, zero)
+        return out
 
-    pivots: dict = {}
     queue = []
     for i in range(1, n):
         for j in range(i, n):
-            vec = {}
-            for k, c in table[(i, j)].items():
-                if k == 0:
-                    continue  # beta(1) = 0
-                word = (beta_names[k],)
-                vec[word] = vec.get(word, field.zero) + c
+            vec = _beta_words(table[(i, j)], beta_names)
             for m, k in ((i, j), (j, i)):
-                word = (alpha_names[m], beta_names[k])
-                vec[word] = vec.get(word, field.zero) - field.one
+                axpy(vec, {(alpha_names[m], beta_names[k]): one}, -one, zero)
             queue.append(vec)
 
+    echelon = SparseEchelon(word_order, zero)
     while queue:
-        vec, lead = vec_reduce(queue.pop(0), pivots)
-        if lead is None:
-            continue
-        monic = {w: c / vec[lead] for w, c in vec.items()}
-        for piv_lead, row in pivots.items():
-            if lead in row:
-                factor = row[lead]
-                for w, c in monic.items():
-                    s = row.get(w, field.zero) - factor * c
-                    if s:
-                        row[w] = s
-                    else:
-                        row.pop(w, None)
-        pivots[lead] = monic
-        for p_idx in range(1, n):
-            queue.append(left_mult(p_idx, monic))
-
-    rules = []
-    for lead in sorted(pivots, key=word_order):
-        row = pivots[lead]
-        rhs = {w: -c for w, c in row.items() if w != lead}
-        rules.append((lead, rhs))
-    return rules
+        vec, lead = echelon.reduce(queue.pop(0))
+        if lead is not None:
+            monic = echelon.insert(vec, lead)
+            queue.extend(left_mult(p_idx, monic) for p_idx in range(1, n))
+    return [(lead, {w: -c for w, c in echelon.rows[lead].items() if w != lead})
+            for lead in sorted(echelon.rows, key=word_order)]
 
 
 def relation_instance_report(env: EnvelopePresentation) -> VerificationReport:
@@ -298,9 +251,8 @@ def relation_instance_report(env: EnvelopePresentation) -> VerificationReport:
         one = TensorElement.unit((envp, envp, envp), MU_SIGNATURE)
         return one.slot_transform(1, lambda e: envp.multiply(e, u))
 
-    beta_one = env.beta_of(pres.one())
-    report.add("beta kills the unit", ANCHOR_DEFINING, "basis word 1",
-               beta_one.is_zero(), None if beta_one.is_zero() else beta_one)
+    report.add_vanishing("beta kills the unit", ANCHOR_DEFINING, "basis word 1",
+                         env.beta_of(pres.one()))
 
     basis_elems = [env.basis_element(i) for i in range(len(env.basis))]
     for i, j in itertools.product(range(1, len(env.basis)), repeat=2):
@@ -325,8 +277,7 @@ def relation_instance_report(env: EnvelopePresentation) -> VerificationReport:
              a_br - (a_i * b_j - b_j * a_i)),
         ]
         for name, anchor, diff in checks:
-            nf = envp.normal_form(diff)
-            report.add(name, anchor, label, nf.is_zero(), None if nf.is_zero() else nf)
+            report.add_vanishing(name, anchor, label, envp.normal_form(diff))
 
         op_checks = [
             ("opposite product law", ANCHOR_OP_PRODUCT,
@@ -339,7 +290,7 @@ def relation_instance_report(env: EnvelopePresentation) -> VerificationReport:
              mid(a_br) - (mid(b_j) * mid(a_i) - mid(a_i) * mid(b_j))),
         ]
         for name, anchor, diff in op_checks:
-            report.add(name, anchor, label, not diff, None if not diff else diff)
+            report.add_vanishing(name, anchor, label, diff)
     return report
 
 
@@ -407,23 +358,16 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
         x1, x2 = xi_cache[i], xi_cache[j]
         a1, a2 = a3_cache[i], a3_cache[j]
 
-        diff = te.xi(br) - (x1 * x2 - x2 * x1)
-        report.add("xi is a Lie map", ANCHOR_XI_LIE, label,
-                   not diff, None if not diff else diff)
-
+        report.add_vanishing("xi is a Lie map", ANCHOR_XI_LIE, label,
+                             te.xi(br) - (x1 * x2 - x2 * x1))
         a2_x1 = a2 * x1  # used by both mixed laws
-        diff = te.alpha3(br) - (x1 * a2 - a2_x1)
-        report.add("slot-map bracket law", ANCHOR_STEP2_BRACKET, label,
-                   not diff, None if not diff else diff)
-
+        report.add_vanishing("slot-map bracket law", ANCHOR_STEP2_BRACKET, label,
+                             te.alpha3(br) - (x1 * a2 - a2_x1))
         prod = t1 * t2
-        diff = te.xi(prod) - (a1 * x2 + a2_x1)
-        report.add("xi product law", ANCHOR_STEP2_PRODUCT, label,
-                   not diff, None if not diff else diff)
-
-        diff = te.alpha3(prod) - a1 * a2
-        report.add("slot map is multiplicative", ANCHOR_ALPHA3_HOM, label,
-                   not diff, None if not diff else diff)
+        report.add_vanishing("xi product law", ANCHOR_STEP2_PRODUCT, label,
+                             te.xi(prod) - (a1 * x2 + a2_x1))
+        report.add_vanishing("slot map is multiplicative", ANCHOR_ALPHA3_HOM, label,
+                             te.alpha3(prod) - a1 * a2)
     return report
 
 
@@ -489,8 +433,7 @@ def check_thm59(ph, env: EnvelopePresentation) -> VerificationReport:
                     * env.beta_of(Element(src, {w2: src.field.one}))
                     * env.alpha_of(Element(src, {w3: src.field.one})))
             folded = folded + part.scale(coeff)
-        residue = env.beta_of(a_elem) + folded
-        report.add("condition (5.17)", ANCHOR_5_17,
-                   f"basis element {word_str(env.basis[i])}",
-                   residue.is_zero(), None if residue.is_zero() else residue)
+        report.add_vanishing("condition (5.17)", ANCHOR_5_17,
+                             f"basis element {word_str(env.basis[i])}",
+                             env.beta_of(a_elem) + folded)
     return report

@@ -77,11 +77,23 @@ def json_bool(value, path: str) -> bool:
     return value
 
 
+def json_list(value, path: str) -> list:
+    """A JSON array."""
+    if not isinstance(value, list):
+        raise JobError(path, f"expected an array, got {value!r:.60}")
+    return value
+
+
+def json_object(value, path: str) -> dict:
+    """A JSON object."""
+    if not isinstance(value, dict):
+        raise JobError(path, f"expected an object, got {value!r:.60}")
+    return value
+
+
 def parse_word(tokens, path: str, cap: int):
-    if not isinstance(tokens, list):
-        raise JobError(path, "word must be an array of tokens")
     word = ()
-    for i, token in enumerate(tokens):
+    for i, token in enumerate(json_list(tokens, path)):
         word += expand_token(token, f"{path}[{i}]", cap)
     return word
 
@@ -94,8 +106,15 @@ class Job:
             raise JobError(name, "job document must be a JSON object")
         self.doc = doc
         self.name = doc.get("name", name)
-        self.field = field_from_spec(doc.get("field", "rationals"))
-        forbidden = doc.get("forbidden_characteristics", [])
+        spec = doc.get("field", "rationals")
+        if isinstance(spec, dict) and "prime" in spec:
+            json_int(spec["prime"], f"{self.name}.field")
+        try:
+            self.field = field_from_spec(spec)
+        except InputError as exc:
+            raise JobError(f"{self.name}.field", str(exc))
+        forbidden = json_list(doc.get("forbidden_characteristics", []),
+                              f"{self.name}.forbidden_characteristics")
         if self.field.characteristic in forbidden:
             raise CharacteristicError(
                 f"{self.name}: structure is not defined in characteristic "
@@ -104,9 +123,7 @@ class Job:
         self.cap_override = cap_override
         self.cap = cap_override if cap_override is not None \
             else json_int(doc.get("cap", 12), f"{self.name}.cap")
-        commands = doc.get("commands", [])
-        if not isinstance(commands, list):
-            raise JobError(f"{self.name}.commands", "commands must be an array of strings")
+        commands = json_list(doc.get("commands", []), f"{self.name}.commands")
         for i, c in enumerate(commands):
             if not isinstance(c, str):
                 raise JobError(f"{self.name}.commands[{i}]", f"expected a string, got {c!r}")
@@ -131,10 +148,8 @@ class Job:
 
     def element(self, pres, data, path) -> Element:
         """[{"coeff": str, "word": [tokens]}] -> Element."""
-        if not isinstance(data, list):
-            raise JobError(path, "element must be an array of terms")
         terms = {}
-        for i, term in enumerate(data):
+        for i, term in enumerate(json_list(data, path)):
             tpath = f"{path}[{i}]"
             if not isinstance(term, dict) or set(term) - {"coeff", "word"}:
                 raise JobError(tpath, 'term must be {"coeff": ..., "word": [...]}')
@@ -148,15 +163,13 @@ class Job:
         return pres.element(terms)
 
     def tensor(self, pres_tuple, signature, data, path) -> TensorElement:
-        if not isinstance(data, list):
-            raise JobError(path, "tensor must be an array of terms")
         terms = {}
-        for i, term in enumerate(data):
+        for i, term in enumerate(json_list(data, path)):
             tpath = f"{path}[{i}]"
             if not isinstance(term, dict) or set(term) - {"coeff", "factors"}:
                 raise JobError(tpath, 'term must be {"coeff": ..., "factors": [...]}')
-            factors = term.get("factors", [])
-            if not isinstance(factors, list) or len(factors) != len(pres_tuple):
+            factors = json_list(term.get("factors", []), f"{tpath}.factors")
+            if len(factors) != len(pres_tuple):
                 raise JobError(f"{tpath}.factors",
                                f"expected {len(pres_tuple)} factor words")
             key = tuple(
@@ -180,10 +193,9 @@ class Job:
 
     # ------------------------------------------------------------------
     def parse_presentation(self, block, path, *, cap=None) -> AlgebraPresentation:
-        if not isinstance(block, dict):
-            raise JobError(path, "presentation must be an object")
+        json_object(block, path)
         gens = []
-        for i, g in enumerate(block.get("generators", [])):
+        for i, g in enumerate(json_list(block.get("generators", []), f"{path}.generators")):
             gpath = f"{path}.generators[{i}]"
             if isinstance(g, str):
                 g = {"name": g}
@@ -202,7 +214,7 @@ class Job:
         names = {g.name for g in gens}
         inv_names = {g.name + "^-1" for g in gens if g.invertible}
         valid = names | inv_names
-        for i, rel in enumerate(block.get("relations", [])):
+        for i, rel in enumerate(json_list(block.get("relations", []), f"{path}.relations")):
             rpath = f"{path}.relations[{i}]"
             if not isinstance(rel, dict) or "lhs" not in rel:
                 raise JobError(rpath, 'relation must be {"lhs": [...], "rhs": [...]}')
@@ -211,10 +223,9 @@ class Job:
                 if atom not in valid:
                     raise JobError(f"{rpath}.lhs", f"unknown generator token {atom!r}")
             rhs_terms = {}
-            for j, term in enumerate(rel.get("rhs", [])):
+            for j, term in enumerate(json_list(rel.get("rhs", []), f"{rpath}.rhs")):
                 tpath = f"{rpath}.rhs[{j}]"
-                if not isinstance(term, dict):
-                    raise JobError(tpath, 'term must be {"coeff": ..., "word": [...]}')
+                json_object(term, tpath)
                 word = parse_word(term.get("word", []), f"{tpath}.word", cap)
                 for atom in word:
                     if atom not in valid:
@@ -246,11 +257,9 @@ class Job:
     def generator_images(self, pres, block, path, *, target=None) -> dict:
         """{"gen": element-data} -> {atom: Element of target (default pres)}."""
         target = target or pres
-        if not isinstance(block, dict):
-            raise JobError(path, "expected an object of generator images")
         return {
             atom: self.element(target, data, f"{path}.{atom}")
-            for atom, data in block.items()
+            for atom, data in json_object(block, path).items()
         }
 
     def hopf_galois(self) -> HopfGaloisStructure:
@@ -265,7 +274,7 @@ class Job:
         pres = self.presentation
         triple = (pres, pres, pres)
         images = {}
-        for atom, data in self.doc["mu"].items():
+        for atom, data in json_object(self.doc["mu"], f"{self.name}.mu").items():
             images[atom] = self.tensor(triple, MU_SIGNATURE, data,
                                        f"{self.name}.mu.{atom}")
         try:
@@ -283,7 +292,7 @@ class Job:
     def _parse_poisson(self) -> PoissonStructure:
         pres = self.presentation
         table = {}
-        for i, entry in enumerate(self.doc.get("bracket", [])):
+        for i, entry in enumerate(json_list(self.doc.get("bracket", []), f"{self.name}.bracket")):
             path = f"{self.name}.bracket[{i}]"
             if not isinstance(entry, dict) or "pair" not in entry:
                 raise JobError(path, 'bracket entry must be {"pair": [a, b], "value": [...]}')
@@ -306,20 +315,21 @@ class Job:
     def _parse_hopf(self) -> HopfStructure:
         if "hopf" not in self.doc:
             raise JobError(self.name, 'this command needs a "hopf" block')
-        block = self.doc["hopf"]
-        pres = self.presentation
         path = f"{self.name}.hopf"
+        block = json_object(self.doc["hopf"], path)
+        pres = self.presentation
         for key in ("comultiplication", "counit", "antipode"):
             if key not in block:
                 raise JobError(path, f'missing "{key}"')
         delta = {
             atom: self.tensor((pres, pres), (PLAIN, PLAIN), data,
                               f"{path}.comultiplication.{atom}")
-            for atom, data in block["comultiplication"].items()
+            for atom, data in json_object(block["comultiplication"],
+                                          f"{path}.comultiplication").items()
         }
         counit = {
             atom: self.coeff(value, f"{path}.counit.{atom}")
-            for atom, value in block["counit"].items()
+            for atom, value in json_object(block["counit"], f"{path}.counit").items()
         }
         antipode = self.generator_images(pres, block["antipode"], f"{path}.antipode")
         try:
@@ -333,7 +343,7 @@ class Job:
         pres = self.presentation
         images = {
             atom: self.coeff(value, f"{self.name}.alpha.{atom}")
-            for atom, value in self.doc["alpha"].items()
+            for atom, value in json_object(self.doc["alpha"], f"{self.name}.alpha").items()
         }
         try:
             return GeneratorMap.scalar_map(pres, images, name="alpha")
@@ -343,9 +353,9 @@ class Job:
     def ore_data(self) -> tuple:
         if "ore" not in self.doc:
             raise JobError(self.name, 'this command needs an "ore" block')
-        block = self.doc["ore"]
-        pres = self.presentation
         path = f"{self.name}.ore"
+        block = json_object(self.doc["ore"], path)
+        pres = self.presentation
         if "tau" not in block:
             raise JobError(path, 'missing "tau"')
         cap = self.block_cap(block, 8, path)
@@ -372,9 +382,9 @@ class Job:
     def poisson_ore_data(self) -> tuple:
         if "poisson_ore" not in self.doc:
             raise JobError(self.name, 'this command needs a "poisson_ore" block')
-        block = self.doc["poisson_ore"]
-        pres = self.presentation
         path = f"{self.name}.poisson_ore"
+        block = json_object(self.doc["poisson_ore"], path)
+        pres = self.presentation
         cap = self.block_cap(block, 8, path)
         try:
             data = PoissonOreData(
@@ -391,10 +401,7 @@ class Job:
         return data, g
 
     def envelope_block(self) -> dict:
-        block = self.doc.get("envelope", {})
-        if not isinstance(block, dict):
-            raise JobError(f"{self.name}.envelope", "envelope block must be an object")
-        return block
+        return json_object(self.doc.get("envelope", {}), f"{self.name}.envelope")
 
     def envelope_cap(self) -> int:
         return self.block_cap(self.envelope_block(), 6, f"{self.name}.envelope")
@@ -411,10 +418,8 @@ class Job:
         if words is None:
             return None
         path = f"{self.name}.envelope.sample_words"
-        if not isinstance(words, list):
-            raise JobError(path, "sample_words must be an array of words")
         out = []
-        for i, w in enumerate(words):
+        for i, w in enumerate(json_list(words, path)):
             word = parse_word(w, f"{path}[{i}]", pres.cap)
             try:
                 out.append(pres.validate_word(word))
@@ -425,8 +430,8 @@ class Job:
     def quotient(self) -> tuple:
         if "quotient" not in self.doc:
             raise JobError(self.name, 'this command needs a "quotient" block')
-        block = self.doc["quotient"]
         path = f"{self.name}.quotient"
+        block = json_object(self.doc["quotient"], path)
         if "presentation" not in block or "map" not in block or "section" not in block:
             raise JobError(path, 'quotient needs "presentation", "map", and "section"')
         pres = self.presentation
@@ -440,11 +445,11 @@ class Job:
             raise JobError(f"{path}.map", str(exc))
         section = {
             atom: self.element(pres, data, f"{path}.section.{atom}")
-            for atom, data in block["section"].items()
+            for atom, data in json_object(block["section"], f"{path}.section").items()
         }
         ideal = [
             self.element(pres, data, f"{path}.ideal[{i}]")
-            for i, data in enumerate(block.get("ideal", []))
+            for i, data in enumerate(json_list(block.get("ideal", []), f"{path}.ideal"))
         ]
         return f, section, ideal, target
 

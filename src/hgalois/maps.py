@@ -12,7 +12,7 @@ presentation gains a rule.
 
 from .errors import InputError
 from .presentations import Element, WordTable, axpy, inverse_atom, word_str
-from .reports import CheckEntry, VerificationReport
+from .reports import VerificationReport
 from .tensors import OP, PLAIN, TensorElement
 
 
@@ -187,16 +187,9 @@ def compose(outer: GeneratorMap, inner: GeneratorMap, *, name="composite") -> Ge
 
 def check_map_respects_relations(gmap: GeneratorMap, *, anchor="algebra map well-defined") -> VerificationReport:
     """One entry per rewrite rule of the source: image(lhs) == image(rhs)."""
-    entries = []
+    report = VerificationReport()
     for rule in gmap.source.rules:
-        lhs = gmap.apply_word(rule.lhs)
-        rhs = gmap.apply(rule.rhs)
-        diff = lhs - rhs
-        entries.append(CheckEntry(
-            check=f"{gmap.name} respects relation",
-            anchor=anchor,
-            subject=f"{word_str(rule.lhs)} -> {rule.rhs}",
-            passed=not diff,
-            witness=None if not diff else diff,
-        ))
-    return VerificationReport(entries)
+        report.add_vanishing(f"{gmap.name} respects relation", anchor,
+                             f"{word_str(rule.lhs)} -> {rule.rhs}",
+                             gmap.apply_word(rule.lhs) - gmap.apply(rule.rhs))
+    return report

@@ -9,15 +9,17 @@ repairing it.
 """
 
 import itertools
+import operator
 
 from .errors import InputError
-from .hopf_galois import HopfGaloisStructure, is_grouplike, mu_map
+from .hopf_galois import MU_SIGNATURE, HopfGaloisStructure, is_grouplike, mu_map
 from .maps import GeneratorMap, check_map_respects_relations
 from .presentations import (
     AlgebraPresentation,
     Element,
     GeneratorSymbol,
     inverse_atom,
+    merge_terms,
     transport_element,
     word_str,
 )
@@ -156,14 +158,10 @@ def build_ore(d: OreData) -> AlgebraPresentation:
                 continue
             relations.append(((t, s), {(s, t): base.field.one}))
     for atom in base.atoms:
-        rhs: dict = {}
         tau_a = d.tau.apply_element(base.atom_element(atom))
-        for w, c in tau_a.terms.items():
-            key = w + (z,)
-            rhs[key] = rhs.get(key, base.field.zero) + c
-        for w, c in d.delta_images[atom].terms.items():
-            rhs[w] = rhs.get(w, base.field.zero) + c
-        relations.append(((z, atom), {w: c for w, c in rhs.items() if c}))
+        rhs = merge_terms({w + (z,): c for w, c in tau_a.terms.items()},
+                          d.delta_images[atom].terms, operator.add, base.field.zero)
+        relations.append(((z, atom), rhs))
     return AlgebraPresentation(
         base.field,
         [GeneratorSymbol(g.name, g.invertible) for g in base.generators]
@@ -203,18 +201,16 @@ def check_thm28(d: OreData, h: HopfGaloisStructure, g: Element) -> VerificationR
         t = h.mu.apply_word((atom,))
         a_elem = base.atom_element(atom)
 
+        subject = f"generator {atom}"
         mu_tau = h.mu.apply(tau(a_elem))
         first = t.slot_transform(0, tau)
         all_three = first.slot_transform(1, tau).slot_transform(2, tau)
-        diff = (mu_tau - first) or (first - all_three)
-        report.add("mu-tau compatibility", ANCHOR_THM28[1], f"generator {atom}",
-                   not diff, None if not diff else diff)
+        report.add_vanishing("mu-tau compatibility", ANCHOR_THM28[1], subject,
+                             (mu_tau - first) or (first - all_three))
 
         lhs2 = t.slot_transform(0, conj).slot_transform(1, conj)
         rhs2 = t.slot_transform(0, tau).slot_transform(1, tau)
-        diff = lhs2 - rhs2
-        report.add("conjugation matches tau", ANCHOR_THM28[2], f"generator {atom}",
-                   not diff, None if not diff else diff)
+        report.add_vanishing("conjugation matches tau", ANCHOR_THM28[2], subject, lhs2 - rhs2)
 
         term1 = t.slot_transform(0, d.delta_apply)
         term2 = (t.slot_transform(0, lambda e: g * e)
@@ -223,16 +219,14 @@ def check_thm28(d: OreData, h: HopfGaloisStructure, g: Element) -> VerificationR
         term3 = (t.slot_transform(0, lambda e: g * e)
                  .slot_transform(1, lambda e: g_inv * d.delta_apply(tau_inv(conj(e)))))
         rhs3 = h.mu.apply(d.delta_apply(a_elem))
-        diff = (term1 + term2 + term3) - rhs3
-        report.add("delta compatibility", ANCHOR_THM28[3], f"generator {atom}",
-                   not diff, None if not diff else diff)
+        report.add_vanishing("delta compatibility", ANCHOR_THM28[3], subject,
+                             (term1 + term2 + term3) - rhs3)
     return report
 
 
 def mu_z_tensor(ore_pres, g: Element, g_inv: Element, variable: str) -> TensorElement:
-    """mu(z) = z ⊗ 1 ⊗ 1 + g ⊗ g^-1 ⊗ z - g ⊗ g^-1 z ⊗ 1 over the extension."""
-    from .hopf_galois import MU_SIGNATURE
-
+    """mu(z) = z ⊗ 1 ⊗ 1 + g ⊗ g^-1 ⊗ z - g ⊗ g^-1 z ⊗ 1 over the extension
+    (also mu(x) of a Poisson Ore extension, Thm 4.4 Eq (4.5))."""
     g_t = transport_element(g, ore_pres)
     gi_t = transport_element(g_inv, ore_pres)
     z_el = ore_pres.atom_element(variable)
@@ -413,23 +407,15 @@ def check_thm44(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
         a_elem = pres.atom_element(atom)
         t = ph.mu.apply_word((atom,))
 
-        lhs6 = d.alpha_images[atom]
-        rhs6 = g_inv * base.bracket(g, a_elem)
-        diff = lhs6 - rhs6
-        report.add("alpha determined by g", ANCHOR_THM44[6], f"generator {atom}",
-                   not diff, None if not diff else diff)
-
-        lhs7 = ph.mu.apply(d.alpha_apply(a_elem))
-        rhs7 = t.slot_transform(0, d.alpha_apply)
-        diff = lhs7 - rhs7
-        report.add("mu-alpha compatibility", ANCHOR_THM44[7], f"generator {atom}",
-                   not diff, None if not diff else diff)
-
-        lhs8 = t.slot_transform(2, d.alpha_apply)
-        rhs8 = t.slot_transform(1, lambda e: g * base.bracket(g_inv, e))
-        diff = lhs8 - rhs8
-        report.add("third-slot alpha law", ANCHOR_THM44[8], f"generator {atom}",
-                   not diff, None if not diff else diff)
+        subject = f"generator {atom}"
+        report.add_vanishing("alpha determined by g", ANCHOR_THM44[6], subject,
+                             d.alpha_images[atom] - g_inv * base.bracket(g, a_elem))
+        report.add_vanishing("mu-alpha compatibility", ANCHOR_THM44[7], subject,
+                             ph.mu.apply(d.alpha_apply(a_elem))
+                             - t.slot_transform(0, d.alpha_apply))
+        report.add_vanishing("third-slot alpha law", ANCHOR_THM44[8], subject,
+                             t.slot_transform(2, d.alpha_apply)
+                             - t.slot_transform(1, lambda e: g * base.bracket(g_inv, e)))
 
         t_ext = t.transport(trip)
         lhs10 = ph.mu.apply(d.delta_apply(a_elem)).transport(trip)
@@ -439,17 +425,14 @@ def check_thm44(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
         term3 = (t_ext.slot_transform(0, lambda e: to_ext(g) * e)
                  .slot_transform(1, lambda e: to_ext(g_inv) * e)
                  .slot_transform(2, lambda e: to_ext(d.delta_apply(to_base(e)))))
-        diff = lhs10 - (term1 + term2 + term3)
-        report.add("mu-delta compatibility", ANCHOR_THM44[10], f"generator {atom}",
-                   not diff, None if not diff else diff)
+        report.add_vanishing("mu-delta compatibility", ANCHOR_THM44[10], subject,
+                             lhs10 - (term1 + term2 + term3))
 
     for s, t_atom in itertools.combinations(atoms, 2):
         es, et = pres.atom_element(s), pres.atom_element(t_atom)
-        lhs9 = base.bracket(g_inv, et) * d.alpha_images[s]
-        rhs9 = base.bracket(g_inv, es) * d.alpha_images[t_atom]
-        diff = lhs9 - rhs9
-        report.add("alpha cross law", ANCHOR_THM44[9], f"pair ({s},{t_atom})",
-                   not diff, None if not diff else diff)
+        report.add_vanishing("alpha cross law", ANCHOR_THM44[9], f"pair ({s},{t_atom})",
+                             base.bracket(g_inv, et) * d.alpha_images[s]
+                             - base.bracket(g_inv, es) * d.alpha_images[t_atom])
 
     if report.passed:
         extended = assemble_poisson_ore(d, ph, g)
@@ -460,24 +443,15 @@ def check_thm44(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
 def assemble_poisson_ore(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
                          g: Element) -> PoissonHopfGaloisStructure:
     """The extended Poisson Hopf-Galois structure on B[x]."""
-    from .hopf_galois import MU_SIGNATURE
-
     glike = is_grouplike(ph.hopf_galois, g)
     if not glike:
         raise InputError(f"assemble_poisson_ore: g is not group-like ({glike.reason})")
     p_ext = build_poisson_ore(d)
     ext = p_ext.presentation
-    g_t = transport_element(g, ext)
-    gi_t = transport_element(glike.inverse, ext)
-    x_el = ext.atom_element(d.variable)
-    one = ext.one()
-    mu_x = (TensorElement.outer([x_el, one, one], MU_SIGNATURE)
-            - TensorElement.outer([g_t, gi_t * x_el, one], MU_SIGNATURE)
-            + TensorElement.outer([g_t, gi_t, x_el], MU_SIGNATURE))
     images = {
         atom: img.transport((ext, ext, ext))
         for atom, img in ph.mu.images.items()
     }
-    images[d.variable] = mu_x
+    images[d.variable] = mu_z_tensor(ext, g, glike.inverse, d.variable)
     hg_ext = HopfGaloisStructure(ext, mu_map(ext, images))
     return PoissonHopfGaloisStructure(p_ext, hg_ext)

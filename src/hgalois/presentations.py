@@ -45,17 +45,7 @@ def inverse_atom(name: str) -> str:
 
 def word_str(word: Word) -> str:
     """Compressed human-readable form, e.g. ('g','g','x') -> 'g^2*x'."""
-    if not word:
-        return "1"
-    parts = []
-    for atom, run in itertools.groupby(word):
-        n = len(list(run))
-        if atom.endswith("^-1"):
-            base, exp = atom[:-3], -n
-        else:
-            base, exp = atom, n
-        parts.append(base if exp == 1 else f"{base}^{exp}")
-    return "*".join(parts)
+    return "*".join(word_to_tokens(word)) or "1"
 
 
 def word_to_tokens(word: Word) -> list[str]:
@@ -96,6 +86,44 @@ def axpy(dst: dict, src: dict, scale, zero) -> None:
             dst[w] = s
         else:
             dst.pop(w, None)
+
+
+class SparseEchelon:
+    """Sparse row echelon form over a field, rows keyed by their lead.
+
+    A row's lead is its largest coordinate under the key function `order`
+    (None compares the coordinates themselves), and every row is monic in
+    it.  `reduce` cancels the lead of a vector against the rows until the
+    lead is not the lead of any row; `insert` makes that vector a row and
+    cancels its lead from every earlier row (back-substitution).
+    """
+
+    __slots__ = ("order", "zero", "rows")
+
+    def __init__(self, order, zero):
+        self.order = order
+        self.zero = zero
+        self.rows: dict = {}
+
+    def reduce(self, vec: dict):
+        """(remainder, its lead), or (empty map, None) when vec reduces to zero."""
+        vec = {k: c for k, c in vec.items() if c}
+        while vec:
+            lead = max(vec, key=self.order)
+            row = self.rows.get(lead)
+            if row is None:
+                return vec, lead
+            axpy(vec, row, -vec[lead], self.zero)
+        return vec, None
+
+    def insert(self, vec: dict, lead) -> dict:
+        """Add a remainder of `reduce` as a row; returns the monic row."""
+        monic = {k: c / vec[lead] for k, c in vec.items()}
+        for row in self.rows.values():
+            if lead in row:
+                axpy(row, monic, -row[lead], self.zero)
+        self.rows[lead] = monic
+        return monic
 
 
 class WordTable:
@@ -390,16 +418,11 @@ class AlgebraPresentation:
         depend on the cap).
         """
         cap = self.cap if cap is None else cap
+        zero = self.field.zero
         out: dict = {}
         for w, c in terms.items():
-            if not c:
-                continue
-            for nf_word, nf_coeff in self._word_nf(tuple(w), cap, operation).items():
-                s = out.get(nf_word, self.field.zero) + c * nf_coeff
-                if s:
-                    out[nf_word] = s
-                else:
-                    out.pop(nf_word, None)
+            if c:
+                axpy(out, self._word_nf(tuple(w), cap, operation), c, zero)
         return out
 
     def _word_nf(self, word: Word, cap, operation) -> dict:
@@ -414,12 +437,7 @@ class AlgebraPresentation:
             w, coeff = stack.pop()
             cached = self._nf_cache.get(w)
             if cached is not None:
-                for nf_word, nf_coeff in cached.items():
-                    s = out.get(nf_word, self.field.zero) + coeff * nf_coeff
-                    if s:
-                        out[nf_word] = s
-                    else:
-                        out.pop(nf_word, None)
+                axpy(out, cached, coeff, self.field.zero)
                 continue
             hit = self._find_redex(w)
             if hit is None:
@@ -475,13 +493,11 @@ class AlgebraPresentation:
         return self.normal_form(word)
 
     def element(self, terms: dict) -> Element:
-        """Normalize a {word-tuple: coeff} map into an Element."""
-        raw = {}
-        for w, c in terms.items():
-            w = self.validate_word(w)
-            if c:
-                raw[w] = raw.get(w, self.field.zero) + c
-        return Element(self, self.reduce_terms(raw))
+        """Normalize a {word-tuple: coeff} map into an Element; keys that
+        name the same word are summed by `reduce_terms`."""
+        for w in terms:
+            self.validate_word(w)
+        return Element(self, self.reduce_terms(terms))
 
     def scalar(self, c) -> Element:
         return Element(self, {(): c} if c else {})
@@ -514,14 +530,7 @@ class AlgebraPresentation:
                 a = self.reduce_terms(self._one_step(word, 0, r1))
                 b = self.reduce_terms(self._one_step(word, pos2, r2))
                 if a != b:
-                    diff = dict(a)
-                    for w, c in b.items():
-                        s = diff.get(w, self.field.zero) - c
-                        if s:
-                            diff[w] = s
-                        else:
-                            diff.pop(w, None)
-                    yield word, r1, r2, diff
+                    yield word, r1, r2, merge_terms(a, b, operator.sub, self.field.zero)
 
     def complete_rules(self, *, max_new_rules=500, max_overlap=None):
         """Bounded completion: orient each unresolved critical-pair difference
@@ -644,17 +653,22 @@ class AlgebraPresentation:
         if basis is None:
             return None
         index = {w: i for i, w in enumerate(basis)}
-        n = len(basis)
-        # column v: coordinates of element * basis[v]
-        cols = []
-        for v in range(n):
-            prod = self.multiply(element, Element(self, {basis[v]: self.field.one}))
-            cols.append(self.coeff_vector(prod, index))
-        rhs = {index[()]: self.field.one}
-        solution = _solve_columns(self.field, n, cols, rhs)
-        if solution is None:
+        one = self.field.one
+        # row v: the coordinates (1, i) of element * basis[v], plus the tag
+        # coordinate (0, v), ordered below every basis word, that records
+        # which combination of the products a reduced vector is; the tags
+        # keep every row nonzero
+        echelon = SparseEchelon(None, self.field.zero)
+        for v, word in enumerate(basis):
+            prod = self.multiply(element, Element(self, {word: one}))
+            row = {(1, i): c for i, c in self.coeff_vector(prod, index).items()}
+            row[(0, v)] = one
+            echelon.insert(*echelon.reduce(row))
+        # 1 - sum y_v * row_v with no basis coordinate left is -y in the tags
+        rest, lead = echelon.reduce({(1, index[()]): one})
+        if lead[0] == 1:
             return None
-        candidate = Element(self, {basis[v]: c for v, c in solution.items() if c})
+        candidate = Element(self, {basis[v]: -c for (_, v), c in rest.items()})
         if self.multiply(candidate, element) != self.one():
             return None
         if self.multiply(element, candidate) != self.one():
@@ -700,51 +714,3 @@ def _overlaps(r1: RewriteRule, r2: RewriteRule) -> list:
 def transport_element(element: Element, presentation: AlgebraPresentation) -> Element:
     """Reinterpret an element over another presentation sharing its atoms."""
     return presentation.normal_form(Element(presentation, dict(element.terms)))
-
-
-def _solve_columns(field, n, cols, rhs):
-    """Solve sum_v x_v * cols[v] = rhs by exact Gaussian elimination.
-
-    cols and rhs are sparse {row: coeff} maps; returns {v: x_v} or None.
-    """
-    dense = [[cols[v].get(r, field.zero) for v in range(n)] for r in range(n)]
-    vec = [rhs.get(r, field.zero) for r in range(n)]
-    row = 0
-    pivots = []
-    for col in range(n):
-        pivot_row = next((r for r in range(row, n) if dense[r][col]), None)
-        if pivot_row is None:
-            continue
-        dense[row], dense[pivot_row] = dense[pivot_row], dense[row]
-        vec[row], vec[pivot_row] = vec[pivot_row], vec[row]
-        pv = dense[row][col]
-        dense[row] = [x / pv for x in dense[row]]
-        vec[row] = vec[row] / pv
-        for r in range(n):
-            if r != row and dense[r][col]:
-                factor = dense[r][col]
-                dense[r] = [a - factor * b for a, b in zip(dense[r], dense[row])]
-                vec[r] = vec[r] - factor * vec[row]
-        pivots.append((row, col))
-        row += 1
-        if row == n:
-            break
-    solution = {}
-    for r, c in pivots:
-        solution[c] = vec[r]
-    # consistency: rows without pivot must have zero rhs
-    pivot_rows = {r for r, _ in pivots}
-    for r in range(n):
-        if r not in pivot_rows and vec[r]:
-            return None
-    # verify (columns outside pivot set were treated as free = 0)
-    check = [field.zero] * n
-    for v, x in solution.items():
-        if not x:
-            continue
-        for r, c in cols[v].items():
-            check[r] = check[r] + x * c
-    target = [rhs.get(r, field.zero) for r in range(n)]
-    if check != target:
-        return None
-    return solution

@@ -34,6 +34,11 @@ class VerificationReport:
     def add(self, check, anchor, subject, passed, witness=None):
         self.entries.append(CheckEntry(check, anchor, subject, passed, witness))
 
+    def add_vanishing(self, check, anchor, subject, diff):
+        """A law that holds iff `diff` (an element or tensor) is zero; a
+        nonzero difference is the failure witness."""
+        self.entries.append(CheckEntry(check, anchor, subject, not diff, diff or None))
+
     def extend(self, other: "VerificationReport"):
         self.entries.extend(other.entries)
         return self

@@ -15,7 +15,7 @@ import itertools
 import operator
 
 from .errors import InputError
-from .presentations import Element, merge_terms, word_str
+from .presentations import Element, axpy, merge_terms, word_str
 
 PLAIN = False
 OP = True
@@ -189,13 +189,8 @@ class TensorElement:
         raw: dict = {}
         for key, coeff in self.terms.items():
             image = func(Element(pres, {key[i]: pres.field.one}))
-            for w, c in image.terms.items():
-                new_key = key[:i] + (w,) + key[i + 1:]
-                s = raw.get(new_key, self.field.zero) + coeff * c
-                if s:
-                    raw[new_key] = s
-                else:
-                    raw.pop(new_key, None)
+            axpy(raw, {key[:i] + (w,) + key[i + 1:]: c for w, c in image.terms.items()},
+                 coeff, self.field.zero)
         return TensorElement(self.factors, self.signature, raw, self.field)
 
     def expand_slot(self, i, gmap):
@@ -218,13 +213,8 @@ class TensorElement:
         raw: dict = {}
         for key, coeff in self.terms.items():
             image = gmap.apply_word(key[i])
-            for sub_key, c in image.terms.items():
-                new_key = key[:i] + sub_key + key[i + 1:]
-                s = raw.get(new_key, self.field.zero) + coeff * c
-                if s:
-                    raw[new_key] = s
-                else:
-                    raw.pop(new_key, None)
+            axpy(raw, {key[:i] + sub + key[i + 1:]: c for sub, c in image.terms.items()},
+                 coeff, self.field.zero)
         return TensorElement(new_factors, new_sig, raw, self.field)
 
     def fold_adjacent(self, i):
@@ -238,12 +228,8 @@ class TensorElement:
         new_sig = self.signature[:i] + (PLAIN,) + self.signature[i + 2:]
         raw: dict = {}
         for key, coeff in self.terms.items():
-            new_key = key[:i] + (key[i] + key[i + 1],) + key[i + 2:]
-            s = raw.get(new_key, self.field.zero) + coeff
-            if s:
-                raw[new_key] = s
-            else:
-                raw.pop(new_key, None)
+            axpy(raw, {key[:i] + (key[i] + key[i + 1],) + key[i + 2:]: coeff},
+                 self.field.one, self.field.zero)
         return TensorElement(new_factors, new_sig, raw, self.field)
 
     def fold_all(self) -> Element:
@@ -257,12 +243,7 @@ class TensorElement:
                 raise InputError("fold_all: slots over different presentations")
         raw: dict = {}
         for key, coeff in self.terms.items():
-            word = tuple(a for w in key for a in w)
-            s = raw.get(word, self.field.zero) + coeff
-            if s:
-                raw[word] = s
-            else:
-                raw.pop(word, None)
+            axpy(raw, {tuple(a for w in key for a in w): coeff}, self.field.one, self.field.zero)
         return pres.normal_form(Element(pres, raw))
 
     def reversed_slots(self):
@@ -306,7 +287,3 @@ class TensorElement:
             body = " ⊗ ".join(word_str(w) for w in words) if words else "1"
             parts.append(f"({c})·{body}")
         return " + ".join(parts)
-
-
-def tensor_multiply(s: TensorElement, t: TensorElement) -> TensorElement:
-    return s * t

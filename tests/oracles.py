@@ -544,3 +544,139 @@ def reference_apply(gmap, element):
     for word, coeff in element.terms.items():
         out = out + reference_apply_word(gmap, word).scale(coeff)
     return out
+
+
+# ----------------------------------------------------------------------
+# Linear algebra, copied from the package's original dense
+# `AlgebraPresentation.invert`/`_solve_columns` and from the original
+# `envelope._product_relation_rules` with its own `vec_reduce`.
+
+def reference_solve_columns(field, n, cols, rhs):
+    """Solve sum_v x_v * cols[v] = rhs by dense exact Gaussian elimination."""
+    dense = [[cols[v].get(r, field.zero) for v in range(n)] for r in range(n)]
+    vec = [rhs.get(r, field.zero) for r in range(n)]
+    row = 0
+    pivots = []
+    for col in range(n):
+        pivot_row = next((r for r in range(row, n) if dense[r][col]), None)
+        if pivot_row is None:
+            continue
+        dense[row], dense[pivot_row] = dense[pivot_row], dense[row]
+        vec[row], vec[pivot_row] = vec[pivot_row], vec[row]
+        pv = dense[row][col]
+        dense[row] = [x / pv for x in dense[row]]
+        vec[row] = vec[row] / pv
+        for r in range(n):
+            if r != row and dense[r][col]:
+                factor = dense[r][col]
+                dense[r] = [a - factor * b for a, b in zip(dense[r], dense[row])]
+                vec[r] = vec[r] - factor * vec[row]
+        pivots.append((row, col))
+        row += 1
+        if row == n:
+            break
+    solution = {c: vec[r] for r, c in pivots}
+    pivot_rows = {r for r, _ in pivots}
+    if any(vec[r] for r in range(n) if r not in pivot_rows):
+        return None
+    check = [field.zero] * n
+    for v, x in solution.items():
+        for r, c in cols[v].items():
+            check[r] = check[r] + x * c
+    if check != [rhs.get(r, field.zero) for r in range(n)]:
+        return None
+    return solution
+
+
+def reference_invert(pres, element):
+    """Two-sided inverse by the dense solve of element * y = 1, or None."""
+    if len(element.terms) == 1:
+        word, coeff = next(iter(element.terms.items()))
+        if all(pres.generator_of(a).invertible for a in word):
+            inv_word = tuple(a[:-3] if a.endswith("^-1") else a + "^-1" for a in reversed(word))
+            return pres.element({inv_word: pres.field.one / coeff})
+    basis = pres.finite_basis()
+    if basis is None:
+        return None
+    index = {w: i for i, w in enumerate(basis)}
+    n = len(basis)
+    cols = [pres.coeff_vector(element * pres.element({w: pres.field.one}), index)
+            for w in basis]
+    solution = reference_solve_columns(pres.field, n, cols, {index[()]: pres.field.one})
+    if solution is None:
+        return None
+    candidate = pres.element({basis[v]: c for v, c in solution.items() if c})
+    if candidate * element != pres.one() or element * candidate != pres.one():
+        return None
+    return candidate
+
+
+def reference_product_relation_rules(field, n, table, alpha_names, beta_names):
+    """Echelonized consequences of beta(a_i a_j) = a_i b_j + a_j b_i, closed
+    under left multiplication by the a-symbols, as (lead, rhs) rules."""
+    atom_rank = {name: pos for pos, name in enumerate(alpha_names[1:] + beta_names[1:])}
+
+    def word_order(word):
+        return (len(word), tuple(atom_rank[a] for a in word))
+
+    def vec_reduce(vec, pivots):
+        vec = {w: c for w, c in vec.items() if c}
+        while vec:
+            lead = max(vec, key=word_order)
+            row = pivots.get(lead)
+            if row is None:
+                return vec, lead
+            factor = vec[lead]
+            for w, c in row.items():
+                s = vec.get(w, field.zero) - factor * c
+                if s:
+                    vec[w] = s
+                else:
+                    vec.pop(w, None)
+        return vec, None
+
+    def left_mult(p_idx, vec):
+        out = {}
+        for word, coeff in vec.items():
+            if len(word) == 1:
+                new = (alpha_names[p_idx],) + word
+                out[new] = out.get(new, field.zero) + coeff
+            else:
+                m = alpha_names.index(word[0])
+                for q, c in table[(p_idx, m)].items():
+                    new = word[1:] if q == 0 else (alpha_names[q],) + word[1:]
+                    out[new] = out.get(new, field.zero) + coeff * c
+        return {w: c for w, c in out.items() if c}
+
+    pivots = {}
+    queue = []
+    for i in range(1, n):
+        for j in range(i, n):
+            vec = {}
+            for k, c in table[(i, j)].items():
+                if k:
+                    word = (beta_names[k],)
+                    vec[word] = vec.get(word, field.zero) + c
+            for m, k in ((i, j), (j, i)):
+                word = (alpha_names[m], beta_names[k])
+                vec[word] = vec.get(word, field.zero) - field.one
+            queue.append(vec)
+    while queue:
+        vec, lead = vec_reduce(queue.pop(0), pivots)
+        if lead is None:
+            continue
+        monic = {w: c / vec[lead] for w, c in vec.items()}
+        for row in pivots.values():
+            if lead in row:
+                factor = row[lead]
+                for w, c in monic.items():
+                    s = row.get(w, field.zero) - factor * c
+                    if s:
+                        row[w] = s
+                    else:
+                        row.pop(w, None)
+        pivots[lead] = monic
+        for p_idx in range(1, n):
+            queue.append(left_mult(p_idx, monic))
+    return [(lead, {w: -c for w, c in pivots[lead].items() if w != lead})
+            for lead in sorted(pivots, key=word_order)]

@@ -3,15 +3,19 @@ import json
 import pytest
 
 from hgalois import envelope, jobs
-from hgalois.cli import main, render_json, run_commands
+from hgalois.cli import COMMANDS, main, render_json, run_commands
 from hgalois.examples import BUILTINS, builtin_job, builtin_listing
-from hgalois.jobs import Job
+from hgalois.jobs import KNOWN_COMMANDS, Job
 
 ALL_BUILTINS = sorted(BUILTINS)
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_cli_dispatches_every_known_command():
+    assert set(COMMANDS) == set(KNOWN_COMMANDS)
 
 
 def test_list_builtins(capsys):
@@ -237,7 +241,25 @@ BAD_FIELDS = [
      "sweedler_h4.mu.g[0].factors[1][1]"),
     ("kxy_truncated", ("envelope", "sample_words", 1), ["x^" + "9" * 5000],
      "kxy_truncated.envelope.sample_words[1][0]"),
+    # containers of the wrong JSON type
+    ("sweedler_h4", ("field",), {"prime": "abc"}, "sweedler_h4.field"),
+    ("sweedler_h4", ("field",), {"prime": [5]}, "sweedler_h4.field"),
+    ("sweedler_h4", ("field",), {"prime": 5.0}, "sweedler_h4.field"),
+    ("sweedler_h4", ("forbidden_characteristics",), 5,
+     "sweedler_h4.forbidden_characteristics"),
+    ("laurent_lambda1", ("bracket",), 5, "laurent_lambda1.bracket"),
+    ("sweedler_h4", ("presentation", "generators"), 5, "sweedler_h4.presentation.generators"),
+    ("sweedler_h4", ("presentation", "relations"), 5, "sweedler_h4.presentation.relations"),
+    ("sweedler_h4", ("mu",), [1], "sweedler_h4.mu"),
+    ("sweedler_h4", ("hopf", "counit"), [], "sweedler_h4.hopf.counit"),
+    ("sweedler_h4", ("alpha",), 5, "sweedler_h4.alpha"),
+    ("ore_q2_laurent", ("ore",), 5, "ore_q2_laurent.ore"),
+    ("poisson_ore_laurent", ("poisson_ore",), 5, "poisson_ore_laurent.poisson_ore"),
+    ("laurent_mod_x", ("quotient", "section"), 5, "laurent_mod_x.quotient.section"),
 ]
+
+# blocks that the bundled job's own commands do not read, and a command that does
+READERS = {"hopf": "convert hopf-to-galois", "alpha": "convert galois-to-hopf"}
 
 
 @pytest.mark.parametrize("name,path,value,field", BAD_FIELDS,
@@ -245,6 +267,8 @@ BAD_FIELDS = [
 def test_bad_field_exits_two_and_names_it(name, path, value, field, tmp_path, capsys):
     doc = builtin_job(name)
     _set(doc, path, value)
+    if path[0] in READERS:
+        doc["commands"] = [READERS[path[0]]]
     job = tmp_path / "bad.json"
     job.write_text(json.dumps(doc))
     assert run_cli("run", "--input", str(job)) == 2

@@ -1,0 +1,140 @@
+"""Property tests of the sparse-accumulate kernels and the vanishing-law
+report entry against plain dict arithmetic, over Q and GF(5)."""
+
+import itertools
+import operator
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hgalois import GF, QQ, AlgebraPresentation, Element, GeneratorSymbol, VerificationReport
+from hgalois.presentations import axpy, merge_terms
+from hgalois.tensors import PLAIN, TensorElement, add_outer
+
+# deterministic, and no example database
+SETTINGS = settings(derandomize=True, database=None, max_examples=150)
+
+FIELDS = {"Q": QQ, "GF5": GF(5)}
+KEYS = st.sampled_from([(), ("a",), ("b",), ("a", "b"), ("b", "a")])
+
+
+@st.composite
+def field_and_values(draw):
+    """A field and a coefficient strategy over it with small values, so that
+    sums cancel often; the field's shared one is among them."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    if field is QQ:
+        value = st.builds(lambda n, d: QQ.parse(f"{n}/{d}"),
+                          st.integers(-2, 2), st.sampled_from([1, 2]))
+    else:
+        value = st.builds(field.of_int, st.integers(0, 4))
+    return field, st.one_of(value, st.just(field.one))
+
+
+def term_maps(values, keys=KEYS):
+    """Sparse term maps: no zero coefficient stored."""
+    return st.dictionaries(keys, values, max_size=5).map(
+        lambda d: {k: c for k, c in d.items() if c})
+
+
+def naive_add(field, *scaled):
+    """sum of c * m over (c, m) pairs, by dense dict arithmetic."""
+    out = {}
+    for scale, terms in scaled:
+        for k, c in terms.items():
+            out[k] = out.get(k, field.zero) + c * scale
+    return {k: c for k, c in out.items() if c}
+
+
+@SETTINGS
+@given(st.data())
+def test_axpy_matches_naive(data):
+    field, values = data.draw(field_and_values())
+    dst, src = data.draw(term_maps(values)), data.draw(term_maps(values))
+    scale = data.draw(values | st.just(field.zero) | st.just(-field.one))
+    expected = naive_add(field, (field.one, dst), (scale, src))
+    axpy(dst, src, scale, field.zero)
+    assert dst == expected
+    assert all(dst.values())
+
+
+@SETTINGS
+@given(st.data())
+def test_axpy_cancels_exactly(data):
+    field, values = data.draw(field_and_values())
+    terms = data.draw(term_maps(values))
+    dst = dict(terms)
+    axpy(dst, terms, -field.one, field.zero)
+    assert dst == {}
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([operator.add, operator.sub]))
+def test_merge_terms_matches_naive(data, op):
+    field, values = data.draw(field_and_values())
+    a, b = data.draw(term_maps(values)), data.draw(term_maps(values))
+    a_before, b_before = dict(a), dict(b)
+    sign = field.one if op is operator.add else -field.one
+    out = merge_terms(a, b, op, field.zero)
+    assert out == naive_add(field, (field.one, a), (sign, b))
+    assert all(out.values())
+    assert (a, b) == (a_before, b_before)  # a copy, not in place
+    assert merge_terms(a, a, operator.sub, field.zero) == {}
+
+
+@SETTINGS
+@given(st.data())
+def test_add_outer_matches_naive(data):
+    field, values = data.draw(field_and_values())
+    rank = data.draw(st.integers(1, 3))
+    slots = [data.draw(term_maps(values)) for _ in range(rank)]
+    terms = data.draw(term_maps(values, st.tuples(*[KEYS] * rank)))
+    coeff = data.draw(values | st.just(field.zero))
+    outer = {}
+    for combo in itertools.product(*(s.items() for s in slots)):
+        c = field.one
+        for _, f in combo:
+            c = c * f
+        key = tuple(k for k, _ in combo)
+        outer[key] = outer.get(key, field.zero) + c
+    expected = naive_add(field, (field.one, terms), (coeff, outer))
+    add_outer(terms, slots, coeff, field)
+    assert terms == expected
+    assert all(terms.values())
+
+
+@SETTINGS
+@given(st.data())
+def test_add_outer_cancels_exactly(data):
+    field, values = data.draw(field_and_values())
+    slots = [data.draw(term_maps(values)) for _ in range(2)]
+    coeff = data.draw(values)
+    terms = {}
+    add_outer(terms, slots, coeff, field)
+    add_outer(terms, slots, -coeff, field)
+    assert terms == {}
+
+
+PRES = {field: AlgebraPresentation(field, [GeneratorSymbol("a"), GeneratorSymbol("b")])
+        for field in FIELDS.values()}
+
+
+@SETTINGS
+@given(st.data(), st.booleans())
+def test_add_vanishing_passes_iff_difference_is_zero(data, as_tensor):
+    field, values = data.draw(field_and_values())
+    pres = PRES[field]
+    if as_tensor:
+        diff = TensorElement((pres, pres), (PLAIN, PLAIN),
+                             data.draw(term_maps(values, st.tuples(KEYS, KEYS))), field,
+                             normalize=False)
+    else:
+        diff = Element(pres, data.draw(term_maps(values)))
+    report = VerificationReport()
+    report.add_vanishing("law", "anchor", "subject", diff)
+    (entry,) = report.entries
+    assert entry.passed == (not diff.terms) == report.passed
+    if diff.terms:
+        assert entry.witness is diff
+    else:
+        assert entry.witness is None
