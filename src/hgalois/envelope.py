@@ -176,12 +176,8 @@ def build_envelope(p: PoissonStructure, cap: int = 6) -> EnvelopePresentation:
     # consequences in higher beta-degree; complete_rules derives them
     env_pres.complete_rules()
     env = EnvelopePresentation(p, basis, env_pres, alpha_names, beta_names)
-    report = env.relation_report = relation_instance_report(env)
-    if not report.passed:
-        bad = report.failures()[0]
-        raise InputError(
-            f"envelope defining laws do not close: {bad.check} fails on {bad.subject}"
-        )
+    env.relation_report = relation_instance_report(env)
+    env.relation_report.require("envelope defining laws do not close: {check} fails on {subject}")
     return env
 
 
@@ -387,13 +383,8 @@ def induced_map(phi: GeneratorMap, ua: EnvelopePresentation,
         images[ua.beta_names[i]] = ub.beta_of(image)
     umap = GeneratorMap.algebra_map(ua.presentation, ub.presentation, images,
                                     name="U(phi)")
-    report = check_map_respects_relations(umap, anchor=ANCHOR_INDUCED)
-    if not report.passed:
-        bad = report.failures()[0]
-        raise InputError(
-            f"induced map violates envelope relation {bad.subject} "
-            f"(phi is not a Poisson homomorphism)"
-        )
+    check_map_respects_relations(umap, anchor=ANCHOR_INDUCED).require(
+        "induced map violates envelope relation {subject} (phi is not a Poisson homomorphism)")
     return umap
 
 

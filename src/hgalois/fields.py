@@ -125,14 +125,33 @@ class FpElement:
         return f"{self.v} (mod {self.p})"
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below PRIME_BOUND = psi_13, the least odd composite that is a strong
+# probable prime to all of them; the first 12 bases are not enough
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for every p < PRIME_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -144,6 +163,8 @@ class PrimeField:
     """
 
     def __init__(self, p: int):
+        if p >= PRIME_BOUND:
+            raise InputError(f"prime modulus {p} is not below the supported bound {PRIME_BOUND}")
         if not _is_prime(p):
             raise InputError(f"{p} is not prime; prime fields require a prime modulus")
         self.p = p
@@ -165,15 +186,11 @@ class PrimeField:
 
     def parse(self, text: str):
         text = str(text).strip()
-        if "/" in text:
-            num, _, den = text.partition("/")
-            try:
-                return self.of_int(int(num)) / self.of_int(int(den))
-            except ValueError as exc:
-                raise InputError(f"cannot parse coefficient {text!r} over {self.name}: {exc}")
+        num, slash, den = text.partition("/")
         try:
-            return self.of_int(int(text))
-        except ValueError as exc:
+            value = self.of_int(int(num))
+            return value / self.of_int(int(den)) if slash else value
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse coefficient {text!r} over {self.name}: {exc}")
 
     def render(self, value) -> str:

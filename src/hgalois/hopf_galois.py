@@ -49,9 +49,6 @@ class HopfGaloisStructure:
         self.presentation = presentation
         self.mu = mu
 
-    def mu_of(self, value) -> TensorElement:
-        return self.mu.apply(value)
-
     def __repr__(self):
         return f"HopfGaloisStructure({self.presentation!r})"
 
@@ -136,10 +133,8 @@ def pushforward(h: HopfGaloisStructure, f: GeneratorMap, section: dict) -> HopfG
     if f.source is not h.presentation or f.rank != 1:
         raise InputError("pushforward: f must be a rank-1 map defined on R")
     target = f.targets[0]
-    f_report = check_map_respects_relations(f, anchor=ANCHOR_PUSHFORWARD)
-    if not f_report.passed:
-        bad = f_report.failures()[0]
-        raise InputError(f"pushforward: f is not an algebra map; fails on {bad.subject}")
+    check_map_respects_relations(f, anchor=ANCHOR_PUSHFORWARD).require(
+        "pushforward: f is not an algebra map; fails on {subject}")
 
     images = {}
     for atom, lift in section.items():
@@ -159,12 +154,8 @@ def pushforward(h: HopfGaloisStructure, f: GeneratorMap, section: dict) -> HopfG
 
     mu_b = GeneratorMap(target, (target, target, target), MU_SIGNATURE, images,
                         name=f"{h.mu.name}_pushforward")
-    induced = check_map_respects_relations(mu_b, anchor=ANCHOR_PUSHFORWARD)
-    if not induced.passed:
-        bad = induced.failures()[0]
-        raise InputError(
-            f"pushforward: induced map does not respect quotient relation {bad.subject}"
-        )
+    check_map_respects_relations(mu_b, anchor=ANCHOR_PUSHFORWARD).require(
+        "pushforward: induced map does not respect quotient relation {subject}")
     return HopfGaloisStructure(target, mu_b)
 
 
@@ -258,10 +249,8 @@ def galois_to_hopf(h: HopfGaloisStructure, alpha: GeneratorMap) -> HopfStructure
     pres = h.presentation
     if alpha.source is not pres or alpha.rank != 0:
         raise InputError("galois_to_hopf: alpha must be a scalar-valued map on R")
-    alpha_report = check_map_respects_relations(alpha, anchor=ANCHOR_HG_TO_HOPF)
-    if not alpha_report.passed:
-        bad = alpha_report.failures()[0]
-        raise InputError(f"galois_to_hopf: alpha is not an algebra map; fails on {bad.subject}")
+    check_map_respects_relations(alpha, anchor=ANCHOR_HG_TO_HOPF).require(
+        "galois_to_hopf: alpha is not an algebra map; fails on {subject}")
 
     delta_images = {}
     antipode_images = {}

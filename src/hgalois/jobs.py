@@ -8,6 +8,7 @@ rejected everywhere.
 
 import json
 import re
+from functools import partial
 
 from .envelope import EnvelopePresentation, build_envelope
 from .errors import CharacteristicError, InputError, JobError
@@ -44,57 +45,66 @@ KNOWN_COMMANDS = (
     "pushforward",
 )
 
-
-def expand_token(token: str, path: str, cap: int):
-    """The atoms of one token; an exponent whose expansion is longer than
-    the degree cap is rejected before the word is built."""
-    m = _TOKEN_RE.match(str(token))
-    if not m:
-        raise JobError(path, f"cannot parse word token {token!r}")
-    name, exp = m.group(1), m.group(2)
-    try:
-        n = 1 if exp is None else int(exp)
-    except ValueError:  # more digits than int() converts
-        n = None
-    if n is None or abs(n) > cap:
-        raise JobError(path, f"token {token!r} expands to more atoms than the degree cap {cap}")
-    if n >= 0:
-        return (name,) * n
-    return (name + "^-1",) * (-n)
+_KINDS = {int: "an integer", bool: "true or false", str: "a string",
+          list: "an array", dict: "an object"}
+_REQUIRED = object()
 
 
-def json_int(value, path: str) -> int:
-    """A JSON integer; booleans, floats and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise JobError(path, f"expected an integer, got {value!r}")
+def json_typed(value, kind, path: str):
+    """`value`, which must have the JSON type `kind` (int, bool, str, list
+    or dict); a boolean is not an integer, and a float is none of them."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise JobError(path, f"expected {_KINDS[kind]}, got {value!r:.60}")
     return value
 
 
-def json_bool(value, path: str) -> bool:
-    """A JSON boolean; strings such as "false" are rejected, not read as truthy."""
-    if not isinstance(value, bool):
-        raise JobError(path, f"expected true or false, got {value!r}")
-    return value
+def get(block: dict, key: str, kind, path: str, default=_REQUIRED):
+    """Field `key` of the object `block` at `path`, of JSON type `kind`;
+    `default` when the key is absent, which is an error if none is given."""
+    if key in block:
+        return json_typed(block[key], kind, f"{path}.{key}")
+    if default is _REQUIRED:
+        raise JobError(path, f'missing "{key}"')
+    return default
 
 
-def json_list(value, path: str) -> list:
-    """A JSON array."""
-    if not isinstance(value, list):
-        raise JobError(path, f"expected an array, got {value!r:.60}")
-    return value
+class at:
+    """Report an `InputError` raised inside the block at `path`; a
+    `JobError` passes unchanged, since it already names its own field."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, InputError) and not isinstance(exc, JobError):
+            raise JobError(self.path, str(exc))
 
 
-def json_object(value, path: str) -> dict:
-    """A JSON object."""
-    if not isinstance(value, dict):
-        raise JobError(path, f"expected an object, got {value!r:.60}")
-    return value
-
-
-def parse_word(tokens, path: str, cap: int):
+def parse_word(tokens, path: str, cap: int, atoms) -> tuple:
+    """The atoms of a word, an array of string tokens "a" or "a^n", each
+    checked against `atoms`.  An exponent whose expansion is longer than the
+    degree cap is rejected before the word is built."""
     word = ()
-    for i, token in enumerate(json_list(tokens, path)):
-        word += expand_token(token, f"{path}[{i}]", cap)
+    for i, token in enumerate(json_typed(tokens, list, path)):
+        tpath = f"{path}[{i}]"
+        m = _TOKEN_RE.match(json_typed(token, str, tpath))
+        if not m:
+            raise JobError(tpath, f"cannot parse word token {token!r}")
+        name, exp = m.groups()
+        try:
+            n = 1 if exp is None else int(exp)
+        except ValueError:  # more digits than int() converts
+            n = None
+        if n is None or abs(n) > cap:
+            raise JobError(tpath, f"token {token!r} expands to more atoms than the "
+                                  f"degree cap {cap}")
+        atom = name if n >= 0 else name + "^-1"
+        if n and atom not in atoms:
+            raise JobError(tpath, f"unknown atom {atom!r}")
+        word += (atom,) * abs(n)
     return word
 
 
@@ -102,32 +112,24 @@ class Job:
     """Parsed job: the presentation plus lazily-built structure blocks."""
 
     def __init__(self, doc: dict, *, name="job", cap_override=None):
-        if not isinstance(doc, dict):
-            raise JobError(name, "job document must be a JSON object")
-        self.doc = doc
-        self.name = doc.get("name", name)
-        spec = doc.get("field", "rationals")
-        if isinstance(spec, dict) and "prime" in spec:
-            json_int(spec["prime"], f"{self.name}.field")
-        try:
+        self.doc = json_typed(doc, dict, name)
+        self.name = get(doc, "name", str, name, name)
+        with at(f"{self.name}.field"):
+            spec = doc.get("field", "rationals")
+            if isinstance(spec, dict) and "prime" in spec:
+                json_typed(spec["prime"], int, f"{self.name}.field")
             self.field = field_from_spec(spec)
-        except InputError as exc:
-            raise JobError(f"{self.name}.field", str(exc))
-        forbidden = json_list(doc.get("forbidden_characteristics", []),
-                              f"{self.name}.forbidden_characteristics")
-        if self.field.characteristic in forbidden:
+        if self.field.characteristic in get(doc, "forbidden_characteristics", list,
+                                            self.name, []):
             raise CharacteristicError(
                 f"{self.name}: structure is not defined in characteristic "
                 f"{self.field.characteristic}"
             )
         self.cap_override = cap_override
-        self.cap = cap_override if cap_override is not None \
-            else json_int(doc.get("cap", 12), f"{self.name}.cap")
-        commands = json_list(doc.get("commands", []), f"{self.name}.commands")
+        self.cap = self.block_cap(doc, 12, self.name)
+        commands = get(doc, "commands", list, self.name, [])
         for i, c in enumerate(commands):
-            if not isinstance(c, str):
-                raise JobError(f"{self.name}.commands[{i}]", f"expected a string, got {c!r}")
-            if c not in KNOWN_COMMANDS:
+            if json_typed(c, str, f"{self.name}.commands[{i}]") not in KNOWN_COMMANDS:
                 raise JobError(f"{self.name}.commands", f"unknown command {c!r}")
         self.commands = list(commands)
         # parsed blocks, built on first use and shared by every command
@@ -138,279 +140,189 @@ class Job:
         self._envelope = None
 
     # ------------------------------------------------------------------
-    def coeff(self, text, path):
-        if isinstance(text, float):
-            raise JobError(path, "floating-point coefficients are not accepted")
-        try:
-            return self.field.parse(text)
-        except InputError as exc:
-            raise JobError(path, str(exc))
-
-    def element(self, pres, data, path) -> Element:
-        """[{"coeff": str, "word": [tokens]}] -> Element."""
-        terms = {}
-        for i, term in enumerate(json_list(data, path)):
-            tpath = f"{path}[{i}]"
-            if not isinstance(term, dict) or set(term) - {"coeff", "word"}:
-                raise JobError(tpath, 'term must be {"coeff": ..., "word": [...]}')
-            word = parse_word(term.get("word", []), f"{tpath}.word", pres.cap)
-            try:
-                pres.validate_word(word)
-            except InputError as exc:
-                raise JobError(f"{tpath}.word", str(exc))
-            c = self.coeff(term.get("coeff", "1"), f"{tpath}.coeff")
-            terms[word] = terms.get(word, self.field.zero) + c
-        return pres.element(terms)
-
-    def tensor(self, pres_tuple, signature, data, path) -> TensorElement:
-        terms = {}
-        for i, term in enumerate(json_list(data, path)):
-            tpath = f"{path}[{i}]"
-            if not isinstance(term, dict) or set(term) - {"coeff", "factors"}:
-                raise JobError(tpath, 'term must be {"coeff": ..., "factors": [...]}')
-            factors = json_list(term.get("factors", []), f"{tpath}.factors")
-            if len(factors) != len(pres_tuple):
-                raise JobError(f"{tpath}.factors",
-                               f"expected {len(pres_tuple)} factor words")
-            key = tuple(
-                parse_word(w, f"{tpath}.factors[{k}]", pres_tuple[k].cap)
-                for k, w in enumerate(factors)
-            )
-            for k, w in enumerate(key):
-                try:
-                    pres_tuple[k].validate_word(w)
-                except InputError as exc:
-                    raise JobError(f"{tpath}.factors[{k}]", str(exc))
-            c = self.coeff(term.get("coeff", "1"), f"{tpath}.coeff")
-            terms[key] = terms.get(key, self.field.zero) + c
-        return TensorElement(pres_tuple, signature, terms, self.field)
+    def block(self, key: str) -> dict:
+        """The top-level object `key`, which the running command needs."""
+        if key not in self.doc:
+            raise JobError(self.name, f'this command needs the "{key}" block')
+        return json_typed(self.doc[key], dict, f"{self.name}.{key}")
 
     def block_cap(self, block, default, path) -> int:
         """The degree cap of a block: the override, else its "cap" field."""
         if self.cap_override is not None:
             return self.cap_override
-        return json_int(block.get("cap", default), f"{path}.cap")
+        return get(block, "cap", int, path, default)
+
+    def coeff(self, text, path):
+        if isinstance(text, float):
+            raise JobError(path, "floating-point coefficients are not accepted")
+        with at(path):
+            return self.field.parse(text)
+
+    def terms(self, data, path, slots, key="word") -> dict:
+        """A term list summed into {key: coeff}.  Each term is {"coeff": str,
+        key: ...}: a "word" read against the one slot (cap, atoms), or
+        "factors", one word per slot, keyed by their tuple."""
+        terms = {}
+        for i, term in enumerate(json_typed(data, list, path)):
+            tpath = f"{path}[{i}]"
+            if not isinstance(term, dict) or set(term) - {"coeff", key}:
+                raise JobError(tpath, f'term must be {{"coeff": ..., "{key}": [...]}}')
+            if key == "word":
+                k = parse_word(term.get("word", []), f"{tpath}.word", *slots[0])
+            else:
+                factors = get(term, "factors", list, tpath, [])
+                if len(factors) != len(slots):
+                    raise JobError(f"{tpath}.factors", f"expected {len(slots)} factor words")
+                k = tuple(parse_word(w, f"{tpath}.factors[{j}]", *slot)
+                          for j, (w, slot) in enumerate(zip(factors, slots)))
+            c = self.coeff(term.get("coeff", "1"), f"{tpath}.coeff")
+            terms[k] = terms.get(k, self.field.zero) + c
+        return terms
+
+    def element(self, pres, data, path) -> Element:
+        """[{"coeff": str, "word": [tokens]}] -> Element of pres."""
+        return pres.element(self.terms(data, path, [(pres.cap, pres.atoms)]))
+
+    def tensor(self, pres_tuple, signature, data, path) -> TensorElement:
+        """[{"coeff": str, "factors": [[tokens], ...]}] -> TensorElement."""
+        slots = [(p.cap, p.atoms) for p in pres_tuple]
+        return TensorElement(pres_tuple, signature, self.terms(data, path, slots, "factors"),
+                             self.field)
+
+    def images(self, table, path, parse) -> dict:
+        """{"gen": data} -> {gen: parse(data, path of the entry)}."""
+        return {atom: parse(data, f"{path}.{atom}")
+                for atom, data in json_typed(table, dict, path).items()}
+
+    def grouplike(self, pres, block, path) -> Element:
+        """The nonzero "grouplike" element of an Ore-type block."""
+        g = self.element(pres, block.get("grouplike", []), f"{path}.grouplike")
+        if g.is_zero():
+            raise JobError(f"{path}.grouplike", "a group-like element is required")
+        return g
 
     # ------------------------------------------------------------------
-    def parse_presentation(self, block, path, *, cap=None) -> AlgebraPresentation:
-        json_object(block, path)
+    def parse_presentation(self, block, path) -> AlgebraPresentation:
         gens = []
-        for i, g in enumerate(json_list(block.get("generators", []), f"{path}.generators")):
+        for i, g in enumerate(get(block, "generators", list, path, [])):
             gpath = f"{path}.generators[{i}]"
-            if isinstance(g, str):
-                g = {"name": g}
-            if not isinstance(g, dict) or "name" not in g:
-                raise JobError(gpath, 'generator must be {"name": ..., "invertible"?: bool}')
-            invertible = json_bool(g.get("invertible", False), f"{gpath}.invertible")
-            try:
-                gens.append(GeneratorSymbol(g["name"], invertible))
-            except InputError as exc:
-                raise JobError(gpath, str(exc))
+            g = json_typed({"name": g} if isinstance(g, str) else g, dict, gpath)
+            with at(gpath):
+                gens.append(GeneratorSymbol(get(g, "name", str, gpath),
+                                            get(g, "invertible", bool, gpath, False)))
         if not gens:
             raise JobError(f"{path}.generators", "at least one generator is required")
-        if cap is None:
-            cap = self.block_cap(block, self.cap, path)
+        cap = self.block_cap(block, self.cap, path)
+        slot = (cap, {g.name for g in gens} | {g.name + "^-1" for g in gens if g.invertible})
         relations = []
-        names = {g.name for g in gens}
-        inv_names = {g.name + "^-1" for g in gens if g.invertible}
-        valid = names | inv_names
-        for i, rel in enumerate(json_list(block.get("relations", []), f"{path}.relations")):
+        for i, rel in enumerate(get(block, "relations", list, path, [])):
             rpath = f"{path}.relations[{i}]"
-            if not isinstance(rel, dict) or "lhs" not in rel:
-                raise JobError(rpath, 'relation must be {"lhs": [...], "rhs": [...]}')
-            lhs = parse_word(rel["lhs"], f"{rpath}.lhs", cap)
-            for atom in lhs:
-                if atom not in valid:
-                    raise JobError(f"{rpath}.lhs", f"unknown generator token {atom!r}")
-            rhs_terms = {}
-            for j, term in enumerate(json_list(rel.get("rhs", []), f"{rpath}.rhs")):
-                tpath = f"{rpath}.rhs[{j}]"
-                json_object(term, tpath)
-                word = parse_word(term.get("word", []), f"{tpath}.word", cap)
-                for atom in word:
-                    if atom not in valid:
-                        raise JobError(f"{tpath}.word", f"unknown generator token {atom!r}")
-                c = self.coeff(term.get("coeff", "1"), f"{tpath}.coeff")
-                rhs_terms[word] = rhs_terms.get(word, self.field.zero) + c
-            relations.append((lhs, rhs_terms))
-        commutative = json_bool(block.get("commutative", False), f"{path}.commutative")
-        try:
-            return AlgebraPresentation(
-                self.field, gens, relations,
-                commutative=commutative,
-                cap=cap,
-                name=block.get("name", self.name),
-            )
-        except InputError as exc:
-            raise JobError(path, str(exc))
+            lhs = parse_word(get(json_typed(rel, dict, rpath), "lhs", list, rpath),
+                             f"{rpath}.lhs", *slot)
+            relations.append((lhs, self.terms(rel.get("rhs", []), f"{rpath}.rhs", [slot])))
+        with at(path):
+            return AlgebraPresentation(self.field, gens, relations, cap=cap,
+                                       commutative=get(block, "commutative", bool, path, False),
+                                       name=get(block, "name", str, path, self.name))
 
     @property
     def presentation(self) -> AlgebraPresentation:
         if self._presentation is None:
-            if "presentation" not in self.doc:
-                raise JobError(self.name, 'missing "presentation" block')
             self._presentation = self.parse_presentation(
-                self.doc["presentation"], f"{self.name}.presentation")
+                self.block("presentation"), f"{self.name}.presentation")
         return self._presentation
 
     # ------------------------------------------------------------------
-    def generator_images(self, pres, block, path, *, target=None) -> dict:
-        """{"gen": element-data} -> {atom: Element of target (default pres)}."""
-        target = target or pres
-        return {
-            atom: self.element(target, data, f"{path}.{atom}")
-            for atom, data in json_object(block, path).items()
-        }
-
     def hopf_galois(self) -> HopfGaloisStructure:
         """The "mu" block, parsed on first use and shared by every command."""
         if self._hopf_galois is None:
-            self._hopf_galois = self._parse_hopf_galois()
+            block, pres = self.block("mu"), self.presentation
+            path = f"{self.name}.mu"
+            mu = self.images(block, path, partial(self.tensor, (pres,) * 3, MU_SIGNATURE))
+            with at(path):
+                self._hopf_galois = HopfGaloisStructure(pres, mu_map(pres, mu))
         return self._hopf_galois
-
-    def _parse_hopf_galois(self) -> HopfGaloisStructure:
-        if "mu" not in self.doc:
-            raise JobError(self.name, 'this command needs a "mu" block')
-        pres = self.presentation
-        triple = (pres, pres, pres)
-        images = {}
-        for atom, data in json_object(self.doc["mu"], f"{self.name}.mu").items():
-            images[atom] = self.tensor(triple, MU_SIGNATURE, data,
-                                       f"{self.name}.mu.{atom}")
-        try:
-            return HopfGaloisStructure(pres, mu_map(pres, images))
-        except InputError as exc:
-            raise JobError(f"{self.name}.mu", str(exc))
 
     def poisson(self) -> PoissonStructure:
         """The "bracket" block (zero bracket if absent), parsed on first use
         and shared by every command, so they share its bracket tables."""
         if self._poisson is None:
-            self._poisson = self._parse_poisson()
+            pres = self.presentation
+            path = f"{self.name}.bracket"
+            table = {}
+            for i, entry in enumerate(get(self.doc, "bracket", list, self.name, [])):
+                epath = f"{path}[{i}]"
+                pair = get(json_typed(entry, dict, epath), "pair", list, epath)
+                if len(pair) != 2:
+                    raise JobError(f"{epath}.pair", "pair must name two generators")
+                key = tuple(json_typed(a, str, f"{epath}.pair[{k}]") for k, a in enumerate(pair))
+                table[key] = self.element(pres, entry.get("value", []), f"{epath}.value")
+            with at(path):
+                self._poisson = PoissonStructure(pres, table)
         return self._poisson
-
-    def _parse_poisson(self) -> PoissonStructure:
-        pres = self.presentation
-        table = {}
-        for i, entry in enumerate(json_list(self.doc.get("bracket", []), f"{self.name}.bracket")):
-            path = f"{self.name}.bracket[{i}]"
-            if not isinstance(entry, dict) or "pair" not in entry:
-                raise JobError(path, 'bracket entry must be {"pair": [a, b], "value": [...]}')
-            pair = entry["pair"]
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise JobError(f"{path}.pair", "pair must name two generators")
-            value = self.element(pres, entry.get("value", []), f"{path}.value")
-            table[(pair[0], pair[1])] = value
-        try:
-            return PoissonStructure(pres, table)
-        except InputError as exc:
-            raise JobError(f"{self.name}.bracket", str(exc))
 
     def hopf(self) -> HopfStructure:
         """The "hopf" block, parsed on first use and shared by every command."""
         if self._hopf is None:
-            self._hopf = self._parse_hopf()
+            block, pres = self.block("hopf"), self.presentation
+            path = f"{self.name}.hopf"
+            delta = self.images(get(block, "comultiplication", dict, path),
+                                f"{path}.comultiplication",
+                                partial(self.tensor, (pres, pres), (PLAIN, PLAIN)))
+            counit = self.images(get(block, "counit", dict, path), f"{path}.counit", self.coeff)
+            antipode = self.images(get(block, "antipode", dict, path), f"{path}.antipode",
+                                   partial(self.element, pres))
+            with at(path):
+                self._hopf = hopf_structure(pres, delta, counit, antipode)
         return self._hopf
 
-    def _parse_hopf(self) -> HopfStructure:
-        if "hopf" not in self.doc:
-            raise JobError(self.name, 'this command needs a "hopf" block')
-        path = f"{self.name}.hopf"
-        block = json_object(self.doc["hopf"], path)
-        pres = self.presentation
-        for key in ("comultiplication", "counit", "antipode"):
-            if key not in block:
-                raise JobError(path, f'missing "{key}"')
-        delta = {
-            atom: self.tensor((pres, pres), (PLAIN, PLAIN), data,
-                              f"{path}.comultiplication.{atom}")
-            for atom, data in json_object(block["comultiplication"],
-                                          f"{path}.comultiplication").items()
-        }
-        counit = {
-            atom: self.coeff(value, f"{path}.counit.{atom}")
-            for atom, value in json_object(block["counit"], f"{path}.counit").items()
-        }
-        antipode = self.generator_images(pres, block["antipode"], f"{path}.antipode")
-        try:
-            return hopf_structure(pres, delta, counit, antipode)
-        except InputError as exc:
-            raise JobError(path, str(exc))
-
     def alpha_map(self) -> GeneratorMap:
-        if "alpha" not in self.doc:
-            raise JobError(self.name, 'this command needs an "alpha" block')
-        pres = self.presentation
-        images = {
-            atom: self.coeff(value, f"{self.name}.alpha.{atom}")
-            for atom, value in json_object(self.doc["alpha"], f"{self.name}.alpha").items()
-        }
-        try:
-            return GeneratorMap.scalar_map(pres, images, name="alpha")
-        except InputError as exc:
-            raise JobError(f"{self.name}.alpha", str(exc))
+        path = f"{self.name}.alpha"
+        images = self.images(self.block("alpha"), path, self.coeff)
+        with at(path):
+            return GeneratorMap.scalar_map(self.presentation, images, name="alpha")
 
     def ore_data(self) -> tuple:
-        if "ore" not in self.doc:
-            raise JobError(self.name, 'this command needs an "ore" block')
+        block, pres = self.block("ore"), self.presentation
         path = f"{self.name}.ore"
-        block = json_object(self.doc["ore"], path)
-        pres = self.presentation
-        if "tau" not in block:
-            raise JobError(path, 'missing "tau"')
-        cap = self.block_cap(block, 8, path)
-        try:
-            tau = GeneratorMap.algebra_map(
-                pres, pres, self.generator_images(pres, block["tau"], f"{path}.tau"),
-                name="tau")
-            tau_inverse = None
-            if "tau_inverse" in block:
-                tau_inverse = GeneratorMap.algebra_map(
-                    pres, pres,
-                    self.generator_images(pres, block["tau_inverse"], f"{path}.tau_inverse"),
-                    name="tau_inverse")
-            delta = self.generator_images(pres, block.get("delta", {}), f"{path}.delta")
+        element = partial(self.element, pres)
+        tau = self.images(get(block, "tau", dict, path), f"{path}.tau", element)
+        tau_inverse = get(block, "tau_inverse", dict, path, None)
+        if tau_inverse is not None:
+            tau_inverse = self.images(tau_inverse, f"{path}.tau_inverse", element)
+        delta = self.images(block.get("delta", {}), f"{path}.delta", element)
+        with at(path):
+            tau = GeneratorMap.algebra_map(pres, pres, tau, name="tau")
+            if tau_inverse is not None:
+                tau_inverse = GeneratorMap.algebra_map(pres, pres, tau_inverse,
+                                                       name="tau_inverse")
             data = OreData(pres, tau, delta, tau_inverse=tau_inverse,
-                           variable=block.get("variable", "z"), cap=cap)
-        except InputError as exc:
-            raise JobError(path, str(exc))
-        g = self.element(pres, block.get("grouplike", []), f"{path}.grouplike")
-        if g.is_zero():
-            raise JobError(f"{path}.grouplike", "a group-like element is required")
-        return data, g
+                           variable=get(block, "variable", str, path, "z"),
+                           cap=self.block_cap(block, 8, path))
+        return data, self.grouplike(pres, block, path)
 
     def poisson_ore_data(self) -> tuple:
-        if "poisson_ore" not in self.doc:
-            raise JobError(self.name, 'this command needs a "poisson_ore" block')
+        block, pres = self.block("poisson_ore"), self.presentation
         path = f"{self.name}.poisson_ore"
-        block = json_object(self.doc["poisson_ore"], path)
-        pres = self.presentation
-        cap = self.block_cap(block, 8, path)
-        try:
-            data = PoissonOreData(
-                self.poisson(),
-                self.generator_images(pres, block.get("alpha", {}), f"{path}.alpha"),
-                self.generator_images(pres, block.get("delta", {}), f"{path}.delta"),
-                variable=block.get("variable", "x"),
-                cap=cap)
-        except InputError as exc:
-            raise JobError(path, str(exc))
-        g = self.element(pres, block.get("grouplike", []), f"{path}.grouplike")
-        if g.is_zero():
-            raise JobError(f"{path}.grouplike", "a group-like element is required")
-        return data, g
+        element = partial(self.element, pres)
+        alpha = self.images(block.get("alpha", {}), f"{path}.alpha", element)
+        delta = self.images(block.get("delta", {}), f"{path}.delta", element)
+        with at(path):
+            data = PoissonOreData(self.poisson(), alpha, delta,
+                                  variable=get(block, "variable", str, path, "x"),
+                                  cap=self.block_cap(block, 8, path))
+        return data, self.grouplike(pres, block, path)
 
     def envelope_block(self) -> dict:
-        return json_object(self.doc.get("envelope", {}), f"{self.name}.envelope")
-
-    def envelope_cap(self) -> int:
-        return self.block_cap(self.envelope_block(), 6, f"{self.name}.envelope")
+        return get(self.doc, "envelope", dict, self.name, {})
 
     def envelope(self) -> EnvelopePresentation:
         """The envelope of the job's Poisson algebra, built on first use and
         shared by every envelope command of the job."""
         if self._envelope is None:
-            self._envelope = build_envelope(self.poisson(), cap=self.envelope_cap())
+            poisson = self.poisson()
+            cap = self.block_cap(self.envelope_block(), 6, f"{self.name}.envelope")
+            self._envelope = build_envelope(poisson, cap=cap)
         return self._envelope
 
     def lemma55_words(self, pres):
@@ -418,39 +330,22 @@ class Job:
         if words is None:
             return None
         path = f"{self.name}.envelope.sample_words"
-        out = []
-        for i, w in enumerate(json_list(words, path)):
-            word = parse_word(w, f"{path}[{i}]", pres.cap)
-            try:
-                out.append(pres.validate_word(word))
-            except InputError as exc:
-                raise JobError(f"{path}[{i}]", str(exc))
-        return out
+        return [parse_word(w, f"{path}[{i}]", pres.cap, pres.atoms)
+                for i, w in enumerate(json_typed(words, list, path))]
 
     def quotient(self) -> tuple:
-        if "quotient" not in self.doc:
-            raise JobError(self.name, 'this command needs a "quotient" block')
+        block, pres = self.block("quotient"), self.presentation
         path = f"{self.name}.quotient"
-        block = json_object(self.doc["quotient"], path)
-        if "presentation" not in block or "map" not in block or "section" not in block:
-            raise JobError(path, 'quotient needs "presentation", "map", and "section"')
-        pres = self.presentation
-        target = self.parse_presentation(block["presentation"], f"{path}.presentation")
-        try:
-            f = GeneratorMap.algebra_map(
-                pres, target,
-                self.generator_images(pres, block["map"], f"{path}.map", target=target),
-                name="f")
-        except InputError as exc:
-            raise JobError(f"{path}.map", str(exc))
-        section = {
-            atom: self.element(pres, data, f"{path}.section.{atom}")
-            for atom, data in json_object(block["section"], f"{path}.section").items()
-        }
-        ideal = [
-            self.element(pres, data, f"{path}.ideal[{i}]")
-            for i, data in enumerate(json_list(block.get("ideal", []), f"{path}.ideal"))
-        ]
+        target = self.parse_presentation(get(block, "presentation", dict, path),
+                                         f"{path}.presentation")
+        images = self.images(get(block, "map", dict, path), f"{path}.map",
+                             partial(self.element, target))
+        with at(f"{path}.map"):
+            f = GeneratorMap.algebra_map(pres, target, images, name="f")
+        section = self.images(get(block, "section", dict, path), f"{path}.section",
+                              partial(self.element, pres))
+        ideal = [self.element(pres, data, f"{path}.ideal[{i}]")
+                 for i, data in enumerate(get(block, "ideal", list, path, []))]
         return f, section, ideal, target
 
 
@@ -460,7 +355,6 @@ def load_job(path: str, *, cap_override=None) -> Job:
             doc = json.load(handle)
     except OSError as exc:
         raise JobError(path, f"cannot read job file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise JobError(path, f"invalid JSON: {exc}")
-    name = doc.get("name", path) if isinstance(doc, dict) else path
-    return Job(doc, name=name, cap_override=cap_override)
+    return Job(doc, name=path, cap_override=cap_override)

@@ -116,15 +116,11 @@ class OreData:
         """Raise InputError unless tau is a (checked) algebra map, the
         supplied tau inverse really inverts it, and delta is well defined
         against every base relation."""
-        rep = check_map_respects_relations(self.tau, anchor=ANCHOR_ORE_RELATION)
-        if not rep.passed:
-            bad = rep.failures()[0]
-            raise InputError(f"tau is not an algebra map; fails on {bad.subject}")
+        check_map_respects_relations(self.tau, anchor=ANCHOR_ORE_RELATION).require(
+            "tau is not an algebra map; fails on {subject}")
         if self.tau_inverse is not None:
-            rep = check_map_respects_relations(self.tau_inverse, anchor=ANCHOR_ORE_RELATION)
-            if not rep.passed:
-                bad = rep.failures()[0]
-                raise InputError(f"tau inverse is not an algebra map; fails on {bad.subject}")
+            check_map_respects_relations(self.tau_inverse, anchor=ANCHOR_ORE_RELATION).require(
+                "tau inverse is not an algebra map; fails on {subject}")
             for atom in self.base.atoms:
                 e = self.base.atom_element(atom)
                 there = self.tau.apply_element(self.tau_inverse.apply_element(e))
@@ -239,11 +235,8 @@ def mu_z_tensor(ore_pres, g: Element, g_inv: Element, variable: str) -> TensorEl
 def extend_mu_ore(d: OreData, h: HopfGaloisStructure, g: Element) -> HopfGaloisStructure:
     """Build A[z; tau, delta] with the extended structure map; refuses when
     any extension criterion fails."""
-    report = check_thm28(d, h, g)
-    if not report.passed:
-        bad = report.failures()[0]
-        raise InputError(f"mu does not extend over the Ore extension: "
-                         f"{bad.check} fails for {bad.subject}")
+    check_thm28(d, h, g).require(
+        "mu does not extend over the Ore extension: {check} fails for {subject}")
     ore_pres = build_ore(d)
     glike = is_grouplike(h, g)
     images = {

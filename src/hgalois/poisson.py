@@ -304,10 +304,8 @@ def poisson_hopf_from_phg(ph: PoissonHopfGaloisStructure, alpha: GeneratorMap) -
     p = ph.poisson
     if alpha.source is not pres or alpha.rank != 0:
         raise InputError("alpha must be a scalar-valued map on the algebra")
-    alpha_report = check_map_respects_relations(alpha, anchor=ANCHOR_PROP_37_1)
-    if not alpha_report.passed:
-        bad = alpha_report.failures()[0]
-        raise InputError(f"alpha is not an algebra map; fails on {bad.subject}")
+    check_map_respects_relations(alpha, anchor=ANCHOR_PROP_37_1).require(
+        "alpha is not an algebra map; fails on {subject}")
     for s, t in itertools.combinations(p.atoms(), 2):
         value = alpha.apply_scalar(p.bracket(pres.atom_element(s), pres.atom_element(t)))
         if value:

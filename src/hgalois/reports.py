@@ -1,5 +1,6 @@
 """Verification reports: named check entries with exact failure witnesses."""
 
+from .errors import InputError
 from .presentations import Element, word_to_tokens
 
 
@@ -39,6 +40,13 @@ class VerificationReport:
         nonzero difference is the failure witness."""
         self.entries.append(CheckEntry(check, anchor, subject, not diff, diff or None))
 
+    def require(self, message):
+        """Raise `InputError(message)` unless every entry passes; the fields
+        `{check}` and `{subject}` of the message name the first failure."""
+        if not self.passed:
+            bad = self.failures()[0]
+            raise InputError(message.format(check=bad.check, subject=bad.subject))
+
     def extend(self, other: "VerificationReport"):
         self.entries.extend(other.entries)
         return self
@@ -62,14 +70,6 @@ def serialize_witness(witness, render_coeff):
         "signature": ["op" if s else "plain" for s in witness.signature],
         "terms": tensor_terms_json(witness, render_coeff),
     }
-
-
-def witness_text(witness) -> str:
-    if witness is None:
-        return ""
-    if isinstance(witness, str):
-        return witness
-    return repr(witness)
 
 
 def element_terms_json(element, render_coeff) -> list:

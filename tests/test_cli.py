@@ -5,6 +5,7 @@ import pytest
 from hgalois import envelope, jobs
 from hgalois.cli import COMMANDS, main, render_json, run_commands
 from hgalois.examples import BUILTINS, builtin_job, builtin_listing
+from hgalois.fields import PRIME_BOUND
 from hgalois.jobs import KNOWN_COMMANDS, Job
 
 ALL_BUILTINS = sorted(BUILTINS)
@@ -128,6 +129,20 @@ def test_invalid_json_exits_two(tmp_path, capsys):
     job.write_text("{not json")
     assert run_cli("run", "--input", str(job)) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_non_utf8_file_exits_two(tmp_path, capsys):
+    job = tmp_path / "latin1.json"
+    job.write_bytes(b'{"name": "caf\xe9"}')
+    assert run_cli("run", "--input", str(job)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {job}: invalid JSON")
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    job = tmp_path / "nested.json"
+    job.write_text("[" * 200_000)
+    assert run_cli("run", "--input", str(job)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {job}: invalid JSON")
 
 
 def test_characteristic_guard(tmp_path, capsys):
@@ -256,6 +271,20 @@ BAD_FIELDS = [
     ("ore_q2_laurent", ("ore",), 5, "ore_q2_laurent.ore"),
     ("poisson_ore_laurent", ("poisson_ore",), 5, "poisson_ore_laurent.poisson_ore"),
     ("laurent_mod_x", ("quotient", "section"), 5, "laurent_mod_x.quotient.section"),
+    ("sweedler_h4", ("field",), {"prime": PRIME_BOUND}, "sweedler_h4.field"),
+    # string fields, and the innermost path of an error inside a block
+    ("sweedler_h4", ("presentation", "generators", 0, "name"), 5,
+     "sweedler_h4.presentation.generators[0].name"),
+    ("sweedler_h4", ("presentation", "relations", 0, "lhs", 0), 7,
+     "sweedler_h4.presentation.relations[0].lhs[0]"),
+    ("sweedler_h4", ("presentation", "relations", 0, "rhs", 0, "words"), ["g"],
+     "sweedler_h4.presentation.relations[0].rhs[0]"),
+    ("laurent_lambda1", ("bracket", 0, "pair", 0), ["x"], "laurent_lambda1.bracket[0].pair[0]"),
+    ("ore_q2_laurent", ("ore", "variable"), 5, "ore_q2_laurent.ore.variable"),
+    ("ore_q2_laurent", ("ore", "tau", "g", 0, "word", 0), "q",
+     "ore_q2_laurent.ore.tau.g[0].word[0]"),
+    ("poisson_ore_laurent", ("poisson_ore", "variable"), [],
+     "poisson_ore_laurent.poisson_ore.variable"),
 ]
 
 # blocks that the bundled job's own commands do not read, and a command that does

@@ -3,7 +3,11 @@ from fractions import Fraction
 import pytest
 
 from hgalois import GF, QQ, InputError
-from hgalois.fields import field_from_spec
+from hgalois.cli import run_commands
+from hgalois.errors import JobError
+from hgalois.examples import builtin_job
+from hgalois.fields import PRIME_BOUND, _is_prime, field_from_spec
+from hgalois.jobs import Job
 
 
 def test_rational_parse():
@@ -51,3 +55,52 @@ def test_field_from_spec():
     assert field_from_spec({"prime": 3}).characteristic == 3
     with pytest.raises(InputError):
         field_from_spec({"weird": 1})
+
+
+@pytest.mark.parametrize("p,text", [(5, "1/0"), (7, "1/7"), (7, " 3 / 14 ")])
+def test_prime_field_zero_denominator_rejected(p, text):
+    with pytest.raises(InputError, match="cannot parse coefficient"):
+        GF(p).parse(text)
+
+
+def test_zero_denominator_in_a_job_names_the_coefficient():
+    doc = builtin_job("sweedler_h4")
+    doc["field"] = {"prime": 5}
+    doc["mu"]["x"][0]["coeff"] = "1/0"
+    with pytest.raises(JobError) as err:
+        Job(doc).hopf_galois()
+    assert err.value.path == "sweedler_h4.mu.x[0].coeff"
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert [n for n in range(50_000) if _is_prime(n) != _trial_division(n)] == []
+
+
+# a Carmichael number and the least strong pseudoprimes to the first 4, 9
+# and 12 prime bases
+@pytest.mark.parametrize("n", [561, 3_215_031_751, 3_825_123_056_546_413_051,
+                               318_665_857_834_031_151_167_461])
+def test_strong_pseudoprimes_rejected(n):
+    assert not _is_prime(n)
+    with pytest.raises(InputError, match="not prime"):
+        field_from_spec({"prime": n})
+
+
+def test_prime_bound():
+    # PRIME_BOUND is itself a strong pseudoprime to all 13 bases, so only the
+    # bound keeps it out
+    assert _is_prime(PRIME_BOUND)
+    with pytest.raises(InputError, match="supported bound"):
+        field_from_spec({"prime": PRIME_BOUND})
+
+
+def test_h4_over_a_61_bit_prime():
+    doc = builtin_job("sweedler_h4")
+    doc["field"] = {"prime": 2**61 - 1}
+    _, summary = run_commands(Job(doc), ["check-hopf-galois"])
+    assert (summary["field"], summary["status"]) == (f"GF({2**61 - 1})", "pass")
+
