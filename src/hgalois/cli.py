@@ -24,7 +24,7 @@ from .hopf_galois import (
     hopf_to_galois,
     pushforward,
 )
-from .jobs import Job, load_job
+from .jobs import Job, at, load_job
 from .ore import check_thm28, check_thm44, build_poisson_ore, extend_mu_ore
 from .poisson import (
     PoissonHopfGaloisStructure,
@@ -196,7 +196,8 @@ def run_commands(job: Job, commands) -> tuple:
     all_entries = []
     results = {}
     for command in commands:
-        entries, result = COMMANDS[command](job)
+        with at(f"{job.name} [{command}]"):
+            entries, result = COMMANDS[command](job)
         for entry in entries:
             doc = {"command": command}
             doc.update(entry_to_json(entry, render))

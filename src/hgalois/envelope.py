@@ -414,17 +414,15 @@ def check_thm59(ph, env: EnvelopePresentation) -> VerificationReport:
     umu = GeneratorMap(envp, te.factors, te.signature, images, name="U(mu)")
 
     report = check_map_respects_relations(umu, anchor=ANCHOR_UMU)
+    a, b, image = env.alpha_images, env.beta_images, env.word_image
     for i in range(0, len(env.basis)):
         a_elem = env.basis_element(i)
-        mu_a = ph.mu.apply(a_elem)
-        folded = envp.zero()
-        for (w1, w2, w3), coeff in mu_a.terms.items():
-            src = pres
-            part = (env.alpha_of(Element(src, {w1: src.field.one}))
-                    * env.beta_of(Element(src, {w2: src.field.one}))
-                    * env.alpha_of(Element(src, {w3: src.field.one})))
-            folded = folded + part.scale(coeff)
+        folded = env.beta_of(a_elem).terms
+        for (w1, w2, w3), coeff in ph.mu.apply(a_elem).terms.items():
+            part = (Element(envp, image(a, w1)) * Element(envp, image(b, w2))
+                    * Element(envp, image(a, w3)))
+            axpy(folded, part.terms, coeff, envp.field.zero)
         report.add_vanishing("condition (5.17)", ANCHOR_5_17,
                              f"basis element {word_str(env.basis[i])}",
-                             env.beta_of(a_elem) + folded)
+                             Element(envp, folded))
     return report

@@ -1,13 +1,15 @@
-"""Generator-image maps extended multiplicatively to whole algebras.
+"""Generator-image maps extended to whole algebras: multiplicatively, or
+by the Leibniz rule.
 
 A `GeneratorMap` stores one target tensor per atom of the source
 presentation and extends to words by slot-wise tensor multiplication, so
 twisted target slots automatically make the extension anti-multiplicative
 there.  Images of formal inverses are derived from single-term images
-when not supplied, and are always verified to multiply to the unit.  The
-image of every word is computed once, as the image of the word without its
-last atom times that atom's image, and kept in a word table until a target
-presentation gains a rule.
+when not supplied, and are always verified to multiply to the unit.  A
+`Derivation` stores one element per atom and extends to words by the
+(twisted) Leibniz rule.  Both compute the image of every word once, from
+the image of the word without its last atom, and keep it in a word table
+until a target presentation gains a rule.
 """
 
 from .errors import InputError
@@ -82,20 +84,11 @@ class GeneratorMap:
         """The image of a word: the unit times the atom images from left to
         right.  Every prefix image is kept in the word table, so a word is
         the kept image of its longest known prefix times the rest."""
-        word = tuple(word)
         table = self._word_images.current()
         if not table:
             table[()] = TensorElement.unit(self.targets, self.signature, self.field)
-        k = len(word)
-        while word[:k] not in table:
-            k -= 1
-        out = table[word[:k]]
-        for n in range(k, len(word)):
-            img = self.images.get(word[n])
-            if img is None:
-                raise InputError(f"{self.name}: no image for atom {word[n]!r}")
-            out = table[word[:n + 1]] = out * img
-        return out
+        return _fill_prefixes(table, tuple(word), self.images, self.name,
+                              lambda out, _w, _a, img: out * img)
 
     def apply(self, value) -> TensorElement:
         """Image of an Element (or raw word) of the source algebra."""
@@ -153,6 +146,82 @@ class GeneratorMap:
     def __repr__(self):
         sig = ",".join("op" if s else "plain" for s in self.signature)
         return f"GeneratorMap({self.name}: rank {self.rank} [{sig}])"
+
+
+class Derivation:
+    """A tau-derivation D, D(uv) = D(u) v + tau(u) D(v), of a presented algebra,
+    given by its images on atoms; `tau` is a rank-1 endomorphism, None for
+    the identity.  Supplied images are taken literally; a missing inverse
+    image is forced by 0 = D(g g^-1):  D(g^-1) = -tau(g^-1) D(g) g^-1.
+    Words are extended by their last atom, D(w a) = D(w) a + tau(w) D(a),
+    and every word image is kept in a word table.
+    """
+
+    def __init__(self, pres, images: dict, label: str, *, tau: GeneratorMap = None):
+        self.presentation = pres
+        self.tau = tau
+        self.label = label
+        self.images: dict = {}
+        for atom, value in images.items():
+            pres.atom_key(atom)
+            if not isinstance(value, Element) or value.presentation is not pres:
+                raise InputError(f"{label}({atom}) must be an element of the base algebra")
+            self.images[atom] = pres.normal_form(value)
+        self._word_images = WordTable([pres])
+        for gen in pres.generators:
+            if gen.name not in self.images:
+                raise InputError(f"{label}: missing image for generator {gen.name!r}")
+            inv = inverse_atom(gen.name)
+            if gen.invertible and inv not in self.images:
+                self.images[inv] = -(self._tau_word((inv,)) * self.images[gen.name]
+                                     * pres.atom_element(inv))
+
+    def _tau_word(self, word) -> Element:
+        if self.tau is None:
+            return self.presentation.normal_form(word)
+        return self.tau.apply_word(word).to_element()
+
+    def _extend(self, d_w: Element, w, atom, img) -> Element:
+        return d_w * self.presentation.atom_element(atom) + self._tau_word(w) * img
+
+    def apply_word(self, word) -> Element:
+        """D of a raw word (not reduced first), read from the word table."""
+        table = self._word_images.current()
+        if not table:
+            table[()] = self.presentation.zero()
+        return _fill_prefixes(table, tuple(word), self.images, self.label, self._extend)
+
+    def apply(self, value: Element) -> Element:
+        pres = self.presentation
+        if value.presentation is not pres:
+            raise InputError(f"{self.label}: element from a different presentation")
+        out: dict = {}
+        for word, coeff in value.terms.items():
+            axpy(out, self.apply_word(word).terms, coeff, pres.field.zero)
+        return Element(pres, out)
+
+    def check_relations(self):
+        """Raise InputError unless D of the raw left-hand word of every rule
+        equals D of its right-hand side."""
+        for rule in self.presentation.rules:
+            if self.apply_word(rule.lhs) != self.apply(rule.rhs):
+                raise InputError(f"{self.label} is not well defined: fails on relation "
+                                 f"{word_str(rule.lhs)} -> {rule.rhs}")
+
+
+def _fill_prefixes(table: dict, word: tuple, images: dict, name, step):
+    """table[word], from the longest prefix already in the table: each longer
+    prefix p + (a,) gets step(table[p], p, a, images[a])."""
+    k = len(word)
+    while word[:k] not in table:
+        k -= 1
+    out = table[word[:k]]
+    for n in range(k, len(word)):
+        img = images.get(word[n])
+        if img is None:
+            raise InputError(f"{name}: no image for atom {word[n]!r}")
+        out = table[word[:n + 1]] = step(out, word[:n], word[n], img)
+    return out
 
 
 def _invert_tensor(img: TensorElement):

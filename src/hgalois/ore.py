@@ -1,11 +1,13 @@
 """Ore extensions A[z; tau, delta] and Poisson Ore extensions B[x; alpha, delta],
 with the criteria that decide when a structure map extends over them.
 
-delta data is given per generator atom; images of formal inverses default
-to the forced values (0 = delta(g g^-1) determines delta(g^-1)) but may be
-supplied explicitly, in which case they are taken literally — the
-extension criteria below then check the given data instead of silently
-repairing it.
+delta (a tau-derivation) and alpha (a derivation) are `Derivation`s given
+per generator atom, extended to words by the Leibniz rule with a word
+table; images of formal inverses default to the forced values
+(0 = delta(g g^-1) determines delta(g^-1)) but may be supplied explicitly,
+in which case they are taken literally — the extension criteria below then
+check the given data instead of silently repairing it.  The name of the
+adjoined variable is checked when the data is built.
 """
 
 import itertools
@@ -13,15 +15,13 @@ import operator
 
 from .errors import InputError
 from .hopf_galois import MU_SIGNATURE, HopfGaloisStructure, is_grouplike, mu_map
-from .maps import GeneratorMap, check_map_respects_relations
+from .maps import Derivation, GeneratorMap, check_map_respects_relations
 from .presentations import (
     AlgebraPresentation,
     Element,
     GeneratorSymbol,
-    inverse_atom,
     merge_terms,
     transport_element,
-    word_str,
 )
 from .poisson import PoissonHopfGaloisStructure, PoissonStructure, check_poisson_hg
 from .reports import VerificationReport
@@ -40,22 +40,13 @@ ANCHOR_THM44 = {6: "Thm 4.4 Eq (4.6)", 7: "Thm 4.4 Eq (4.7)", 8: "Thm 4.4 Eq (4.
 ANCHOR_MU_X = "Thm 4.4 Eq (4.5) mu(x)"
 
 
-def _complete_inverse_images(pres, images, derive, label):
-    """Fill in images of formal inverses using `derive` when not supplied."""
-    out = {}
-    for atom, val in images.items():
-        pres.atom_key(atom)
-        if not isinstance(val, Element) or val.presentation is not pres:
-            raise InputError(f"{label}({atom}) must be an element of the base algebra")
-        out[atom] = pres.normal_form(val)
-    for gen in pres.generators:
-        if gen.name not in out:
-            raise InputError(f"{label}: missing image for generator {gen.name!r}")
-        if gen.invertible:
-            inv = inverse_atom(gen.name)
-            if inv not in out:
-                out[inv] = pres.normal_form(derive(gen.name, out[gen.name]))
-    return out
+def _check_variable(base: AlgebraPresentation, variable: str) -> str:
+    """The adjoined variable's name: a valid generator name that is not the
+    name of a base generator."""
+    GeneratorSymbol(variable)
+    if variable in {g.name for g in base.generators}:
+        raise InputError(f"variable name {variable!r} clashes with a base generator")
+    return variable
 
 
 class OreData:
@@ -65,52 +56,19 @@ class OreData:
     def __init__(self, base: AlgebraPresentation, tau: GeneratorMap,
                  delta: dict, *, tau_inverse: GeneratorMap = None,
                  variable: str = "z", cap: int = 8):
-        if tau.source is not base or tau.rank != 1 or tau.targets[0] is not base:
-            raise InputError("tau must be a rank-1 endomorphism of the base algebra")
-        if tau_inverse is not None and (
-            tau_inverse.source is not base or tau_inverse.rank != 1
-            or tau_inverse.targets[0] is not base
-        ):
-            raise InputError("tau inverse must be a rank-1 endomorphism of the base algebra")
+        for label, m in (("tau", tau), ("tau inverse", tau_inverse)):
+            if m is not None and (m.source is not base or m.rank != 1 or m.targets[0] is not base):
+                raise InputError(f"{label} must be a rank-1 endomorphism of the base algebra")
         self.base = base
         self.tau = tau
         self.tau_inverse = tau_inverse
-        self.variable = variable
+        self.variable = _check_variable(base, variable)
         self.cap = cap
-
-        def derive(gen_name, delta_g):
-            # 0 = delta(g g^-1) = tau(g) delta(g^-1) + delta(g) g^-1
-            tau_g = tau.apply_element(base.atom_element(gen_name))
-            tau_g_inv = base.invert(tau_g)
-            if tau_g_inv is None:
-                raise InputError(
-                    f"delta: cannot derive delta({inverse_atom(gen_name)}); "
-                    f"tau({gen_name}) is not invertible"
-                )
-            g_inv = base.atom_element(inverse_atom(gen_name))
-            return -(tau_g_inv * delta_g * g_inv)
-
-        self.delta_images = _complete_inverse_images(base, delta, derive, "delta")
-
-    def delta_word(self, word) -> Element:
-        """delta of a raw word by the left-to-right splitting
-        delta(a w) = tau(a) delta(w) + delta(a) w."""
-        base = self.base
-        out = base.zero()
-        for i, atom in enumerate(word):
-            head = base.element({tuple(word[:i]): base.field.one})
-            tail = base.element({tuple(word[i + 1:]): base.field.one})
-            out = out + self.tau.apply_element(head) * self.delta_images[atom] * tail
-        return out
+        self.delta = Derivation(base, delta, "delta", tau=tau)
+        self.delta_images = self.delta.images
 
     def delta_apply(self, value: Element) -> Element:
-        base = self.base
-        if value.presentation is not base:
-            raise InputError("delta: element from a different presentation")
-        out = base.zero()
-        for word, coeff in value.terms.items():
-            out = out + self.delta_word(word).scale(coeff)
-        return out
+        return self.delta.apply(value)
 
     def validate(self):
         """Raise InputError unless tau is a (checked) algebra map, the
@@ -127,15 +85,7 @@ class OreData:
                 back = self.tau_inverse.apply_element(self.tau.apply_element(e))
                 if there != e or back != e:
                     raise InputError(f"tau inverse does not invert tau on generator {atom}")
-        for rule in self.base.rules:
-            # the raw left-hand word, not its normal form, must agree
-            lhs = self.delta_word(rule.lhs)
-            rhs = self.delta_apply(rule.rhs)
-            if lhs != rhs:
-                raise InputError(
-                    f"delta is not well defined: fails on relation "
-                    f"{word_str(rule.lhs)} -> {rule.rhs}"
-                )
+        self.delta.check_relations()
 
 
 def build_ore(d: OreData) -> AlgebraPresentation:
@@ -143,9 +93,7 @@ def build_ore(d: OreData) -> AlgebraPresentation:
     forms are base words followed by a power of z."""
     d.validate()
     base = d.base
-    z = d.variable
-    if z in {g.name for g in base.generators}:
-        raise InputError(f"variable name {z!r} clashes with a base generator")
+    z = _check_variable(base, d.variable)
     relations = list(base.user_relations)
     if base.commutative:
         # regenerated here because the extension itself is noncommutative
@@ -169,12 +117,6 @@ def build_ore(d: OreData) -> AlgebraPresentation:
     )
 
 
-def _conjugate(g: Element, g_inv: Element):
-    def fun(e: Element) -> Element:
-        return g * e * g_inv
-    return fun
-
-
 def check_thm28(d: OreData, h: HopfGaloisStructure, g: Element) -> VerificationReport:
     """The three tensor identities that make mu extend over A[z; tau, delta]
     with mu(z) = z ⊗ 1 ⊗ 1 + g ⊗ g^-1 ⊗ z - g ⊗ g^-1 z ⊗ 1."""
@@ -188,7 +130,10 @@ def check_thm28(d: OreData, h: HopfGaloisStructure, g: Element) -> VerificationR
         raise InputError(f"check_thm28: g is not group-like ({glike.reason})")
     g_inv = glike.inverse
     base = d.base
-    conj = _conjugate(g, g_inv)
+
+    def conj(e: Element) -> Element:
+        return g * e * g_inv
+
     tau = d.tau.apply_element
     tau_inv = d.tau_inverse.apply_element
 
@@ -258,57 +203,26 @@ class PoissonOreData:
     def __init__(self, base: PoissonStructure, alpha: dict, delta: dict,
                  *, variable: str = "x", cap: int = 8):
         self.base = base
-        self.variable = variable
+        self.variable = _check_variable(base.presentation, variable)
         self.cap = cap
-        pres = base.presentation
-
-        def derive(gen_name, image):
-            # 0 = f(g g^-1) = f(g) g^-1 + g f(g^-1)  for a derivation f
-            inv = pres.atom_element(inverse_atom(gen_name))
-            return -(inv * inv * image)
-
-        self.alpha_images = _complete_inverse_images(pres, alpha, derive, "alpha")
-        self.delta_images = _complete_inverse_images(pres, delta, derive, "delta")
-
-    def _derivation_word(self, images, word) -> Element:
-        pres = self.base.presentation
-        out = pres.zero()
-        for i, atom in enumerate(word):
-            rest = pres.element({tuple(word[:i] + word[i + 1:]): pres.field.one})
-            out = out + rest * images[atom]
-        return out
-
-    def _derivation_apply(self, images, value: Element) -> Element:
-        pres = self.base.presentation
-        out = pres.zero()
-        for word, coeff in value.terms.items():
-            out = out + self._derivation_word(images, word).scale(coeff)
-        return out
+        self.alpha = Derivation(base.presentation, alpha, "alpha")
+        self.delta = Derivation(base.presentation, delta, "delta")
+        self.alpha_images = self.alpha.images
+        self.delta_images = self.delta.images
 
     def alpha_apply(self, value: Element) -> Element:
-        return self._derivation_apply(self.alpha_images, value)
+        return self.alpha.apply(value)
 
     def delta_apply(self, value: Element) -> Element:
-        return self._derivation_apply(self.delta_images, value)
+        return self.delta.apply(value)
 
     def validate(self):
         """Check well-definedness against the base relations, that alpha is
         a Poisson derivation, and the twisted Lie rule for delta."""
         pres = self.base.presentation
         p = self.base
-        for label, images, apply_fn in (
-            ("alpha", self.alpha_images, self.alpha_apply),
-            ("delta", self.delta_images, self.delta_apply),
-        ):
-            for rule in pres.rules:
-                # the raw left-hand word, not its normal form, must agree
-                lhs = self._derivation_word(images, rule.lhs)
-                rhs = apply_fn(rule.rhs)
-                if lhs != rhs:
-                    raise InputError(
-                        f"{label} is not well defined: fails on relation "
-                        f"{word_str(rule.lhs)} -> {rule.rhs}"
-                    )
+        self.alpha.check_relations()
+        self.delta.check_relations()
         for s, t in itertools.combinations(pres.atoms, 2):
             es, et = pres.atom_element(s), pres.atom_element(t)
             br = p.bracket(es, et)
@@ -328,9 +242,7 @@ class PoissonOreData:
 def extension_presentation(d: PoissonOreData) -> AlgebraPresentation:
     """The commutative polynomial extension B[x] (no bracket validation)."""
     pres = d.base.presentation
-    x = d.variable
-    if x in {g.name for g in pres.generators}:
-        raise InputError(f"variable name {x!r} clashes with a base generator")
+    x = _check_variable(pres, d.variable)
     return AlgebraPresentation(
         pres.field,
         [GeneratorSymbol(g.name, g.invertible) for g in pres.generators]

@@ -7,16 +7,19 @@ Brackets against a formal inverse are forced, never user data:
     {a, g^-1} = -g^-2 {a, g}
 
 which follows from 0 = {a, g^-1 g}.  Atom brackets and the bracket {u, v}
-of each pair of words are computed once, by the Leibniz sum over letter
-pairs, and kept in word tables until the presentation gains a rule; the
-bracket of two elements sums their coefficient products times the tabled
-word brackets.  The module also provides the induced
+of each pair of words are computed once and kept in word tables until the
+presentation gains a rule.  A word pair is split at a last letter by the
+Leibniz rules  {w a, v} = {w, v} a + w {a, v}  and
+{a, w b} = {a, w} b + w {a, b},  each smaller bracket read from the table;
+the bracket of two elements sums their coefficient products times the
+tabled word brackets.  The module also provides the induced
 brackets on tensor squares and on the twisted triple product (with its
 negative middle term), and the compatibility checks tying a bracket to a
 Hopf-Galois or Hopf structure.
 """
 
 import itertools
+import operator
 
 from .errors import InputError
 from .hopf_galois import (
@@ -27,7 +30,7 @@ from .hopf_galois import (
     pushforward,
 )
 from .maps import GeneratorMap, check_map_respects_relations
-from .presentations import Element, WordTable, axpy
+from .presentations import Element, WordTable, axpy, merge_terms
 from .reports import VerificationReport
 from .tensors import TensorElement, add_outer
 
@@ -46,18 +49,17 @@ ANCHOR_PROP_37_2 = "Prop 3.7(2)"
 
 
 class PoissonStructure:
-    def __init__(self, presentation, table: dict, *, check_commutative=True):
+    def __init__(self, presentation, table: dict):
         """table maps pairs of plain generator atoms to Elements; pairs are
         canonicalized to (smaller, larger) with the sign flipped as needed."""
         self.presentation = presentation
-        if check_commutative:
-            bad = presentation.is_commutative_on_atoms()
-            if bad:
-                s, t = bad[0]
-                raise InputError(
-                    f"Poisson structures need a commutative algebra; "
-                    f"{s} and {t} do not commute"
-                )
+        bad = presentation.is_commutative_on_atoms()
+        if bad:
+            s, t = bad[0]
+            raise InputError(
+                f"Poisson structures need a commutative algebra; "
+                f"{s} and {t} do not commute"
+            )
         self.table: dict = {}
         for (a, b), value in table.items():
             for atom in (a, b):
@@ -107,20 +109,28 @@ class PoissonStructure:
         return self.table.get((s, t), pres.zero())
 
     def _word_bracket(self, u, v) -> dict:
-        """{u, v} for words as a term map: the Leibniz sum over letter pairs
-        of (u without u_i) * {u_i, v_j} * (v without v_j)."""
-        pres = self.presentation
-        one, zero = pres.field.one, pres.field.zero
-        out: dict = {}
-        for i in range(len(u)):
-            rest_u = pres.element({u[:i] + u[i + 1:]: one})
-            for j in range(len(v)):
-                core = self.atom_bracket(u[i], v[j])
-                if not core:
-                    continue
-                rest_v = pres.element({v[:j] + v[j + 1:]: one})
-                axpy(out, (rest_u * core * rest_v).terms, one, zero)
+        """{u, v} for words as a term map, filled into the word-pair table by
+        {w a, v} = {w, v} a + w {a, v}  and  {a, w b} = {a, w} b + w {a, b}."""
+        memo = self._word_brackets.current()
+        out = memo.get((u, v))
+        if out is None:
+            if len(u) > 1:
+                w, a = u[:-1], u[-1:]
+                out = self._leibniz(self._word_bracket(w, v), a, w, self._word_bracket(a, v))
+            elif len(v) > 1:
+                w, b = v[:-1], v[-1:]
+                out = self._leibniz(self._word_bracket(u, w), b, w, self._word_bracket(u, b))
+            else:
+                out = self.atom_bracket(u[0], v[0]).terms if u and v else {}
+            memo[(u, v)] = out
         return out
+
+    def _leibniz(self, left: dict, a, w, right: dict) -> dict:
+        """The normal form of left * a + w * right, for words a and w."""
+        pres = self.presentation
+        raw = merge_terms({x + a: c for x, c in left.items()},
+                          {w + y: c for y, c in right.items()}, operator.add, pres.field.zero)
+        return pres.reduce_terms(raw, operation="multiply")
 
     def bracket_terms(self, a: dict, b: dict) -> dict:
         """The bracket of two term maps, as a term map: the sum of
@@ -133,7 +143,7 @@ class PoissonStructure:
             for wb, cb in b.items():
                 pair = memo.get((wa, wb))
                 if pair is None:
-                    pair = memo[(wa, wb)] = self._word_bracket(wa, wb)
+                    pair = self._word_bracket(wa, wb)
                 axpy(out, pair, ca * cb, zero)
         return out
 

@@ -547,6 +547,43 @@ def reference_apply(gmap, element):
 
 
 # ----------------------------------------------------------------------
+# Derivations, copied from the package's original `OreData.delta_word`,
+# `PoissonOreData._derivation_word` and their `derive` closures: nothing is
+# memoized, and every letter of every word is expanded again.
+
+def reference_delta_word(d, word):
+    """delta of a raw word: the sum over its letters of
+    tau(head) delta(letter) tail."""
+    base = d.base
+    out = base.zero()
+    for i, atom in enumerate(word):
+        head = base.element({tuple(word[:i]): base.field.one})
+        tail = base.element({tuple(word[i + 1:]): base.field.one})
+        out = out + d.tau.apply_element(head) * d.delta_images[atom] * tail
+    return out
+
+
+def reference_derivation_word(pres, images, word):
+    """A derivation of a commutative algebra on a raw word: the sum over
+    its letters of (word without the letter) * image of the letter."""
+    out = pres.zero()
+    for i, atom in enumerate(word):
+        rest = pres.element({tuple(word[:i] + word[i + 1:]): pres.field.one})
+        out = out + rest * images[atom]
+    return out
+
+
+def reference_forced_inverse(pres, tau, gen, image):
+    """The image of gen^-1 forced by 0 = D(gen gen^-1): tau(gen)^-1 D(gen)
+    gen^-1 negated for a tau-derivation, -gen^-2 D(gen) for a derivation of
+    a commutative algebra (tau None)."""
+    inv = pres.atom_element(gen + "^-1")
+    if tau is None:
+        return -(inv * inv * image)
+    return -(pres.invert(tau.apply_element(pres.atom_element(gen))) * image * inv)
+
+
+# ----------------------------------------------------------------------
 # Linear algebra, copied from the package's original dense
 # `AlgebraPresentation.invert`/`_solve_columns` and from the original
 # `envelope._product_relation_rules` with its own `vec_reduce`.

@@ -285,6 +285,11 @@ BAD_FIELDS = [
      "ore_q2_laurent.ore.tau.g[0].word[0]"),
     ("poisson_ore_laurent", ("poisson_ore", "variable"), [],
      "poisson_ore_laurent.poisson_ore.variable"),
+    # the adjoined variable's name is checked when the block is read, not
+    # only when the extension is built
+    *[(name, (block, "variable"), value, f"{name}.{block}")
+      for name, block in (("ore_q2_laurent", "ore"), ("poisson_ore_laurent", "poisson_ore"))
+      for value in ("", "g^-1", "g")],
 ]
 
 # blocks that the bundled job's own commands do not read, and a command that does
@@ -302,6 +307,29 @@ def test_bad_field_exits_two_and_names_it(name, path, value, field, tmp_path, ca
     job.write_text(json.dumps(doc))
     assert run_cli("run", "--input", str(job)) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+# data that parses but is inconsistent, found while a command runs
+BAD_DATA = [
+    ("ore_q2_laurent", ("ore", "tau_inverse", "g", 0, "coeff"), "1/3",
+     "ore_q2_laurent [check-thm28]: tau inverse does not invert tau on generator g"),
+    ("laurent_mod_x", ("quotient", "section", "h", 0, "coeff"), "2",
+     "laurent_mod_x [pushforward]: pushforward: section of 'h' is not a preimage under f"),
+]
+
+
+@pytest.mark.parametrize("name,path,value,message", BAD_DATA,
+                         ids=[f"{b[0]}:{b[1][-3]}={b[2]}" for b in BAD_DATA])
+def test_inconsistent_data_names_job_and_command(name, path, value, message, tmp_path,
+                                                 capsys):
+    """An error raised inside a command names the job and the command, and
+    keeps the original text."""
+    doc = builtin_job(name)
+    _set(doc, path, value)
+    job = tmp_path / "bad.json"
+    job.write_text(json.dumps(doc))
+    assert run_cli("run", "--input", str(job)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _count_calls(monkeypatch, calls, module, name):

@@ -1,11 +1,13 @@
 """Word tables against the loops they replace: Leibniz brackets read from
-the word-pair table of a `PoissonStructure`, and word images read from the
-prefix table of a `GeneratorMap`, compared with the per-letter references
-in oracles.py on every bundled structure over Q and GF(p), before and
-after a presentation gains a rule, and at the degree cap."""
+the word-pair table of a `PoissonStructure`, word images read from the
+prefix table of a `GeneratorMap`, and derivations read from the prefix
+table of a `Derivation`, compared with the per-letter references in
+oracles.py on every bundled structure over Q and GF(p), before and after a
+presentation gains a rule, and at the degree cap."""
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -18,19 +20,26 @@ from hgalois import (
     Element,
     GeneratorMap,
     GeneratorSymbol,
+    OreData,
     PoissonStructure,
     TensorElement,
+    check_map_respects_relations,
     tensor_bracket,
     triple_bracket,
 )
 from hgalois.examples import BUILTINS, builtin_job
+from hgalois.fields import field_from_spec
 from hgalois.jobs import Job
 
+from conftest import make_h4
 from oracles import (
     reference_apply,
     reference_apply_word,
     reference_atom_bracket,
     reference_bracket,
+    reference_delta_word,
+    reference_derivation_word,
+    reference_forced_inverse,
     reference_triple_bracket,
 )
 
@@ -203,3 +212,136 @@ def test_cap_errors_are_not_memoized():
             f.apply_word(("x", "x"))
         assert (err.value.operation, err.value.word_length, err.value.cap) == \
             ("normal_form", 4, 3)
+
+
+# ----------------------------------------------------------------------
+# derivations
+
+# images of g that make every derivation of the Laurent jobs nonzero, with
+# a degree-2 term so that the degree cap can be reached
+NONZERO = [{"coeff": "1", "word": ["g", "g"]}, {"coeff": "-1/3", "word": ["g^-1"]}]
+DERIVATION_BLOCKS = {"ore_q2_laurent": ("ore", ("delta",)),
+                     "poisson_ore_laurent": ("poisson_ore", ("alpha", "delta"))}
+DERIVATION_CASES = [("ore_q2_laurent", "bundled"), ("ore_q2_laurent", "nonzero"),
+                    ("poisson_ore_laurent", "bundled"), ("poisson_ore_laurent", "nonzero"),
+                    ("h4", "bundled")]
+# confluent rule sets added after the tables were filled: g^2 = 1 on the
+# Laurent polynomials, x = 0 on H4
+NEW_RULES = {"ore_q2_laurent": [(("g", "g"), {(): "1"}), (("g^-1",), {("g",): "1"})],
+             "h4": [(("x",), {})]}
+NEW_RULES["poisson_ore_laurent"] = NEW_RULES["ore_q2_laurent"]
+
+
+def _derivations(case, field, *, images="bundled", relations=(), cap=None):
+    """(derivation, reference on words, tau) for each derivation of a case:
+    the delta of ore_q2_laurent, the alpha and delta of poisson_ore_laurent
+    (with their bundled images, or `NONZERO` on g), and delta(g) = x,
+    delta(x) = 0 with tau = id on H4; `relations` are added to the base
+    presentation, and `cap` replaces its degree cap."""
+    if case == "h4":
+        h4 = make_h4(field_from_spec(FIELDS[field]))
+        pres = AlgebraPresentation(
+            h4.field, h4.generators,
+            h4.user_relations + [(lhs, {w: h4.field.parse(c) for w, c in rhs.items()})
+                                 for lhs, rhs in relations],
+            cap=cap or h4.cap)
+        d = OreData(pres, GeneratorMap.identity(pres),
+                    {"g": pres.atom_element("x"), "x": pres.zero()})
+        return [(d.delta, partial(reference_delta_word, d), d.tau)]
+    doc = builtin_job(case)
+    doc["field"] = FIELDS[field]
+    doc["presentation"].setdefault("relations", []).extend(
+        {"lhs": list(lhs), "rhs": [{"coeff": c, "word": list(w)} for w, c in rhs.items()]}
+        for lhs, rhs in relations)
+    if cap is not None:
+        doc["presentation"]["cap"] = cap
+    block, keys = DERIVATION_BLOCKS[case]
+    if images == "nonzero":
+        doc[block].update({key: {"g": NONZERO} for key in keys})
+    job = Job(doc)
+    if block == "ore":
+        d, _ = job.ore_data()
+        return [(d.delta, partial(reference_delta_word, d), d.tau)]
+    d, _ = job.poisson_ore_data()
+    pres = d.base.presentation
+    return [(d.alpha, partial(reference_derivation_word, pres, d.alpha_images), None),
+            (d.delta, partial(reference_derivation_word, pres, d.delta_images), None)]
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("case,images", DERIVATION_CASES)
+def test_derivations_match_the_letter_loop(case, images, field):
+    """Forced inverse images, images of all words of length at most three
+    (non-normal ones such as g g^-1 included) and of random elements, each
+    word asked twice."""
+    for d, reference, tau in _derivations(case, field, images=images):
+        pres = d.presentation
+        for gen in pres.generators:
+            if gen.invertible:
+                inv = gen.name + "^-1"
+                assert d.images[inv] == reference_forced_inverse(pres, tau, gen.name,
+                                                                 d.images[gen.name])
+                assert not d.apply_word((gen.name, inv)) and not d.apply_word((inv, gen.name))
+        words = _words(pres.atoms, 3)
+        first = [d.apply_word(w) for w in reversed(words)]
+        for w, image in zip(reversed(words), first):
+            assert image == reference(w), (d.label, w)
+            assert d.apply_word(w) == image
+        for e in _random_elements(pres, _words(pres.atoms, 2), 12, seed=len(words)):
+            expected = pres.zero()
+            for w, c in e.terms.items():
+                expected = expected + reference(w).scale(c)
+            assert d.apply(e) == expected, d.label
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("case", sorted(NEW_RULES))
+def test_derivation_tables_follow_new_rules(case, field):
+    """A word image computed before `add_rule_data` is not served
+    afterwards: every word of length at most three then has the image that
+    data built with the new rules gives, and at least one image changed.
+    The reference reduces a word before it applies tau, so it is compared
+    only where tau respects the new rules (tau(g) = 2g does not respect
+    g^2 = 1)."""
+    rules = NEW_RULES[case]
+    old = _derivations(case, field, images="nonzero")
+    pres = old[0][0].presentation
+    words = _words(pres.atoms, 3)
+    before = [{w: d.apply_word(w).terms for w in words} for d, _, _ in old]
+    for lhs, rhs in rules:
+        pres.add_rule_data(lhs, {w: pres.field.parse(c) for w, c in rhs.items()})
+    fresh = _derivations(case, field, images="nonzero", relations=rules)
+    changed = False
+    for (d, reference, tau), (f, _, _), seen in zip(old, fresh, before):
+        tau_respects = tau is None or check_map_respects_relations(tau).passed
+        for w in words:
+            image = d.apply_word(w)
+            assert image.terms == f.apply_word(w).terms, (d.label, w)
+            assert not tau_respects or image == reference(w), (d.label, w)
+            changed |= image.terms != seen[w]
+    assert changed
+
+
+# a word whose image passes the degree cap, and that cap: the normal words
+# of H4 have length at most two
+CAP_CASES = {"ore_q2_laurent": (("g",) * 5, 3), "poisson_ore_laurent": (("g",) * 5, 3),
+             "h4": (("g", "x", "g"), 2)}
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("case", sorted(CAP_CASES))
+def test_derivation_cap_errors_are_not_memoized(case, field):
+    """A word whose image exceeds the cap raises `DegreeCapError` with the
+    same label on every call, as the reference does, and leaves the table
+    serving shorter words."""
+    word, cap = CAP_CASES[case]
+    for d, reference, _ in _derivations(case, field, images="nonzero", cap=cap):
+        labels = []
+        for _ in range(2):
+            with pytest.raises(DegreeCapError) as err:
+                d.apply_word(word)
+            labels.append((err.value.operation, err.value.word_length, err.value.cap))
+        assert labels[0] == labels[1] and labels[0][2] == cap
+        with pytest.raises(DegreeCapError):
+            reference(word)
+        assert d.apply_word(word[:2]) == reference(word[:2])
