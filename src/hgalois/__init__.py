@@ -54,6 +54,7 @@ from .poisson import (
 from .ore import (
     OreData,
     PoissonOreData,
+    assemble_ore,
     assemble_poisson_ore,
     build_ore,
     build_poisson_ore,

@@ -6,7 +6,7 @@ are written as a deterministic report: a JSON array of check entries
 followed by a summary object, or the same data rendered as text.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 malformed
-input or usage error.
+input, usage error or a report file that cannot be written.
 """
 
 import argparse
@@ -25,7 +25,7 @@ from .hopf_galois import (
     pushforward,
 )
 from .jobs import Job, at, load_job
-from .ore import check_thm28, check_thm44, build_poisson_ore, extend_mu_ore
+from .ore import assemble_ore, build_poisson_ore, check_thm28, check_thm44
 from .poisson import (
     PoissonHopfGaloisStructure,
     PoissonHopfStructure,
@@ -107,7 +107,7 @@ def _cmd_ore_extend(job):
     entries = check_thm28(data, hg, g).entries
     result = None
     if all(e.passed for e in entries):
-        extended = extend_mu_ore(data, hg, g)
+        extended = assemble_ore(data, hg, g)
         entries += check_hopf_galois(extended).entries
         result = {
             "presentation": repr(extended.presentation),
@@ -274,8 +274,11 @@ def _emit(args, entries, summary) -> int:
     text = render_json(entries, summary) if args.format == "json" \
         else render_text(entries, summary)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise JobError(args.report, f"cannot write report: {exc}")
         print(f"{summary['status']}: {summary['passed']}/{summary['checks']} checks "
               f"passed; report written to {args.report}")
     else:

@@ -115,11 +115,8 @@ def reverse_mu(h: HopfGaloisStructure) -> HopfGaloisStructure:
             f"reverse_mu requires a commutative algebra; {s} and {t} do not commute"
         )
     images = {atom: img.reversed_slots() for atom, img in h.mu.images.items()}
-    return HopfGaloisStructure(
-        h.presentation,
-        GeneratorMap(h.presentation, h.mu.targets, MU_SIGNATURE, images,
-                     name=f"{h.mu.name}'"),
-    )
+    return HopfGaloisStructure(h.presentation,
+                               mu_map(h.presentation, images, name=f"{h.mu.name}'"))
 
 
 def pushforward(h: HopfGaloisStructure, f: GeneratorMap, section: dict) -> HopfGaloisStructure:
@@ -146,14 +143,12 @@ def pushforward(h: HopfGaloisStructure, f: GeneratorMap, section: dict) -> HopfG
         t = h.mu.apply(lift)
         for slot in range(3):
             t = t.expand_slot(slot, f)
-        images[atom] = TensorElement(t.factors, MU_SIGNATURE, t.terms, t.field,
-                                     normalize=False)
+        images[atom] = TensorElement(t.factors, MU_SIGNATURE, t.terms, t.field, normalize=False)
     missing = [g.name for g in target.generators if g.name not in images]
     if missing:
         raise InputError(f"pushforward: section does not cover generator {missing[0]!r}")
 
-    mu_b = GeneratorMap(target, (target, target, target), MU_SIGNATURE, images,
-                        name=f"{h.mu.name}_pushforward")
+    mu_b = mu_map(target, images, name=f"{h.mu.name}_pushforward")
     check_map_respects_relations(mu_b, anchor=ANCHOR_PUSHFORWARD).require(
         "pushforward: induced map does not respect quotient relation {subject}")
     return HopfGaloisStructure(target, mu_b)
@@ -239,8 +234,7 @@ def hopf_to_galois(hs: HopfStructure) -> HopfGaloisStructure:
         with_s = d2.slot_transform(1, hs.antipode.apply_element)
         images[atom] = TensorElement(with_s.factors, MU_SIGNATURE, with_s.terms,
                                      with_s.field, normalize=False)
-    return HopfGaloisStructure(pres, GeneratorMap(
-        pres, (pres, pres, pres), MU_SIGNATURE, images, name="mu"))
+    return HopfGaloisStructure(pres, mu_map(pres, images))
 
 
 def galois_to_hopf(h: HopfGaloisStructure, alpha: GeneratorMap) -> HopfStructure:

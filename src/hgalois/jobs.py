@@ -8,7 +8,7 @@ rejected everywhere.
 
 import json
 import re
-from functools import partial
+from functools import partial, wraps
 
 from .envelope import EnvelopePresentation, build_envelope
 from .errors import CharacteristicError, InputError, JobError
@@ -108,6 +108,17 @@ def parse_word(tokens, path: str, cap: int, atoms) -> tuple:
     return word
 
 
+def _shared(parse):
+    """A `Job` method whose block is parsed on first use and shared by every
+    command; a parse that raises keeps nothing, so the next call raises again."""
+    @wraps(parse)
+    def shared(self):
+        if parse not in self._parsed:
+            self._parsed[parse] = parse(self)
+        return self._parsed[parse]
+    return shared
+
+
 class Job:
     """Parsed job: the presentation plus lazily-built structure blocks."""
 
@@ -132,12 +143,7 @@ class Job:
             if json_typed(c, str, f"{self.name}.commands[{i}]") not in KNOWN_COMMANDS:
                 raise JobError(f"{self.name}.commands", f"unknown command {c!r}")
         self.commands = list(commands)
-        # parsed blocks, built on first use and shared by every command
-        self._presentation = None
-        self._hopf_galois = None
-        self._poisson = None
-        self._hopf = None
-        self._envelope = None
+        self._parsed = {}  # the results of the `_shared` methods
 
     # ------------------------------------------------------------------
     def block(self, key: str) -> dict:
@@ -226,55 +232,48 @@ class Job:
                                        name=get(block, "name", str, path, self.name))
 
     @property
+    @_shared
     def presentation(self) -> AlgebraPresentation:
-        if self._presentation is None:
-            self._presentation = self.parse_presentation(
-                self.block("presentation"), f"{self.name}.presentation")
-        return self._presentation
+        return self.parse_presentation(self.block("presentation"), f"{self.name}.presentation")
 
-    # ------------------------------------------------------------------
+    @_shared
     def hopf_galois(self) -> HopfGaloisStructure:
-        """The "mu" block, parsed on first use and shared by every command."""
-        if self._hopf_galois is None:
-            block, pres = self.block("mu"), self.presentation
-            path = f"{self.name}.mu"
-            mu = self.images(block, path, partial(self.tensor, (pres,) * 3, MU_SIGNATURE))
-            with at(path):
-                self._hopf_galois = HopfGaloisStructure(pres, mu_map(pres, mu))
-        return self._hopf_galois
+        """The "mu" block."""
+        block, pres = self.block("mu"), self.presentation
+        path = f"{self.name}.mu"
+        mu = self.images(block, path, partial(self.tensor, (pres,) * 3, MU_SIGNATURE))
+        with at(path):
+            return HopfGaloisStructure(pres, mu_map(pres, mu))
 
+    @_shared
     def poisson(self) -> PoissonStructure:
-        """The "bracket" block (zero bracket if absent), parsed on first use
-        and shared by every command, so they share its bracket tables."""
-        if self._poisson is None:
-            pres = self.presentation
-            path = f"{self.name}.bracket"
-            table = {}
-            for i, entry in enumerate(get(self.doc, "bracket", list, self.name, [])):
-                epath = f"{path}[{i}]"
-                pair = get(json_typed(entry, dict, epath), "pair", list, epath)
-                if len(pair) != 2:
-                    raise JobError(f"{epath}.pair", "pair must name two generators")
-                key = tuple(json_typed(a, str, f"{epath}.pair[{k}]") for k, a in enumerate(pair))
-                table[key] = self.element(pres, entry.get("value", []), f"{epath}.value")
-            with at(path):
-                self._poisson = PoissonStructure(pres, table)
-        return self._poisson
+        """The "bracket" block (zero bracket if absent)."""
+        pres = self.presentation
+        path = f"{self.name}.bracket"
+        table = {}
+        for i, entry in enumerate(get(self.doc, "bracket", list, self.name, [])):
+            epath = f"{path}[{i}]"
+            pair = get(json_typed(entry, dict, epath), "pair", list, epath)
+            if len(pair) != 2:
+                raise JobError(f"{epath}.pair", "pair must name two generators")
+            key = tuple(json_typed(a, str, f"{epath}.pair[{k}]") for k, a in enumerate(pair))
+            table[key] = self.element(pres, entry.get("value", []), f"{epath}.value")
+        with at(path):
+            return PoissonStructure(pres, table)
 
+    @_shared
     def hopf(self) -> HopfStructure:
-        """The "hopf" block, parsed on first use and shared by every command."""
-        if self._hopf is None:
-            block, pres = self.block("hopf"), self.presentation
-            path = f"{self.name}.hopf"
-            delta = self.images(get(block, "comultiplication", dict, path),
-                                f"{path}.comultiplication",
-                                partial(self.tensor, (pres, pres), (PLAIN, PLAIN)))
-            counit = self.images(get(block, "counit", dict, path), f"{path}.counit", self.coeff)
-            antipode = self.images(get(block, "antipode", dict, path), f"{path}.antipode",
-                                   partial(self.element, pres))
-            with at(path):
-                self._hopf = hopf_structure(pres, delta, counit, antipode)
-        return self._hopf
+        """The "hopf" block."""
+        block, pres = self.block("hopf"), self.presentation
+        path = f"{self.name}.hopf"
+        delta = self.images(get(block, "comultiplication", dict, path),
+                            f"{path}.comultiplication",
+                            partial(self.tensor, (pres, pres), (PLAIN, PLAIN)))
+        counit = self.images(get(block, "counit", dict, path), f"{path}.counit", self.coeff)
+        antipode = self.images(get(block, "antipode", dict, path), f"{path}.antipode",
+                               partial(self.element, pres))
+        with at(path):
+            return hopf_structure(pres, delta, counit, antipode)
 
     def alpha_map(self) -> GeneratorMap:
         path = f"{self.name}.alpha"
@@ -282,6 +281,7 @@ class Job:
         with at(path):
             return GeneratorMap.scalar_map(self.presentation, images, name="alpha")
 
+    @_shared
     def ore_data(self) -> tuple:
         block, pres = self.block("ore"), self.presentation
         path = f"{self.name}.ore"
@@ -301,6 +301,7 @@ class Job:
                            cap=self.block_cap(block, 8, path))
         return data, self.grouplike(pres, block, path)
 
+    @_shared
     def poisson_ore_data(self) -> tuple:
         block, pres = self.block("poisson_ore"), self.presentation
         path = f"{self.name}.poisson_ore"
@@ -316,14 +317,12 @@ class Job:
     def envelope_block(self) -> dict:
         return get(self.doc, "envelope", dict, self.name, {})
 
+    @_shared
     def envelope(self) -> EnvelopePresentation:
-        """The envelope of the job's Poisson algebra, built on first use and
-        shared by every envelope command of the job."""
-        if self._envelope is None:
-            poisson = self.poisson()
-            cap = self.block_cap(self.envelope_block(), 6, f"{self.name}.envelope")
-            self._envelope = build_envelope(poisson, cap=cap)
-        return self._envelope
+        """The envelope of the job's Poisson algebra."""
+        poisson = self.poisson()
+        cap = self.block_cap(self.envelope_block(), 6, f"{self.name}.envelope")
+        return build_envelope(poisson, cap=cap)
 
     def lemma55_words(self, pres):
         words = self.envelope_block().get("sample_words")

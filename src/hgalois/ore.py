@@ -7,11 +7,16 @@ table; images of formal inverses default to the forced values
 (0 = delta(g g^-1) determines delta(g^-1)) but may be supplied explicitly,
 in which case they are taken literally — the extension criteria below then
 check the given data instead of silently repairing it.  The name of the
-adjoined variable is checked when the data is built.
+adjoined variable is checked when the data is built.  `validate` runs its
+checks once: after a success it returns at once until the base algebra gains
+a rule (invalid data raises on every call).  One path adjoins the
+variable for both kinds of extension, and one extends mu for `assemble_ore`
+and `assemble_poisson_ore`: mu's images transported, plus mu(z) or mu(x).
 """
 
 import itertools
 import operator
+from functools import partial
 
 from .errors import InputError
 from .hopf_galois import MU_SIGNATURE, HopfGaloisStructure, is_grouplike, mu_map
@@ -66,6 +71,7 @@ class OreData:
         self.cap = cap
         self.delta = Derivation(base, delta, "delta", tau=tau)
         self.delta_images = self.delta.images
+        self._valid_under = None  # the base memo of the last successful validate
 
     def delta_apply(self, value: Element) -> Element:
         return self.delta.apply(value)
@@ -74,6 +80,8 @@ class OreData:
         """Raise InputError unless tau is a (checked) algebra map, the
         supplied tau inverse really inverts it, and delta is well defined
         against every base relation."""
+        if self._valid_under is self.base._nf_cache:
+            return
         check_map_respects_relations(self.tau, anchor=ANCHOR_ORE_RELATION).require(
             "tau is not an algebra map; fails on {subject}")
         if self.tau_inverse is not None:
@@ -86,14 +94,24 @@ class OreData:
                 if there != e or back != e:
                     raise InputError(f"tau inverse does not invert tau on generator {atom}")
         self.delta.check_relations()
+        self._valid_under = self.base._nf_cache
+
+
+def _adjoin_variable(base: AlgebraPresentation, variable: str, relations, *,
+                     commutative: bool, cap: int, default: str) -> AlgebraPresentation:
+    """The base generators plus the checked variable, with `relations`; an
+    unnamed base is called `default` in the name of the result."""
+    x = _check_variable(base, variable)
+    gens = [GeneratorSymbol(g.name, g.invertible) for g in base.generators] + [GeneratorSymbol(x)]
+    return AlgebraPresentation(base.field, gens, relations, commutative=commutative, cap=cap,
+                               name=f"{base.name or default}[{x}]")
 
 
 def build_ore(d: OreData) -> AlgebraPresentation:
     """The extension with rewrite rules  z a -> tau(a) z + delta(a); normal
     forms are base words followed by a power of z."""
     d.validate()
-    base = d.base
-    z = _check_variable(base, d.variable)
+    base, z = d.base, d.variable
     relations = list(base.user_relations)
     if base.commutative:
         # regenerated here because the extension itself is noncommutative
@@ -106,15 +124,7 @@ def build_ore(d: OreData) -> AlgebraPresentation:
         rhs = merge_terms({w + (z,): c for w, c in tau_a.terms.items()},
                           d.delta_images[atom].terms, operator.add, base.field.zero)
         relations.append(((z, atom), rhs))
-    return AlgebraPresentation(
-        base.field,
-        [GeneratorSymbol(g.name, g.invertible) for g in base.generators]
-        + [GeneratorSymbol(z)],
-        relations,
-        commutative=False,
-        cap=d.cap,
-        name=f"{base.name or 'A'}[{z}]",
-    )
+    return _adjoin_variable(base, z, relations, commutative=False, cap=d.cap, default="A")
 
 
 def check_thm28(d: OreData, h: HopfGaloisStructure, g: Element) -> VerificationReport:
@@ -177,19 +187,32 @@ def mu_z_tensor(ore_pres, g: Element, g_inv: Element, variable: str) -> TensorEl
             - TensorElement.outer([g_t, gi_t * z_el, one], MU_SIGNATURE))
 
 
+def _mu_extender(caller: str, h: HopfGaloisStructure, g: Element, variable: str):
+    """Check that g is group-like; return the function that extends mu over
+    an extension `ext` by `variable`: h's images transported, plus mu_z_tensor."""
+    glike = is_grouplike(h, g)
+    if not glike:
+        raise InputError(f"{caller}: g is not group-like ({glike.reason})")
+
+    def extend(ext: AlgebraPresentation) -> HopfGaloisStructure:
+        images = {atom: img.transport((ext, ext, ext)) for atom, img in h.mu.images.items()}
+        images[variable] = mu_z_tensor(ext, g, glike.inverse, variable)
+        return HopfGaloisStructure(ext, mu_map(ext, images))
+    return extend
+
+
+def assemble_ore(d: OreData, h: HopfGaloisStructure, g: Element) -> HopfGaloisStructure:
+    """A[z; tau, delta] with mu extended by mu(z), for data that passed Thm 2.8."""
+    extend = _mu_extender("assemble_ore", h, g, d.variable)
+    return extend(build_ore(d))
+
+
 def extend_mu_ore(d: OreData, h: HopfGaloisStructure, g: Element) -> HopfGaloisStructure:
     """Build A[z; tau, delta] with the extended structure map; refuses when
     any extension criterion fails."""
     check_thm28(d, h, g).require(
         "mu does not extend over the Ore extension: {check} fails for {subject}")
-    ore_pres = build_ore(d)
-    glike = is_grouplike(h, g)
-    images = {
-        atom: img.transport((ore_pres, ore_pres, ore_pres))
-        for atom, img in h.mu.images.items()
-    }
-    images[d.variable] = mu_z_tensor(ore_pres, g, glike.inverse, d.variable)
-    return HopfGaloisStructure(ore_pres, mu_map(ore_pres, images))
+    return assemble_ore(d, h, g)
 
 
 # ----------------------------------------------------------------------
@@ -209,6 +232,7 @@ class PoissonOreData:
         self.delta = Derivation(base.presentation, delta, "delta")
         self.alpha_images = self.alpha.images
         self.delta_images = self.delta.images
+        self._valid_under = None  # the base memo of the last successful validate
 
     def alpha_apply(self, value: Element) -> Element:
         return self.alpha.apply(value)
@@ -220,6 +244,8 @@ class PoissonOreData:
         """Check well-definedness against the base relations, that alpha is
         a Poisson derivation, and the twisted Lie rule for delta."""
         pres = self.base.presentation
+        if self._valid_under is pres._nf_cache:
+            return
         p = self.base
         self.alpha.check_relations()
         self.delta.check_relations()
@@ -237,21 +263,14 @@ class PoissonOreData:
                      - self.delta_apply(es) * self.alpha_apply(et))
             if d_lhs != d_rhs:
                 raise InputError(f"delta fails the twisted Lie rule on pair ({s},{t})")
+        self._valid_under = pres._nf_cache
 
 
 def extension_presentation(d: PoissonOreData) -> AlgebraPresentation:
     """The commutative polynomial extension B[x] (no bracket validation)."""
     pres = d.base.presentation
-    x = _check_variable(pres, d.variable)
-    return AlgebraPresentation(
-        pres.field,
-        [GeneratorSymbol(g.name, g.invertible) for g in pres.generators]
-        + [GeneratorSymbol(x)],
-        list(pres.user_relations),
-        commutative=True,
-        cap=d.cap,
-        name=f"{pres.name or 'B'}[{x}]",
-    )
+    return _adjoin_variable(pres, d.variable, list(pres.user_relations),
+                            commutative=True, cap=d.cap, default="B")
 
 
 def build_poisson_ore(d: PoissonOreData) -> PoissonStructure:
@@ -260,9 +279,7 @@ def build_poisson_ore(d: PoissonOreData) -> PoissonStructure:
     pres = d.base.presentation
     ext = extension_presentation(d)
     x_el = ext.atom_element(d.variable)
-    table = {}
-    for (a, b), value in d.base.table.items():
-        table[(a, b)] = transport_element(value, ext)
+    table = {pair: transport_element(value, ext) for pair, value in d.base.table.items()}
     for gen in pres.generators:
         alpha_g = transport_element(d.alpha_images[gen.name], ext)
         delta_g = transport_element(d.delta_images[gen.name], ext)
@@ -293,11 +310,8 @@ def check_thm44(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
     trip = (ext, ext, ext)
     x_el = ext.atom_element(d.variable)
 
-    def to_ext(e: Element) -> Element:
-        return transport_element(e, ext)
-
-    def to_base(e: Element) -> Element:
-        return transport_element(e, pres)
+    to_ext = partial(transport_element, presentation=ext)
+    to_base = partial(transport_element, presentation=pres)
 
     def bracket_ginv_x(e_ext: Element) -> Element:
         # {g^-1 x, b} = g^-1 (alpha(b) x + delta(b)) + {g^-1, b} x  for b in B
@@ -348,15 +362,6 @@ def check_thm44(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
 def assemble_poisson_ore(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
                          g: Element) -> PoissonHopfGaloisStructure:
     """The extended Poisson Hopf-Galois structure on B[x]."""
-    glike = is_grouplike(ph.hopf_galois, g)
-    if not glike:
-        raise InputError(f"assemble_poisson_ore: g is not group-like ({glike.reason})")
+    extend = _mu_extender("assemble_poisson_ore", ph.hopf_galois, g, d.variable)
     p_ext = build_poisson_ore(d)
-    ext = p_ext.presentation
-    images = {
-        atom: img.transport((ext, ext, ext))
-        for atom, img in ph.mu.images.items()
-    }
-    images[d.variable] = mu_z_tensor(ext, g, glike.inverse, d.variable)
-    hg_ext = HopfGaloisStructure(ext, mu_map(ext, images))
-    return PoissonHopfGaloisStructure(p_ext, hg_ext)
+    return PoissonHopfGaloisStructure(p_ext, extend(p_ext.presentation))

@@ -193,6 +193,26 @@ def _slot_nf(pres, word) -> Element:
     return Element(pres, pres._word_nf(word, pres.cap, "normal_form"))
 
 
+def _slotwise_bracket(structures, signs, s: TensorElement, t: TensorElement) -> TensorElement:
+    """The bracket of s and t taken slot by slot: for each pair of terms, the
+    sum over slots i of signs[i] times the slot products with slot i
+    replaced by the bracket of structures[i].  The factors of s and t are the
+    presentations of the structures."""
+    field = s.field
+    out: dict = {}
+    for k1, c1 in s.terms.items():
+        e1 = list(map(_slot_nf, s.factors, k1))
+        for k2, c2 in t.terms.items():
+            e2 = list(map(_slot_nf, t.factors, k2))
+            coeff = c1 * c2
+            products = [(a * b).terms for a, b in zip(e1, e2)]
+            for i, p in enumerate(structures):
+                factors = products.copy()
+                factors[i] = p.bracket_terms(e1[i].terms, e2[i].terms)
+                add_outer(out, factors, coeff if signs[i] > 0 else -coeff, field)
+    return TensorElement(s.factors, s.signature, out, field, normalize=False)
+
+
 def tensor_bracket(p_left: PoissonStructure, p_right: PoissonStructure,
                    t1: TensorElement, t2: TensorElement) -> TensorElement:
     """Bracket on A ⊗ B:  {a⊗b, a'⊗b'} = aa' ⊗ {b,b'} + {a,a'} ⊗ bb'."""
@@ -201,17 +221,7 @@ def tensor_bracket(p_left: PoissonStructure, p_right: PoissonStructure,
     pa, pb = p_left.presentation, p_right.presentation
     if t1.factors != (pa, pb) or t2.factors != (pa, pb):
         raise InputError("tensor factors do not match the Poisson presentations")
-    out: dict = {}
-    for (a, b), c1 in t1.terms.items():
-        ea, eb = _slot_nf(pa, a), _slot_nf(pb, b)
-        for (a2, b2), c2 in t2.terms.items():
-            ea2, eb2 = _slot_nf(pa, a2), _slot_nf(pb, b2)
-            coeff = c1 * c2
-            add_outer(out, [(ea * ea2).terms, p_right.bracket_terms(eb.terms, eb2.terms)],
-                      coeff, t1.field)
-            add_outer(out, [p_left.bracket_terms(ea.terms, ea2.terms), (eb * eb2).terms],
-                      coeff, t1.field)
-    return TensorElement(t1.factors, t1.signature, out, t1.field, normalize=False)
+    return _slotwise_bracket((p_left, p_right), (1, 1), t1, t2)
 
 
 def triple_bracket(p: PoissonStructure, s: TensorElement, t: TensorElement) -> TensorElement:
@@ -222,21 +232,11 @@ def triple_bracket(p: PoissonStructure, s: TensorElement, t: TensorElement) -> T
     pres = p.presentation
     if s.rank != 3 or t.rank != 3:
         raise InputError("triple_bracket needs rank-3 tensors")
-    if any(f is not pres for f in s.factors + t.factors):
+    if s.factors != (pres, pres, pres) or t.factors != (pres, pres, pres):
         raise InputError("tensor factors do not match the Poisson presentation")
     if s.signature != t.signature:
         raise InputError("tensor signature mismatch")
-    out: dict = {}
-    for (x, y, z), c1 in s.terms.items():
-        ex, ey, ez = (_slot_nf(pres, w) for w in (x, y, z))
-        for (x2, y2, z2), c2 in t.terms.items():
-            ex2, ey2, ez2 = (_slot_nf(pres, w) for w in (x2, y2, z2))
-            coeff = c1 * c2
-            xx, yy, zz = (ex * ex2).terms, (ey * ey2).terms, (ez * ez2).terms
-            add_outer(out, [p.bracket_terms(ex.terms, ex2.terms), yy, zz], coeff, pres.field)
-            add_outer(out, [xx, p.bracket_terms(ey.terms, ey2.terms), zz], -coeff, pres.field)
-            add_outer(out, [xx, yy, p.bracket_terms(ez.terms, ez2.terms)], coeff, pres.field)
-    return TensorElement(s.factors, s.signature, out, s.field, normalize=False)
+    return _slotwise_bracket((p, p, p), (1, -1, 1), s, t)
 
 
 # ----------------------------------------------------------------------
@@ -349,8 +349,6 @@ def poisson_pushforward(ph: PoissonHopfGaloisStructure, f: GeneratorMap,
     target = f.targets[0]
     table = {}
     for s, t in itertools.combinations([g.name for g in target.generators], 2):
-        if s not in section or t not in section:
-            raise InputError(f"section does not cover generators {s!r}, {t!r}")
         table[(s, t)] = f.apply_element(p.bracket(section[s], section[t]))
     p_b = PoissonStructure(target, table)
     return PoissonHopfGaloisStructure(p_b, hg_b)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hgalois import envelope, jobs
+from hgalois import cli, envelope, jobs, maps, ore
 from hgalois.cli import COMMANDS, main, render_json, run_commands
 from hgalois.examples import BUILTINS, builtin_job, builtin_listing
 from hgalois.fields import PRIME_BOUND
@@ -222,6 +222,15 @@ def test_report_written_message(tmp_path, capsys):
     assert report.exists()
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_report_exits_two(where, tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "r.json" if where == "missing directory" else tmp_path
+    assert run_cli("run", "--builtin", "sweedler_h4", "--report", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: cannot write report: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def _set(doc, path, value):
     *head, last = path
     for key in head:
@@ -402,6 +411,47 @@ def test_structure_commands_share_one_parse(monkeypatch):
     entries, summary = run_commands(job, commands)
     assert calls == {"PoissonStructure": 1, "mu_map": 1, "hopf_structure": 1}
     assert job.poisson() is job.poisson() and job.hopf() is job.hopf()
+    _assert_same_as_fresh_jobs(doc, commands, entries, summary)
+
+
+def test_ore_job_checks_once(monkeypatch):
+    """ore_q2_laurent parses its ore block and validates its data once, runs
+    Thm 2.8 once per command, and reports what a fresh job per command
+    reports."""
+    calls = {"OreData": 0, "check_thm28": 0, "check_map_respects_relations": 0,
+             "check_relations": 0, "is_grouplike": 0}
+    _count_calls(monkeypatch, calls, jobs, "OreData")
+    _count_calls(monkeypatch, calls, cli, "check_thm28")
+    for name in ("check_thm28", "check_map_respects_relations", "is_grouplike"):
+        _count_calls(monkeypatch, calls, ore, name)
+    _count_calls(monkeypatch, calls, maps.Derivation, "check_relations")
+    doc = builtin_job("ore_q2_laurent")
+    commands = ["check-thm28", "ore-extend"]
+    job = Job(doc)
+    entries, summary = run_commands(job, commands)
+    assert summary["status"] == "pass" and "ore-extend" in summary["results"]
+    # two maps (tau, tau inverse) and one derivation, checked by one validate
+    assert calls == {"OreData": 1, "check_thm28": 2, "check_map_respects_relations": 2,
+                     "check_relations": 1, "is_grouplike": 3}
+    assert job.ore_data() is job.ore_data()
+    _assert_same_as_fresh_jobs(doc, commands, entries, summary)
+
+
+def test_poisson_ore_job_checks_once(monkeypatch):
+    """poisson_ore_laurent parses its poisson_ore block and validates its
+    data once, and reports what a fresh job per command reports."""
+    calls = {"PoissonOreData": 0, "check_thm44": 0, "check_relations": 0}
+    _count_calls(monkeypatch, calls, jobs, "PoissonOreData")
+    _count_calls(monkeypatch, calls, cli, "check_thm44")
+    _count_calls(monkeypatch, calls, maps.Derivation, "check_relations")
+    doc = builtin_job("poisson_ore_laurent")
+    commands = ["check-thm44", "poisson-ore-extend"]
+    job = Job(doc)
+    entries, summary = run_commands(job, commands)
+    assert summary["status"] == "pass"
+    # two derivations (alpha, delta), checked by one validate
+    assert calls == {"PoissonOreData": 1, "check_thm44": 1, "check_relations": 2}
+    assert job.poisson_ore_data() is job.poisson_ore_data()
     _assert_same_as_fresh_jobs(doc, commands, entries, summary)
 
 

@@ -26,7 +26,8 @@ from hgalois import (
     extend_mu_ore,
     mu_map,
 )
-from hgalois.ore import assemble_poisson_ore, mu_z_tensor
+import hgalois.ore as ore_module
+from hgalois.ore import assemble_ore, assemble_poisson_ore, mu_z_tensor
 from hgalois.tensors import OP, PLAIN
 from conftest import make_h4
 
@@ -150,6 +151,38 @@ class TestOreDataValidation:
         with pytest.raises(InputError, match="not well defined"):
             d.validate()
 
+    def test_second_validate_does_no_work(self, monkeypatch):
+        pres, _ = laurent_base()
+        d = q2_data(pres)
+        d.validate()
+        calls = []
+        monkeypatch.setattr(ore_module, "check_map_respects_relations",
+                            lambda *a, **k: calls.append("map"))
+        monkeypatch.setattr(d.delta, "check_relations", lambda: calls.append("delta"))
+        d.validate()
+        build_ore(d)
+        assert calls == []
+
+    def test_validate_runs_again_after_a_new_base_rule(self):
+        pres, _ = laurent_base()
+        identity = GeneratorMap.identity(pres)
+        d = OreData(pres, identity, {"g": pres.one()}, tau_inverse=identity)
+        d.validate()
+        pres.add_rule_data(("g", "g"), {(): ONE})  # delta(g g) = 2g, delta(1) = 0
+        with pytest.raises(InputError, match="not well defined"):
+            d.validate()
+
+    def test_invalid_data_raises_on_every_call(self):
+        pres, _ = laurent_base()
+        g = pres.atom_element("g")
+        tau = GeneratorMap.algebra_map(pres, pres, {"g": g.scale(TWO)}, name="tau")
+        bad_inv = GeneratorMap.algebra_map(pres, pres, {"g": g.scale(Fraction(1, 3))},
+                                           name="tau_inv")
+        d = OreData(pres, tau, {"g": pres.zero()}, tau_inverse=bad_inv)
+        for _ in range(3):
+            with pytest.raises(InputError, match="does not invert"):
+                d.validate()
+
 
 class TestThm28:
     def test_q2_all_conditions_pass(self):
@@ -229,6 +262,22 @@ class TestExtension:
         bad = HopfGaloisStructure(ore, mu_map(ore, images))
         assert not check_hopf_galois(bad).passed
 
+    def test_assemble_matches_extend(self):
+        pres, hg = laurent_base()
+        g = pres.atom_element("g")
+        extended = extend_mu_ore(q2_data(pres), hg, g)
+        assembled = assemble_ore(q2_data(pres), hg, g)
+        assert repr(assembled.presentation) == repr(extended.presentation)
+        assert set(assembled.mu.images) == set(extended.mu.images) == {"g", "g^-1", "z"}
+        for atom, img in extended.mu.images.items():
+            assert assembled.mu.images[atom].terms == img.terms
+
+    def test_assemble_refuses_non_grouplike(self):
+        pres, hg = laurent_base()
+        g = pres.atom_element("g")
+        with pytest.raises(InputError, match="assemble_ore: g is not group-like"):
+            assemble_ore(q2_data(pres), hg, g + pres.one())
+
     def test_mutated_mu_z_fails_unit_laws(self):
         pres, hg = laurent_base()
         ore = build_ore(q2_data(pres))
@@ -289,6 +338,30 @@ class TestPoissonOre:
                            variable="t", cap=8)
         with pytest.raises(InputError, match="twisted Lie rule"):
             build_poisson_ore(d)
+
+
+    def test_validate_runs_its_checks_once(self, monkeypatch):
+        pres, p, _ = zero_bracket_laurent()
+        g = pres.atom_element("g")
+        d = PoissonOreData(p, alpha={"g": pres.zero()}, delta={"g": g},
+                           variable="x", cap=8)
+        calls = []
+        for derivation in (d.alpha, d.delta):
+            real = derivation.check_relations
+            monkeypatch.setattr(derivation, "check_relations",
+                                lambda real=real: calls.append(1) or real())
+        for _ in range(3):
+            d.validate()
+        build_poisson_ore(d)
+        assert len(calls) == 2
+
+    def test_invalid_data_raises_on_every_call(self, kxy):
+        pres, p = kxy
+        d = PoissonOreData(p, alpha={"x": pres.atom_element("y"), "y": pres.zero()},
+                           delta={"x": pres.zero(), "y": pres.zero()}, variable="t")
+        for _ in range(3):
+            with pytest.raises(InputError, match="Poisson derivation"):
+                d.validate()
 
 
 class TestThm44:

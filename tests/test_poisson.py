@@ -352,6 +352,12 @@ class TestPoissonPushforward:
             PoissonHopfGaloisStructure(p, hg), ident, section, [])
         assert pushed.poisson.table == p.table
 
+    def test_section_missing_a_generator_rejected(self, laurent38):
+        pres, p, hg = laurent38
+        with pytest.raises(InputError, match="section does not cover generator 'x'"):
+            poisson_pushforward(PoissonHopfGaloisStructure(p, hg), GeneratorMap.identity(pres),
+                                {"g": pres.atom_element("g")}, [])
+
     def test_non_poisson_ideal_rejected(self, laurent38):
         pres, p, hg = laurent38
         target = AlgebraPresentation(QQ, [GeneratorSymbol("x")],
