@@ -24,7 +24,7 @@ from .hopf_galois import (
     hopf_to_galois,
     pushforward,
 )
-from .jobs import Job, at, load_job
+from .jobs import Job, at, degree_cap, load_job
 from .ore import assemble_ore, build_poisson_ore, check_thm28, check_thm44
 from .poisson import (
     PoissonHopfGaloisStructure,
@@ -34,15 +34,15 @@ from .poisson import (
     check_poisson_hopf,
     poisson_pushforward,
 )
-from .reports import element_terms_json, entry_to_json, tensor_terms_json
+from .reports import entry_to_json, terms_json
 
 
 def _mu_json(hg, render) -> dict:
-    return {atom: tensor_terms_json(img, render) for atom, img in sorted(hg.mu.images.items())}
+    return {atom: terms_json(img, render) for atom, img in sorted(hg.mu.images.items())}
 
 
 def _bracket_json(p, render) -> list:
-    return [{"pair": [a, b], "value": element_terms_json(v, render)}
+    return [{"pair": [a, b], "value": terms_json(v, render)}
             for (a, b), v in sorted(p.table.items())]
 
 
@@ -81,15 +81,11 @@ def _cmd_convert_galois_to_hopf(job):
     render = job.field.render
     result = {
         "comultiplication": {
-            atom: tensor_terms_json(img, render)
-            for atom, img in sorted(hs.delta.images.items())
+            atom: terms_json(img, render) for atom, img in sorted(hs.delta.images.items())
         },
-        "counit": {
-            atom: render(img.scalar())
-            for atom, img in sorted(hs.counit.images.items())
-        },
+        "counit": {atom: render(img.scalar()) for atom, img in sorted(hs.counit.images.items())},
         "antipode": {
-            atom: element_terms_json(img.to_element(), render)
+            atom: terms_json(img.to_element(), render)
             for atom, img in sorted(hs.antipode.images.items())
         },
     }
@@ -246,13 +242,15 @@ def render_text(entries, summary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _default_cap():
-    """Optional environment override for every degree cap; never required."""
+def _cap_override(args):
+    """The override of every degree cap: `--cap`, else HGALOIS_CAP, else None."""
+    if args.cap is not None:
+        return degree_cap(args.cap, "--cap")
     value = os.environ.get("HGALOIS_CAP")
     if value is None:
         return None
     try:
-        return int(value)
+        return degree_cap(int(value), "HGALOIS_CAP")
     except ValueError:
         raise JobError("HGALOIS_CAP", f"not an integer: {value!r}")
 
@@ -260,7 +258,7 @@ def _default_cap():
 def _load(args) -> Job:
     if args.builtin and args.input:
         raise JobError("usage", "give either --input or --builtin, not both")
-    cap = args.cap if args.cap is not None else _default_cap()
+    cap = _cap_override(args)
     if args.builtin:
         job = Job(builtin_job(args.builtin), cap_override=cap)
     elif args.input:

@@ -23,6 +23,7 @@ empty word and b(1) is zero, both forced by the defining laws.
 
 import itertools
 import operator
+from functools import partial
 
 from .errors import InputError
 from .hopf_galois import MU_SIGNATURE
@@ -34,6 +35,7 @@ from .presentations import (
     GeneratorSymbol,
     SparseEchelon,
     axpy,
+    linear_terms,
     merge_terms,
     word_str,
 )
@@ -93,11 +95,8 @@ class EnvelopePresentation:
     def _map_of(self, images, value: Element) -> Element:
         if value.presentation is not self.source.presentation:
             raise InputError("element does not belong to the enveloped Poisson algebra")
-        zero = self.presentation.field.zero
-        out: dict = {}
-        for word, coeff in value.terms.items():
-            axpy(out, self.word_image(images, word), coeff, zero)
-        return Element(self.presentation, out)
+        return Element(self.presentation, linear_terms(
+            value.terms, partial(self.word_image, images), self.presentation.field.zero))
 
     def alpha_of(self, value: Element) -> Element:
         """The algebra-map image; alpha(1) is the unit."""
@@ -206,16 +205,13 @@ def _product_relation_rules(field, n, table, alpha_names, beta_names):
         return (len(word), tuple(atom_rank[a] for a in word))
 
     def left_mult(p_idx, vec):
-        out = {}
-        for word, coeff in vec.items():
+        def image(word):
             if len(word) == 1:  # (b_k,)
-                image = {(alpha_names[p_idx],) + word: one}
-            else:  # (a_m, b_k)
-                m = alpha_names.index(word[0])
-                image = {w + word[1:]: c for w, c in
-                         _alpha_words(table[(p_idx, m)], alpha_names).items()}
-            axpy(out, image, coeff, zero)
-        return out
+                return {(alpha_names[p_idx],) + word: one}
+            m = alpha_names.index(word[0])  # (a_m, b_k)
+            return {w + word[1:]: c for w, c in
+                    _alpha_words(table[(p_idx, m)], alpha_names).items()}
+        return linear_terms(vec, image, zero)
 
     queue = []
     for i in range(1, n):

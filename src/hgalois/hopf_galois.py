@@ -10,7 +10,7 @@ every finite-dimensional instance.
 
 from .errors import InputError
 from .maps import GeneratorMap, check_map_respects_relations
-from .presentations import Element, axpy
+from .presentations import Element, linear_terms
 from .reports import VerificationReport
 from .tensors import OP, PLAIN, TensorElement
 
@@ -250,15 +250,13 @@ def galois_to_hopf(h: HopfGaloisStructure, alpha: GeneratorMap) -> HopfStructure
     antipode_images = {}
     zero = pres.field.zero
     for atom in pres.atoms:
-        t = h.mu.apply_word((atom,))
-        delta_terms: dict = {}
-        s_terms: dict = {}
-        for (w1, w2, w3), coeff in t.terms.items():
-            axpy(delta_terms, {(w1, w3): coeff}, alpha.apply_word(w2).scalar(), zero)
-            axpy(s_terms, {w2: coeff}, alpha.apply_word(w1 + w3).scalar(), zero)
+        t = h.mu.apply_word((atom,)).terms
+        delta_terms = linear_terms(
+            t, lambda k: {(k[0], k[2]): alpha.apply_word(k[1]).scalar()}, zero)
         delta_images[atom] = TensorElement((pres, pres), (PLAIN, PLAIN), delta_terms,
                                            pres.field, normalize=False)
-        antipode_images[atom] = Element(pres, s_terms)
+        antipode_images[atom] = Element(pres, linear_terms(
+            t, lambda k: {k[1]: alpha.apply_word(k[0] + k[2]).scalar()}, zero))
 
     delta = GeneratorMap(pres, (pres, pres), (PLAIN, PLAIN), delta_images, name="Delta")
     antipode = GeneratorMap.anti_algebra_map(pres, pres, antipode_images, name="S")

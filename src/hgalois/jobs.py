@@ -11,7 +11,7 @@ import re
 from functools import partial, wraps
 
 from .envelope import EnvelopePresentation, build_envelope
-from .errors import CharacteristicError, InputError, JobError
+from .errors import CharacteristicError, HgError, InputError, JobError
 from .fields import field_from_spec
 from .hopf_galois import (
     MU_SIGNATURE,
@@ -68,9 +68,17 @@ def get(block: dict, key: str, kind, path: str, default=_REQUIRED):
     return default
 
 
+def degree_cap(value, path: str) -> int:
+    """A degree cap: an integer of at least 1."""
+    if json_typed(value, int, path) < 1:
+        raise JobError(path, f"a degree cap must be at least 1, got {value}")
+    return value
+
+
 class at:
-    """Report an `InputError` raised inside the block at `path`; a
-    `JobError` passes unchanged, since it already names its own field."""
+    """Name the block at `path` in an error raised inside it that names no path
+    yet: an `InputError` becomes a `JobError`, and a cap or confluence error
+    keeps its class and gains the path as a prefix."""
 
     def __init__(self, path: str):
         self.path = path
@@ -79,8 +87,10 @@ class at:
         pass
 
     def __exit__(self, kind, exc, tb):
-        if isinstance(exc, InputError) and not isinstance(exc, JobError):
-            raise JobError(self.path, str(exc))
+        if isinstance(exc, HgError) and getattr(exc, "path", None) is None:
+            if isinstance(exc, InputError):
+                raise JobError(self.path, str(exc))
+            exc.path, exc.args = self.path, (f"{self.path}: {exc}",)
 
 
 def parse_word(tokens, path: str, cap: int, atoms) -> tuple:
@@ -156,13 +166,13 @@ class Job:
         """The degree cap of a block: the override, else its "cap" field."""
         if self.cap_override is not None:
             return self.cap_override
-        return get(block, "cap", int, path, default)
+        return degree_cap(block["cap"], f"{path}.cap") if "cap" in block else default
 
     def coeff(self, text, path):
         if isinstance(text, float):
             raise JobError(path, "floating-point coefficients are not accepted")
         with at(path):
-            return self.field.parse(text)
+            return self.field.parse(json_typed(text, str, path))
 
     def terms(self, data, path, slots, key="word") -> dict:
         """A term list summed into {key: coeff}.  Each term is {"coeff": str,
@@ -187,13 +197,15 @@ class Job:
 
     def element(self, pres, data, path) -> Element:
         """[{"coeff": str, "word": [tokens]}] -> Element of pres."""
-        return pres.element(self.terms(data, path, [(pres.cap, pres.atoms)]))
+        with at(path):
+            return pres.element(self.terms(data, path, [(pres.cap, pres.atoms)]))
 
     def tensor(self, pres_tuple, signature, data, path) -> TensorElement:
         """[{"coeff": str, "factors": [[tokens], ...]}] -> TensorElement."""
         slots = [(p.cap, p.atoms) for p in pres_tuple]
-        return TensorElement(pres_tuple, signature, self.terms(data, path, slots, "factors"),
-                             self.field)
+        with at(path):
+            return TensorElement(pres_tuple, signature, self.terms(data, path, slots, "factors"),
+                                 self.field)
 
     def images(self, table, path, parse) -> dict:
         """{"gen": data} -> {gen: parse(data, path of the entry)}."""

@@ -13,7 +13,7 @@ until a target presentation gains a rule.
 """
 
 from .errors import InputError
-from .presentations import Element, WordTable, axpy, inverse_atom, word_str
+from .presentations import Element, WordTable, inverse_atom, linear_terms, word_str
 from .reports import VerificationReport
 from .tensors import OP, PLAIN, TensorElement
 
@@ -45,9 +45,7 @@ class GeneratorMap:
             img = TensorElement.outer([img], self.signature or (PLAIN,))
         if not isinstance(img, TensorElement):
             raise InputError(f"{self.name}: image of {atom!r} is not a tensor or element")
-        if len(img.factors) != len(self.targets) or any(
-            a is not b for a, b in zip(img.factors, self.targets)
-        ):
+        if img.factors != self.targets:  # presentations compare by identity
             raise InputError(f"{self.name}: image of {atom!r} has wrong factor presentations")
         if img.signature != self.signature:
             raise InputError(f"{self.name}: image of {atom!r} has wrong twist signature")
@@ -95,11 +93,8 @@ class GeneratorMap:
         if isinstance(value, Element):
             if value.presentation is not self.source:
                 raise InputError(f"{self.name}: element from a different presentation")
-            out: dict = {}
-            for word, coeff in value.terms.items():
-                axpy(out, self.apply_word(word).terms, coeff, self.field.zero)
-            return TensorElement(self.targets, self.signature, out, self.field,
-                                 normalize=False)
+            out = linear_terms(value.terms, lambda w: self.apply_word(w).terms, self.field.zero)
+            return TensorElement(self.targets, self.signature, out, self.field, normalize=False)
         return self.apply_word(self.source.validate_word(value))
 
     def apply_element(self, value) -> Element:
@@ -195,10 +190,8 @@ class Derivation:
         pres = self.presentation
         if value.presentation is not pres:
             raise InputError(f"{self.label}: element from a different presentation")
-        out: dict = {}
-        for word, coeff in value.terms.items():
-            axpy(out, self.apply_word(word).terms, coeff, pres.field.zero)
-        return Element(pres, out)
+        return Element(pres, linear_terms(value.terms, lambda w: self.apply_word(w).terms,
+                                          pres.field.zero))
 
     def check_relations(self):
         """Raise InputError unless D of the raw left-hand word of every rule

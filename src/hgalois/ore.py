@@ -8,10 +8,11 @@ table; images of formal inverses default to the forced values
 in which case they are taken literally — the extension criteria below then
 check the given data instead of silently repairing it.  The name of the
 adjoined variable is checked when the data is built.  `validate` runs its
-checks once: after a success it returns at once until the base algebra gains
-a rule (invalid data raises on every call).  One path adjoins the
-variable for both kinds of extension, and one extends mu for `assemble_ore`
-and `assemble_poisson_ore`: mu's images transported, plus mu(z) or mu(x).
+checks once: its success flag is kept in a `WordTable` of the base, so it
+returns at once until the base gains a rule (invalid data raises on every
+call).  One path adjoins the variable for both kinds of extension, one
+extends mu for `assemble_ore` and `assemble_poisson_ore` (mu's images
+transported, plus mu(z) or mu(x)), and one guard finds the inverse of g.
 """
 
 import itertools
@@ -25,6 +26,7 @@ from .presentations import (
     AlgebraPresentation,
     Element,
     GeneratorSymbol,
+    WordTable,
     merge_terms,
     transport_element,
 )
@@ -54,6 +56,14 @@ def _check_variable(base: AlgebraPresentation, variable: str) -> str:
     return variable
 
 
+def _grouplike_inverse(caller: str, h: HopfGaloisStructure, g: Element) -> Element:
+    """The inverse of g, which must be group-like for h."""
+    glike = is_grouplike(h, g)
+    if not glike:
+        raise InputError(f"{caller}: g is not group-like ({glike.reason})")
+    return glike.inverse
+
+
 class OreData:
     """Data of an Ore extension: an endomorphism tau and a tau-derivation
     delta of the base algebra, plus the fresh variable name."""
@@ -71,7 +81,7 @@ class OreData:
         self.cap = cap
         self.delta = Derivation(base, delta, "delta", tau=tau)
         self.delta_images = self.delta.images
-        self._valid_under = None  # the base memo of the last successful validate
+        self._checked = WordTable([base])  # non-empty after a successful validate
 
     def delta_apply(self, value: Element) -> Element:
         return self.delta.apply(value)
@@ -80,7 +90,8 @@ class OreData:
         """Raise InputError unless tau is a (checked) algebra map, the
         supplied tau inverse really inverts it, and delta is well defined
         against every base relation."""
-        if self._valid_under is self.base._nf_cache:
+        checked = self._checked.current()  # the flag as of the rules the checks read
+        if checked:
             return
         check_map_respects_relations(self.tau, anchor=ANCHOR_ORE_RELATION).require(
             "tau is not an algebra map; fails on {subject}")
@@ -94,7 +105,7 @@ class OreData:
                 if there != e or back != e:
                     raise InputError(f"tau inverse does not invert tau on generator {atom}")
         self.delta.check_relations()
-        self._valid_under = self.base._nf_cache
+        checked["valid"] = True
 
 
 def _adjoin_variable(base: AlgebraPresentation, variable: str, relations, *,
@@ -135,10 +146,7 @@ def check_thm28(d: OreData, h: HopfGaloisStructure, g: Element) -> VerificationR
     d.validate()
     if d.tau_inverse is None:
         raise InputError("check_thm28: condition (3) needs the inverse of tau; supply it")
-    glike = is_grouplike(h, g)
-    if not glike:
-        raise InputError(f"check_thm28: g is not group-like ({glike.reason})")
-    g_inv = glike.inverse
+    g_inv = _grouplike_inverse("check_thm28", h, g)
     base = d.base
 
     def conj(e: Element) -> Element:
@@ -190,13 +198,11 @@ def mu_z_tensor(ore_pres, g: Element, g_inv: Element, variable: str) -> TensorEl
 def _mu_extender(caller: str, h: HopfGaloisStructure, g: Element, variable: str):
     """Check that g is group-like; return the function that extends mu over
     an extension `ext` by `variable`: h's images transported, plus mu_z_tensor."""
-    glike = is_grouplike(h, g)
-    if not glike:
-        raise InputError(f"{caller}: g is not group-like ({glike.reason})")
+    g_inv = _grouplike_inverse(caller, h, g)
 
     def extend(ext: AlgebraPresentation) -> HopfGaloisStructure:
         images = {atom: img.transport((ext, ext, ext)) for atom, img in h.mu.images.items()}
-        images[variable] = mu_z_tensor(ext, g, glike.inverse, variable)
+        images[variable] = mu_z_tensor(ext, g, g_inv, variable)
         return HopfGaloisStructure(ext, mu_map(ext, images))
     return extend
 
@@ -232,7 +238,7 @@ class PoissonOreData:
         self.delta = Derivation(base.presentation, delta, "delta")
         self.alpha_images = self.alpha.images
         self.delta_images = self.delta.images
-        self._valid_under = None  # the base memo of the last successful validate
+        self._checked = WordTable([base.presentation])  # as for `OreData`
 
     def alpha_apply(self, value: Element) -> Element:
         return self.alpha.apply(value)
@@ -243,9 +249,10 @@ class PoissonOreData:
     def validate(self):
         """Check well-definedness against the base relations, that alpha is
         a Poisson derivation, and the twisted Lie rule for delta."""
-        pres = self.base.presentation
-        if self._valid_under is pres._nf_cache:
+        checked = self._checked.current()  # the flag as of the rules the checks read
+        if checked:
             return
+        pres = self.base.presentation
         p = self.base
         self.alpha.check_relations()
         self.delta.check_relations()
@@ -263,7 +270,7 @@ class PoissonOreData:
                      - self.delta_apply(es) * self.alpha_apply(et))
             if d_lhs != d_rhs:
                 raise InputError(f"delta fails the twisted Lie rule on pair ({s},{t})")
-        self._valid_under = pres._nf_cache
+        checked["valid"] = True
 
 
 def extension_presentation(d: PoissonOreData) -> AlgebraPresentation:
@@ -301,10 +308,7 @@ def check_thm44(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
     pres = base.presentation
     if ph.presentation is not pres:
         raise InputError("check_thm44: structure and Ore data disagree on the base algebra")
-    glike = is_grouplike(ph.hopf_galois, g)
-    if not glike:
-        raise InputError(f"check_thm44: g is not group-like ({glike.reason})")
-    g_inv = glike.inverse
+    g_inv = _grouplike_inverse("check_thm44", ph.hopf_galois, g)
 
     ext = extension_presentation(d)
     trip = (ext, ext, ext)

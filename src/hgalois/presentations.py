@@ -25,6 +25,9 @@ while `unresolved_critical_pairs` runs it to the end.
 A rule keeps its rhs as a term map and holds its presentation only by weak
 reference, so a presentation is freed by reference counting as soon as
 the last outside reference to it goes, without the cycle collector.
+
+`Terms`, the term-map core of `Element` and `tensors.TensorElement`, holds
+their linear arithmetic; `linear_terms` extends a map on keys linearly.
 """
 
 import itertools
@@ -86,6 +89,14 @@ def axpy(dst: dict, src: dict, scale, zero) -> None:
             dst[w] = s
         else:
             dst.pop(w, None)
+
+
+def linear_terms(terms: dict, image, zero) -> dict:
+    """The new term map sum of c * image(k) over the terms k: c (a linear extension)."""
+    out: dict = {}
+    for k, c in terms.items():
+        axpy(out, image(k), c, zero)
+    return out
 
 
 class SparseEchelon:
@@ -192,25 +203,24 @@ class RewriteRule:
         return f"{word_str(self.lhs)} -> {self.rhs}"
 
 
-class Element:
-    """Sparse element of a presented algebra: normal-form words -> coefficients."""
+class Terms:
+    """A sparse term map, key -> nonzero coefficient, with its linear
+    arithmetic.  Subclasses supply the parent: `_like(terms)` (same parent),
+    `_mismatch(other)` (why `other` has another parent, or None), `field`,
+    `_term_key(key)` and `_term_str(key, c)` (sort key and `repr` of a term)."""
 
-    __slots__ = ("presentation", "terms")
-
-    def __init__(self, presentation, terms: dict):
-        self.presentation = presentation
-        self.terms = terms
+    __slots__ = ("terms",)
 
     def _check_same(self, other):
-        if self.presentation is not other.presentation:
-            raise InputError("elements belong to different presentations")
+        reason = self._mismatch(other)
+        if reason:
+            raise InputError(reason)
 
     def _combine(self, other, op):
-        if not isinstance(other, Element):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._check_same(other)
-        return Element(self.presentation, merge_terms(
-            self.terms, other.terms, op, self.presentation.field.zero))
+        return self._like(merge_terms(self.terms, other.terms, op, self.field.zero))
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -219,7 +229,61 @@ class Element:
         return self._combine(other, operator.sub)
 
     def __neg__(self):
-        return Element(self.presentation, {w: -c for w, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, scalar):
+        if not scalar:
+            return self._like({})
+        return self._like({k: c * scalar for k, c in self.terms.items()})
+
+    __rmul__ = scale
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._mismatch(other) is None and self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def sorted_terms(self):
+        key = self._term_key
+        return sorted(self.terms.items(), key=lambda item: key(item[0]))
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(self._term_str(k, c) for k, c in self.sorted_terms())
+
+
+class Element(Terms):
+    """Sparse element of a presented algebra: normal-form words -> coefficients."""
+
+    __slots__ = ("presentation",)
+
+    def __init__(self, presentation, terms: dict):
+        self.presentation = presentation
+        self.terms = terms
+
+    @property
+    def field(self):
+        return self.presentation.field
+
+    def _like(self, terms):
+        return Element(self.presentation, terms)
+
+    def _mismatch(self, other):
+        same = self.presentation is other.presentation
+        return None if same else "elements belong to different presentations"
+
+    def _term_key(self, word):
+        return self.presentation.word_key(word)
+
+    def _term_str(self, word, c):
+        return f"({c})*{word_str(word)}" if word else f"({c})"
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -227,39 +291,8 @@ class Element:
             return self.presentation.multiply(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, scalar):
-        if not scalar:
-            return Element(self.presentation, {})
-        return Element(self.presentation, {w: c * scalar for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.presentation is other.presentation and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __hash__(self):
         return hash((id(self.presentation), frozenset(self.terms.items())))
-
-    def is_zero(self):
-        return not self.terms
-
-    def sorted_terms(self):
-        key = self.presentation.word_key
-        return sorted(self.terms.items(), key=lambda item: key(item[0]))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            parts.append(f"({c})*{word_str(w)}" if w else f"({c})")
-        return " + ".join(parts)
 
 
 class AlgebraPresentation:

@@ -63,27 +63,20 @@ def serialize_witness(witness, render_coeff):
         return None
     if isinstance(witness, str):
         return {"kind": "note", "text": witness}
-    if isinstance(witness, Element):
-        return {"kind": "element", "terms": element_terms_json(witness, render_coeff)}
-    return {
-        "kind": "tensor",
-        "signature": ["op" if s else "plain" for s in witness.signature],
-        "terms": tensor_terms_json(witness, render_coeff),
-    }
+    doc = {"kind": "element"} if isinstance(witness, Element) else {
+        "kind": "tensor", "signature": ["op" if s else "plain" for s in witness.signature]}
+    doc["terms"] = terms_json(witness, render_coeff)
+    return doc
 
 
-def element_terms_json(element, render_coeff) -> list:
-    return [
-        {"coeff": render_coeff(c), "word": word_to_tokens(w)}
-        for w, c in element.sorted_terms()
-    ]
-
-
-def tensor_terms_json(tensor, render_coeff) -> list:
-    return [
-        {"coeff": render_coeff(c), "factors": [word_to_tokens(w) for w in words]}
-        for words, c in tensor.sorted_terms()
-    ]
+def terms_json(value, render_coeff) -> list:
+    """The sorted terms of an element, each coefficient with its "word", or
+    of a tensor, each with its "factors" (one word per slot)."""
+    if isinstance(value, Element):
+        name, tokens = "word", word_to_tokens
+    else:
+        name, tokens = "factors", lambda words: [word_to_tokens(w) for w in words]
+    return [{"coeff": render_coeff(c), name: tokens(k)} for k, c in value.sorted_terms()]
 
 
 def entry_to_json(entry: CheckEntry, render_coeff) -> dict:

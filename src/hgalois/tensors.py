@@ -9,13 +9,15 @@ order, so for signature (plain, op, plain):
 Folds always use the plain product of the underlying algebra in written
 order: they realize the multiplication maps applied to adjacent slots,
 which act on elements of the algebra itself, not of its opposite.
+
+Linear arithmetic, equality and `repr` come from `presentations.Terms`,
+shared with `Element`; slot maps and folds extend linearly (`linear_terms`).
 """
 
 import itertools
-import operator
 
 from .errors import InputError
-from .presentations import Element, axpy, merge_terms, word_str
+from .presentations import Element, Terms, linear_terms, word_str
 
 PLAIN = False
 OP = True
@@ -41,8 +43,8 @@ def add_outer(terms: dict, slots, coeff, field) -> None:
             terms.pop(words, None)
 
 
-class TensorElement:
-    __slots__ = ("factors", "signature", "terms", "field")
+class TensorElement(Terms):
+    __slots__ = ("factors", "signature", "field")
 
     def __init__(self, factors, signature, terms, field=None, *, normalize=True):
         self.factors = tuple(factors)
@@ -110,52 +112,38 @@ class TensorElement:
         return cls((), (), {(): value} if value else {}, field, normalize=False)
 
     # ------------------------------------------------------------------
-    def _check_shape(self, other):
-        if len(self.factors) != len(other.factors) or any(
-            a is not b for a, b in zip(self.factors, other.factors)
-        ):
-            raise InputError("tensor factors over different presentations")
+    def _like(self, terms):
+        out = TensorElement.__new__(TensorElement)
+        out.factors, out.signature, out.field = self.factors, self.signature, self.field
+        out.terms = terms
+        return out
+
+    def _mismatch(self, other):
+        if self.factors != other.factors:  # presentations compare by identity
+            return "tensor factors over different presentations"
         if self.signature != other.signature:
-            raise InputError("tensor signature mismatch")
+            return "tensor signature mismatch"
+        return None
+
+    def _term_key(self, words):
+        return tuple(f.word_key(w) for f, w in zip(self.factors, words))
+
+    def _term_str(self, words, c):
+        return f"({c})·{' ⊗ '.join(map(word_str, words)) if words else '1'}"
 
     @property
     def rank(self):
         return len(self.factors)
 
-    def _combine(self, other, op):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check_shape(other)
-        return TensorElement(self.factors, self.signature,
-                             merge_terms(self.terms, other.terms, op, self.field.zero),
-                             self.field, normalize=False)
-
-    def __add__(self, other):
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other):
-        return self._combine(other, operator.sub)
-
-    def __neg__(self):
-        return TensorElement(self.factors, self.signature,
-                             {k: -c for k, c in self.terms.items()},
-                             self.field, normalize=False)
-
-    def scale(self, scalar):
-        if not scalar:
-            return TensorElement.zero(self.factors, self.signature, self.field)
-        return TensorElement(self.factors, self.signature,
-                             {k: c * scalar for k, c in self.terms.items()},
-                             self.field, normalize=False)
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
+    # in the class dict, where perfbench/tracer.py wraps them by name
+    __add__ = Terms.__add__
+    __sub__ = Terms.__sub__
 
     def __mul__(self, other):
         """Slot-wise product; op slots reverse the operand order."""
         if not isinstance(other, TensorElement):
             return self.scale(other)
-        self._check_shape(other)
+        self._check_same(other)
         raw: dict = {}
         for ks, cs in self.terms.items():
             for kt, ct in other.terms.items():
@@ -171,26 +159,14 @@ class TensorElement:
                     raw.pop(words, None)
         return TensorElement(self.factors, self.signature, raw, self.field)
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (all(a is b for a, b in zip(self.factors, other.factors))
-                and len(self.factors) == len(other.factors)
-                and self.signature == other.signature
-                and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
     # ------------------------------------------------------------------
     def slot_transform(self, i, func):
         """Apply a linear map Element -> Element to slot i of every term."""
         pres = self.factors[i]
-        raw: dict = {}
-        for key, coeff in self.terms.items():
-            image = func(Element(pres, {key[i]: pres.field.one}))
-            axpy(raw, {key[:i] + (w,) + key[i + 1:]: c for w, c in image.terms.items()},
-                 coeff, self.field.zero)
+        raw = linear_terms(self.terms, lambda key: {
+            key[:i] + (w,) + key[i + 1:]: c
+            for w, c in func(Element(pres, {key[i]: pres.field.one})).terms.items()},
+            self.field.zero)
         return TensorElement(self.factors, self.signature, raw, self.field)
 
     def expand_slot(self, i, gmap):
@@ -210,11 +186,9 @@ class TensorElement:
                 raise InputError("cannot splice a multi-slot map into a twisted slot")
             new_sig = self.signature[:i] + gmap.signature + self.signature[i + 1:]
             new_factors = self.factors[:i] + gmap.targets + self.factors[i + 1:]
-        raw: dict = {}
-        for key, coeff in self.terms.items():
-            image = gmap.apply_word(key[i])
-            axpy(raw, {key[:i] + sub + key[i + 1:]: c for sub, c in image.terms.items()},
-                 coeff, self.field.zero)
+        raw = linear_terms(self.terms, lambda key: {
+            key[:i] + sub + key[i + 1:]: c for sub, c in gmap.apply_word(key[i]).terms.items()},
+            self.field.zero)
         return TensorElement(new_factors, new_sig, raw, self.field)
 
     def fold_adjacent(self, i):
@@ -226,10 +200,9 @@ class TensorElement:
             raise InputError("fold_adjacent: slots over different presentations")
         new_factors = self.factors[:i] + self.factors[i + 1:]
         new_sig = self.signature[:i] + (PLAIN,) + self.signature[i + 2:]
-        raw: dict = {}
-        for key, coeff in self.terms.items():
-            axpy(raw, {key[:i] + (key[i] + key[i + 1],) + key[i + 2:]: coeff},
-                 self.field.one, self.field.zero)
+        one = self.field.one
+        raw = linear_terms(self.terms, lambda key: {
+            key[:i] + (key[i] + key[i + 1],) + key[i + 2:]: one}, self.field.zero)
         return TensorElement(new_factors, new_sig, raw, self.field)
 
     def fold_all(self) -> Element:
@@ -241,9 +214,9 @@ class TensorElement:
         for p in self.factors:
             if p is not pres:
                 raise InputError("fold_all: slots over different presentations")
-        raw: dict = {}
-        for key, coeff in self.terms.items():
-            axpy(raw, {tuple(a for w in key for a in w): coeff}, self.field.one, self.field.zero)
+        one = self.field.one
+        raw = linear_terms(self.terms, lambda key: {tuple(a for w in key for a in w): one},
+                           self.field.zero)
         return pres.normal_form(Element(pres, raw))
 
     def reversed_slots(self):
@@ -272,18 +245,3 @@ class TensorElement:
             raise InputError("transport: rank mismatch")
         return TensorElement(new_factors, self.signature, dict(self.terms),
                              new_factors[0].field if new_factors else self.field)
-
-    def sorted_terms(self):
-        def key(item):
-            words = item[0]
-            return tuple(self.factors[i].word_key(words[i]) for i in range(self.rank))
-        return sorted(self.terms.items(), key=key)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for words, c in self.sorted_terms():
-            body = " ⊗ ".join(word_str(w) for w in words) if words else "1"
-            parts.append(f"({c})·{body}")
-        return " + ".join(parts)

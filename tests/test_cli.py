@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hgalois import cli, envelope, jobs, maps, ore
+from hgalois import DegreeCapError, cli, envelope, jobs, maps, ore
 from hgalois.cli import COMMANDS, main, render_json, run_commands
 from hgalois.examples import BUILTINS, builtin_job, builtin_listing
 from hgalois.fields import PRIME_BOUND
@@ -463,3 +463,75 @@ def test_failed_parse_is_not_cached():
     for _ in range(2):
         with pytest.raises(jobs.JobError, match=r"laurent_lambda1\.bracket: .*forced"):
             job.poisson()
+
+
+# caps below 1, coefficients that are not strings, and cap or confluence
+# errors raised inside a block or a command: each names its field or command
+BAD_VALUES = [
+    ("kxy_truncated", ("envelope", "cap"), -3,
+     "kxy_truncated.envelope.cap: a degree cap must be at least 1, got -3"),
+    ("kxy_truncated", ("cap",), 0, "kxy_truncated.cap: a degree cap must be at least 1, got 0"),
+    ("sweedler_h4", ("mu", "g", 0, "coeff"), 5,
+     "sweedler_h4.mu.g[0].coeff: expected a string, got 5"),
+    ("sweedler_h4", ("mu", "g", 0, "coeff"), None,
+     "sweedler_h4.mu.g[0].coeff: expected a string, got None"),
+    ("sweedler_h4", ("hopf", "counit", "g"), 1,
+     "sweedler_h4.hopf.counit.g: expected a string, got 1"),
+    ("sweedler_h4", ("presentation", "cap"), 1,
+     "sweedler_h4.mu.x: normal_form: word of length 2 exceeds degree cap 1"),
+    ("ore_q2_laurent", ("ore", "cap"), 1,
+     "ore_q2_laurent [ore-extend]: multiply: word of length 2 exceeds degree cap 1"),
+]
+
+
+@pytest.mark.parametrize("name,path,value,message", BAD_VALUES,
+                         ids=[f"{b[0]}:{'.'.join(map(str, b[1]))}={b[2]!r}" for b in BAD_VALUES])
+def test_bad_value_exits_two_and_names_it(name, path, value, message, tmp_path, capsys):
+    doc = builtin_job(name)
+    _set(doc, path, value)
+    if path[0] in READERS:
+        doc["commands"] = [READERS[path[0]]]
+    job = tmp_path / "bad.json"
+    job.write_text(json.dumps(doc))
+    assert run_cli("run", "--input", str(job)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("source,value", [("--cap", "0"), ("--cap", "-1"), ("HGALOIS_CAP", "0")])
+def test_cap_override_below_one_exits_two(source, value, capsys, monkeypatch):
+    monkeypatch.delenv("HGALOIS_CAP", raising=False)
+    args = ["run", "--builtin", "kxy_truncated"]
+    if source == "--cap":
+        args += ["--cap", value]
+    else:
+        monkeypatch.setenv("HGALOIS_CAP", value)
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {source}: a degree cap must be at least 1, got {value}\n")
+
+
+def test_confluence_error_names_the_presentation(tmp_path, capsys):
+    doc = {"name": "nc", "commands": ["check-poisson"],
+           "presentation": {"generators": ["a", "b"], "relations": [
+               {"lhs": ["b", "a"], "rhs": [{"coeff": "1", "word": ["a"]}]},
+               {"lhs": ["a", "a"], "rhs": [{"coeff": "1", "word": ["b"]}]}]}}
+    job = tmp_path / "nc.json"
+    job.write_text(json.dumps(doc))
+    assert run_cli("run", "--input", str(job)) == 2
+    assert capsys.readouterr().err == (
+        "error: nc.presentation: presentation nc is not locally confluent; first unresolved "
+        "overlap: b*a^2 between [b*a -> (1)*a] and [a^2 -> (1)*b]\n")
+
+
+def test_cap_error_keeps_its_class_and_attributes():
+    doc = builtin_job("sweedler_h4")
+    doc["presentation"]["cap"] = 1
+    job = Job(doc)
+    for _ in range(2):  # a failed parse keeps nothing, and fails the same way again
+        with pytest.raises(DegreeCapError) as err:
+            job.hopf_galois()
+        assert (err.value.operation, err.value.word_length, err.value.cap) == (
+            "normal_form", 2, 1)
+        assert err.value.path == "sweedler_h4.mu.x"
+        assert str(err.value) == "sweedler_h4.mu.x: normal_form: word of length 2 exceeds " \
+                                 "degree cap 1"

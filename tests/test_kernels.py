@@ -1,15 +1,26 @@
-"""Property tests of the sparse-accumulate kernels and the vanishing-law
-report entry against plain dict arithmetic, over Q and GF(5)."""
+"""Property tests of the sparse-accumulate kernels, the term-map arithmetic
+of elements and tensors, and the vanishing-law report entry against plain
+dict arithmetic, over Q and GF(5)."""
 
 import itertools
 import operator
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgalois import GF, QQ, AlgebraPresentation, Element, GeneratorSymbol, VerificationReport
-from hgalois.presentations import axpy, merge_terms
-from hgalois.tensors import PLAIN, TensorElement, add_outer
+from hgalois import (
+    GF,
+    MU_SIGNATURE,
+    QQ,
+    AlgebraPresentation,
+    Element,
+    GeneratorSymbol,
+    InputError,
+    VerificationReport,
+)
+from hgalois.presentations import axpy, linear_terms, merge_terms
+from hgalois.tensors import OP, PLAIN, TensorElement, add_outer
 
 # deterministic, and no example database
 SETTINGS = settings(derandomize=True, database=None, max_examples=150)
@@ -138,3 +149,92 @@ def test_add_vanishing_passes_iff_difference_is_zero(data, as_tensor):
         assert entry.witness is diff
     else:
         assert entry.witness is None
+
+
+@SETTINGS
+@given(st.data())
+def test_linear_terms_matches_naive(data):
+    field, values = data.draw(field_and_values())
+    terms = data.draw(term_maps(values))
+    images = {k: data.draw(term_maps(values)) for k in terms}
+    out = linear_terms(terms, images.__getitem__, field.zero)
+    assert out == naive_add(field, *((c, images[k]) for k, c in terms.items()))
+    assert all(out.values())
+
+
+def _term_map_kind(pres, field, as_tensor):
+    """(key strategy, constructor) of an element of pres, or of a rank-2
+    tensor over (pres, pres)."""
+    if as_tensor:
+        return st.tuples(KEYS, KEYS), lambda terms: TensorElement(
+            (pres, pres), (PLAIN, PLAIN), terms, field, normalize=False)
+    return KEYS, lambda terms: Element(pres, terms)
+
+
+@SETTINGS
+@given(st.data(), st.booleans())
+def test_term_map_arithmetic_matches_naive(data, as_tensor):
+    field, values = data.draw(field_and_values())
+    keys, make = _term_map_kind(PRES[field], field, as_tensor)
+    a, b = data.draw(term_maps(values, keys)), data.draw(term_maps(values, keys))
+    scalar = data.draw(values | st.just(field.zero))
+    x, y = make(dict(a)), make(dict(b))
+    one = field.one
+    results = {
+        "+": (x + y, naive_add(field, (one, a), (one, b))),
+        "-": (x - y, naive_add(field, (one, a), (-one, b))),
+        "neg": (-x, naive_add(field, (-one, a))),
+        "scale": (x.scale(scalar), naive_add(field, (scalar, a))),
+        "rmul": (scalar * x, naive_add(field, (scalar, a))),
+        "mul": (x * scalar, naive_add(field, (scalar, a))),
+    }
+    for name, (result, expected) in results.items():
+        assert type(result) is type(x), name
+        assert result.terms == expected and all(result.terms.values()), name
+        assert result == make(expected), name  # the same parent
+    assert bool(x) == bool(a) == (not x.is_zero())
+    assert (x == y) == (a == b) and (x != y) == (a != b)
+    assert (x.terms, y.terms) == (a, b)  # the operands are unchanged
+
+
+def test_term_maps_keep_their_parents_messages_and_hashing():
+    p = PRES[QQ]
+    q = AlgebraPresentation(QQ, [GeneratorSymbol("a"), GeneratorSymbol("b")])
+    one = QQ.one
+    e = Element(p, {("a",): one})
+    assert e != Element(q, {("a",): one})
+    with pytest.raises(InputError, match="^elements belong to different presentations$"):
+        e + Element(q, {("a",): one})
+    assert hash(e) == hash(Element(p, {("a",): one}))
+
+    t = TensorElement((p, p), (PLAIN, PLAIN), {(("a",), ()): one}, QQ, normalize=False)
+    others = [
+        ((p, q), (PLAIN, PLAIN), "tensor factors over different presentations"),
+        ((p,), (PLAIN,), "tensor factors over different presentations"),
+        ((p, p), (PLAIN, OP), "tensor signature mismatch"),
+    ]
+    for factors, signature, message in others:
+        other = TensorElement(factors, signature, {}, QQ, normalize=False)
+        assert t != other
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                op(t, other)
+    with pytest.raises(TypeError):
+        hash(t)
+    assert e != t and t != e
+    with pytest.raises(TypeError):
+        e + t
+
+
+def test_tensor_repr_of_rank_three_and_rank_zero():
+    pres = AlgebraPresentation(QQ, [GeneratorSymbol("g", invertible=True), GeneratorSymbol("x")])
+    t = TensorElement((pres,) * 3, MU_SIGNATURE, {
+        (("x",), (), ("g",)): QQ.parse("3/2"),
+        (("g^-1", "g^-1"), ("x",), ()): -QQ.one,
+        ((), ("g", "x"), ("x", "x")): QQ.parse("-1/4"),
+    })
+    assert repr(t) == "(-1/4)·1 ⊗ g*x ⊗ x^2 + (3/2)·x ⊗ 1 ⊗ g + (-1)·g^-2 ⊗ x ⊗ 1"
+    assert repr(t - t) == "0"
+    assert repr(TensorElement.scalar_value(QQ, QQ.parse("-2/3"))) == "(-2/3)·1"
+    assert repr(TensorElement.scalar_value(GF(5), GF(5).of_int(3))) == "(3 (mod 5))·1"
+    assert repr(TensorElement.scalar_value(QQ, QQ.zero)) == "0"
