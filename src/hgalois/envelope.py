@@ -221,7 +221,7 @@ def _product_relation_rules(field, n, table, alpha_names, beta_names):
                 axpy(vec, {(alpha_names[m], beta_names[k]): one}, -one, zero)
             queue.append(vec)
 
-    echelon = SparseEchelon(word_order, zero)
+    echelon = SparseEchelon(word_order, field)
     while queue:
         vec, lead = echelon.reduce(queue.pop(0))
         if lead is not None:

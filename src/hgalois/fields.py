@@ -1,23 +1,27 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-Every coefficient in the package is either a `fractions.Fraction` or an
-`FpElement`; there is no floating point anywhere, so equality of elements
-is decidable and exact.
+Over Q a coefficient is a plain `int` until a division leaves a remainder,
+and a `fractions.Fraction` after that; over GF(p) it is an `FpElement`.
+`field.div` is the one division on coefficients: over Q it returns the
+exact quotient, an `int` whenever that is integral, and never a float.
+There is no floating point anywhere, so equality of elements is decidable
+and exact.
 """
 
 from fractions import Fraction
 
 from .errors import InputError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class Rationals:
-    """The field of rational numbers; elements are `Fraction` instances.
+    """The field of rational numbers; elements are `int` or `Fraction`.
 
-    `zero` and `one` return shared constants; coefficients are immutable,
-    so no caller can change them.
+    `zero`, `one` and `of_int` give plain ints, and `parse` gives an int
+    whenever the denominator is 1.  Int arithmetic stays int; a `Fraction`
+    first appears where `div` leaves a remainder, or where a coefficient
+    text is a proper fraction.  A `Fraction` with denominator 1 (from
+    `Fraction(1, 2) * 2`) equals and hashes like its int, so both forms
+    may meet in one term map.
     """
 
     characteristic = 0
@@ -25,20 +29,27 @@ class Rationals:
 
     @property
     def zero(self):
-        return _ZERO
+        return 0
 
     @property
     def one(self):
-        return _ONE
+        return 1
 
     def of_int(self, n: int):
-        return Fraction(n)
+        return n
+
+    def div(self, a, b):
+        """The exact quotient a / b, demoted to an int when it is integral;
+        `ZeroDivisionError` when b is zero."""
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
 
     def parse(self, text: str):
         try:
-            return Fraction(str(text))
+            q = Fraction(str(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational coefficient {text!r}: {exc}")
+        return q.numerator if q.denominator == 1 else q
 
     def render(self, value) -> str:
         return str(value)
@@ -184,12 +195,16 @@ class PrimeField:
     def of_int(self, n: int):
         return FpElement(n, self.p)
 
+    def div(self, a, b):
+        """a / b in GF(p); `ZeroDivisionError` when b is zero."""
+        return a / b
+
     def parse(self, text: str):
         text = str(text).strip()
         num, slash, den = text.partition("/")
         try:
             value = self.of_int(int(num))
-            return value / self.of_int(int(den)) if slash else value
+            return self.div(value, self.of_int(int(den))) if slash else value
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse coefficient {text!r} over {self.name}: {exc}")
 

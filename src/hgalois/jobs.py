@@ -146,6 +146,8 @@ class Job:
                 f"{self.name}: structure is not defined in characteristic "
                 f"{self.field.characteristic}"
             )
+        if cap_override is not None:
+            cap_override = degree_cap(cap_override, f"{self.name}.cap_override")
         self.cap_override = cap_override
         self.cap = self.block_cap(doc, 12, self.name)
         commands = get(doc, "commands", list, self.name, [])

@@ -230,8 +230,9 @@ def _invert_tensor(img: TensorElement):
         if ic != pres.field.one:
             return None
         inv_words.append(iw)
+    field = img.field
     return TensorElement(img.factors, img.signature,
-                         {tuple(inv_words): img.field.one / coeff}, img.field)
+                         {tuple(inv_words): field.div(field.one, coeff)}, field)
 
 
 def compose(outer: GeneratorMap, inner: GeneratorMap, *, name="composite") -> GeneratorMap:

@@ -105,34 +105,37 @@ class SparseEchelon:
     A row's lead is its largest coordinate under the key function `order`
     (None compares the coordinates themselves), and every row is monic in
     it.  `reduce` cancels the lead of a vector against the rows until the
-    lead is not the lead of any row; `insert` makes that vector a row and
-    cancels its lead from every earlier row (back-substitution).
+    lead is not the lead of any row; `insert` makes that vector a row, by
+    the field's exact `div`, and cancels its lead from every earlier row
+    (back-substitution).
     """
 
-    __slots__ = ("order", "zero", "rows")
+    __slots__ = ("order", "field", "rows")
 
-    def __init__(self, order, zero):
+    def __init__(self, order, field):
         self.order = order
-        self.zero = zero
+        self.field = field
         self.rows: dict = {}
 
     def reduce(self, vec: dict):
         """(remainder, its lead), or (empty map, None) when vec reduces to zero."""
+        zero = self.field.zero
         vec = {k: c for k, c in vec.items() if c}
         while vec:
             lead = max(vec, key=self.order)
             row = self.rows.get(lead)
             if row is None:
                 return vec, lead
-            axpy(vec, row, -vec[lead], self.zero)
+            axpy(vec, row, -vec[lead], zero)
         return vec, None
 
     def insert(self, vec: dict, lead) -> dict:
         """Add a remainder of `reduce` as a row; returns the monic row."""
-        monic = {k: c / vec[lead] for k, c in vec.items()}
+        div, zero, pivot = self.field.div, self.field.zero, vec[lead]
+        monic = {k: div(c, pivot) for k, c in vec.items()}
         for row in self.rows.values():
             if lead in row:
-                axpy(row, monic, -row[lead], self.zero)
+                axpy(row, monic, -row[lead], zero)
         self.rows[lead] = monic
         return monic
 
@@ -466,11 +469,12 @@ class AlgebraPresentation:
             return cached
         out: dict = {}
         stack = [(word, self.field.one)]
+        zero = self.field.zero
         while stack:
             w, coeff = stack.pop()
             cached = self._nf_cache.get(w)
             if cached is not None:
-                axpy(out, cached, coeff, self.field.zero)
+                axpy(out, cached, coeff, zero)
                 continue
             hit = self._find_redex(w)
             if hit is None:
@@ -500,12 +504,13 @@ class AlgebraPresentation:
     def multiply(self, a: Element, b: Element, *, cap=None) -> Element:
         if a.presentation is not self or b.presentation is not self:
             raise InputError("multiply: elements from different presentations")
+        zero = self.field.zero
         raw: dict = {}
         for wa, ca in a.terms.items():
             for wb, cb in b.terms.items():
                 w = wa + wb
                 c = ca * cb
-                s = raw.get(w, self.field.zero) + c
+                s = raw.get(w, zero) + c
                 if s:
                     raw[w] = s
                 else:
@@ -595,8 +600,8 @@ class AlgebraPresentation:
                     f"unresolved overlap: {word_str(word)} between [{r1}] and [{r2}]"
                 )
             lead = max(diff, key=self.word_key)
-            lead_coeff = diff[lead]
-            rhs = {w: -(c / lead_coeff) for w, c in diff.items() if w != lead}
+            div, lead_coeff = self.field.div, diff[lead]
+            rhs = {w: -div(c, lead_coeff) for w, c in diff.items() if w != lead}
             self._add_rule(lead, rhs)
 
     def _one_step(self, word: Word, pos: int, rule: RewriteRule) -> dict:
@@ -681,7 +686,8 @@ class AlgebraPresentation:
             word, coeff = next(iter(element.terms.items()))
             if all(self.generator_of(a).invertible for a in word):
                 inv_word = tuple(inverse_atom(a) for a in reversed(word))
-                return self.normal_form(Element(self, {inv_word: self.field.one / coeff}))
+                inv_coeff = self.field.div(self.field.one, coeff)
+                return self.normal_form(Element(self, {inv_word: inv_coeff}))
         basis = self.finite_basis()
         if basis is None:
             return None
@@ -691,7 +697,7 @@ class AlgebraPresentation:
         # coordinate (0, v), ordered below every basis word, that records
         # which combination of the products a reduced vector is; the tags
         # keep every row nonzero
-        echelon = SparseEchelon(None, self.field.zero)
+        echelon = SparseEchelon(None, self.field)
         for v, word in enumerate(basis):
             prod = self.multiply(element, Element(self, {word: one}))
             row = {(1, i): c for i, c in self.coeff_vector(prod, index).items()}

@@ -144,6 +144,7 @@ class TensorElement(Terms):
         if not isinstance(other, TensorElement):
             return self.scale(other)
         self._check_same(other)
+        zero = self.field.zero
         raw: dict = {}
         for ks, cs in self.terms.items():
             for kt, ct in other.terms.items():
@@ -152,7 +153,7 @@ class TensorElement(Terms):
                     for i in range(self.rank)
                 )
                 c = cs * ct
-                s = raw.get(words, self.field.zero) + c
+                s = raw.get(words, zero) + c
                 if s:
                     raw[words] = s
                 else:

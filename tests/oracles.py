@@ -7,8 +7,17 @@ generators.  Checker verdicts are compared against these in the tests.
 """
 
 import itertools
+from fractions import Fraction
 
 from hgalois import ConfluenceError, InputError, TensorElement, word_str
+
+
+def exact_div(a, b):
+    """a / b without floating point: rational coefficients may be plain ints,
+    and `/` on two ints gives a float."""
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
 
 
 def naive_word_reduce(rules, word, field):
@@ -348,7 +357,7 @@ def reference_complete_rules(pres, *, max_new_rules=500, max_overlap=None):
         _, _, _, diff = pairs[0]
         lead = max(diff, key=pres.word_key)
         lead_coeff = diff[lead]
-        rhs = {w: -(c / lead_coeff) for w, c in diff.items() if w != lead}
+        rhs = {w: -exact_div(c, lead_coeff) for w, c in diff.items() if w != lead}
         pres._add_rule(lead, rhs)
         added += 1
         if added > max_new_rules:
@@ -601,8 +610,8 @@ def reference_solve_columns(field, n, cols, rhs):
         dense[row], dense[pivot_row] = dense[pivot_row], dense[row]
         vec[row], vec[pivot_row] = vec[pivot_row], vec[row]
         pv = dense[row][col]
-        dense[row] = [x / pv for x in dense[row]]
-        vec[row] = vec[row] / pv
+        dense[row] = [exact_div(x, pv) for x in dense[row]]
+        vec[row] = exact_div(vec[row], pv)
         for r in range(n):
             if r != row and dense[r][col]:
                 factor = dense[r][col]
@@ -631,7 +640,7 @@ def reference_invert(pres, element):
         word, coeff = next(iter(element.terms.items()))
         if all(pres.generator_of(a).invertible for a in word):
             inv_word = tuple(a[:-3] if a.endswith("^-1") else a + "^-1" for a in reversed(word))
-            return pres.element({inv_word: pres.field.one / coeff})
+            return pres.element({inv_word: exact_div(pres.field.one, coeff)})
     basis = pres.finite_basis()
     if basis is None:
         return None
@@ -702,7 +711,7 @@ def reference_product_relation_rules(field, n, table, alpha_names, beta_names):
         vec, lead = vec_reduce(queue.pop(0), pivots)
         if lead is None:
             continue
-        monic = {w: c / vec[lead] for w, c in vec.items()}
+        monic = {w: exact_div(c, vec[lead]) for w, c in vec.items()}
         for row in pivots.values():
             if lead in row:
                 factor = row[lead]

@@ -4,6 +4,7 @@ import pytest
 
 from hgalois import DegreeCapError, cli, envelope, jobs, maps, ore
 from hgalois.cli import COMMANDS, main, render_json, run_commands
+from hgalois.errors import JobError
 from hgalois.examples import BUILTINS, builtin_job, builtin_listing
 from hgalois.fields import PRIME_BOUND
 from hgalois.jobs import KNOWN_COMMANDS, Job
@@ -461,7 +462,7 @@ def test_failed_parse_is_not_cached():
     doc["bracket"].append({"pair": ["x", "g^-1"], "value": []})
     job = Job(doc)
     for _ in range(2):
-        with pytest.raises(jobs.JobError, match=r"laurent_lambda1\.bracket: .*forced"):
+        with pytest.raises(JobError, match=r"laurent_lambda1\.bracket: .*forced"):
             job.poisson()
 
 
@@ -508,6 +509,25 @@ def test_cap_override_below_one_exits_two(source, value, capsys, monkeypatch):
     assert run_cli(*args) == 2
     assert capsys.readouterr().err == (
         f"error: {source}: a degree cap must be at least 1, got {value}\n")
+
+
+@pytest.mark.parametrize("value,message", [
+    (0, "a degree cap must be at least 1, got 0"),
+    (-1, "a degree cap must be at least 1, got -1"),
+    (True, "expected an integer, got True"),
+    ("3", "expected an integer, got '3'"),
+])
+def test_python_cap_override_below_one_is_a_job_error(value, message, tmp_path):
+    """`Job` and `load_job` check an override as the CLI checks `--cap`."""
+    with pytest.raises(JobError) as err:
+        Job(builtin_job("kxy_truncated"), cap_override=value)
+    assert (err.value.path, str(err.value)) == (
+        "kxy_truncated.cap_override", f"kxy_truncated.cap_override: {message}")
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(builtin_job("sweedler_h4")))
+    with pytest.raises(JobError, match=f"^sweedler_h4.cap_override: {message}$"):
+        jobs.load_job(str(path), cap_override=value)
+    assert Job(builtin_job("kxy_truncated"), cap_override=1).cap == 1
 
 
 def test_confluence_error_names_the_presentation(tmp_path, capsys):

@@ -16,6 +16,29 @@ def test_rational_parse():
     assert QQ.render(Fraction(-5, 3)) == "-5/3"
 
 
+def test_rationals_are_ints_until_a_division_leaves_a_remainder():
+    assert (type(QQ.zero), type(QQ.one), type(QQ.of_int(-3))) == (int, int, int)
+    for text, value in [("-1", -1), ("0", 0), ("3/1", 3), ("6/2", 3)]:
+        assert type(QQ.parse(text)) is int and QQ.parse(text) == value
+    assert type(QQ.parse("3/2")) is Fraction and QQ.parse("3/2") == Fraction(3, 2)
+    assert type(QQ.div(4, 2)) is int and QQ.div(4, 2) == 2
+    assert type(QQ.div(1, 2)) is Fraction and QQ.div(1, 2) == Fraction(1, 2)
+    half = Fraction(1, 2)
+    assert type(QQ.div(half, half)) is int and QQ.div(half, half) == 1
+    assert type(QQ.div(True, 1)) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(half, 0)
+
+
+def test_prime_field_div():
+    F = GF(5)
+    assert F.div(F.of_int(3), F.of_int(4)) == F.of_int(2)
+    with pytest.raises(ZeroDivisionError):
+        F.div(F.one, F.zero)
+
+
 def test_rational_parse_rejects_garbage():
     with pytest.raises(InputError):
         QQ.parse("1.5x")

@@ -4,6 +4,7 @@ dict arithmetic, over Q and GF(5)."""
 
 import itertools
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -32,11 +33,15 @@ KEYS = st.sampled_from([(), ("a",), ("b",), ("a", "b"), ("b", "a")])
 @st.composite
 def field_and_values(draw):
     """A field and a coefficient strategy over it with small values, so that
-    sums cancel often; the field's shared one is among them."""
+    sums cancel often; the field's shared one is among them.  Over Q the
+    values mix plain ints, proper fractions and integral fractions that
+    were never demoted to ints (such as `Fraction(1, 2) * 2`)."""
     field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
     if field is QQ:
-        value = st.builds(lambda n, d: QQ.parse(f"{n}/{d}"),
-                          st.integers(-2, 2), st.sampled_from([1, 2]))
+        value = st.one_of(
+            st.builds(lambda n, d: QQ.parse(f"{n}/{d}"),
+                      st.integers(-2, 2), st.sampled_from([1, 2])),
+            st.builds(lambda n: Fraction(n, 2) * 2, st.integers(-2, 2)))
     else:
         value = st.builds(field.of_int, st.integers(0, 4))
     return field, st.one_of(value, st.just(field.one))
