@@ -80,11 +80,7 @@ class OreData:
         self.variable = _check_variable(base, variable)
         self.cap = cap
         self.delta = Derivation(base, delta, "delta", tau=tau)
-        self.delta_images = self.delta.images
         self._checked = WordTable([base])  # non-empty after a successful validate
-
-    def delta_apply(self, value: Element) -> Element:
-        return self.delta.apply(value)
 
     def validate(self):
         """Raise InputError unless tau is a (checked) algebra map, the
@@ -133,7 +129,7 @@ def build_ore(d: OreData) -> AlgebraPresentation:
     for atom in base.atoms:
         tau_a = d.tau.apply_element(base.atom_element(atom))
         rhs = merge_terms({w + (z,): c for w, c in tau_a.terms.items()},
-                          d.delta_images[atom].terms, operator.add, base.field.zero)
+                          d.delta.images[atom].terms, operator.add, base.field.zero)
         relations.append(((z, atom), rhs))
     return _adjoin_variable(base, z, relations, commutative=False, cap=d.cap, default="A")
 
@@ -171,13 +167,13 @@ def check_thm28(d: OreData, h: HopfGaloisStructure, g: Element) -> VerificationR
         rhs2 = t.slot_transform(0, tau).slot_transform(1, tau)
         report.add_vanishing("conjugation matches tau", ANCHOR_THM28[2], subject, lhs2 - rhs2)
 
-        term1 = t.slot_transform(0, d.delta_apply)
+        term1 = t.slot_transform(0, d.delta.apply)
         term2 = (t.slot_transform(0, lambda e: g * e)
                  .slot_transform(1, lambda e: e * g_inv)
-                 .slot_transform(2, d.delta_apply))
+                 .slot_transform(2, d.delta.apply))
         term3 = (t.slot_transform(0, lambda e: g * e)
-                 .slot_transform(1, lambda e: g_inv * d.delta_apply(tau_inv(conj(e)))))
-        rhs3 = h.mu.apply(d.delta_apply(a_elem))
+                 .slot_transform(1, lambda e: g_inv * d.delta.apply(tau_inv(conj(e)))))
+        rhs3 = h.mu.apply(d.delta.apply(a_elem))
         report.add_vanishing("delta compatibility", ANCHOR_THM28[3], subject,
                              (term1 + term2 + term3) - rhs3)
     return report
@@ -236,15 +232,7 @@ class PoissonOreData:
         self.cap = cap
         self.alpha = Derivation(base.presentation, alpha, "alpha")
         self.delta = Derivation(base.presentation, delta, "delta")
-        self.alpha_images = self.alpha.images
-        self.delta_images = self.delta.images
         self._checked = WordTable([base.presentation])  # as for `OreData`
-
-    def alpha_apply(self, value: Element) -> Element:
-        return self.alpha.apply(value)
-
-    def delta_apply(self, value: Element) -> Element:
-        return self.delta.apply(value)
 
     def validate(self):
         """Check well-definedness against the base relations, that alpha is
@@ -259,15 +247,15 @@ class PoissonOreData:
         for s, t in itertools.combinations(pres.atoms, 2):
             es, et = pres.atom_element(s), pres.atom_element(t)
             br = p.bracket(es, et)
-            a_lhs = self.alpha_apply(br)
-            a_rhs = p.bracket(self.alpha_apply(es), et) + p.bracket(es, self.alpha_apply(et))
+            a_lhs = self.alpha.apply(br)
+            a_rhs = p.bracket(self.alpha.apply(es), et) + p.bracket(es, self.alpha.apply(et))
             if a_lhs != a_rhs:
                 raise InputError(f"alpha is not a Poisson derivation: fails on pair ({s},{t})")
-            d_lhs = self.delta_apply(br)
-            d_rhs = (p.bracket(self.delta_apply(es), et)
-                     + p.bracket(es, self.delta_apply(et))
-                     + self.alpha_apply(es) * self.delta_apply(et)
-                     - self.delta_apply(es) * self.alpha_apply(et))
+            d_lhs = self.delta.apply(br)
+            d_rhs = (p.bracket(self.delta.apply(es), et)
+                     + p.bracket(es, self.delta.apply(et))
+                     + self.alpha.apply(es) * self.delta.apply(et)
+                     - self.delta.apply(es) * self.alpha.apply(et))
             if d_lhs != d_rhs:
                 raise InputError(f"delta fails the twisted Lie rule on pair ({s},{t})")
         checked["valid"] = True
@@ -288,8 +276,8 @@ def build_poisson_ore(d: PoissonOreData) -> PoissonStructure:
     x_el = ext.atom_element(d.variable)
     table = {pair: transport_element(value, ext) for pair, value in d.base.table.items()}
     for gen in pres.generators:
-        alpha_g = transport_element(d.alpha_images[gen.name], ext)
-        delta_g = transport_element(d.delta_images[gen.name], ext)
+        alpha_g = transport_element(d.alpha.images[gen.name], ext)
+        delta_g = transport_element(d.delta.images[gen.name], ext)
         table[(d.variable, gen.name)] = alpha_g * x_el + delta_g
     return PoissonStructure(ext, table)
 
@@ -321,7 +309,7 @@ def check_thm44(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
         # {g^-1 x, b} = g^-1 (alpha(b) x + delta(b)) + {g^-1, b} x  for b in B
         b = to_base(e_ext)
         lead = to_ext(base.bracket(g_inv, b)) * x_el
-        core = to_ext(g_inv * d.alpha_apply(b)) * x_el + to_ext(g_inv * d.delta_apply(b))
+        core = to_ext(g_inv * d.alpha.apply(b)) * x_el + to_ext(g_inv * d.delta.apply(b))
         return lead + core
 
     report = VerificationReport()
@@ -332,30 +320,30 @@ def check_thm44(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
 
         subject = f"generator {atom}"
         report.add_vanishing("alpha determined by g", ANCHOR_THM44[6], subject,
-                             d.alpha_images[atom] - g_inv * base.bracket(g, a_elem))
+                             d.alpha.images[atom] - g_inv * base.bracket(g, a_elem))
         report.add_vanishing("mu-alpha compatibility", ANCHOR_THM44[7], subject,
-                             ph.mu.apply(d.alpha_apply(a_elem))
-                             - t.slot_transform(0, d.alpha_apply))
+                             ph.mu.apply(d.alpha.apply(a_elem))
+                             - t.slot_transform(0, d.alpha.apply))
         report.add_vanishing("third-slot alpha law", ANCHOR_THM44[8], subject,
-                             t.slot_transform(2, d.alpha_apply)
+                             t.slot_transform(2, d.alpha.apply)
                              - t.slot_transform(1, lambda e: g * base.bracket(g_inv, e)))
 
         t_ext = t.transport(trip)
-        lhs10 = ph.mu.apply(d.delta_apply(a_elem)).transport(trip)
-        term1 = t_ext.slot_transform(0, lambda e: to_ext(d.delta_apply(to_base(e))))
+        lhs10 = ph.mu.apply(d.delta.apply(a_elem)).transport(trip)
+        term1 = t_ext.slot_transform(0, lambda e: to_ext(d.delta.apply(to_base(e))))
         term2 = (t_ext.slot_transform(0, lambda e: to_ext(g) * e)
                  .slot_transform(1, bracket_ginv_x))
         term3 = (t_ext.slot_transform(0, lambda e: to_ext(g) * e)
                  .slot_transform(1, lambda e: to_ext(g_inv) * e)
-                 .slot_transform(2, lambda e: to_ext(d.delta_apply(to_base(e)))))
+                 .slot_transform(2, lambda e: to_ext(d.delta.apply(to_base(e)))))
         report.add_vanishing("mu-delta compatibility", ANCHOR_THM44[10], subject,
                              lhs10 - (term1 + term2 + term3))
 
     for s, t_atom in itertools.combinations(atoms, 2):
         es, et = pres.atom_element(s), pres.atom_element(t_atom)
         report.add_vanishing("alpha cross law", ANCHOR_THM44[9], f"pair ({s},{t_atom})",
-                             base.bracket(g_inv, et) * d.alpha_images[s]
-                             - base.bracket(g_inv, es) * d.alpha_images[t_atom])
+                             base.bracket(g_inv, et) * d.alpha.images[s]
+                             - base.bracket(g_inv, es) * d.alpha.images[t_atom])
 
     if report.passed:
         extended = assemble_poisson_ore(d, ph, g)

@@ -190,7 +190,7 @@ def check_poisson(p: PoissonStructure) -> VerificationReport:
 def _slot_nf(pres, word) -> Element:
     """The normal form of a tensor slot word, read from the presentation's
     memo under its degree cap."""
-    return Element(pres, pres._word_nf(word, pres.cap, "normal_form"))
+    return Element(pres, pres._word_nf(word, "normal_form"))
 
 
 def _slotwise_bracket(structures, signs, s: TensorElement, t: TensorElement) -> TensorElement:

@@ -444,26 +444,25 @@ class AlgebraPresentation:
                     return pos, rule
         return None
 
-    def reduce_terms(self, terms: dict, *, cap=None, operation="normal_form") -> dict:
-        """Fully reduce a {word: coeff} map.
+    def reduce_terms(self, terms: dict, *, operation="normal_form") -> dict:
+        """Fully reduce a {word: coeff} map; `operation` names the caller in
+        a `DegreeCapError`.
 
         Rules never increase word length, so the cap is checked once per
         word, on entry and before the memo lookup: a memoized normal form
         does not excuse a word longer than the cap.  Single-word normal
-        forms are memoized (the result of a terminating reduction does not
-        depend on the cap).
+        forms are memoized.
         """
-        cap = self.cap if cap is None else cap
         zero = self.field.zero
         out: dict = {}
         for w, c in terms.items():
             if c:
-                axpy(out, self._word_nf(tuple(w), cap, operation), c, zero)
+                axpy(out, self._word_nf(tuple(w), operation), c, zero)
         return out
 
-    def _word_nf(self, word: Word, cap, operation) -> dict:
-        if len(word) > cap:
-            raise DegreeCapError(operation, len(word), cap)
+    def _word_nf(self, word: Word, operation) -> dict:
+        if len(word) > self.cap:
+            raise DegreeCapError(operation, len(word), self.cap)
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
@@ -492,16 +491,16 @@ class AlgebraPresentation:
         self._nf_cache[word] = out
         return out
 
-    def normal_form(self, value, *, cap=None, operation="normal_form") -> Element:
+    def normal_form(self, value) -> Element:
         if isinstance(value, Element):
             if value.presentation is not self:
                 raise InputError("element belongs to a different presentation")
             terms = value.terms
         else:
             terms = {self.validate_word(value): self.field.one}
-        return Element(self, self.reduce_terms(terms, cap=cap, operation=operation))
+        return Element(self, self.reduce_terms(terms))
 
-    def multiply(self, a: Element, b: Element, *, cap=None) -> Element:
+    def multiply(self, a: Element, b: Element) -> Element:
         if a.presentation is not self or b.presentation is not self:
             raise InputError("multiply: elements from different presentations")
         zero = self.field.zero
@@ -515,7 +514,7 @@ class AlgebraPresentation:
                     raw[w] = s
                 else:
                     raw.pop(w, None)
-        return Element(self, self.reduce_terms(raw, cap=cap, operation="multiply"))
+        return Element(self, self.reduce_terms(raw, operation="multiply"))
 
     # ------------------------------------------------------------------
     # element constructors
@@ -543,7 +542,7 @@ class AlgebraPresentation:
     # ------------------------------------------------------------------
     # local confluence
 
-    def unresolved_critical_pairs(self, *, max_overlap=None):
+    def unresolved_critical_pairs(self):
         """All critical pairs whose two one-step reducts have different normal
         forms, as (overlap word, rule1, rule2, nonzero difference) tuples, in
         scan order (module docstring).
@@ -551,26 +550,22 @@ class AlgebraPresentation:
         Overlaps considered: proper suffix/prefix overlaps of two rule
         left-hand sides and full containment of one lhs in another, i.e.
         words of length at most len(l1)+len(l2)-1.  Suffix/prefix overlaps
-        longer than `max_overlap` (default: twice the longest lhs, at most
-        the cap) are skipped.
+        longer than the cap are skipped.
         """
-        return list(self._unresolved_pairs(max_overlap))
+        return list(self._unresolved_pairs())
 
-    def _unresolved_pairs(self, max_overlap):
+    def _unresolved_pairs(self):
         """Lazy scan behind `unresolved_critical_pairs`, over the overlap rows."""
-        if max_overlap is None:
-            max_lhs = max((len(r.lhs) for r in self.rules), default=0)
-            max_overlap = min(2 * max_lhs, self.cap)
         for r1, row in zip(self.rules, self._overlaps):
             for length, word, pos2, r2 in row:
-                if length > max_overlap:
+                if length > self.cap:
                     continue
                 a = self.reduce_terms(self._one_step(word, 0, r1))
                 b = self.reduce_terms(self._one_step(word, pos2, r2))
                 if a != b:
                     yield word, r1, r2, merge_terms(a, b, operator.sub, self.field.zero)
 
-    def complete_rules(self, *, max_new_rules=500, max_overlap=None):
+    def complete_rules(self, *, max_new_rules=500):
         """Bounded completion: orient each unresolved critical-pair difference
         by its leading monomial and add it as a rule, until locally confluent.
         Returns the number of rules added.
@@ -590,7 +585,7 @@ class AlgebraPresentation:
         still unresolved.
         """
         for added in itertools.count():
-            pair = next(self._unresolved_pairs(max_overlap), None)
+            pair = next(self._unresolved_pairs(), None)
             if pair is None:
                 return added
             word, r1, r2, diff = pair
@@ -611,7 +606,7 @@ class AlgebraPresentation:
     # ------------------------------------------------------------------
     # finite basis and linear algebra
 
-    def finite_basis(self, *, max_size=MAX_BASIS_SIZE):
+    def finite_basis(self):
         """Normal-form words reachable from 1 by right multiplication.
 
         Returns the sorted word list when the closure stabilizes, or None
@@ -635,7 +630,7 @@ class AlgebraPresentation:
                     if w not in seen:
                         seen.add(w)
                         queue.append(w)
-                        if len(seen) > max_size:
+                        if len(seen) > MAX_BASIS_SIZE:
                             return None
         self._basis_cache = sorted(seen, key=self.word_key)
         return self._basis_cache
@@ -742,7 +737,7 @@ def _overlaps(r1: RewriteRule, r2: RewriteRule) -> list:
         if l1[len(l1) - k:] == l2[:k]:
             word = l1 + l2[k:]
             out.append((len(word), word, len(l1) - k, r2))
-    # l2 strictly inside l1; length 0, since max_overlap never skips these
+    # l2 strictly inside l1; length 0, since the scan never skips these
     if len(l2) < len(l1):
         for pos in range(1, len(l1) - len(l2)):
             if l1[pos:pos + len(l2)] == l2:

@@ -74,7 +74,7 @@ class TensorElement(Terms):
             key = tuple(tuple(w) for w in key)
             if len(key) != len(factors):
                 raise InputError("tensor term rank differs from factor count")
-            nfs = [f._word_nf(w, f.cap, "normal_form") for f, w in zip(factors, key)]
+            nfs = [f._word_nf(w, "normal_form") for f, w in zip(factors, key)]
             if all(len(nf) == 1 and w in nf for nf, w in zip(nfs, key)):
                 s = out.get(key, zero) + coeff
                 if s:

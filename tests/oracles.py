@@ -9,7 +9,14 @@ generators.  Checker verdicts are compared against these in the tests.
 import itertools
 from fractions import Fraction
 
-from hgalois import ConfluenceError, InputError, TensorElement, word_str
+from hgalois import (
+    MU_SIGNATURE,
+    ConfluenceError,
+    InputError,
+    TensorElement,
+    VerificationReport,
+    word_str,
+)
 
 
 def exact_div(a, b):
@@ -568,7 +575,7 @@ def reference_delta_word(d, word):
     for i, atom in enumerate(word):
         head = base.element({tuple(word[:i]): base.field.one})
         tail = base.element({tuple(word[i + 1:]): base.field.one})
-        out = out + d.tau.apply_element(head) * d.delta_images[atom] * tail
+        out = out + d.tau.apply_element(head) * d.delta.images[atom] * tail
     return out
 
 
@@ -726,3 +733,60 @@ def reference_product_relation_rules(field, n, table, alpha_names, beta_names):
             queue.append(left_mult(p_idx, monic))
     return [(lead, {w: -c for w, c in pivots[lead].items() if w != lead})
             for lead in sorted(pivots, key=word_order)]
+
+
+def reference_relation_instance_report(env):
+    """The envelope relation report, copied from the package's original
+    `relation_instance_report`: ten envelope products and every law reduced
+    on its own per basis pair, and each opposite-product law formed from
+    mid(u) = 1 ⊗ u ⊗ 1 tensor products in U ⊗ U^op ⊗ U."""
+    p = env.source
+    pres = p.presentation
+    envp = env.presentation
+    report = VerificationReport()
+
+    def mid(u):
+        one = TensorElement.unit((envp, envp, envp), MU_SIGNATURE)
+        return one.slot_transform(1, lambda e: envp.multiply(e, u))
+
+    report.add_vanishing("beta kills the unit", "Def 5.1 Eq (5.1)", "basis word 1",
+                         env.beta_of(pres.one()))
+
+    basis_elems = [env.basis_element(i) for i in range(len(env.basis))]
+    for i, j in itertools.product(range(1, len(env.basis)), repeat=2):
+        ei, ej = basis_elems[i], basis_elems[j]
+        label = f"pair ({word_str(env.basis[i])},{word_str(env.basis[j])})"
+        br = p.bracket(ei, ej)
+        prod = ei * ej
+        a_i, a_j = env.alpha_of(ei), env.alpha_of(ej)
+        b_i, b_j = env.beta_of(ei), env.beta_of(ej)
+        a_br, b_prod = env.alpha_of(br), env.beta_of(prod)
+
+        checks = [
+            ("defining commutator", "Def 5.1 Eq (5.1)",
+             a_br - (b_i * a_j - a_j * b_i)),
+            ("defining product law", "Def 5.1 Eq (5.1)",
+             b_prod - (a_i * b_j + a_j * b_i)),
+            ("mirrored commutator", "Remark 5.4 Eq (5.1')",
+             a_br - (a_i * b_j - b_j * a_i)),
+            ("mirrored product law", "Remark 5.4 Eq (5.1')",
+             b_prod - (b_i * a_j + b_j * a_i)),
+            ("swapped-role commutator", "Lemma 5.3 Eq (5.3)",
+             a_br - (a_i * b_j - b_j * a_i)),
+        ]
+        for name, anchor, diff in checks:
+            report.add_vanishing(name, anchor, label, envp.normal_form(diff))
+
+        op_checks = [
+            ("opposite product law", "Remark 5.4 Eq (5.4)",
+             mid(b_prod) - (mid(a_i) * mid(b_j) + mid(a_j) * mid(b_i))),
+            ("opposite product law (mirrored)", "Remark 5.4 Eq (5.4)",
+             mid(b_prod) - (mid(b_i) * mid(a_j) + mid(b_j) * mid(a_i))),
+            ("opposite commutator", "Remark 5.4 Eq (5.5)",
+             mid(a_br) - (mid(a_j) * mid(b_i) - mid(b_i) * mid(a_j))),
+            ("opposite commutator (mirrored)", "Remark 5.4 Eq (5.5)",
+             mid(a_br) - (mid(b_j) * mid(a_i) - mid(a_i) * mid(b_j))),
+        ]
+        for name, anchor, diff in op_checks:
+            report.add_vanishing(name, anchor, label, diff)
+    return report

@@ -6,6 +6,7 @@ from hgalois import (
     QQ,
     AlgebraPresentation,
     DegreeCapError,
+    EnvelopePresentation,
     GeneratorMap,
     GeneratorSymbol,
     HopfGaloisStructure,
@@ -22,8 +23,10 @@ from hgalois import (
     relation_instance_report,
 )
 from hgalois.maps import compose
+from hgalois.reports import entry_to_json
 from hgalois.tensors import OP, PLAIN
 from conftest import make_kxy, make_kz2, make_laurent38
+from oracles import reference_relation_instance_report
 
 ONE = QQ.one
 SIG = (PLAIN, OP, PLAIN)
@@ -133,6 +136,71 @@ class TestBuildKxy:
         bx = env.beta_of(env.source.presentation.atom_element("x"))
         with pytest.raises(DegreeCapError):
             _ = bx * bx * bx * bx * bx
+
+
+def report_rows(report, field):
+    """Each entry as its JSON form (check, anchor, subject, status and
+    serialized witness) together with the raw witness."""
+    return [(entry_to_json(e, field.render), e.witness) for e in report.entries]
+
+
+DROPPED_RULES = range(0, 105, 7)  # 15 of the 105 rules of the kxy envelope at cap 4
+
+
+def drop_rule(env, k):
+    """The envelope rebuilt by hand from its rules with rule k left out."""
+    envp = env.presentation
+    rules = [(r.lhs, r.rhs_terms) for i, r in enumerate(envp.rules) if i != k]
+    broken = AlgebraPresentation(envp.field, envp.generators, rules, cap=envp.cap,
+                                 check=False, name=f"{envp.name} without rule {k}")
+    return EnvelopePresentation(env.source, env.basis, broken, env.alpha_names, env.beta_names)
+
+
+class TestRelationReport:
+    @pytest.mark.parametrize("fixture", ["z2_env", "kxy_env"])
+    def test_matches_the_mid_product_reference(self, fixture, request):
+        env = request.getfixturevalue(fixture)[-1]
+        field = env.presentation.field
+        report = relation_instance_report(env)
+        assert len(report.entries) == 1 + 9 * (len(env.basis) - 1) ** 2
+        assert report_rows(report, field) == \
+            report_rows(reference_relation_instance_report(env), field)
+
+    @pytest.mark.parametrize("k", DROPPED_RULES)
+    def test_matches_the_reference_with_a_rule_dropped(self, kxy_env, k):
+        *_, env = kxy_env
+        assert len(env.presentation.rules) == 105
+        broken = drop_rule(env, k)
+        report = relation_instance_report(broken)
+        assert report_rows(report, QQ) == \
+            report_rows(reference_relation_instance_report(broken), QQ)
+        assert all(e.witness is not None for e in report.failures())
+
+    def test_dropped_rules_break_every_opposite_law(self, kxy_env):
+        *_, env = kxy_env
+        failed = {e.check for k in DROPPED_RULES
+                  for e in relation_instance_report(drop_rule(env, k)).failures()}
+        assert {"opposite product law", "opposite product law (mirrored)",
+                "opposite commutator", "opposite commutator (mirrored)"} <= failed
+
+    def test_four_envelope_products_per_pair_and_no_tensor_product(self, kxy_env, monkeypatch):
+        *_, env = kxy_env
+        envp = env.presentation
+        calls = {"multiply": 0, "tensor": 0}
+        multiply, tensor_mul = AlgebraPresentation.multiply, TensorElement.__mul__
+
+        def counted_multiply(self, a, b):
+            calls["multiply"] += self is envp
+            return multiply(self, a, b)
+
+        def counted_tensor_mul(self, other):
+            calls["tensor"] += 1
+            return tensor_mul(self, other)
+
+        monkeypatch.setattr(AlgebraPresentation, "multiply", counted_multiply)
+        monkeypatch.setattr(TensorElement, "__mul__", counted_tensor_mul)
+        relation_instance_report(env)
+        assert calls == {"multiply": 4 * (len(env.basis) - 1) ** 2, "tensor": 0}
 
 
 class TestXi:

@@ -111,7 +111,7 @@ class TestOreDataValidation:
         gi = pres.atom_element("g^-1")
         d = q2_data(pres, delta_g=g)
         # 0 = delta(g g^-1) = tau(g) delta(g^-1) + delta(g) g^-1
-        assert d.delta_images["g^-1"] == gi.scale(-HALF)
+        assert d.delta.images["g^-1"] == gi.scale(-HALF)
         d.validate()
 
     def test_sigma_derivation_law_on_basis_pairs(self):
@@ -122,8 +122,8 @@ class TestOreDataValidation:
         d.validate()
         basis = [h4.element({w: ONE}) for w in h4.finite_basis()]
         for a, b in itertools.product(basis, repeat=2):
-            assert d.delta_apply(a * b) == \
-                tau.apply_element(a) * d.delta_apply(b) + d.delta_apply(a) * b
+            assert d.delta.apply(a * b) == \
+                tau.apply_element(a) * d.delta.apply(b) + d.delta.apply(a) * b
 
     def test_tau_not_algebra_map_rejected(self):
         pres, _ = laurent_base()

@@ -78,14 +78,6 @@ def test_degree_cap_is_a_hard_error():
     assert "multiply" in str(exc.value)
 
 
-def test_degree_cap_holds_for_memoized_words():
-    pres = AlgebraPresentation(QQ, [GeneratorSymbol("x")], cap=6, name="free")
-    word = ("x",) * 5
-    assert pres.reduce_terms({word: ONE}) == {word: ONE}
-    with pytest.raises(DegreeCapError):
-        pres.reduce_terms({word: ONE}, cap=3)
-
-
 def test_rule_orientation_must_decrease_order():
     with pytest.raises(InputError, match="degree-lexicographic"):
         AlgebraPresentation(

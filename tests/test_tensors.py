@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from hgalois import QQ, InputError, TensorElement
+from hgalois import QQ, InputError, TensorElement, build_envelope
 from hgalois.tensors import OP, PLAIN
-from conftest import make_h4, make_laurent38
+from conftest import make_h4, make_kxy, make_laurent38
 
 from oracles import naive_tensor_mul
 
@@ -18,10 +18,16 @@ def mid(pres, e):
 
 
 def test_op_twist_on_all_h4_basis_pairs():
+    """mid(u) mid(v) = mid(v u): on all basis pairs of H4, and on the atoms
+    and length-2 atom words of the kxy envelope, where the envelope
+    relation report derives its opposite-product laws from it."""
     h4 = make_h4()
-    basis = [h4.element({w: ONE}) for w in h4.finite_basis()]
-    for a, b in itertools.product(basis, repeat=2):
-        assert mid(h4, a) * mid(h4, b) == mid(h4, b * a)
+    envp = build_envelope(make_kxy()[1], cap=4).presentation
+    words = [(a,) for a in envp.atoms] + list(itertools.product(envp.atoms, repeat=2))
+    for pres, elems in [(h4, [h4.element({w: ONE}) for w in h4.finite_basis()]),
+                        (envp, [envp.element({w: ONE}) for w in words])]:
+        for a, b in itertools.product(elems, repeat=2):
+            assert mid(pres, a) * mid(pres, b) == mid(pres, b * a)
 
 
 def test_tensor_multiply_matches_naive():

@@ -264,8 +264,8 @@ def _derivations(case, field, *, images="bundled", relations=(), cap=None):
         return [(d.delta, partial(reference_delta_word, d), d.tau)]
     d, _ = job.poisson_ore_data()
     pres = d.base.presentation
-    return [(d.alpha, partial(reference_derivation_word, pres, d.alpha_images), None),
-            (d.delta, partial(reference_derivation_word, pres, d.delta_images), None)]
+    return [(d.alpha, partial(reference_derivation_word, pres, d.alpha.images), None),
+            (d.delta, partial(reference_derivation_word, pres, d.delta.images), None)]
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
