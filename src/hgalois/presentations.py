@@ -19,8 +19,9 @@ change once both rules exist, so each rule keeps one row of them, built
 when rules are added: a new rule appends its overlaps (old, new) to every
 existing row and opens a row for (new, every rule).  The new rule has the
 highest index, so reading the rows in order is the product order.  The
-scan is lazy: `complete_rules` stops it at the first unresolved pair,
-while `unresolved_critical_pairs` runs it to the end.
+scan is lazy: `complete_rules` stops it at the first unresolved pair, and
+skips the pairs that it has seen resolve and that no rule added since can
+touch, while `unresolved_critical_pairs` runs it to the end.
 
 A rule keeps its rhs as a term map and holds its presentation only by weak
 reference, so a presentation is freed by reference counting as soon as
@@ -343,7 +344,10 @@ class AlgebraPresentation:
         # for every overlap of r1 with r2, in scan order (module docstring)
         self._overlaps: list[list[tuple]] = []
         self.user_relations: list[tuple[Word, dict]] = []
-        self._rules_by_first: dict[str, list[RewriteRule]] = {}
+        # lhs -> (index, rule) of the first rule with that lhs, and the
+        # sorted lhs lengths: the redex lookup of `_find_redex`
+        self._lhs_index: dict[Word, tuple[int, RewriteRule]] = {}
+        self._lhs_lengths: list[int] = []
         self._basis_cache = None
         self._table_cache = None
         self._nf_cache: dict[Word, dict] = {}
@@ -414,14 +418,22 @@ class AlgebraPresentation:
                     f"reorder generators or reorient the relation"
                 )
         rule = RewriteRule(lhs, rhs)
+        # lhs(r2) overlaps lhs(r1) only if its first atom occurs in lhs(r1)
         for old, row in zip(self.rules, self._overlaps):
-            row.extend(_overlaps(old, rule))
+            if lhs[0] in old.lhs:
+                row.extend(_overlaps(old, rule))
+        self._lhs_index.setdefault(lhs, (len(self.rules), rule))
         self.rules.append(rule)
-        self._overlaps.append([o for other in self.rules for o in _overlaps(rule, other)])
-        self._rules_by_first.setdefault(lhs[0], []).append(rule)
+        self._overlaps.append([o for other in self.rules if other.lhs[0] in lhs
+                               for o in _overlaps(rule, other)])
+        self._lhs_lengths = sorted({*self._lhs_lengths, len(lhs)})
         self._basis_cache = None
         self._table_cache = None
-        self._nf_cache = {}
+        # rules never lengthen words, so the new rule cannot fire while a
+        # shorter word is reduced: those normal forms stay.  A new dict, so
+        # that `WordTable.current` sees the change.
+        n = len(lhs)
+        self._nf_cache = {w: nf for w, nf in self._nf_cache.items() if len(w) < n}
         return rule
 
     def add_rule_data(self, lhs, rhs):
@@ -437,11 +449,20 @@ class AlgebraPresentation:
     # reduction
 
     def _find_redex(self, word: Word):
-        for pos in range(len(word)):
-            for rule in self._rules_by_first.get(word[pos], ()):
-                n = len(rule.lhs)
-                if word[pos:pos + n] == rule.lhs:
-                    return pos, rule
+        """The leftmost position where some lhs occurs, and at it the rule
+        of smallest index: the first hit of a scan of the rules in order at
+        each position."""
+        index, lengths, end = self._lhs_index, self._lhs_lengths, len(word)
+        for pos in range(end):
+            best = None
+            for n in lengths:
+                if pos + n > end:
+                    break
+                hit = index.get(word[pos:pos + n])
+                if hit is not None and (best is None or hit[0] < best[0]):
+                    best = hit
+            if best is not None:
+                return pos, best[1]
         return None
 
     def reduce_terms(self, terms: dict, *, operation="normal_form") -> dict:
@@ -552,18 +573,22 @@ class AlgebraPresentation:
         words of length at most len(l1)+len(l2)-1.  Suffix/prefix overlaps
         longer than the cap are skipped.
         """
-        return list(self._unresolved_pairs())
+        return list(self._unresolved_pairs({}))
 
-    def _unresolved_pairs(self):
-        """Lazy scan behind `unresolved_critical_pairs`, over the overlap rows."""
-        for r1, row in zip(self.rules, self._overlaps):
-            for length, word, pos2, r2 in row:
-                if length > self.cap:
+    def _unresolved_pairs(self, resolved: dict):
+        """Lazy scan behind `unresolved_critical_pairs`, over the overlap rows.
+        Skips the pairs in `resolved` and records there each pair that
+        resolves, as (row, entry) -> length of its overlap word."""
+        for i, (r1, row) in enumerate(zip(self.rules, self._overlaps)):
+            for j, (length, word, pos2, r2) in enumerate(row):
+                if length > self.cap or (i, j) in resolved:
                     continue
                 a = self.reduce_terms(self._one_step(word, 0, r1))
                 b = self.reduce_terms(self._one_step(word, pos2, r2))
                 if a != b:
                     yield word, r1, r2, merge_terms(a, b, operator.sub, self.field.zero)
+                else:
+                    resolved[i, j] = len(word)
 
     def complete_rules(self, *, max_new_rules=500):
         """Bounded completion: orient each unresolved critical-pair difference
@@ -572,10 +597,13 @@ class AlgebraPresentation:
 
         Each round restarts the lazy scan and resolves the first unresolved
         pair in scan order, so the rules added, and their order, are those
-        of a full rescan after every rule; the round that finds no pair is
-        a full scan and proves local confluence.  Later pairs cannot be
-        carried over from one round to the next: before the system is
-        confluent, a pair that resolved may fail once a rule is added.
+        of a full rescan after every rule.  A round skips the pairs that
+        resolved in earlier rounds and are shorter than every rule added
+        since: rules never lengthen words, so a rule whose lhs is longer
+        than a word fires nowhere in that word's reductions and leaves
+        their leftmost redexes as they were, and such a pair resolves again
+        by the same steps.  The round that finds no pair therefore proves
+        local confluence, as a full scan would.
 
         Every added rule is a consequence of the existing ones (the
         difference of two reductions of one word), so the presented algebra
@@ -584,8 +612,9 @@ class AlgebraPresentation:
         `max_new_rules` rules raises `ConfluenceError`, naming the overlap
         still unresolved.
         """
+        resolved: dict = {}
         for added in itertools.count():
-            pair = next(self._unresolved_pairs(), None)
+            pair = next(self._unresolved_pairs(resolved), None)
             if pair is None:
                 return added
             word, r1, r2, diff = pair
@@ -598,6 +627,7 @@ class AlgebraPresentation:
             div, lead_coeff = self.field.div, diff[lead]
             rhs = {w: -div(c, lead_coeff) for w, c in diff.items() if w != lead}
             self._add_rule(lead, rhs)
+            resolved = {k: n for k, n in resolved.items() if n < len(lead)}
 
     def _one_step(self, word: Word, pos: int, rule: RewriteRule) -> dict:
         head, tail = word[:pos], word[pos + len(rule.lhs):]

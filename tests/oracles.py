@@ -308,21 +308,63 @@ def jacobi_verdict_full_basis(p):
     return True
 
 
+def reference_find_redex(rules, word):
+    """(position, rule) of the leftmost redex of `word`, taking at that
+    position the first rule in list order whose lhs starts with the atom
+    there and matches: the scan of the package's original `_find_redex`."""
+    for pos in range(len(word)):
+        for rule in rules:
+            lhs = rule.lhs
+            if lhs[0] == word[pos] and word[pos:pos + len(lhs)] == lhs:
+                return pos, rule
+    return None
+
+
+def reference_reduce_terms(pres, terms, memo):
+    """{word: coeff} normal form under the package's strategy (always rewrite
+    the redex of `reference_find_redex`), with its own word memo `memo`, which
+    the caller must empty whenever a rule is added."""
+    field = pres.field
+
+    def word_nf(word):
+        if word not in memo:
+            hit = reference_find_redex(pres.rules, word)
+            if hit is None:
+                memo[word] = {word: field.one}
+            else:
+                pos, rule = hit
+                head, tail = word[:pos], word[pos + len(rule.lhs):]
+                out = {}
+                for rw, rc in rule.rhs.terms.items():
+                    out = _add_into(out, {w: rc * c for w, c in word_nf(head + rw + tail).items()},
+                                    field)
+                memo[word] = out
+        return memo[word]
+
+    out = {}
+    for w, c in terms.items():
+        out = _add_into(out, {nw: c * nc for nw, nc in word_nf(tuple(w)).items()}, field)
+    return out
+
+
 def reference_unresolved_critical_pairs(pres, *, max_overlap=None):
     """Full scan over every rule pair, copied from the package's original
-    `unresolved_critical_pairs`: the pair order the package must keep."""
+    `unresolved_critical_pairs`: the pair order the package must keep.
+    Reduces through `reference_reduce_terms` with a memo of its own, so it
+    shares neither the package's redex lookup nor its normal-form memo."""
     if max_overlap is None:
         max_lhs = max((len(r.lhs) for r in pres.rules), default=0)
         max_overlap = min(2 * max_lhs, pres.cap)
     bad = []
+    memo = {}
 
     def one_step(word, pos, rule):
         head, tail = word[:pos], word[pos + len(rule.lhs):]
         return {head + rw + tail: rc for rw, rc in rule.rhs.terms.items()}
 
     def compare(word, pos1, r1, pos2, r2):
-        a = pres.reduce_terms(one_step(word, pos1, r1))
-        b = pres.reduce_terms(one_step(word, pos2, r2))
+        a = reference_reduce_terms(pres, one_step(word, pos1, r1), memo)
+        b = reference_reduce_terms(pres, one_step(word, pos2, r2), memo)
         if a != b:
             diff = dict(a)
             for w, c in b.items():
@@ -354,8 +396,10 @@ def reference_unresolved_critical_pairs(pres, *, max_overlap=None):
 
 def reference_complete_rules(pres, *, max_new_rules=500, max_overlap=None):
     """Completion by a full rescan after every new rule, copied from the
-    package's original `complete_rules`.  Its budget check runs one rule
-    late; the comparisons never reach the budget."""
+    package's original `complete_rules`.  Each rescan starts an empty memo
+    (`reference_unresolved_critical_pairs`), so nothing is carried from one
+    rule set to the next.  Its budget check runs one rule late; the
+    comparisons never reach the budget."""
     added = 0
     while True:
         pairs = reference_unresolved_critical_pairs(pres, max_overlap=max_overlap)

@@ -1,7 +1,9 @@
-"""Incremental completion against the full-rescan reference, its budget, and
-the lifetime of presentations and their rules."""
+"""The hashed redex lookup against the linear scan, incremental completion
+against the full-rescan reference, its budget, and the lifetime of
+presentations and their rules."""
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -18,9 +20,18 @@ from hgalois import (
     build_envelope,
     word_str,
 )
+from hgalois.cli import run_commands
+from hgalois.examples import BUILTINS, builtin_job
+from hgalois.jobs import Job
 from conftest import log_canonical_x2y3, make_kxy
 
-from oracles import reference_complete_rules, reference_unresolved_critical_pairs
+from oracles import (
+    naive_word_reduce,
+    reference_complete_rules,
+    reference_find_redex,
+    reference_unresolved_critical_pairs,
+    rule_data,
+)
 
 ONE = QQ.one
 
@@ -61,12 +72,26 @@ def containment():
     )
 
 
+def rescan():
+    """a^2 b = 2ab, b^2 = 2a, ba = -b - a^2 on a < b: the overlap a^2 b^2
+    resolves in the second round and fails in the third, once the shorter
+    rule ab = -b - a^2 has been added."""
+    return AlgebraPresentation(
+        QQ, [GeneratorSymbol("a"), GeneratorSymbol("b")],
+        relations=[(("a", "a", "b"), {("a", "b"): 2}),
+                   (("b", "b"), {("a",): 2}),
+                   (("b", "a"), {("b",): -1, ("a", "a"): -1})],
+        check=False, cap=7, name="rescan",
+    )
+
+
 SEEDS = {
     "kxy_q": lambda mp: envelope_seed(make_kxy(QQ)[1], 4, mp),
     "kxy_gf421": lambda mp: envelope_seed(make_kxy(GF(421))[1], 4, mp),
     "log_canonical_x2y3": lambda mp: envelope_seed(log_canonical_x2y3(QQ), 6, mp),
     "braid_like": lambda mp: braid_like(),
     "containment": lambda mp: containment(),
+    "rescan": lambda mp: rescan(),
 }
 
 
@@ -81,6 +106,118 @@ def test_completion_matches_full_rescan(seed, monkeypatch):
     assert actual.complete_rules() == reference_complete_rules(expected) > 0
     assert rule_list(actual) == rule_list(expected)
     assert actual.unresolved_critical_pairs() == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_memo_left_by_completion_holds_normal_forms(seed, monkeypatch):
+    """The completed system is confluent, so every word has one normal form;
+    each memo entry kept across added rules must be it."""
+    pres = SEEDS[seed](monkeypatch)
+    pres.complete_rules()
+    rules = rule_data(pres)
+    assert pres._nf_cache
+    for word, nf in pres._nf_cache.items():
+        assert nf == naive_word_reduce(rules, word, pres.field), word_str(word)
+
+
+def test_resolved_pair_is_rescanned_after_a_shorter_rule(monkeypatch):
+    """A pair carried from an earlier round goes back to the scan when a
+    rule no longer than its overlap word is added; here it then fails.
+    `test_completion_matches_full_rescan` compares this seed's rule list
+    with the reference."""
+    rounds = []  # (pairs carried into the round, the round's resolved dict)
+    scan = AlgebraPresentation._unresolved_pairs
+
+    def spy(pres, resolved):
+        rounds.append((set(resolved), resolved))
+        return scan(pres, resolved)
+
+    monkeypatch.setattr(AlgebraPresentation, "_unresolved_pairs", spy)
+    pres = rescan()
+    pres.complete_rules()
+    # a^2 b^2, the first overlap of rule 0 with rule 0, resolves in round
+    # 1; the rule added next, ab -> -b - a^2, is shorter, so round 2 scans
+    # the pair again, and it fails there
+    assert rounds[1][1][0, 0] == 4
+    assert pres.rules[4].lhs == ("a", "b")
+    assert (0, 0) not in rounds[2][0] and (0, 0) not in rounds[2][1]
+
+
+def _random_words(pres, rng, count=200):
+    """Words over the atoms of `pres` up to its cap, half of them built
+    around a rule's lhs so that most hold a redex."""
+    top = min(pres.cap, 8)
+    words = []
+    for i in range(count):
+        word = [rng.choice(pres.atoms) for _ in range(rng.randint(0, top))]
+        if i % 2 and pres.rules:
+            lhs = rng.choice(pres.rules).lhs
+            pos = rng.randint(0, len(word))
+            word = (word[:pos] + list(lhs) + word[pos:])[:max(top, len(lhs))]
+        words.append(tuple(word))
+    return words
+
+
+def assert_redex_as_scan(pres, seed=0):
+    rng = random.Random(seed)
+    for word in _random_words(pres, rng):
+        got, want = pres._find_redex(word), reference_find_redex(pres.rules, word)
+        if want is None:
+            assert got is None, word
+        else:
+            assert got[0] == want[0] and got[1] is want[1], word
+
+
+def test_redex_matches_scan_on_bundled_presentations(monkeypatch):
+    made = []
+    init = AlgebraPresentation.__init__
+
+    def record(pres, *args, **kwargs):
+        init(pres, *args, **kwargs)
+        made.append(pres)
+    monkeypatch.setattr(AlgebraPresentation, "__init__", record)
+    for name in BUILTINS:
+        job = Job(builtin_job(name))
+        run_commands(job, job.commands)
+    assert len(made) >= len(BUILTINS)
+    for i, pres in enumerate(made):
+        assert_redex_as_scan(pres, seed=i)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_redex_matches_scan_on_completed_seeds(seed, monkeypatch):
+    pres = SEEDS[seed](monkeypatch)
+    pres.complete_rules()
+    assert_redex_as_scan(pres)
+
+
+def test_redex_prefers_the_smaller_index_over_the_shorter_lhs():
+    """cba (rule 0) and cb (rule 1) both match at 0 in cba: rule 0 wins."""
+    pres = AlgebraPresentation(
+        QQ, [GeneratorSymbol(g) for g in "abc"],
+        relations=[(("c", "b", "a"), {("a",): ONE}), (("c", "b"), {("b",): ONE}),
+                   (("b", "a"), {})],
+        check=False, cap=8, name="lengths",
+    )
+    cba, cb, ba = pres.rules
+    assert pres._find_redex(("a", "c", "b", "a")) == (1, cba)
+    assert pres._find_redex(("c", "b", "b")) == (0, cb)
+    assert pres._find_redex(("a", "b", "a", "c", "b")) == (1, ba)
+    assert_redex_as_scan(pres)
+
+
+def test_redex_of_a_duplicate_lhs_is_its_first_rule():
+    pres = AlgebraPresentation(
+        QQ, [GeneratorSymbol("a"), GeneratorSymbol("b")],
+        relations=[(("b", "a"), {("a",): ONE}), (("b", "a"), {("b",): ONE}),
+                   (("b", "b"), {})],
+        check=False, cap=8, name="duplicate",
+    )
+    first, _, bb = pres.rules
+    assert pres._find_redex(("a", "b", "a")) == (1, first)
+    assert pres._find_redex(("b", "b", "a")) == (0, bb)
+    assert pres.normal_form(("b", "a")).terms == {("a",): ONE}
+    assert_redex_as_scan(pres)
 
 
 @pytest.mark.parametrize("seed", ["kxy_gf421", "braid_like", "containment"])
