@@ -25,7 +25,7 @@ from .hopf_galois import (
     pushforward,
 )
 from .jobs import Job, at, degree_cap, load_job
-from .ore import assemble_ore, build_poisson_ore, check_thm28, check_thm44
+from .ore import assemble_ore, build_poisson_ore, check_thm28, check_thm44, grouplike_inverse
 from .poisson import (
     PoissonHopfGaloisStructure,
     PoissonHopfStructure,
@@ -100,10 +100,11 @@ def _cmd_check_thm28(job):
 def _cmd_ore_extend(job):
     data, g = job.ore_data()
     hg = job.hopf_galois()
-    entries = check_thm28(data, hg, g).entries
+    g_inv = grouplike_inverse("check_thm28", hg, g)
+    entries = check_thm28(data, hg, g, g_inv).entries
     result = None
     if all(e.passed for e in entries):
-        extended = assemble_ore(data, hg, g)
+        extended = assemble_ore(data, hg, g, g_inv)
         entries += check_hopf_galois(extended).entries
         result = {
             "presentation": repr(extended.presentation),

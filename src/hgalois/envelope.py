@@ -322,7 +322,14 @@ class TripleEnvelope:
 def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     """The Lie law of xi, the algebra-map law of the slot-wise map, and the
     two mixed laws tying them together, over all pairs of pure tensors with
-    slots drawn from the sample words (default: unit and generators)."""
+    slots drawn from the sample words (default: unit and generators).
+
+    With x_i = xi(t_i) and a_i = alpha3(t_i), pair (i, j) reads x_i x_j,
+    x_j x_i, a_j x_i and a_i x_j, and pair (j, i) reads the same four, so
+    each is formed once and held from its first use to its second (both at
+    (i, i) on the diagonal).  With x_i a_j, a_i a_j and t_i t_j, a pair
+    forms five tensor products.
+    """
     env = te.envelope
     p = env.source
     pres = p.presentation
@@ -343,20 +350,29 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     report = VerificationReport()
     xi_cache = [te.xi(t) for t in triples]
     a3_cache = [te.alpha3(t) for t in triples]
+    xx, ax = {}, {}  # (k, l) -> x_k x_l, a_k x_l, between their two uses
+
+    def used_twice(held, left, k, l):
+        """left[k] * x_l: formed at its first use, dropped at its second."""
+        product = held.pop((k, l), None)
+        if product is None:
+            product = held[k, l] = left[k] * xi_cache[l]
+        return product
+
     for (i, t1), (j, t2) in itertools.product(enumerate(triples), repeat=2):
         label = f"pair {labels[i]} x {labels[j]}"
         br = triple_bracket(p, t1, t2)
-        x1, x2 = xi_cache[i], xi_cache[j]
-        a1, a2 = a3_cache[i], a3_cache[j]
+        x1, a1, a2 = xi_cache[i], a3_cache[i], a3_cache[j]
 
         report.add_vanishing("xi is a Lie map", ANCHOR_XI_LIE, label,
-                             te.xi(br) - (x1 * x2 - x2 * x1))
-        a2_x1 = a2 * x1  # used by both mixed laws
+                             te.xi(br) - (used_twice(xx, xi_cache, i, j)
+                                          - used_twice(xx, xi_cache, j, i)))
+        a2_x1 = used_twice(ax, a3_cache, j, i)  # used by both mixed laws
         report.add_vanishing("slot-map bracket law", ANCHOR_STEP2_BRACKET, label,
                              te.alpha3(br) - (x1 * a2 - a2_x1))
         prod = t1 * t2
         report.add_vanishing("xi product law", ANCHOR_STEP2_PRODUCT, label,
-                             te.xi(prod) - (a1 * x2 + a2_x1))
+                             te.xi(prod) - (used_twice(ax, a3_cache, i, j) + a2_x1))
         report.add_vanishing("slot map is multiplicative", ANCHOR_ALPHA3_HOM, label,
                              te.alpha3(prod) - a1 * a2)
     return report

@@ -56,8 +56,9 @@ def _check_variable(base: AlgebraPresentation, variable: str) -> str:
     return variable
 
 
-def _grouplike_inverse(caller: str, h: HopfGaloisStructure, g: Element) -> Element:
-    """The inverse of g, which must be group-like for h."""
+def grouplike_inverse(caller: str, h: HopfGaloisStructure, g: Element) -> Element:
+    """The inverse of g, which must be group-like for h; found once per
+    command and handed to the checks and the assembly that need it."""
     glike = is_grouplike(h, g)
     if not glike:
         raise InputError(f"{caller}: g is not group-like ({glike.reason})")
@@ -134,15 +135,18 @@ def build_ore(d: OreData) -> AlgebraPresentation:
     return _adjoin_variable(base, z, relations, commutative=False, cap=d.cap, default="A")
 
 
-def check_thm28(d: OreData, h: HopfGaloisStructure, g: Element) -> VerificationReport:
+def check_thm28(d: OreData, h: HopfGaloisStructure, g: Element,
+                g_inv: Element = None) -> VerificationReport:
     """The three tensor identities that make mu extend over A[z; tau, delta]
-    with mu(z) = z ⊗ 1 ⊗ 1 + g ⊗ g^-1 ⊗ z - g ⊗ g^-1 z ⊗ 1."""
+    with mu(z) = z ⊗ 1 ⊗ 1 + g ⊗ g^-1 ⊗ z - g ⊗ g^-1 z ⊗ 1.  `g_inv`, when
+    given, is the `grouplike_inverse` of g."""
     if h.presentation is not d.base:
         raise InputError("check_thm28: structure and Ore data disagree on the base algebra")
+    if g_inv is None:
+        g_inv = grouplike_inverse("check_thm28", h, g)
     d.validate()
     if d.tau_inverse is None:
         raise InputError("check_thm28: condition (3) needs the inverse of tau; supply it")
-    g_inv = _grouplike_inverse("check_thm28", h, g)
     base = d.base
 
     def conj(e: Element) -> Element:
@@ -191,10 +195,12 @@ def mu_z_tensor(ore_pres, g: Element, g_inv: Element, variable: str) -> TensorEl
             - TensorElement.outer([g_t, gi_t * z_el, one], MU_SIGNATURE))
 
 
-def _mu_extender(caller: str, h: HopfGaloisStructure, g: Element, variable: str):
-    """Check that g is group-like; return the function that extends mu over
-    an extension `ext` by `variable`: h's images transported, plus mu_z_tensor."""
-    g_inv = _grouplike_inverse(caller, h, g)
+def _mu_extender(caller: str, h: HopfGaloisStructure, g: Element, variable: str, g_inv):
+    """The function that extends mu over an extension `ext` by `variable`:
+    h's images transported, plus mu_z_tensor.  Without `g_inv`, checks that
+    g is group-like."""
+    if g_inv is None:
+        g_inv = grouplike_inverse(caller, h, g)
 
     def extend(ext: AlgebraPresentation) -> HopfGaloisStructure:
         images = {atom: img.transport((ext, ext, ext)) for atom, img in h.mu.images.items()}
@@ -203,18 +209,20 @@ def _mu_extender(caller: str, h: HopfGaloisStructure, g: Element, variable: str)
     return extend
 
 
-def assemble_ore(d: OreData, h: HopfGaloisStructure, g: Element) -> HopfGaloisStructure:
+def assemble_ore(d: OreData, h: HopfGaloisStructure, g: Element,
+                 g_inv: Element = None) -> HopfGaloisStructure:
     """A[z; tau, delta] with mu extended by mu(z), for data that passed Thm 2.8."""
-    extend = _mu_extender("assemble_ore", h, g, d.variable)
+    extend = _mu_extender("assemble_ore", h, g, d.variable, g_inv)
     return extend(build_ore(d))
 
 
 def extend_mu_ore(d: OreData, h: HopfGaloisStructure, g: Element) -> HopfGaloisStructure:
     """Build A[z; tau, delta] with the extended structure map; refuses when
     any extension criterion fails."""
-    check_thm28(d, h, g).require(
+    g_inv = grouplike_inverse("check_thm28", h, g)
+    check_thm28(d, h, g, g_inv).require(
         "mu does not extend over the Ore extension: {check} fails for {subject}")
-    return assemble_ore(d, h, g)
+    return assemble_ore(d, h, g, g_inv)
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +304,7 @@ def check_thm44(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
     pres = base.presentation
     if ph.presentation is not pres:
         raise InputError("check_thm44: structure and Ore data disagree on the base algebra")
-    g_inv = _grouplike_inverse("check_thm44", ph.hopf_galois, g)
+    g_inv = grouplike_inverse("check_thm44", ph.hopf_galois, g)
 
     ext = extension_presentation(d)
     trip = (ext, ext, ext)
@@ -346,14 +354,14 @@ def check_thm44(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
                              - base.bracket(g_inv, es) * d.alpha.images[t_atom])
 
     if report.passed:
-        extended = assemble_poisson_ore(d, ph, g)
+        extended = assemble_poisson_ore(d, ph, g, g_inv)
         report.extend(check_poisson_hg(extended))
     return report
 
 
 def assemble_poisson_ore(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
-                         g: Element) -> PoissonHopfGaloisStructure:
+                         g: Element, g_inv: Element = None) -> PoissonHopfGaloisStructure:
     """The extended Poisson Hopf-Galois structure on B[x]."""
-    extend = _mu_extender("assemble_poisson_ore", ph.hopf_galois, g, d.variable)
+    extend = _mu_extender("assemble_poisson_ore", ph.hopf_galois, g, d.variable, g_inv)
     p_ext = build_poisson_ore(d)
     return PoissonHopfGaloisStructure(p_ext, extend(p_ext.presentation))

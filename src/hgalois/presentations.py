@@ -610,7 +610,9 @@ class AlgebraPresentation:
         is unchanged.  Terminates because rules never increase word length
         and there are finitely many words below the cap.  Adding more than
         `max_new_rules` rules raises `ConfluenceError`, naming the overlap
-        still unresolved.
+        still unresolved.  A difference that is a nonzero scalar means that
+        the presented algebra is zero; that raises `InputError`, naming the
+        overlap.
         """
         resolved: dict = {}
         for added in itertools.count():
@@ -624,6 +626,10 @@ class AlgebraPresentation:
                     f"unresolved overlap: {word_str(word)} between [{r1}] and [{r2}]"
                 )
             lead = max(diff, key=self.word_key)
+            if not lead:
+                raise InputError(
+                    f"presentation {self.name or '<anonymous>'} collapses to zero: overlap "
+                    f"{word_str(word)} between [{r1}] and [{r2}] gives {diff[lead]} = 0")
             div, lead_coeff = self.field.div, diff[lead]
             rhs = {w: -div(c, lead_coeff) for w, c in diff.items() if w != lead}
             self._add_rule(lead, rhs)

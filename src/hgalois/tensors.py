@@ -63,26 +63,22 @@ class TensorElement(Terms):
 
     # ------------------------------------------------------------------
     def _normalize(self, raw) -> dict:
-        """Each slot word replaced by its memoized normal form; a term whose
-        slots are all in normal form is kept as it is."""
+        """The nonzero terms of `raw` with their keys checked as k-tuples of
+        words, through `_normal_terms`."""
+        terms = [(tuple(map(tuple, key)), c) for key, c in raw.items() if c]
+        if any(len(key) != len(self.factors) for key, _ in terms):
+            raise InputError("tensor term rank differs from factor count")
+        return self._normal_terms(terms)
+
+    def _normal_terms(self, terms) -> dict:
+        """The one normalisation kernel: the sum of the (key, coeff) pairs
+        `terms`, each key a k-tuple of words and each coeff nonzero, as the
+        outer products of the slots' memoized normal forms (`add_outer`)."""
         out: dict = {}
-        factors = self.factors
-        zero = self.field.zero
-        for key, coeff in raw.items():
-            if not coeff:
-                continue
-            key = tuple(tuple(w) for w in key)
-            if len(key) != len(factors):
-                raise InputError("tensor term rank differs from factor count")
-            nfs = [f._word_nf(w, "normal_form") for f, w in zip(factors, key)]
-            if all(len(nf) == 1 and w in nf for nf, w in zip(nfs, key)):
-                s = out.get(key, zero) + coeff
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-            else:
-                add_outer(out, nfs, coeff, self.field)
+        factors, field = self.factors, self.field
+        for key, coeff in terms:
+            add_outer(out, [f._word_nf(w, "normal_form") for f, w in zip(factors, key)],
+                      coeff, field)
         return out
 
     @classmethod
@@ -140,25 +136,24 @@ class TensorElement(Terms):
     __sub__ = Terms.__sub__
 
     def __mul__(self, other):
-        """Slot-wise product; op slots reverse the operand order."""
+        """Slot-wise product; op slots reverse the operand order.  The term
+        pairs are summed by their concatenated slot words, and the nonzero
+        sums normalised by `_normal_terms`; the cap is checked on those
+        summed words."""
         if not isinstance(other, TensorElement):
             return self.scale(other)
         self._check_same(other)
-        zero = self.field.zero
+        zero, signature = self.field.zero, self.signature
         raw: dict = {}
         for ks, cs in self.terms.items():
             for kt, ct in other.terms.items():
-                words = tuple(
-                    kt[i] + ks[i] if self.signature[i] else ks[i] + kt[i]
-                    for i in range(self.rank)
-                )
-                c = cs * ct
-                s = raw.get(words, zero) + c
-                if s:
-                    raw[words] = s
+                words = tuple(t + s if op else s + t for s, t, op in zip(ks, kt, signature))
+                c = raw.get(words, zero) + cs * ct
+                if c:
+                    raw[words] = c
                 else:
                     raw.pop(words, None)
-        return TensorElement(self.factors, self.signature, raw, self.field)
+        return self._like(self._normal_terms(raw.items()))
 
     # ------------------------------------------------------------------
     def slot_transform(self, i, func):

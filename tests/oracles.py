@@ -548,6 +548,55 @@ def reference_triple_bracket(p, s, t):
     return out
 
 
+def reference_check_lemma55(te, sample_words=None):
+    """The Lemma 5.5 entries of `check_lemma55`, as (check, anchor, subject,
+    passed, witness terms or None) tuples, from the references above: each
+    pair (i, j) forms its six image products x_i x_j, x_j x_i, x_i a_j,
+    a_j x_i, a_i x_j and a_i a_j afresh (x = xi, a = alpha3 of the sample
+    triples), sharing nothing with the pair (j, i)."""
+    env = te.envelope
+    p = env.source
+    pres = p.presentation
+    field = pres.field
+    if sample_words is None:
+        sample_words = [()] + [(a,) for a in pres.atoms]
+    combos = list(itertools.product([tuple(w) for w in sample_words], repeat=3))
+    source = (pres,) * 3
+    triples = [TensorElement(source, MU_SIGNATURE, reference_normalize(source, field, {c: field.one}),
+                             field, normalize=False) for c in combos]
+    labels = ["(" + ",".join(word_str(w) for w in c) + ")" for c in combos]
+
+    def mul(s, t):
+        return reference_tensor_mul(*(TensorElement(te.factors, te.signature, terms, field,
+                                                    normalize=False) for terms in (s, t)))
+
+    xi = [reference_xi(env, t) for t in triples]
+    a3 = [reference_alpha3(env, t) for t in triples]
+    entries = []
+    for (i, t1), (j, t2) in itertools.product(enumerate(triples), repeat=2):
+        br = TensorElement(source, MU_SIGNATURE, reference_triple_bracket(p, t1, t2), field,
+                           normalize=False)
+        prod = TensorElement(source, MU_SIGNATURE, reference_tensor_mul(t1, t2), field,
+                             normalize=False)
+        x1, x2, a1, a2 = xi[i], xi[j], a3[i], a3[j]
+        a2_x1 = mul(a2, x1)
+        laws = [
+            ("xi is a Lie map", "Lemma 5.5(2) Eq (5.6)", reference_xi(env, br),
+             _add_into(mul(x1, x2), mul(x2, x1), field, -1)),
+            ("slot-map bracket law", "Lemma 5.7 step 2 (bracket law)", reference_alpha3(env, br),
+             _add_into(mul(x1, a2), a2_x1, field, -1)),
+            ("xi product law", "Lemma 5.7 step 2 (product law)", reference_xi(env, prod),
+             _add_into(mul(a1, x2), a2_x1, field)),
+            ("slot map is multiplicative", "Lemma 5.5(1)", reference_alpha3(env, prod),
+             mul(a1, a2)),
+        ]
+        for check, anchor, lhs, rhs in laws:
+            diff = _add_into(lhs, rhs, field, -1)
+            entries.append((check, anchor, f"pair {labels[i]} x {labels[j]}", not diff,
+                            diff or None))
+    return entries
+
+
 # ----------------------------------------------------------------------
 # Word-level extensions, copied from the package's original
 # `PoissonStructure.atom_bracket`/`bracket` and `GeneratorMap.apply_word`/

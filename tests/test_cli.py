@@ -433,7 +433,7 @@ def test_ore_job_checks_once(monkeypatch):
     assert summary["status"] == "pass" and "ore-extend" in summary["results"]
     # two maps (tau, tau inverse) and one derivation, checked by one validate
     assert calls == {"OreData": 1, "check_thm28": 2, "check_map_respects_relations": 2,
-                     "check_relations": 1, "is_grouplike": 3}
+                     "check_relations": 1, "is_grouplike": 2}
     assert job.ore_data() is job.ore_data()
     _assert_same_as_fresh_jobs(doc, commands, entries, summary)
 
@@ -441,9 +441,10 @@ def test_ore_job_checks_once(monkeypatch):
 def test_poisson_ore_job_checks_once(monkeypatch):
     """poisson_ore_laurent parses its poisson_ore block and validates its
     data once, and reports what a fresh job per command reports."""
-    calls = {"PoissonOreData": 0, "check_thm44": 0, "check_relations": 0}
+    calls = {"PoissonOreData": 0, "check_thm44": 0, "check_relations": 0, "is_grouplike": 0}
     _count_calls(monkeypatch, calls, jobs, "PoissonOreData")
     _count_calls(monkeypatch, calls, cli, "check_thm44")
+    _count_calls(monkeypatch, calls, ore, "is_grouplike")
     _count_calls(monkeypatch, calls, maps.Derivation, "check_relations")
     doc = builtin_job("poisson_ore_laurent")
     commands = ["check-thm44", "poisson-ore-extend"]
@@ -451,7 +452,8 @@ def test_poisson_ore_job_checks_once(monkeypatch):
     entries, summary = run_commands(job, commands)
     assert summary["status"] == "pass"
     # two derivations (alpha, delta), checked by one validate
-    assert calls == {"PoissonOreData": 1, "check_thm44": 1, "check_relations": 2}
+    assert calls == {"PoissonOreData": 1, "check_thm44": 1, "check_relations": 2,
+                     "is_grouplike": 1}
     assert job.poisson_ore_data() is job.poisson_ore_data()
     _assert_same_as_fresh_jobs(doc, commands, entries, summary)
 

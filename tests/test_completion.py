@@ -243,6 +243,22 @@ def test_completion_budget_is_exact():
         f"after 2 rules; unresolved overlap: {word_str(word)} between [{r1}] and [{r2}]")
 
 
+def test_completion_of_a_zero_algebra_names_the_overlap():
+    """ba = 1 and ab = 0 give b = bab = 0, then a = 0, then 1 = 0: completion
+    stops with an input error (exit 2 on the command line) that names the
+    presentation and the overlap, not with a rule of empty left-hand side."""
+    a, b = GeneratorSymbol("a"), GeneratorSymbol("b")
+    pres = AlgebraPresentation(QQ, [a, b], relations=[(("b", "a"), {(): ONE}),
+                                                      (("a", "b"), {})],
+                               check=False, name="zero")
+    with pytest.raises(InputError) as exc:
+        pres.complete_rules()
+    message = str(exc.value)
+    assert message.startswith("presentation zero collapses to zero: overlap b*a between [")
+    assert message.endswith("gives 1 = 0")
+    assert all(rule.lhs for rule in pres.rules)
+
+
 def test_envelope_presentations_are_freed_without_the_cycle_collector():
     gc.disable()
     try:

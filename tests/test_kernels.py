@@ -1,6 +1,7 @@
 """Property tests of the sparse-accumulate kernels, the term-map arithmetic
-of elements and tensors, and the vanishing-law report entry against plain
-dict arithmetic, over Q and GF(5)."""
+of elements and tensors, the tensor-product kernel, and the vanishing-law
+report entry against plain dict arithmetic or the references in
+oracles.py, over Q and GF(5)."""
 
 import itertools
 import operator
@@ -15,6 +16,7 @@ from hgalois import (
     MU_SIGNATURE,
     QQ,
     AlgebraPresentation,
+    DegreeCapError,
     Element,
     GeneratorSymbol,
     InputError,
@@ -22,6 +24,8 @@ from hgalois import (
 )
 from hgalois.presentations import axpy, linear_terms, merge_terms
 from hgalois.tensors import OP, PLAIN, TensorElement, add_outer
+
+from oracles import reference_tensor_mul
 
 # deterministic, and no example database
 SETTINGS = settings(derandomize=True, database=None, max_examples=150)
@@ -129,6 +133,81 @@ def test_add_outer_cancels_exactly(data):
     add_outer(terms, slots, coeff, field)
     add_outer(terms, slots, -coeff, field)
     assert terms == {}
+
+
+# the quantum plane ba = 2ab cut by a^3 = 0 and b^3 = 0 (confluent), with a
+# cap that two drawn operand words of 3 atoms each overrun by one
+PRODUCT_CAP = 5
+SLOT_WORDS = st.lists(st.sampled_from("ab"), max_size=3).map(tuple)
+PRODUCT_PRES = {
+    field: AlgebraPresentation(
+        field, [GeneratorSymbol("a"), GeneratorSymbol("b")],
+        [(("b", "a"), {("a", "b"): field.of_int(2)}), (("a",) * 3, {}), (("b",) * 3, {})],
+        cap=PRODUCT_CAP)
+    for field in FIELDS.values()}
+
+
+@st.composite
+def product_operands(draw, values, keys, signature):
+    """Two nonempty term maps; optionally a pair of terms of the first and
+    second whose product word is split at other points into one more pair
+    with the negated coefficient, so that the two pairs cancel."""
+    s, t = (draw(st.dictionaries(keys, values, min_size=1, max_size=4)
+                 .map(lambda d: {k: c for k, c in d.items() if c})) for _ in range(2))
+    if s and t and draw(st.booleans()):
+        (ks, cs), (kt, ct) = draw(st.sampled_from(sorted(s.items()))), \
+            draw(st.sampled_from(sorted(t.items())))
+        left, right = [], []
+        for u, v, op in zip(ks, kt, signature):
+            word = v + u if op else u + v
+            cut = draw(st.integers(max(0, len(word) - 3), min(3, len(word))))
+            head, tail = word[:cut], word[cut:]
+            left.append(tail if op else head)
+            right.append(head if op else tail)
+        s[tuple(left)], t[tuple(right)] = cs, -ct
+    return s, t
+
+
+@SETTINGS
+@given(st.data())
+def test_tensor_product_matches_reference(data):
+    """Multi-term tensors of rank 1-3 with op slots, over slot words whose
+    concatenations coincide (and whose sums often cancel) and reach the cap
+    or overrun it: the product is the reference's, and it raises
+    `DegreeCapError` exactly when the reference does, on the same word."""
+    field, values = data.draw(field_and_values())
+    pres = PRODUCT_PRES[field]
+    rank = data.draw(st.integers(1, 3))
+    signature = tuple(data.draw(st.lists(st.sampled_from([PLAIN, OP]),
+                                         min_size=rank, max_size=rank)))
+    s, t = (TensorElement((pres,) * rank, signature, terms, field, normalize=False)
+            for terms in data.draw(product_operands(values, st.tuples(*[SLOT_WORDS] * rank),
+                                                    signature)))
+    try:
+        expected = reference_tensor_mul(s, t)
+    except DegreeCapError as exc:
+        with pytest.raises(DegreeCapError) as fast:
+            s * t
+        assert (fast.value.operation, fast.value.word_length, fast.value.cap) == \
+            (exc.operation, exc.word_length, exc.cap)
+        assert exc.operation == "normal_form" and exc.word_length > exc.cap == PRODUCT_CAP
+    else:
+        product = s * t
+        assert product.terms == expected and all(product.terms.values())
+        assert (product.factors, product.signature, product.field) == \
+            (s.factors, signature, field)
+
+
+def test_tensor_product_cancels_coinciding_pairs():
+    """a * bb and ab * b give the same word with opposite coefficients and
+    cancel; ab * bb reduces to 0 by b^3 = 0; -a * b is what is left."""
+    pres = PRODUCT_PRES[QQ]
+    one = QQ.one
+    s = TensorElement((pres,), (PLAIN,), {(("a",),): one, (("a", "b"),): one},
+                      QQ, normalize=False)
+    t = TensorElement((pres,), (PLAIN,), {(("b", "b"),): one, (("b",),): -one},
+                      QQ, normalize=False)
+    assert (s * t).terms == reference_tensor_mul(s, t) == {(("a", "b"),): -one}
 
 
 PRES = {field: AlgebraPresentation(field, [GeneratorSymbol("a"), GeneratorSymbol("b")])

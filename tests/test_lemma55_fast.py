@@ -1,6 +1,7 @@
 """The Lemma 5.5 fast path against the per-term references in oracles.py:
 xi and alpha3 from cached basis-word images, triple brackets and tensor
-products accumulated in one pass, and memo-backed slot normalisation."""
+products accumulated in one pass, memo-backed slot normalisation, and the
+whole check with each image product formed once per pair of orders."""
 
 import itertools
 
@@ -16,6 +17,7 @@ from hgalois import (
     TensorElement,
     TripleEnvelope,
     build_envelope,
+    check_lemma55,
     triple_bracket,
 )
 from hgalois.envelope import MU_SIGNATURE
@@ -25,6 +27,7 @@ from oracles import (
     reference_alpha3,
     reference_alpha_word,
     reference_beta_word,
+    reference_check_lemma55,
     reference_tensor_mul,
     reference_triple_bracket,
     reference_xi,
@@ -124,3 +127,41 @@ def test_slot_word_over_the_cap_still_raises(case):
     assert fast.value.operation == reference.value.operation == "normal_form"
     assert (fast.value.word_length, fast.value.cap) == \
         (reference.value.word_length, reference.value.cap) == (len(long_word) * 2, envp.cap)
+
+
+def test_check_lemma55_matches_the_reference(case):
+    _, _, te, _ = case
+    entries = [(e.check, e.anchor, e.subject, e.passed, e.witness and e.witness.terms)
+               for e in check_lemma55(te).entries]
+    assert entries == reference_check_lemma55(te)
+
+
+def test_check_lemma55_matches_the_reference_on_failing_laws():
+    """The x2y3 envelope read against the bracket doubled: the two bracket
+    laws fail, and every witness is the reference's."""
+    p = log_canonical_x2y3(QQ)
+    pres = p.presentation
+    env = build_envelope(p, cap=6)
+    env.source = PoissonStructure(pres, {("x", "y"): pres.element({("x", "y"): QQ.parse("4/3")})})
+    te = TripleEnvelope(env)
+    entries = [(e.check, e.anchor, e.subject, e.passed, e.witness and e.witness.terms)
+               for e in check_lemma55(te).entries]
+    assert {e[0] for e in entries if not e[3]} == {"xi is a Lie map", "slot-map bracket law"}
+    assert entries == reference_check_lemma55(te)
+
+
+def test_check_lemma55_forms_five_tensor_products_per_pair(case, monkeypatch):
+    """x_i x_j, x_j x_i, a_j x_i and a_i x_j are read again by the mirrored
+    pair, so with x_i a_j, a_i a_j and t_i t_j a pair forms five products."""
+    _, _, te, triples = case
+    calls = []
+    mul = TensorElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TensorElement, "__mul__", counted)
+    report = check_lemma55(te)
+    assert len(report.entries) == 4 * len(triples) ** 2
+    assert len(calls) == 5 * len(triples) ** 2
