@@ -22,7 +22,6 @@ empty word and b(1) is zero, both forced by the defining laws.
 """
 
 import itertools
-import operator
 from functools import partial
 
 from .errors import InputError
@@ -96,7 +95,7 @@ class EnvelopePresentation:
         if value.presentation is not self.source.presentation:
             raise InputError("element does not belong to the enveloped Poisson algebra")
         return Element(self.presentation, linear_terms(
-            value.terms, partial(self.word_image, images), self.presentation.field.zero))
+            value.terms, partial(self.word_image, images)))
 
     def alpha_of(self, value: Element) -> Element:
         """The algebra-map image; alpha(1) is the unit."""
@@ -158,11 +157,11 @@ def build_envelope(p: PoissonStructure, cap: int = 6) -> EnvelopePresentation:
                               _alpha_words(table[(i, j)], alpha_names)))
             relations.append(((beta_names[i], alpha_names[j]), merge_terms(
                 {(alpha_names[j], beta_names[i]): field.one},
-                _alpha_words(br_of(i, j), alpha_names), operator.add, field.zero)))
+                _alpha_words(br_of(i, j), alpha_names))))
             if i > j:
                 relations.append(((beta_names[i], beta_names[j]), merge_terms(
                     {(beta_names[j], beta_names[i]): field.one},
-                    _beta_words(br_of(i, j), beta_names), operator.add, field.zero)))
+                    _beta_words(br_of(i, j), beta_names))))
 
     relations.extend(_product_relation_rules(
         field, n, table, alpha_names, beta_names))
@@ -198,7 +197,7 @@ def _product_relation_rules(field, n, table, alpha_names, beta_names):
     span is closed under left multiplication by each a_p, and the closure
     is row-reduced with the largest word (degree, then position) as pivot.
     """
-    zero, one = field.zero, field.one
+    one = field.one
     atom_rank = {name: pos for pos, name in enumerate(alpha_names[1:] + beta_names[1:])}
 
     def word_order(word):
@@ -211,14 +210,14 @@ def _product_relation_rules(field, n, table, alpha_names, beta_names):
             m = alpha_names.index(word[0])  # (a_m, b_k)
             return {w + word[1:]: c for w, c in
                     _alpha_words(table[(p_idx, m)], alpha_names).items()}
-        return linear_terms(vec, image, zero)
+        return linear_terms(vec, image)
 
     queue = []
     for i in range(1, n):
         for j in range(i, n):
             vec = _beta_words(table[(i, j)], beta_names)
             for m, k in ((i, j), (j, i)):
-                axpy(vec, {(alpha_names[m], beta_names[k]): one}, -one, zero)
+                axpy(vec, {(alpha_names[m], beta_names[k]): one}, -one)
             queue.append(vec)
 
     echelon = SparseEchelon(word_order, field)
@@ -425,17 +424,16 @@ def check_thm59(ph, env: EnvelopePresentation) -> VerificationReport:
     umu = GeneratorMap(envp, te.factors, te.signature, images, name="U(mu)")
 
     report = check_map_respects_relations(umu, anchor=ANCHOR_UMU)
-    a, b, image = env.alpha_images, env.beta_images, env.word_image
+    a, b, image, product = env.alpha_images, env.beta_images, env.word_image, envp.multiply_terms
 
     def fold(words):
         """alpha(w1) beta(w2) alpha(w3) for a term w1 ⊗ w2 ⊗ w3 of mu(a)."""
         w1, w2, w3 = words
-        return (Element(envp, image(a, w1)) * Element(envp, image(b, w2))
-                * Element(envp, image(a, w3))).terms
+        return product(product(image(a, w1), image(b, w2)), image(a, w3))
 
     for i in range(len(env.basis)):
         a_elem = env.basis_element(i)
-        folded = linear_terms(ph.mu.apply(a_elem).terms, fold, envp.field.zero)
+        folded = linear_terms(ph.mu.apply(a_elem).terms, fold)
         report.add_vanishing("condition (5.17)", ANCHOR_5_17,
                              f"basis element {word_str(env.basis[i])}",
                              env.beta_of(a_elem) + Element(envp, folded))

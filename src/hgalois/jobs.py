@@ -194,7 +194,7 @@ class Job:
                 k = tuple(parse_word(w, f"{tpath}.factors[{j}]", *slot)
                           for j, (w, slot) in enumerate(zip(factors, slots)))
             c = self.coeff(term.get("coeff", "1"), f"{tpath}.coeff")
-            terms[k] = terms.get(k, self.field.zero) + c
+            terms[k] = terms[k] + c if k in terms else c
         return terms
 
     def element(self, pres, data, path) -> Element:

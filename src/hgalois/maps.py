@@ -93,7 +93,7 @@ class GeneratorMap:
         if isinstance(value, Element):
             if value.presentation is not self.source:
                 raise InputError(f"{self.name}: element from a different presentation")
-            out = linear_terms(value.terms, lambda w: self.apply_word(w).terms, self.field.zero)
+            out = linear_terms(value.terms, lambda w: self.apply_word(w).terms)
             return TensorElement(self.targets, self.signature, out, self.field, normalize=False)
         return self.apply_word(self.source.validate_word(value))
 
@@ -190,8 +190,7 @@ class Derivation:
         pres = self.presentation
         if value.presentation is not pres:
             raise InputError(f"{self.label}: element from a different presentation")
-        return Element(pres, linear_terms(value.terms, lambda w: self.apply_word(w).terms,
-                                          pres.field.zero))
+        return Element(pres, linear_terms(value.terms, lambda w: self.apply_word(w).terms))
 
     def check_relations(self):
         """Raise InputError unless D of the raw left-hand word of every rule

@@ -10,13 +10,14 @@ check the given data instead of silently repairing it.  The name of the
 adjoined variable is checked when the data is built.  `validate` runs its
 checks once: its success flag is kept in a `WordTable` of the base, so it
 returns at once until the base gains a rule (invalid data raises on every
-call).  One path adjoins the variable for both kinds of extension, one
-extends mu for `assemble_ore` and `assemble_poisson_ore` (mu's images
-transported, plus mu(z) or mu(x)), and one guard finds the inverse of g.
+call).  The Poisson Ore extension B[x] is kept beside that flag, so the
+Thm 4.4 check and the assembly share one build.  One path adjoins the
+variable for both kinds of extension, one extends mu for `assemble_ore`
+and `assemble_poisson_ore` (mu's images transported, plus mu(z) or
+mu(x)), and one guard finds the inverse of g.
 """
 
 import itertools
-import operator
 from functools import partial
 
 from .errors import InputError
@@ -130,7 +131,7 @@ def build_ore(d: OreData) -> AlgebraPresentation:
     for atom in base.atoms:
         tau_a = d.tau.apply_element(base.atom_element(atom))
         rhs = merge_terms({w + (z,): c for w, c in tau_a.terms.items()},
-                          d.delta.images[atom].terms, operator.add, base.field.zero)
+                          d.delta.images[atom].terms)
         relations.append(((z, atom), rhs))
     return _adjoin_variable(base, z, relations, commutative=False, cap=d.cap, default="A")
 
@@ -240,13 +241,14 @@ class PoissonOreData:
         self.cap = cap
         self.alpha = Derivation(base.presentation, alpha, "alpha")
         self.delta = Derivation(base.presentation, delta, "delta")
-        self._checked = WordTable([base.presentation])  # as for `OreData`
+        # "valid" after a successful validate, "ext" once B[x] is built
+        self._memo = WordTable([base.presentation])
 
     def validate(self):
         """Check well-definedness against the base relations, that alpha is
         a Poisson derivation, and the twisted Lie rule for delta."""
-        checked = self._checked.current()  # the flag as of the rules the checks read
-        if checked:
+        memo = self._memo.current()  # the flag as of the rules the checks read
+        if "valid" in memo:
             return
         pres = self.base.presentation
         p = self.base
@@ -266,7 +268,14 @@ class PoissonOreData:
                      - self.delta.apply(es) * self.alpha.apply(et))
             if d_lhs != d_rhs:
                 raise InputError(f"delta fails the twisted Lie rule on pair ({s},{t})")
-        checked["valid"] = True
+        memo["valid"] = True
+
+    def extension(self) -> AlgebraPresentation:
+        """B[x] (`extension_presentation`), built once per base rule set."""
+        memo = self._memo.current()
+        if "ext" not in memo:
+            memo["ext"] = extension_presentation(self)
+        return memo["ext"]
 
 
 def extension_presentation(d: PoissonOreData) -> AlgebraPresentation:
@@ -280,7 +289,7 @@ def build_poisson_ore(d: PoissonOreData) -> PoissonStructure:
     """B[x] with bracket table extended by {x, b} = alpha(b) x + delta(b)."""
     d.validate()
     pres = d.base.presentation
-    ext = extension_presentation(d)
+    ext = d.extension()
     x_el = ext.atom_element(d.variable)
     table = {pair: transport_element(value, ext) for pair, value in d.base.table.items()}
     for gen in pres.generators:
@@ -306,7 +315,7 @@ def check_thm44(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
         raise InputError("check_thm44: structure and Ore data disagree on the base algebra")
     g_inv = grouplike_inverse("check_thm44", ph.hopf_galois, g)
 
-    ext = extension_presentation(d)
+    ext = d.extension()
     trip = (ext, ext, ext)
     x_el = ext.atom_element(d.variable)
 

@@ -19,7 +19,6 @@ Hopf-Galois or Hopf structure.
 """
 
 import itertools
-import operator
 
 from .errors import InputError
 from .hopf_galois import (
@@ -129,7 +128,7 @@ class PoissonStructure:
         """The normal form of left * a + w * right, for words a and w."""
         pres = self.presentation
         raw = merge_terms({x + a: c for x, c in left.items()},
-                          {w + y: c for y, c in right.items()}, operator.add, pres.field.zero)
+                          {w + y: c for y, c in right.items()})
         return pres.reduce_terms(raw, operation="multiply")
 
     def bracket_terms(self, a: dict, b: dict) -> dict:
@@ -137,14 +136,13 @@ class PoissonStructure:
         ca * cb * {u, v} over their terms, {u, v} read from the word-pair
         table (filled on first use)."""
         memo = self._word_brackets.current()
-        zero = self.presentation.field.zero
         out: dict = {}
         for wa, ca in a.items():
             for wb, cb in b.items():
                 pair = memo.get((wa, wb))
                 if pair is None:
                     pair = self._word_bracket(wa, wb)
-                axpy(out, pair, ca * cb, zero)
+                axpy(out, pair, ca * cb)
         return out
 
     def bracket(self, a: Element, b: Element) -> Element:
@@ -187,28 +185,23 @@ def check_poisson(p: PoissonStructure) -> VerificationReport:
     return report
 
 
-def _slot_nf(pres, word) -> Element:
-    """The normal form of a tensor slot word, read from the presentation's
-    memo under its degree cap."""
-    return Element(pres, pres._word_nf(word, "normal_form"))
-
-
 def _slotwise_bracket(structures, signs, s: TensorElement, t: TensorElement) -> TensorElement:
     """The bracket of s and t taken slot by slot: for each pair of terms, the
     sum over slots i of signs[i] times the slot products with slot i
     replaced by the bracket of structures[i].  The factors of s and t are the
-    presentations of the structures."""
+    presentations of the structures; each slot word is read as its
+    memoised normal form under the degree cap."""
     field = s.field
     out: dict = {}
     for k1, c1 in s.terms.items():
-        e1 = list(map(_slot_nf, s.factors, k1))
+        e1 = [f._word_nf(w, "normal_form") for f, w in zip(s.factors, k1)]
         for k2, c2 in t.terms.items():
-            e2 = list(map(_slot_nf, t.factors, k2))
+            e2 = [f._word_nf(w, "normal_form") for f, w in zip(t.factors, k2)]
             coeff = c1 * c2
-            products = [(a * b).terms for a, b in zip(e1, e2)]
+            products = [f.multiply_terms(a, b) for f, a, b in zip(s.factors, e1, e2)]
             for i, p in enumerate(structures):
                 factors = products.copy()
-                factors[i] = p.bracket_terms(e1[i].terms, e2[i].terms)
+                factors[i] = p.bracket_terms(e1[i], e2[i])
                 add_outer(out, factors, coeff if signs[i] > 0 else -coeff, field)
     return TensorElement(s.factors, s.signature, out, field, normalize=False)
 

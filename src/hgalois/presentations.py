@@ -67,13 +67,13 @@ def word_to_tokens(word: Word) -> list[str]:
     return tokens
 
 
-def merge_terms(terms: dict, other: dict, op, zero) -> dict:
+def merge_terms(terms: dict, other: dict, op=operator.add) -> dict:
     """A copy of `terms` with each coefficient c of `other` combined in as
-    op(terms[w], c) (op is `operator.add` or `operator.sub`); zero sums are
-    dropped."""
+    op(terms[w], c) (op is `operator.add` or `operator.sub`); a missing
+    key takes c or -c, and zero sums are dropped."""
     out = dict(terms)
     for w, c in other.items():
-        s = op(out.get(w, zero), c)
+        s = op(out[w], c) if w in out else (c if op is operator.add else -c)
         if s:
             out[w] = s
         else:
@@ -81,22 +81,22 @@ def merge_terms(terms: dict, other: dict, op, zero) -> dict:
     return out
 
 
-def axpy(dst: dict, src: dict, scale, zero) -> None:
+def axpy(dst: dict, src: dict, scale) -> None:
     """dst += src * scale in place, each coefficient multiplied as c * scale;
-    zero sums are dropped."""
+    a missing key takes the product itself, and zero sums are dropped."""
     for w, c in src.items():
-        s = dst.get(w, zero) + c * scale
+        s = dst[w] + c * scale if w in dst else c * scale
         if s:
             dst[w] = s
         else:
             dst.pop(w, None)
 
 
-def linear_terms(terms: dict, image, zero) -> dict:
+def linear_terms(terms: dict, image) -> dict:
     """The new term map sum of c * image(k) over the terms k: c (a linear extension)."""
     out: dict = {}
     for k, c in terms.items():
-        axpy(out, image(k), c, zero)
+        axpy(out, image(k), c)
     return out
 
 
@@ -120,23 +120,22 @@ class SparseEchelon:
 
     def reduce(self, vec: dict):
         """(remainder, its lead), or (empty map, None) when vec reduces to zero."""
-        zero = self.field.zero
         vec = {k: c for k, c in vec.items() if c}
         while vec:
             lead = max(vec, key=self.order)
             row = self.rows.get(lead)
             if row is None:
                 return vec, lead
-            axpy(vec, row, -vec[lead], zero)
+            axpy(vec, row, -vec[lead])
         return vec, None
 
     def insert(self, vec: dict, lead) -> dict:
         """Add a remainder of `reduce` as a row; returns the monic row."""
-        div, zero, pivot = self.field.div, self.field.zero, vec[lead]
+        div, pivot = self.field.div, vec[lead]
         monic = {k: div(c, pivot) for k, c in vec.items()}
         for row in self.rows.values():
             if lead in row:
-                axpy(row, monic, -row[lead], zero)
+                axpy(row, monic, -row[lead])
         self.rows[lead] = monic
         return monic
 
@@ -224,7 +223,7 @@ class Terms:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_same(other)
-        return self._like(merge_terms(self.terms, other.terms, op, self.field.zero))
+        return self._like(merge_terms(self.terms, other.terms, op))
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -437,10 +436,10 @@ class AlgebraPresentation:
         return rule
 
     def add_rule_data(self, lhs, rhs):
-        """Add a rule; rhs is a dict {word: coeff} with already-exact coefficients."""
+        """Add a rule; rhs is a dict {word: exact coeff}, whose zero terms are dropped."""
         if isinstance(rhs, Element):
             rhs = rhs.terms
-        terms = {tuple(w): c for w, c in rhs.items()}
+        terms = {tuple(w): c for w, c in rhs.items() if c}
         rule = self._add_rule(tuple(lhs), terms)
         self.user_relations.append((rule.lhs, terms))
         return rule
@@ -474,11 +473,10 @@ class AlgebraPresentation:
         does not excuse a word longer than the cap.  Single-word normal
         forms are memoized.
         """
-        zero = self.field.zero
         out: dict = {}
         for w, c in terms.items():
             if c:
-                axpy(out, self._word_nf(tuple(w), operation), c, zero)
+                axpy(out, self._word_nf(tuple(w), operation), c)
         return out
 
     def _word_nf(self, word: Word, operation) -> dict:
@@ -489,12 +487,11 @@ class AlgebraPresentation:
             return cached
         out: dict = {}
         stack = [(word, self.field.one)]
-        zero = self.field.zero
         while stack:
             w, coeff = stack.pop()
             cached = self._nf_cache.get(w)
             if cached is not None:
-                axpy(out, cached, coeff, zero)
+                axpy(out, cached, coeff)
                 continue
             hit = self._find_redex(w)
             if hit is None:
@@ -524,18 +521,21 @@ class AlgebraPresentation:
     def multiply(self, a: Element, b: Element) -> Element:
         if a.presentation is not self or b.presentation is not self:
             raise InputError("multiply: elements from different presentations")
-        zero = self.field.zero
+        return Element(self, self.multiply_terms(a.terms, b.terms))
+
+    def multiply_terms(self, a: dict, b: dict) -> dict:
+        """The normal form of the product of two term maps of this
+        presentation, under the "multiply" cap label."""
         raw: dict = {}
-        for wa, ca in a.terms.items():
-            for wb, cb in b.terms.items():
+        for wa, ca in a.items():
+            for wb, cb in b.items():
                 w = wa + wb
-                c = ca * cb
-                s = raw.get(w, zero) + c
+                s = raw[w] + ca * cb if w in raw else ca * cb
                 if s:
                     raw[w] = s
                 else:
                     raw.pop(w, None)
-        return Element(self, self.reduce_terms(raw, operation="multiply"))
+        return self.reduce_terms(raw, operation="multiply")
 
     # ------------------------------------------------------------------
     # element constructors
@@ -586,7 +586,7 @@ class AlgebraPresentation:
                 a = self.reduce_terms(self._one_step(word, 0, r1))
                 b = self.reduce_terms(self._one_step(word, pos2, r2))
                 if a != b:
-                    yield word, r1, r2, merge_terms(a, b, operator.sub, self.field.zero)
+                    yield word, r1, r2, merge_terms(a, b, operator.sub)
                 else:
                     resolved[i, j] = len(word)
 

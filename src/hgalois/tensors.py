@@ -25,9 +25,10 @@ OP = True
 
 def add_outer(terms: dict, slots, coeff, field) -> None:
     """terms += coeff * (s_1 ⊗ ... ⊗ s_k) for slot term maps s_i, in one
-    pass; zero sums are dropped.  Factors that are the field's shared one
-    (the coefficient of a word that is its own normal form) are skipped."""
-    one, zero = field.one, field.zero
+    pass; a missing key takes the product itself, and zero sums are
+    dropped.  Factors that are the field's shared one (the coefficient of
+    a word that is its own normal form) are skipped."""
+    one = field.one
     for combo in itertools.product(*(slot.items() for slot in slots)):
         c = coeff
         for _, f in combo:
@@ -36,7 +37,7 @@ def add_outer(terms: dict, slots, coeff, field) -> None:
         if not c:
             continue
         words = tuple(w for w, _ in combo)
-        s = terms.get(words, zero) + c
+        s = terms[words] + c if words in terms else c
         if s:
             terms[words] = s
         else:
@@ -143,12 +144,12 @@ class TensorElement(Terms):
         if not isinstance(other, TensorElement):
             return self.scale(other)
         self._check_same(other)
-        zero, signature = self.field.zero, self.signature
+        signature = self.signature
         raw: dict = {}
         for ks, cs in self.terms.items():
             for kt, ct in other.terms.items():
                 words = tuple(t + s if op else s + t for s, t, op in zip(ks, kt, signature))
-                c = raw.get(words, zero) + cs * ct
+                c = raw[words] + cs * ct if words in raw else cs * ct
                 if c:
                     raw[words] = c
                 else:
@@ -161,8 +162,7 @@ class TensorElement(Terms):
         pres = self.factors[i]
         raw = linear_terms(self.terms, lambda key: {
             key[:i] + (w,) + key[i + 1:]: c
-            for w, c in func(Element(pres, {key[i]: pres.field.one})).terms.items()},
-            self.field.zero)
+            for w, c in func(Element(pres, {key[i]: pres.field.one})).terms.items()})
         return TensorElement(self.factors, self.signature, raw, self.field)
 
     def expand_slot(self, i, gmap):
@@ -183,8 +183,7 @@ class TensorElement(Terms):
             new_sig = self.signature[:i] + gmap.signature + self.signature[i + 1:]
             new_factors = self.factors[:i] + gmap.targets + self.factors[i + 1:]
         raw = linear_terms(self.terms, lambda key: {
-            key[:i] + sub + key[i + 1:]: c for sub, c in gmap.apply_word(key[i]).terms.items()},
-            self.field.zero)
+            key[:i] + sub + key[i + 1:]: c for sub, c in gmap.apply_word(key[i]).terms.items()})
         return TensorElement(new_factors, new_sig, raw, self.field)
 
     def fold_adjacent(self, i):
@@ -198,7 +197,7 @@ class TensorElement(Terms):
         new_sig = self.signature[:i] + (PLAIN,) + self.signature[i + 2:]
         one = self.field.one
         raw = linear_terms(self.terms, lambda key: {
-            key[:i] + (key[i] + key[i + 1],) + key[i + 2:]: one}, self.field.zero)
+            key[:i] + (key[i] + key[i + 1],) + key[i + 2:]: one})
         return TensorElement(new_factors, new_sig, raw, self.field)
 
     def fold_all(self) -> Element:
@@ -211,8 +210,7 @@ class TensorElement(Terms):
             if p is not pres:
                 raise InputError("fold_all: slots over different presentations")
         one = self.field.one
-        raw = linear_terms(self.terms, lambda key: {tuple(a for w in key for a in w): one},
-                           self.field.zero)
+        raw = linear_terms(self.terms, lambda key: {tuple(a for w in key for a in w): one})
         return pres.normal_form(Element(pres, raw))
 
     def reversed_slots(self):

@@ -83,6 +83,28 @@ def test_failing_job_exits_one_with_witness(tmp_path):
     assert any(e.get("witness") and e["witness"]["terms"] for e in failing)
 
 
+# right-hand sides of x^2 in sweedler_h4 that are zero with a zero term
+ZERO_X2_RHS = {
+    "0*g*x^2": [{"coeff": "0", "word": ["g", "x", "x"]}],
+    "g-g": [{"coeff": "1", "word": ["g"]}, {"coeff": "-1", "word": ["g"]}],
+}
+
+
+@pytest.mark.parametrize("rhs", sorted(ZERO_X2_RHS))
+def test_zero_terms_of_a_relation_are_dropped(rhs, tmp_path):
+    """x^2 = 0*g*x^2 and x^2 = g - g are the relation x^2 = 0: no order
+    error for the zero term and no zero coefficient in the rule, so the
+    report is the bundled one, byte for byte."""
+    doc = builtin_job("sweedler_h4")
+    doc["presentation"]["relations"][1]["rhs"] = ZERO_X2_RHS[rhs]
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    reports = [tmp_path / "bundled.json", tmp_path / "zero_rhs.json"]
+    assert run_cli("run", "--builtin", "sweedler_h4", "--report", str(reports[0])) == 0
+    assert run_cli("run", "--input", str(job), "--report", str(reports[1])) == 0
+    assert reports[1].read_bytes() == reports[0].read_bytes()
+
+
 def test_mutating_each_summand_fails(tmp_path):
     for index in range(3):
         doc = builtin_job("sweedler_h4")
@@ -439,21 +461,25 @@ def test_ore_job_checks_once(monkeypatch):
 
 
 def test_poisson_ore_job_checks_once(monkeypatch):
-    """poisson_ore_laurent parses its poisson_ore block and validates its
-    data once, and reports what a fresh job per command reports."""
-    calls = {"PoissonOreData": 0, "check_thm44": 0, "check_relations": 0, "is_grouplike": 0}
+    """poisson_ore_laurent parses its poisson_ore block, validates its
+    data and builds B[x] once, and reports what a fresh job per command
+    reports."""
+    calls = {"PoissonOreData": 0, "check_thm44": 0, "check_relations": 0, "is_grouplike": 0,
+             "extension_presentation": 0}
     _count_calls(monkeypatch, calls, jobs, "PoissonOreData")
     _count_calls(monkeypatch, calls, cli, "check_thm44")
-    _count_calls(monkeypatch, calls, ore, "is_grouplike")
+    for name in ("is_grouplike", "extension_presentation"):
+        _count_calls(monkeypatch, calls, ore, name)
     _count_calls(monkeypatch, calls, maps.Derivation, "check_relations")
     doc = builtin_job("poisson_ore_laurent")
     commands = ["check-thm44", "poisson-ore-extend"]
     job = Job(doc)
     entries, summary = run_commands(job, commands)
     assert summary["status"] == "pass"
-    # two derivations (alpha, delta), checked by one validate
+    # two derivations (alpha, delta), checked by one validate; B[x] is read
+    # by check-thm44, its assembly and poisson-ore-extend
     assert calls == {"PoissonOreData": 1, "check_thm44": 1, "check_relations": 2,
-                     "is_grouplike": 1}
+                     "is_grouplike": 1, "extension_presentation": 1}
     assert job.poisson_ore_data() is job.poisson_ore_data()
     _assert_same_as_fresh_jobs(doc, commands, entries, summary)
 

@@ -1,7 +1,8 @@
-"""Every coefficient the package stores or reports is exact: over Q a plain
-`int` or a `Fraction`, over GF(p) an `FpElement`, and never a float or a
-bool.  Each bundled job, and two failing variants of `sweedler_h4` that
-carry witnesses, runs over Q and over GF(5) while every presentation,
+"""Every coefficient the package stores or reports is exact and nonzero:
+over Q a plain `int` or a `Fraction`, over GF(p) an `FpElement`, and never
+a float, a bool or a zero.  Each bundled job, two failing variants of
+`sweedler_h4` that carry witnesses, and one that writes x^2 = 0 with a
+zero term, runs over Q and over GF(5) while every presentation,
 sparse echelon and report entry it makes is recorded; then the normal-form
 memos, the rules, the echelon rows, the witnesses, the inverses computed
 and every element or tensor reachable from the job's parsed structures are
@@ -31,6 +32,17 @@ JOBS = {name: lambda name=name: builtin_job(name) for name in BUILTINS}
 JOBS["sweedler_h4 without a summand"] = lambda: _mutant(lambda terms: terms.pop(2))
 JOBS["sweedler_h4 with a coefficient 1/3"] = lambda: _mutant(
     lambda terms: terms[1].update(coeff="1/3"))
+
+
+def _zero_rhs():
+    doc = builtin_job("sweedler_h4")
+    doc["presentation"]["relations"][1]["rhs"] = [{"coeff": "1", "word": ["g"]},
+                                                  {"coeff": "-1", "word": ["g"]}]
+    return doc
+
+
+PASSING = set(BUILTINS) | {"sweedler_h4 with x^2 = g - g"}
+JOBS["sweedler_h4 with x^2 = g - g"] = _zero_rhs
 
 
 def _recorded(monkeypatch, owner, name, seen, *, returned=False):
@@ -102,7 +114,7 @@ def test_every_coefficient_is_exact(name, field, monkeypatch):
     assert presentations and found
     if summary["status"] == "fail":
         assert any(entry.witness for entry in entries)
-    assert summary["status"] == ("pass" if name in BUILTINS else "fail")
+    assert summary["status"] == ("pass" if name in PASSING else "fail")
     if any(c in ("build-envelope", "check-lemma55") for c in job.commands):
         assert echelons  # the envelope's product-relation echelon was walked
-    assert [(where, c) for where, c in found if type(c) not in kinds] == []
+    assert [(where, c) for where, c in found if type(c) not in kinds or not c] == []

@@ -73,7 +73,7 @@ def test_axpy_matches_naive(data):
     dst, src = data.draw(term_maps(values)), data.draw(term_maps(values))
     scale = data.draw(values | st.just(field.zero) | st.just(-field.one))
     expected = naive_add(field, (field.one, dst), (scale, src))
-    axpy(dst, src, scale, field.zero)
+    axpy(dst, src, scale)
     assert dst == expected
     assert all(dst.values())
 
@@ -84,7 +84,7 @@ def test_axpy_cancels_exactly(data):
     field, values = data.draw(field_and_values())
     terms = data.draw(term_maps(values))
     dst = dict(terms)
-    axpy(dst, terms, -field.one, field.zero)
+    axpy(dst, terms, -field.one)
     assert dst == {}
 
 
@@ -95,11 +95,28 @@ def test_merge_terms_matches_naive(data, op):
     a, b = data.draw(term_maps(values)), data.draw(term_maps(values))
     a_before, b_before = dict(a), dict(b)
     sign = field.one if op is operator.add else -field.one
-    out = merge_terms(a, b, op, field.zero)
+    out = merge_terms(a, b, op)
     assert out == naive_add(field, (field.one, a), (sign, b))
     assert all(out.values())
     assert (a, b) == (a_before, b_before)  # a copy, not in place
-    assert merge_terms(a, a, operator.sub, field.zero) == {}
+    assert merge_terms(a, a, operator.sub) == {}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_missing_keys_take_the_added_coefficient(name):
+    """A key the destination lacks takes the added coefficient (negated for
+    a difference), and a zero one is not stored."""
+    field = FIELDS[name]
+    two, zero = field.of_int(2), field.zero
+    assert merge_terms({}, {("a",): two, ("b",): zero}) == {("a",): two}
+    assert merge_terms({}, {("a",): two, ("b",): zero}, operator.sub) == {("a",): -two}
+    dst = {}
+    axpy(dst, {("a",): two, ("b",): two}, zero)
+    axpy(dst, {("a",): two, ("b",): zero}, two)
+    assert dst == {("a",): two * two}
+    terms = {}
+    add_outer(terms, [{("a",): two, ("b",): zero}], two, field)
+    assert terms == {(("a",),): two * two}
 
 
 @SETTINGS
@@ -241,7 +258,7 @@ def test_linear_terms_matches_naive(data):
     field, values = data.draw(field_and_values())
     terms = data.draw(term_maps(values))
     images = {k: data.draw(term_maps(values)) for k in terms}
-    out = linear_terms(terms, images.__getitem__, field.zero)
+    out = linear_terms(terms, images.__getitem__)
     assert out == naive_add(field, *((c, images[k]) for k, c in terms.items()))
     assert all(out.values())
 
