@@ -128,20 +128,8 @@ def build_envelope(p: PoissonStructure, cap: int = 6) -> EnvelopePresentation:
     n = len(basis)
     if basis[0] != ():
         raise InputError("basis does not contain the unit word")
-    index = {w: i for i, w in enumerate(basis)}
     table = pres.multiplication_table()
-    bracket_vec = {}
-    for i, j in itertools.combinations(range(1, n), 2):
-        br = p.bracket(Element(pres, {basis[i]: field.one}),
-                       Element(pres, {basis[j]: field.one}))
-        bracket_vec[(i, j)] = pres.coeff_vector(br, index)
-
-    def br_of(i, j):
-        if i == j:
-            return {}
-        if i < j:
-            return bracket_vec[(i, j)]
-        return {k: -c for k, c in bracket_vec[(j, i)].items()}
+    elems = [Element(pres, {w: field.one}) for w in basis]
 
     labels = [_basis_label(w) for w in basis]
     if len(set(labels)) != n:
@@ -149,27 +137,23 @@ def build_envelope(p: PoissonStructure, cap: int = 6) -> EnvelopePresentation:
     alpha_names = [None] + [f"a[{labels[i]}]" for i in range(1, n)]
     beta_names = [None] + [f"b[{labels[i]}]" for i in range(1, n)]
     generators = [GeneratorSymbol(name) for name in alpha_names[1:] + beta_names[1:]]
+    env_pres = AlgebraPresentation(field, generators, cap=cap, check=False,
+                                   name=f"U({pres.name or 'A'})")
 
-    relations = []
+    add = env_pres.add_rule_data
     for i in range(1, n):
         for j in range(1, n):
-            relations.append(((alpha_names[i], alpha_names[j]),
-                              _alpha_words(table[(i, j)], alpha_names)))
-            relations.append(((beta_names[i], alpha_names[j]), merge_terms(
-                {(alpha_names[j], beta_names[i]): field.one},
-                _alpha_words(br_of(i, j), alpha_names))))
+            br = pres.coeff_vector(p.bracket(elems[i], elems[j]))
+            add((alpha_names[i], alpha_names[j]), _alpha_words(table[(i, j)], alpha_names))
+            add((beta_names[i], alpha_names[j]), merge_terms(
+                {(alpha_names[j], beta_names[i]): field.one}, _alpha_words(br, alpha_names)))
             if i > j:
-                relations.append(((beta_names[i], beta_names[j]), merge_terms(
-                    {(beta_names[j], beta_names[i]): field.one},
-                    _beta_words(br_of(i, j), beta_names))))
+                add((beta_names[i], beta_names[j]), merge_terms(
+                    {(beta_names[j], beta_names[i]): field.one}, _beta_words(br, beta_names)))
+    for lhs, rhs in _product_relation_rules(field, env_pres.word_key, n, table,
+                                            alpha_names, beta_names):
+        add(lhs, rhs)
 
-    relations.extend(_product_relation_rules(
-        field, n, table, alpha_names, beta_names))
-
-    env_pres = AlgebraPresentation(
-        field, generators, relations, commutative=False, cap=cap,
-        check=False, name=f"U({pres.name or 'A'})",
-    )
     # the seeded rules generate the right algebra but may miss oriented
     # consequences in higher beta-degree; complete_rules derives them
     env_pres.complete_rules()
@@ -190,18 +174,15 @@ def _beta_words(vec, beta_names) -> dict:
     return {(beta_names[k],): c for k, c in vec.items() if k}
 
 
-def _product_relation_rules(field, n, table, alpha_names, beta_names):
+def _product_relation_rules(field, word_order, n, table, alpha_names, beta_names):
     """Echelonized consequences of beta(a_i a_j) = a_i b_j + a_j b_i.
 
     Relation vectors live in the span of the words b_k and a_m b_k; the
     span is closed under left multiplication by each a_p, and the closure
-    is row-reduced with the largest word (degree, then position) as pivot.
+    is row-reduced with the largest word under `word_order` (the
+    envelope's deg-lex key) as pivot.
     """
     one = field.one
-    atom_rank = {name: pos for pos, name in enumerate(alpha_names[1:] + beta_names[1:])}
-
-    def word_order(word):
-        return (len(word), tuple(atom_rank[a] for a in word))
 
     def left_mult(p_idx, vec):
         def image(word):

@@ -14,18 +14,22 @@ class CharacteristicError(InputError):
 
 
 class DegreeCapError(HgError):
-    """A normal-form computation hit the configured degree cap.
+    """A normal-form computation hit the configured degree cap; `word` is
+    the offending word.
 
     Raised instead of truncating: a silent cut-off would turn failed
     identities into fake passes.
     """
 
-    def __init__(self, operation, word_length, cap):
+    def __init__(self, operation, word, cap):
+        from .presentations import word_str  # presentations imports this module
+
         self.operation = operation
-        self.word_length = word_length
+        self.word = word
+        self.word_length = len(word)
         self.cap = cap
         super().__init__(
-            f"{operation}: word of length {word_length} exceeds degree cap {cap}"
+            f"{operation}: word {word_str(word)} of length {len(word)} exceeds degree cap {cap}"
         )
 
 

@@ -8,9 +8,32 @@ There is no floating point anywhere, so equality of elements is decidable
 and exact.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
+
+# an optional sign, ASCII digits, and an optional "/" and ASCII digits,
+# with blanks allowed around the whole text only
+_COEFF_RE = re.compile(r"[ \t]*([+-]?[0-9]+)(?:/([0-9]+))?[ \t]*")
+
+
+def parse_coefficient(field, text: str):
+    """The coefficient that `text` spells in `field`, by the one grammar of
+    both fields: `field.of_int` of the numerator, `field.div` by the
+    denominator when there is one."""
+    m = _COEFF_RE.fullmatch(text)
+    try:
+        if m is None:
+            raise ValueError("expected an optional sign, digits and an optional /digits")
+        num, den = m.groups()
+        value = field.of_int(int(num))
+        return value if den is None else field.div(value, field.of_int(int(den)))
+    except ValueError as exc:  # the grammar, or more digits than int() converts
+        reason = exc
+    except ZeroDivisionError:
+        reason = "the denominator is zero"
+    raise InputError(f"cannot parse coefficient {text!r} over {field.name}: {reason}")
 
 
 class Rationals:
@@ -44,12 +67,7 @@ class Rationals:
         q = Fraction(a, b)
         return q.numerator if q.denominator == 1 else q
 
-    def parse(self, text: str):
-        try:
-            q = Fraction(str(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse rational coefficient {text!r}: {exc}")
-        return q.numerator if q.denominator == 1 else q
+    parse = parse_coefficient
 
     def render(self, value) -> str:
         return str(value)
@@ -199,14 +217,7 @@ class PrimeField:
         """a / b in GF(p); `ZeroDivisionError` when b is zero."""
         return a / b
 
-    def parse(self, text: str):
-        text = str(text).strip()
-        num, slash, den = text.partition("/")
-        try:
-            value = self.of_int(int(num))
-            return self.div(value, self.of_int(int(den))) if slash else value
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse coefficient {text!r} over {self.name}: {exc}")
+    parse = parse_coefficient
 
     def render(self, value) -> str:
         return str(value.v)

@@ -143,7 +143,7 @@ def pushforward(h: HopfGaloisStructure, f: GeneratorMap, section: dict) -> HopfG
         t = h.mu.apply(lift)
         for slot in range(3):
             t = t.expand_slot(slot, f)
-        images[atom] = TensorElement(t.factors, MU_SIGNATURE, t.terms, t.field, normalize=False)
+        images[atom] = t
     missing = [g.name for g in target.generators if g.name not in images]
     if missing:
         raise InputError(f"pushforward: section does not cover generator {missing[0]!r}")

@@ -23,7 +23,7 @@ from .hopf_galois import (
 from .maps import GeneratorMap
 from .ore import OreData, PoissonOreData
 from .poisson import PoissonStructure
-from .presentations import AlgebraPresentation, Element, GeneratorSymbol
+from .presentations import AlgebraPresentation, Element, GeneratorSymbol, inverse_atom
 from .tensors import PLAIN, TensorElement
 
 _TOKEN_RE = re.compile(r"^([^\^\*\s]+?)(?:\^(-?\d+))?$")
@@ -95,8 +95,9 @@ class at:
 
 def parse_word(tokens, path: str, cap: int, atoms) -> tuple:
     """The atoms of a word, an array of string tokens "a" or "a^n", each
-    checked against `atoms`.  An exponent whose expansion is longer than the
-    degree cap is rejected before the word is built."""
+    checked against `atoms` whatever its exponent ("a^0" too).  An exponent
+    whose expansion is longer than the degree cap is rejected before the
+    word is built."""
     word = ()
     for i, token in enumerate(json_typed(tokens, list, path)):
         tpath = f"{path}[{i}]"
@@ -111,8 +112,8 @@ def parse_word(tokens, path: str, cap: int, atoms) -> tuple:
         if n is None or abs(n) > cap:
             raise JobError(tpath, f"token {token!r} expands to more atoms than the "
                                   f"degree cap {cap}")
-        atom = name if n >= 0 else name + "^-1"
-        if n and atom not in atoms:
+        atom = name if n >= 0 else inverse_atom(name)
+        if atom not in atoms:
             raise JobError(tpath, f"unknown atom {atom!r}")
         word += (atom,) * abs(n)
     return word
@@ -233,7 +234,7 @@ class Job:
         if not gens:
             raise JobError(f"{path}.generators", "at least one generator is required")
         cap = self.block_cap(block, self.cap, path)
-        slot = (cap, {g.name for g in gens} | {g.name + "^-1" for g in gens if g.invertible})
+        slot = (cap, {g.name for g in gens} | {inverse_atom(g.name) for g in gens if g.invertible})
         relations = []
         for i, rel in enumerate(get(block, "relations", list, path, [])):
             rpath = f"{path}.relations[{i}]"

@@ -19,14 +19,12 @@ from .tensors import OP, PLAIN, TensorElement
 
 
 class GeneratorMap:
-    def __init__(self, source, targets, signature, images, *, field=None, name="map"):
+    def __init__(self, source, targets, signature, images, *, name="map"):
         self.source = source
         self.targets = tuple(targets)
         self.signature = tuple(bool(s) for s in signature)
         self.name = name
-        self.field = field if field is not None else (
-            self.targets[0].field if self.targets else source.field
-        )
+        self.field = self.targets[0].field if self.targets else source.field
         if len(self.targets) != len(self.signature):
             raise InputError(f"{name}: signature length differs from target count")
 
@@ -112,7 +110,7 @@ class GeneratorMap:
                 images.pop(inverse_atom(gen.name), None)
         images.update(replacements)
         return GeneratorMap(self.source, self.targets, self.signature, images,
-                            field=self.field, name=name or self.name)
+                            name=name or self.name)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -131,7 +129,7 @@ class GeneratorMap:
             atom: TensorElement.scalar_value(field, value)
             for atom, value in images.items()
         }
-        return cls(source, (), (), tensor_images, field=field, name=name)
+        return cls(source, (), (), tensor_images, name=name)
 
     @classmethod
     def identity(cls, pres, *, name="id"):

@@ -124,10 +124,7 @@ def build_ore(d: OreData) -> AlgebraPresentation:
     relations = list(base.user_relations)
     if base.commutative:
         # regenerated here because the extension itself is noncommutative
-        for s, t in itertools.combinations(base.atoms, 2):
-            if base.generator_of(s) is base.generator_of(t):
-                continue
-            relations.append(((t, s), {(s, t): base.field.one}))
+        relations.extend(base.commutation_rules())
     for atom in base.atoms:
         tau_a = d.tau.apply_element(base.atom_element(atom))
         rhs = merge_terms({w + (z,): c for w, c in tau_a.terms.items()},

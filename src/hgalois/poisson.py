@@ -6,10 +6,10 @@ Brackets against a formal inverse are forced, never user data:
 
     {a, g^-1} = -g^-2 {a, g}
 
-which follows from 0 = {a, g^-1 g}.  Atom brackets and the bracket {u, v}
-of each pair of words are computed once and kept in word tables until the
-presentation gains a rule.  A word pair is split at a last letter by the
-Leibniz rules  {w a, v} = {w, v} a + w {a, v}  and
+which follows from 0 = {a, g^-1 g}.  The bracket {u, v} of each pair of
+words, atoms included, is computed once and kept in one word-pair table
+until the presentation gains a rule.  A word pair is split at a last
+letter by the Leibniz rules  {w a, v} = {w, v} a + w {a, v}  and
 {a, w b} = {a, w} b + w {a, b},  each smaller bracket read from the table;
 the bracket of two elements sums their coefficient products times the
 tabled word brackets.  The module also provides the induced
@@ -29,7 +29,7 @@ from .hopf_galois import (
     pushforward,
 )
 from .maps import GeneratorMap, check_map_respects_relations
-from .presentations import Element, WordTable, axpy, merge_terms
+from .presentations import Element, WordTable, axpy, inverse_atom, merge_terms
 from .reports import VerificationReport
 from .tensors import TensorElement, add_outer
 
@@ -78,34 +78,31 @@ class PoissonStructure:
             if (a, b) in self.table and self.table[(a, b)] != value:
                 raise InputError(f"conflicting bracket values for pair ({a},{b})")
             self.table[(a, b)] = presentation.normal_form(value)
-        self._atom_brackets = WordTable([presentation])
         self._word_brackets = WordTable([presentation])
 
     # ------------------------------------------------------------------
     def atom_bracket(self, s: str, t: str) -> Element:
-        """{s, t} for atoms, memoized per ordered pair."""
-        memo = self._atom_brackets.current()
-        value = memo.get((s, t))
-        if value is None:
-            value = memo[(s, t)] = self._forced_atom_bracket(s, t)
-        return value
+        """{s, t} for atoms, read from the word-pair table."""
+        return Element(self.presentation, self._word_bracket((s,), (t,)))
 
-    def _forced_atom_bracket(self, s: str, t: str) -> Element:
+    def _forced_atom_bracket(self, s: str, t: str) -> dict:
+        """{s, t} for atoms as a term map: the table value, or the value
+        forced by antisymmetry or by {a, g^-1} = -g^-2 {a, g}."""
         pres = self.presentation
         if s == t:
-            return pres.zero()
+            return {}
         if pres.atom_key(s) > pres.atom_key(t):
-            return -self.atom_bracket(t, s)
+            return {w: -c for w, c in self._word_bracket((t,), (s,)).items()}
         # now s < t in atom order; an inverse atom sorts after its generator
         if pres.atom_key(t)[1]:
-            base = t[:-3]
-            inv_sq = pres.element({(t, t): pres.field.one})
-            return pres.normal_form(-(inv_sq * self.atom_bracket(s, base)))
-        if pres.atom_key(s)[1]:
-            base = s[:-3]
-            inv_sq = pres.element({(s, s): pres.field.one})
-            return pres.normal_form(-(inv_sq * self.atom_bracket(base, t)))
-        return self.table.get((s, t), pres.zero())
+            inv, inner = t, self._word_bracket((s,), (inverse_atom(t),))
+        elif pres.atom_key(s)[1]:
+            inv, inner = s, self._word_bracket((inverse_atom(s),), (t,))
+        else:
+            value = self.table.get((s, t))
+            return {} if value is None else value.terms
+        inv_sq = pres.reduce_terms({(inv, inv): pres.field.one})
+        return {w: -c for w, c in pres.multiply_terms(inv_sq, inner).items()}
 
     def _word_bracket(self, u, v) -> dict:
         """{u, v} for words as a term map, filled into the word-pair table by
@@ -120,7 +117,7 @@ class PoissonStructure:
                 w, b = v[:-1], v[-1:]
                 out = self._leibniz(self._word_bracket(u, w), b, w, self._word_bracket(u, b))
             else:
-                out = self.atom_bracket(u[0], v[0]).terms if u and v else {}
+                out = self._forced_atom_bracket(u[0], v[0]) if u and v else {}
             memo[(u, v)] = out
         return out
 
@@ -153,9 +150,6 @@ class PoissonStructure:
                 raise InputError("bracket: elements must belong to the Poisson algebra")
         return Element(pres, self.bracket_terms(a.terms, b.terms))
 
-    def atoms(self):
-        return list(self.presentation.atoms)
-
     def __repr__(self):
         entries = ", ".join(
             f"{{{a},{b}}}={v}" for (a, b), v in sorted(self.table.items())
@@ -171,7 +165,7 @@ def check_poisson(p: PoissonStructure) -> VerificationReport:
     bad = pres.is_commutative_on_atoms()
     report.add("commutative presentation", ANCHOR_POISSON, "all atom pairs",
                not bad, None if not bad else f"{bad[0][0]} and {bad[0][1]} do not commute")
-    atoms = p.atoms()
+    atoms = pres.atoms
     elems = {a: pres.atom_element(a) for a in atoms}
     for s, t in itertools.combinations(atoms, 2):
         report.add_vanishing("antisymmetry", ANCHOR_POISSON, f"pair ({s},{t})",
@@ -263,7 +257,7 @@ def check_poisson_hg(ph: PoissonHopfGaloisStructure) -> VerificationReport:
     pres = ph.presentation
     p = ph.poisson
     report = VerificationReport()
-    atoms = p.atoms()
+    atoms = pres.atoms
     for s, t in itertools.combinations(atoms, 2):
         es, et = pres.atom_element(s), pres.atom_element(t)
         lhs = ph.mu.apply(p.bracket(es, et))
@@ -279,7 +273,7 @@ def check_poisson_hopf(ph: PoissonHopfStructure) -> VerificationReport:
     pres = ph.presentation
     p, hs = ph.poisson, ph.hopf
     report = VerificationReport()
-    for s, t in itertools.combinations(p.atoms(), 2):
+    for s, t in itertools.combinations(pres.atoms, 2):
         es, et = pres.atom_element(s), pres.atom_element(t)
         br = p.bracket(es, et)
         subject = f"pair ({s},{t})"
@@ -309,7 +303,7 @@ def poisson_hopf_from_phg(ph: PoissonHopfGaloisStructure, alpha: GeneratorMap) -
         raise InputError("alpha must be a scalar-valued map on the algebra")
     check_map_respects_relations(alpha, anchor=ANCHOR_PROP_37_1).require(
         "alpha is not an algebra map; fails on {subject}")
-    for s, t in itertools.combinations(p.atoms(), 2):
+    for s, t in itertools.combinations(pres.atoms, 2):
         value = alpha.apply_scalar(p.bracket(pres.atom_element(s), pres.atom_element(t)))
         if value:
             raise InputError(
@@ -331,7 +325,7 @@ def poisson_pushforward(ph: PoissonHopfGaloisStructure, f: GeneratorMap,
             raise InputError("ideal generators must be elements of the source algebra")
         if f.apply_element(u):
             raise InputError(f"ideal generator {u} does not map to zero under f")
-        for atom in p.atoms():
+        for atom in pres.atoms:
             br = p.bracket(pres.atom_element(atom), u)
             if f.apply_element(br):
                 raise InputError(

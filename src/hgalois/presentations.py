@@ -347,7 +347,7 @@ class AlgebraPresentation:
         # sorted lhs lengths: the redex lookup of `_find_redex`
         self._lhs_index: dict[Word, tuple[int, RewriteRule]] = {}
         self._lhs_lengths: list[int] = []
-        self._basis_cache = None
+        self._basis_cache = self._basis_index = None
         self._table_cache = None
         self._nf_cache: dict[Word, dict] = {}
 
@@ -357,10 +357,8 @@ class AlgebraPresentation:
                 self._add_rule((g.name, inv), {(): field.one})
                 self._add_rule((inv, g.name), {(): field.one})
         if commutative:
-            for s, t in itertools.combinations(self.atoms, 2):
-                if self.generator_of(s) is self.generator_of(t):
-                    continue  # cancellation already orients same-generator pairs
-                self._add_rule((t, s), {(s, t): field.one})
+            for lhs, rhs in self.commutation_rules():
+                self._add_rule(lhs, rhs)
         for lhs, rhs in relations:
             self.add_rule_data(lhs, rhs)
 
@@ -402,6 +400,13 @@ class AlgebraPresentation:
     # ------------------------------------------------------------------
     # rules
 
+    def commutation_rules(self) -> list:
+        """The rules  t s -> s t  for every pair of atoms s < t of distinct
+        generators; cancellation already orients same-generator pairs."""
+        one = self.field.one
+        return [((t, s), {(s, t): one}) for s, t in itertools.combinations(self.atoms, 2)
+                if self.generator_of(s) is not self.generator_of(t)]
+
     def _add_rule(self, lhs: Word, rhs_terms: dict):
         lhs = self.validate_word(lhs)
         if not lhs:
@@ -426,7 +431,7 @@ class AlgebraPresentation:
         self._overlaps.append([o for other in self.rules if other.lhs[0] in lhs
                                for o in _overlaps(rule, other)])
         self._lhs_lengths = sorted({*self._lhs_lengths, len(lhs)})
-        self._basis_cache = None
+        self._basis_cache = self._basis_index = None
         self._table_cache = None
         # rules never lengthen words, so the new rule cannot fire while a
         # shorter word is reduced: those normal forms stay.  A new dict, so
@@ -481,7 +486,7 @@ class AlgebraPresentation:
 
     def _word_nf(self, word: Word, operation) -> dict:
         if len(word) > self.cap:
-            raise DegreeCapError(operation, len(word), self.cap)
+            raise DegreeCapError(operation, word, self.cap)
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
@@ -669,18 +674,19 @@ class AlgebraPresentation:
                         if len(seen) > MAX_BASIS_SIZE:
                             return None
         self._basis_cache = sorted(seen, key=self.word_key)
+        self._basis_index = {w: i for i, w in enumerate(self._basis_cache)}
         return self._basis_cache
 
     def basis_index(self) -> dict:
-        basis = self.finite_basis()
-        if basis is None:
+        """{word: its position in `finite_basis()`}, kept beside the basis."""
+        if self.finite_basis() is None:
             raise InputError(
                 f"presentation {self.name or '<anonymous>'} has no finite basis at cap {self.cap}"
             )
-        return {w: i for i, w in enumerate(basis)}
+        return self._basis_index
 
-    def coeff_vector(self, element: Element, index=None) -> dict:
-        index = index or self.basis_index()
+    def coeff_vector(self, element: Element) -> dict:
+        index = self.basis_index()
         vec = {}
         for w, c in element.terms.items():
             if w not in index:
@@ -695,7 +701,7 @@ class AlgebraPresentation:
         basis = self.finite_basis()
         if basis is None:
             raise InputError("multiplication table requires a finite basis")
-        index = {w: i for i, w in enumerate(basis)}
+        index = self._basis_index
         table = {}
         for i, wi in enumerate(basis):
             for j, wj in enumerate(basis):
@@ -722,7 +728,6 @@ class AlgebraPresentation:
         basis = self.finite_basis()
         if basis is None:
             return None
-        index = {w: i for i, w in enumerate(basis)}
         one = self.field.one
         # row v: the coordinates (1, i) of element * basis[v], plus the tag
         # coordinate (0, v), ordered below every basis word, that records
@@ -731,11 +736,11 @@ class AlgebraPresentation:
         echelon = SparseEchelon(None, self.field)
         for v, word in enumerate(basis):
             prod = self.multiply(element, Element(self, {word: one}))
-            row = {(1, i): c for i, c in self.coeff_vector(prod, index).items()}
+            row = {(1, i): c for i, c in self.coeff_vector(prod).items()}
             row[(0, v)] = one
             echelon.insert(*echelon.reduce(row))
         # 1 - sum y_v * row_v with no basis coordinate left is -y in the tags
-        rest, lead = echelon.reduce({(1, index[()]): one})
+        rest, lead = echelon.reduce({(1, self._basis_index[()]): one})
         if lead[0] == 1:
             return None
         candidate = Element(self, {basis[v]: -c for (_, v), c in rest.items()})

@@ -746,7 +746,7 @@ def reference_invert(pres, element):
         return None
     index = {w: i for i, w in enumerate(basis)}
     n = len(basis)
-    cols = [pres.coeff_vector(element * pres.element({w: pres.field.one}), index)
+    cols = [pres.coeff_vector(element * pres.element({w: pres.field.one}))
             for w in basis]
     solution = reference_solve_columns(pres.field, n, cols, {index[()]: pres.field.one})
     if solution is None:

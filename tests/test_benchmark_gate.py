@@ -1,0 +1,35 @@
+"""Every seed-1 document of the benchmark workloads passes the benchmark's
+correctness gate: its verdict, its check count and its failing checks are
+the known answers, and a bundled job's report has its golden hash.  The
+workload generator and the gate are loaded from `perfbench/`, read only."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from hgalois.cli import render_json, run_commands
+from hgalois.jobs import Job
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gate, workloads = _load("gate"), _load("workloads")
+
+
+@pytest.mark.parametrize("workload", ["many_small", "lemma55", "completion"])
+def test_seed_one_documents_pass_the_gate(workload):
+    checker = gate.Gate()
+    problems = []
+    for position, doc in enumerate(workloads.generate(workload, 1)):
+        entries, summary = run_commands(Job(doc), doc["commands"])
+        problems += checker.check(position, doc["name"], render_json(entries, summary),
+                                  entries, summary)
+    assert problems == []

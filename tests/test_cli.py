@@ -494,8 +494,10 @@ def test_failed_parse_is_not_cached():
             job.poisson()
 
 
-# caps below 1, coefficients that are not strings, and cap or confluence
-# errors raised inside a block or a command: each names its field or command
+# caps below 1, coefficients that are not strings, unknown atoms at
+# exponent 0 (a^0 is the empty word only for an atom a of the presentation),
+# and cap or confluence errors raised inside a block or a command: each
+# names its field or command
 BAD_VALUES = [
     ("kxy_truncated", ("envelope", "cap"), -3,
      "kxy_truncated.envelope.cap: a degree cap must be at least 1, got -3"),
@@ -506,10 +508,14 @@ BAD_VALUES = [
      "sweedler_h4.mu.g[0].coeff: expected a string, got None"),
     ("sweedler_h4", ("hopf", "counit", "g"), 1,
      "sweedler_h4.hopf.counit.g: expected a string, got 1"),
+    ("sweedler_h4", ("presentation", "relations", 0, "rhs", 0, "word"), ["zzz^0"],
+     "sweedler_h4.presentation.relations[0].rhs[0].word[0]: unknown atom 'zzz'"),
+    ("sweedler_h4", ("mu", "g", 0, "factors", 0), ["qq^0", "g"],
+     "sweedler_h4.mu.g[0].factors[0][0]: unknown atom 'qq'"),
     ("sweedler_h4", ("presentation", "cap"), 1,
-     "sweedler_h4.mu.x: normal_form: word of length 2 exceeds degree cap 1"),
+     "sweedler_h4.mu.x: normal_form: word g*x of length 2 exceeds degree cap 1"),
     ("ore_q2_laurent", ("ore", "cap"), 1,
-     "ore_q2_laurent [ore-extend]: multiply: word of length 2 exceeds degree cap 1"),
+     "ore_q2_laurent [ore-extend]: multiply: word g^-1*z of length 2 exceeds degree cap 1"),
 ]
 
 
@@ -578,8 +584,8 @@ def test_cap_error_keeps_its_class_and_attributes():
     for _ in range(2):  # a failed parse keeps nothing, and fails the same way again
         with pytest.raises(DegreeCapError) as err:
             job.hopf_galois()
-        assert (err.value.operation, err.value.word_length, err.value.cap) == (
-            "normal_form", 2, 1)
+        assert (err.value.operation, err.value.word, err.value.word_length, err.value.cap) == (
+            "normal_form", ("g", "x"), 2, 1)
         assert err.value.path == "sweedler_h4.mu.x"
-        assert str(err.value) == "sweedler_h4.mu.x: normal_form: word of length 2 exceeds " \
+        assert str(err.value) == "sweedler_h4.mu.x: normal_form: word g*x of length 2 exceeds " \
                                  "degree cap 1"

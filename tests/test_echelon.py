@@ -96,6 +96,6 @@ def test_seed_rules_match_reference(source, field):
     env = build_envelope(p)
     args = (field, len(env.basis), p.presentation.multiplication_table(),
             env.alpha_names, env.beta_names)
-    got = _product_relation_rules(*args)
+    got = _product_relation_rules(args[0], env.presentation.word_key, *args[1:])
     assert got == reference_product_relation_rules(*args)
     assert all(all(rhs.values()) for _, rhs in got)  # no zero coefficient stored

@@ -86,6 +86,31 @@ def test_prime_field_zero_denominator_rejected(p, text):
         GF(p).parse(text)
 
 
+GRAMMAR_PROBES = {
+    # an optional sign, ASCII digits, an optional /digits, blanks around the whole text
+    "3": True, "+4": True, "-6/4": True, " 3/2\t": True, "007/010": True,
+    "0.5": False, "1e3": False, "3/-2": False, " 3 / 14 ": False, "1_000": False,
+    "٣": False, "١/٢": False, "": False, "/2": False, "3/": False,
+    "--3": False, "½": False, "3\n": False,
+}
+
+
+@pytest.mark.parametrize("text", sorted(GRAMMAR_PROBES))
+def test_both_fields_parse_one_grammar(text):
+    for field in (QQ, GF(7)):
+        if GRAMMAR_PROBES[text]:
+            assert field.parse(text) == field.div(*map(field.of_int, _quotient(text)))
+        else:
+            with pytest.raises(InputError) as err:
+                field.parse(text)
+            assert str(err.value).startswith(f"cannot parse coefficient {text!r} over {field.name}: ")
+
+
+def _quotient(text):
+    num, _, den = text.strip().partition("/")
+    return int(num), int(den or 1)
+
+
 def test_zero_denominator_in_a_job_names_the_coefficient():
     doc = builtin_job("sweedler_h4")
     doc["field"] = {"prime": 5}

@@ -138,6 +138,27 @@ def test_invert_solves_over_basis():
     assert kz4.invert(h) == h * h * h
 
 
+def test_basis_index_and_its_readers_follow_a_new_rule():
+    # k<x>/(x^3), then x^2 -> 0 shrinks the basis 1, x, x^2 to 1, x
+    pres = AlgebraPresentation(QQ, [GeneratorSymbol("x")], [(("x",) * 3, {})], name="x3")
+    x = pres.atom_element("x")
+    x2 = x * x
+    assert pres.basis_index() == {(): 0, ("x",): 1, ("x", "x"): 2}
+    assert pres.coeff_vector(x2 - x) == {1: -1, 2: 1}
+    assert pres.multiplication_table()[(1, 1)] == {2: 1}
+    assert pres.invert(pres.one() + x) == pres.one() - x + x2
+
+    pres.add_rule_data(("x", "x"), {})
+    assert pres.finite_basis() == [(), ("x",)]
+    assert pres.basis_index() == {(): 0, ("x",): 1}
+    assert pres.coeff_vector(pres.one() - x) == {0: 1, 1: -1}
+    with pytest.raises(InputError, match="not a basis word"):
+        pres.coeff_vector(x2)  # reduced under the old rules
+    assert pres.multiplication_table() == {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                           (1, 0): {1: 1}, (1, 1): {}}
+    assert pres.invert(pres.one() + x) == pres.one() - x
+
+
 def test_invert_syntactic_for_laurent_monomials():
     pres, _, _ = make_laurent38()
     g = pres.atom_element("g")
