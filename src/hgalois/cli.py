@@ -46,38 +46,24 @@ def _bracket_json(p, render) -> list:
             for (a, b), v in sorted(p.table.items())]
 
 
-def _cmd_check_hopf_galois(job):
-    return check_hopf_galois(job.hopf_galois()).entries, None
-
-
-def _cmd_check_poisson(job):
-    return check_poisson(job.poisson()).entries, None
-
-
-def _cmd_check_poisson_hg(job):
-    ph = PoissonHopfGaloisStructure(job.poisson(), job.hopf_galois())
-    return check_poisson_hg(ph).entries, None
-
-
-def _cmd_check_poisson_hopf(job):
-    ph = PoissonHopfStructure(job.poisson(), job.hopf())
-    return check_poisson_hopf(ph).entries, None
+def _poisson_hg(job) -> PoissonHopfGaloisStructure:
+    """The job's Poisson bracket and Hopf-Galois structure map, read in that order."""
+    return PoissonHopfGaloisStructure(job.poisson(), job.hopf_galois())
 
 
 def _cmd_convert_hopf_to_galois(job):
     hs = job.hopf()
-    entries = check_hopf(hs).entries
-    result = None
-    if all(e.passed for e in entries):
+    report, result = check_hopf(hs), None
+    if report.passed:
         hg = hopf_to_galois(hs)
-        entries += check_hopf_galois(hg).entries
+        report.extend(check_hopf_galois(hg))
         result = {"mu": _mu_json(hg, job.field.render)}
-    return entries, result
+    return report, result
 
 
 def _cmd_convert_galois_to_hopf(job):
     hs = galois_to_hopf(job.hopf_galois(), job.alpha_map())
-    entries = check_hopf(hs).entries
+    report = check_hopf(hs)
     render = job.field.render
     result = {
         "comultiplication": {
@@ -89,45 +75,43 @@ def _cmd_convert_galois_to_hopf(job):
             for atom, img in sorted(hs.antipode.images.items())
         },
     }
-    return entries, result
+    return report, result
 
 
 def _cmd_check_thm28(job):
     data, g = job.ore_data()
-    return check_thm28(data, job.hopf_galois(), g).entries, None
+    return check_thm28(data, job.hopf_galois(), g), None
 
 
 def _cmd_ore_extend(job):
     data, g = job.ore_data()
     hg = job.hopf_galois()
     g_inv = grouplike_inverse("check_thm28", hg, g)
-    entries = check_thm28(data, hg, g, g_inv).entries
-    result = None
-    if all(e.passed for e in entries):
+    report, result = check_thm28(data, hg, g, g_inv), None
+    if report.passed:
         extended = assemble_ore(data, hg, g, g_inv)
-        entries += check_hopf_galois(extended).entries
+        report.extend(check_hopf_galois(extended))
         result = {
             "presentation": repr(extended.presentation),
             "mu": _mu_json(extended, job.field.render),
         }
-    return entries, result
+    return report, result
 
 
 def _cmd_check_thm44(job):
     data, g = job.poisson_ore_data()
-    ph = PoissonHopfGaloisStructure(data.base, job.hopf_galois())
-    return check_thm44(data, ph, g).entries, None
+    return check_thm44(data, _poisson_hg(job), g), None
 
 
 def _cmd_poisson_ore_extend(job):
     data, _ = job.poisson_ore_data()
     extended = build_poisson_ore(data)
-    entries = check_poisson(extended).entries
+    report = check_poisson(extended)
     result = {
         "presentation": repr(extended.presentation),
         "bracket": _bracket_json(extended, job.field.render),
     }
-    return entries, result
+    return report, result
 
 
 def _cmd_build_envelope(job):
@@ -137,43 +121,35 @@ def _cmd_build_envelope(job):
         "generators": [g.name for g in env.presentation.generators],
         "rules": [repr(r) for r in env.presentation.rules],
     }
-    return env.relation_report.entries, result
-
-
-def _cmd_check_lemma55(job):
-    words = job.lemma55_words(job.presentation)
-    return check_lemma55(TripleEnvelope(job.envelope()), words).entries, None
-
-
-def _cmd_check_thm59(job):
-    env = job.envelope()
-    ph = PoissonHopfGaloisStructure(job.poisson(), job.hopf_galois())
-    return check_thm59(ph, env).entries, None
+    return env.relation_report, result
 
 
 def _cmd_pushforward(job):
-    f, section, ideal, _ = job.quotient()
+    f, section, ideal = job.quotient()
     render = job.field.render
     if job.doc.get("bracket") is not None:
-        ph = PoissonHopfGaloisStructure(job.poisson(), job.hopf_galois())
-        pushed = poisson_pushforward(ph, f, section, ideal)
-        entries = (check_hopf_galois(pushed.hopf_galois).entries
-                   + check_poisson(pushed.poisson).entries
-                   + check_poisson_hg(pushed).entries)
+        pushed = poisson_pushforward(_poisson_hg(job), f, section, ideal)
+        report = (check_hopf_galois(pushed.hopf_galois)
+                  .extend(check_poisson(pushed.poisson))
+                  .extend(check_poisson_hg(pushed)))
         result = {"mu": _mu_json(pushed.hopf_galois, render),
                   "bracket": _bracket_json(pushed.poisson, render)}
     else:
         pushed = pushforward(job.hopf_galois(), f, section)
-        entries = check_hopf_galois(pushed).entries
-        result = {"mu": _mu_json(pushed, render)}
-    return entries, result
+        report, result = check_hopf_galois(pushed), {"mu": _mu_json(pushed, render)}
+    return report, result
 
 
+# The commands, each a function of the job that returns its report and its
+# result (None for a check only).  A row reads the job's blocks in the order
+# in which its arguments are written, keyword arguments included, so that a
+# job with two bad blocks reports the same one first under every command.
 COMMANDS = {
-    "check-hopf-galois": _cmd_check_hopf_galois,
-    "check-poisson": _cmd_check_poisson,
-    "check-poisson-hg": _cmd_check_poisson_hg,
-    "check-poisson-hopf": _cmd_check_poisson_hopf,
+    "check-hopf-galois": lambda job: (check_hopf_galois(job.hopf_galois()), None),
+    "check-poisson": lambda job: (check_poisson(job.poisson()), None),
+    "check-poisson-hg": lambda job: (check_poisson_hg(_poisson_hg(job)), None),
+    "check-poisson-hopf": lambda job: (
+        check_poisson_hopf(PoissonHopfStructure(job.poisson(), job.hopf())), None),
     "convert hopf-to-galois": _cmd_convert_hopf_to_galois,
     "convert galois-to-hopf": _cmd_convert_galois_to_hopf,
     "ore-extend": _cmd_ore_extend,
@@ -181,21 +157,31 @@ COMMANDS = {
     "poisson-ore-extend": _cmd_poisson_ore_extend,
     "check-thm44": _cmd_check_thm44,
     "build-envelope": _cmd_build_envelope,
-    "check-lemma55": _cmd_check_lemma55,
-    "check-thm59": _cmd_check_thm59,
+    "check-lemma55": lambda job: (
+        check_lemma55(sample_words=job.lemma55_words(), te=TripleEnvelope(job.envelope())), None),
+    "check-thm59": lambda job: (check_thm59(env=job.envelope(), ph=_poisson_hg(job)), None),
     "pushforward": _cmd_pushforward,
 }
 
 
+def _check_command_names(job: Job, commands) -> None:
+    """Raise a `JobError` at `<job>.commands` unless every name is a command."""
+    for name in commands:
+        if name not in COMMANDS:
+            raise JobError(f"{job.name}.commands", f"unknown command {name!r}")
+
+
 def run_commands(job: Job, commands) -> tuple:
-    """Execute commands in order; returns (entry dicts, summary dict)."""
+    """Execute commands in order, once every name is known; returns (entry
+    dicts, summary dict)."""
+    _check_command_names(job, commands)
     render = job.field.render
     all_entries = []
     results = {}
     for command in commands:
         with at(f"{job.name} [{command}]"):
-            entries, result = COMMANDS[command](job)
-        for entry in entries:
+            report, result = COMMANDS[command](job)
+        for entry in report.entries:
             doc = {"command": command}
             doc.update(entry_to_json(entry, render))
             all_entries.append(doc)
@@ -327,10 +313,10 @@ def main(argv=None) -> int:
             commands = job.commands
             if not commands:
                 raise JobError(job.name, "job file has no commands")
-        elif args.subcommand == "convert":
-            commands = [f"convert {args.direction}"]
         else:
-            commands = [args.subcommand]
+            _check_command_names(job, job.commands)  # the file's own list, though it does not run
+            commands = [f"convert {args.direction}" if args.subcommand == "convert"
+                         else args.subcommand]
         entries, summary = run_commands(job, commands)
         return _emit(args, entries, summary)
     except HgError as exc:

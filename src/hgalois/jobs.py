@@ -23,27 +23,10 @@ from .hopf_galois import (
 from .maps import GeneratorMap
 from .ore import OreData, PoissonOreData
 from .poisson import PoissonStructure
-from .presentations import AlgebraPresentation, Element, GeneratorSymbol, inverse_atom
+from .presentations import NAME, AlgebraPresentation, Element, GeneratorSymbol, inverse_atom
 from .tensors import PLAIN, TensorElement
 
-_TOKEN_RE = re.compile(r"^([^\^\*\s]+?)(?:\^(-?\d+))?$")
-
-KNOWN_COMMANDS = (
-    "check-hopf-galois",
-    "check-poisson",
-    "check-poisson-hg",
-    "check-poisson-hopf",
-    "convert hopf-to-galois",
-    "convert galois-to-hopf",
-    "ore-extend",
-    "check-thm28",
-    "poisson-ore-extend",
-    "check-thm44",
-    "build-envelope",
-    "check-lemma55",
-    "check-thm59",
-    "pushforward",
-)
+_TOKEN_RE = re.compile(rf"({NAME})(?:\^(-?[0-9]+))?")  # matched with fullmatch
 
 _KINDS = {int: "an integer", bool: "true or false", str: "a string",
           list: "an array", dict: "an object"}
@@ -101,7 +84,7 @@ def parse_word(tokens, path: str, cap: int, atoms) -> tuple:
     word = ()
     for i, token in enumerate(json_typed(tokens, list, path)):
         tpath = f"{path}[{i}]"
-        m = _TOKEN_RE.match(json_typed(token, str, tpath))
+        m = _TOKEN_RE.fullmatch(json_typed(token, str, tpath))
         if not m:
             raise JobError(tpath, f"cannot parse word token {token!r}")
         name, exp = m.groups()
@@ -151,11 +134,8 @@ class Job:
             cap_override = degree_cap(cap_override, f"{self.name}.cap_override")
         self.cap_override = cap_override
         self.cap = self.block_cap(doc, 12, self.name)
-        commands = get(doc, "commands", list, self.name, [])
-        for i, c in enumerate(commands):
-            if json_typed(c, str, f"{self.name}.commands[{i}]") not in KNOWN_COMMANDS:
-                raise JobError(f"{self.name}.commands", f"unknown command {c!r}")
-        self.commands = list(commands)
+        self.commands = [json_typed(c, str, f"{self.name}.commands[{i}]")
+                         for i, c in enumerate(get(doc, "commands", list, self.name, []))]
         self._parsed = {}  # the results of the `_shared` methods
 
     # ------------------------------------------------------------------
@@ -339,7 +319,9 @@ class Job:
         cap = self.block_cap(self.envelope_block(), 6, f"{self.name}.envelope")
         return build_envelope(poisson, cap=cap)
 
-    def lemma55_words(self, pres):
+    def lemma55_words(self):
+        """The envelope's "sample_words", read after the presentation."""
+        pres = self.presentation
         words = self.envelope_block().get("sample_words")
         if words is None:
             return None
@@ -360,7 +342,7 @@ class Job:
                               partial(self.element, pres))
         ideal = [self.element(pres, data, f"{path}.ideal[{i}]")
                  for i, data in enumerate(get(block, "ideal", list, path, []))]
-        return f, section, ideal, target
+        return f, section, ideal
 
 
 def load_job(path: str, *, cap_override=None) -> Job:

@@ -33,6 +33,7 @@ their linear arithmetic; `linear_terms` extends a map on keys linearly.
 
 import itertools
 import operator
+import re
 import weakref
 
 from .errors import ConfluenceError, DegreeCapError, InputError
@@ -40,6 +41,10 @@ from .errors import ConfluenceError, DegreeCapError, InputError
 Word = tuple[str, ...]
 
 DEFAULT_CAP = 12
+# A generator name: one or more characters, none of them whitespace, "^" or
+# "*", which spell words ("g^-1*x"); job-file word tokens use the same pattern.
+NAME = r"[^\s^*]+"
+_NAME_RE = re.compile(NAME)
 MAX_BASIS_SIZE = 1024
 
 
@@ -172,7 +177,7 @@ class GeneratorSymbol:
     __slots__ = ("name", "invertible")
 
     def __init__(self, name: str, invertible: bool = False):
-        if not name or "^" in name or "*" in name or " " in name:
+        if not _NAME_RE.fullmatch(name):
             raise InputError(f"invalid generator name {name!r}")
         self.name = name
         self.invertible = invertible

@@ -3,11 +3,11 @@ import json
 import pytest
 
 from hgalois import DegreeCapError, cli, envelope, jobs, maps, ore
-from hgalois.cli import COMMANDS, main, render_json, run_commands
+from hgalois.cli import COMMANDS, build_parser, main, render_json, run_commands
 from hgalois.errors import JobError
 from hgalois.examples import BUILTINS, builtin_job, builtin_listing
 from hgalois.fields import PRIME_BOUND
-from hgalois.jobs import KNOWN_COMMANDS, Job
+from hgalois.jobs import Job
 
 ALL_BUILTINS = sorted(BUILTINS)
 
@@ -16,8 +16,55 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def test_cli_dispatches_every_known_command():
-    assert set(COMMANDS) == set(KNOWN_COMMANDS)
+def test_command_table_matches_the_parser():
+    """Every row of COMMANDS is a subcommand or `convert <direction>`, and
+    every subcommand but `run` and `list-builtins` is a row."""
+    rows = set()
+    for name, sub in build_parser()._subparsers._group_actions[0].choices.items():
+        if name == "convert":
+            rows |= {f"convert {d}" for a in sub._actions if a.dest == "direction"
+                     for d in a.choices}
+        elif name not in ("run", "list-builtins"):
+            rows.add(name)
+    assert rows == set(COMMANDS)
+
+
+def _job_file(tmp_path, doc):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["run"]] + [name.split() for name in sorted(COMMANDS)])
+def test_unknown_command_name_exits_two_before_any_command_runs(argv, tmp_path, capsys):
+    """The job's command list is checked before any command runs, under
+    `run` and under every explicit subcommand."""
+    doc = builtin_job("sweedler_h4")
+    doc["commands"] = ["check-hopf-galois", "check-hopf"]
+    assert run_cli(*argv, "--input", _job_file(tmp_path, doc)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: sweedler_h4.commands: unknown command 'check-hopf'\n"
+
+
+def test_run_commands_rejects_an_unknown_name():
+    with pytest.raises(JobError) as err:
+        run_commands(Job(builtin_job("sweedler_h4")), ["check-hopf-galois", "bogus"])
+    assert (err.value.path, str(err.value)) == (
+        "sweedler_h4.commands", "sweedler_h4.commands: unknown command 'bogus'")
+
+
+@pytest.mark.parametrize("command,field", [("check-thm59", "cap"),
+                                           ("check-lemma55", "sample_words")])
+def test_commands_read_the_job_blocks_in_a_fixed_order(command, field, tmp_path, capsys):
+    """With a bad envelope block and a bad mu block, check-thm59 reads the
+    envelope's cap first and check-lemma55 its sample words, before mu."""
+    doc = builtin_job("z2_zero_bracket")
+    doc["envelope"] = {"cap": "abc", "sample_words": 5}
+    doc["mu"] = 5
+    doc["commands"] = [command]
+    assert run_cli("run", "--input", _job_file(tmp_path, doc)) == 2
+    assert capsys.readouterr().err.startswith(f"error: z2_zero_bracket.envelope.{field}: ")
 
 
 def test_list_builtins(capsys):
@@ -516,6 +563,22 @@ BAD_VALUES = [
      "sweedler_h4.mu.x: normal_form: word g*x of length 2 exceeds degree cap 1"),
     ("ore_q2_laurent", ("ore", "cap"), 1,
      "ore_q2_laurent [ore-extend]: multiply: word g^-1*z of length 2 exceeds degree cap 1"),
+    # one name grammar for generators and tokens: an exponent is ASCII
+    # digits, and no whitespace is part of a name
+    ("sweedler_h4", ("presentation", "relations", 0, "rhs", 0, "word"), ["x^\u0662"],
+     "sweedler_h4.presentation.relations[0].rhs[0].word[0]: cannot parse word token 'x^\u0662'"),
+    ("sweedler_h4", ("presentation", "relations", 0, "rhs", 0, "word"), ["x\n"],
+     "sweedler_h4.presentation.relations[0].rhs[0].word[0]: cannot parse word token 'x\\n'"),
+    ("sweedler_h4", ("mu", "g", 0, "factors", 0), ["g^-\u0661"],
+     "sweedler_h4.mu.g[0].factors[0][0]: cannot parse word token 'g^-\u0661'"),
+    ("sweedler_h4", ("presentation", "generators", 1, "name"), "x\t",
+     "sweedler_h4.presentation.generators[1]: invalid generator name 'x\\t'"),
+    ("sweedler_h4", ("presentation", "generators", 0, "name"), "g\n",
+     "sweedler_h4.presentation.generators[0]: invalid generator name 'g\\n'"),
+    ("sweedler_h4", ("presentation", "generators", 0, "name"), "g\xa0",
+     "sweedler_h4.presentation.generators[0]: invalid generator name 'g\\xa0'"),
+    ("ore_q2_laurent", ("ore", "variable"), "z\t",
+     "ore_q2_laurent.ore: invalid generator name 'z\\t'"),
 ]
 
 

@@ -5,7 +5,9 @@ never a Python traceback.
 Every non-root node of every bundled job except kxy_truncated (whose
 Lemma 5.5 check is the slowest), over Q and over GF(5), is replaced by each
 of VALUES in turn.  The sweep enumerates every such mutation, so it needs no
-randomness and always runs the same cases."""
+randomness and always runs the same cases.  Each generator is also renamed
+everywhere with a non-ASCII digit or a control character appended: the name
+is rejected where it is declared exactly when no word token could spell it."""
 
 import copy
 import json
@@ -19,7 +21,7 @@ from hgalois.jobs import Job
 
 HUGE = 10**30
 VALUES = [5, -1, 0, "", "q", "g^-1", [], {}, None, True, 1.5, HUGE, [["x"]], {"a": 1},
-          "1/0", "x^" + "9" * 30]
+          "1/0", "x^" + "9" * 30, "x^\u0662", "g\x01", "g\t"]
 JOBS = sorted(set(BUILTINS) - {"kxy_truncated"})
 FIELDS = {"Q": "rationals", "GF5": {"prime": 5}}
 
@@ -95,3 +97,38 @@ def test_mutated_job_files_exit_cleanly(name, path, tmp_path, capsys):
         err = capsys.readouterr().err
         assert code in (0, 1, 2)
         assert err.startswith("error: ") if code == 2 else err == ""
+
+
+# appended to a generator name: whitespace can never be part of a name, and
+# every other character can (a non-ASCII digit too, only not as an exponent)
+NAME_SUFFIXES = ["\x01", "\x1b", "\x7f", "\u0662", "\t", "\n", "\x0b", "\xa0", "\u2028"]
+
+
+def renamed(doc, old, new):
+    """`doc` with the atom `old` renamed `new` in every string and key that
+    spells it: the name itself and each token "old" or "old^n"."""
+    def spell(text):
+        return new + text[len(old):] if text == old or text.startswith(old + "^") else text
+    if isinstance(doc, dict):
+        return {spell(k): renamed(v, old, new) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [renamed(v, old, new) for v in doc]
+    return spell(doc) if isinstance(doc, str) else doc
+
+
+@pytest.mark.parametrize("name", JOBS)
+def test_a_generator_name_is_valid_iff_a_token_can_spell_it(name):
+    base = builtin_job(name)
+    _, summary = run_commands(Job(base), base["commands"])
+    expected = (summary["checks"], summary["passed"])
+    for i, generator in enumerate(base["presentation"]["generators"]):
+        old = generator if isinstance(generator, str) else generator["name"]
+        for suffix in NAME_SUFFIXES:
+            doc = renamed(base, old, old + suffix)
+            if suffix.isspace():
+                with pytest.raises(JobError) as err:
+                    run_commands(Job(doc), doc["commands"])
+                assert err.value.path == f"{name}.presentation.generators[{i}]"
+            else:
+                _, summary = run_commands(Job(doc), doc["commands"])
+                assert (summary["checks"], summary["passed"]) == expected, (old, suffix)
