@@ -94,8 +94,8 @@ class EnvelopePresentation:
     def _map_of(self, images, value: Element) -> Element:
         if value.presentation is not self.source.presentation:
             raise InputError("element does not belong to the enveloped Poisson algebra")
-        return Element(self.presentation, linear_terms(
-            value.terms, partial(self.word_image, images)))
+        return Element(self.presentation, self.presentation.field.canonical(linear_terms(
+            value.terms, partial(self.word_image, images))))
 
     def alpha_of(self, value: Element) -> Element:
         """The algebra-map image; alpha(1) is the unit."""
@@ -207,7 +207,7 @@ def _product_relation_rules(field, word_order, n, table, alpha_names, beta_names
         if lead is not None:
             monic = echelon.insert(vec, lead)
             queue.extend(left_mult(p_idx, monic) for p_idx in range(1, n))
-    return [(lead, {w: -c for w, c in echelon.rows[lead].items() if w != lead})
+    return [(lead, field.canonical({w: -c for w, c in echelon.rows[lead].items() if w != lead}))
             for lead in sorted(echelon.rows, key=word_order)]
 
 
@@ -287,7 +287,8 @@ class TripleEnvelope:
         for words, coeff in t.terms.items():
             for pattern in patterns:
                 add_outer(out, [image(m, w) for m, w in zip(pattern, words)], coeff, src.field)
-        return TensorElement(self.factors, self.signature, out, src.field, normalize=False)
+        return TensorElement(self.factors, self.signature, src.field.canonical(out), src.field,
+                             normalize=False)
 
     def alpha3(self, t: TensorElement) -> TensorElement:
         a = self.envelope.alpha_images
@@ -414,7 +415,7 @@ def check_thm59(ph, env: EnvelopePresentation) -> VerificationReport:
 
     for i in range(len(env.basis)):
         a_elem = env.basis_element(i)
-        folded = linear_terms(ph.mu.apply(a_elem).terms, fold)
+        folded = envp.field.canonical(linear_terms(ph.mu.apply(a_elem).terms, fold))
         report.add_vanishing("condition (5.17)", ANCHOR_5_17,
                              f"basis element {word_str(env.basis[i])}",
                              env.beta_of(a_elem) + Element(envp, folded))

@@ -1,7 +1,13 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
 Over Q a coefficient is a plain `int` until a division leaves a remainder,
-and a `fractions.Fraction` after that; over GF(p) it is an `FpElement`.
+and a `fractions.Fraction` after that; over GF(p) it is a plain `int`.
+Every term map that the package stores or returns holds nonzero
+coefficients, and over GF(p) each is a residue c with 0 < c < p.  Inside a
+term-map kernel, GF(p) coefficients are int representatives combined with
+plain `+`, `-` and `*`, which is sound because Z -> GF(p) is a ring map;
+`field.canonical` maps a kernel's result back to residues once, where the
+kernel stores or returns it.  Over Q `canonical` returns its map unchanged.
 `field.div` is the one division on coefficients: over Q it returns the
 exact quotient, an `int` whenever that is integral, and never a float.
 There is no floating point anywhere, so equality of elements is decidable
@@ -67,10 +73,16 @@ class Rationals:
         q = Fraction(a, b)
         return q.numerator if q.denominator == 1 else q
 
+    def canonical(self, terms: dict) -> dict:
+        """`terms` itself: exact rational sums need no reduction."""
+        return terms
+
     parse = parse_coefficient
 
     def render(self, value) -> str:
         return str(value)
+
+    spell = render
 
     def __repr__(self):
         return "QQ"
@@ -80,78 +92,6 @@ class Rationals:
 
     def __hash__(self):
         return hash("rationals")
-
-
-class FpElement:
-    """Residue modulo a prime, with field arithmetic via operators."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise InputError(f"mixed prime fields GF({self.p}) and GF({other.p})")
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else FpElement(self.v + o.v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else FpElement(self.v - o.v, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else FpElement(o.v - self.v, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else FpElement(self.v * o.v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.v == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return FpElement(self.v * pow(o.v, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return FpElement(-self.v, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v} (mod {self.p})"
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
@@ -185,10 +125,11 @@ def _is_prime(p: int) -> bool:
 
 
 class PrimeField:
-    """GF(p) for a prime p; elements are `FpElement` residues.
+    """GF(p) for a prime p; elements are `int` residues c with 0 <= c < p.
 
-    `zero` and `one` return one shared residue each; an `FpElement` is
-    assigned only in `__init__`, so sharing it is safe.
+    `render` spells a residue as its digits (the report's "coeff"), and
+    `spell` as "c (mod p)" (the coefficient of a term in an element's or a
+    tensor's `repr`).
     """
 
     def __init__(self, p: int):
@@ -199,28 +140,42 @@ class PrimeField:
         self.p = p
         self.characteristic = p
         self.name = f"GF({p})"
-        self._zero = FpElement(0, p)
-        self._one = FpElement(1, p)
 
     @property
     def zero(self):
-        return self._zero
+        return 0
 
     @property
     def one(self):
-        return self._one
+        return 1
 
     def of_int(self, n: int):
-        return FpElement(n, self.p)
+        return n % self.p
 
     def div(self, a, b):
-        """a / b in GF(p); `ZeroDivisionError` when b is zero."""
-        return a / b
+        """The residue of a / b for int representatives a and b;
+        `ZeroDivisionError` when b is zero mod p."""
+        p = self.p
+        if not b % p:
+            raise ZeroDivisionError(f"division by zero in GF({p})")
+        return a * pow(b, -1, p) % p
+
+    def canonical(self, terms: dict) -> dict:
+        """The nonzero residues of a term map of int representatives."""
+        p, out = self.p, {}
+        for k, c in terms.items():
+            c %= p
+            if c:
+                out[k] = c
+        return out
 
     parse = parse_coefficient
 
     def render(self, value) -> str:
-        return str(value.v)
+        return str(value)
+
+    def spell(self, value) -> str:
+        return f"{value} (mod {self.p})"
 
     def __repr__(self):
         return self.name

@@ -252,10 +252,11 @@ def galois_to_hopf(h: HopfGaloisStructure, alpha: GeneratorMap) -> HopfStructure
         t = h.mu.apply_word((atom,)).terms
         delta_terms = linear_terms(
             t, lambda k: {(k[0], k[2]): alpha.apply_word(k[1]).scalar()})
-        delta_images[atom] = TensorElement((pres, pres), (PLAIN, PLAIN), delta_terms,
-                                           pres.field, normalize=False)
-        antipode_images[atom] = Element(pres, linear_terms(
-            t, lambda k: {k[1]: alpha.apply_word(k[0] + k[2]).scalar()}))
+        delta_images[atom] = TensorElement((pres, pres), (PLAIN, PLAIN),
+                                           pres.field.canonical(delta_terms), pres.field,
+                                           normalize=False)
+        antipode_images[atom] = Element(pres, pres.field.canonical(linear_terms(
+            t, lambda k: {k[1]: alpha.apply_word(k[0] + k[2]).scalar()})))
 
     delta = GeneratorMap(pres, (pres, pres), (PLAIN, PLAIN), delta_images, name="Delta")
     antipode = GeneratorMap.anti_algebra_map(pres, pres, antipode_images, name="S")

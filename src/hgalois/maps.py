@@ -27,6 +27,8 @@ class GeneratorMap:
         self.field = self.targets[0].field if self.targets else source.field
         if len(self.targets) != len(self.signature):
             raise InputError(f"{name}: signature length differs from target count")
+        if source.field != self.field:
+            raise InputError(f"{name}: source and targets over different fields")
 
         self.images: dict[str, TensorElement] = {}
         for atom, img in images.items():
@@ -92,7 +94,8 @@ class GeneratorMap:
             if value.presentation is not self.source:
                 raise InputError(f"{self.name}: element from a different presentation")
             out = linear_terms(value.terms, lambda w: self.apply_word(w).terms)
-            return TensorElement(self.targets, self.signature, out, self.field, normalize=False)
+            return TensorElement(self.targets, self.signature, self.field.canonical(out),
+                                 self.field, normalize=False)
         return self.apply_word(self.source.validate_word(value))
 
     def apply_element(self, value) -> Element:
@@ -188,7 +191,8 @@ class Derivation:
         pres = self.presentation
         if value.presentation is not pres:
             raise InputError(f"{self.label}: element from a different presentation")
-        return Element(pres, linear_terms(value.terms, lambda w: self.apply_word(w).terms))
+        return Element(pres, pres.field.canonical(
+            linear_terms(value.terms, lambda w: self.apply_word(w).terms)))
 
     def check_relations(self):
         """Raise InputError unless D of the raw left-hand word of every rule

@@ -92,7 +92,7 @@ class PoissonStructure:
         if s == t:
             return {}
         if pres.atom_key(s) > pres.atom_key(t):
-            return {w: -c for w, c in self._word_bracket((t,), (s,)).items()}
+            return pres.field.canonical({w: -c for w, c in self._word_bracket((t,), (s,)).items()})
         # now s < t in atom order; an inverse atom sorts after its generator
         if pres.atom_key(t)[1]:
             inv, inner = t, self._word_bracket((s,), (inverse_atom(t),))
@@ -102,7 +102,7 @@ class PoissonStructure:
             value = self.table.get((s, t))
             return {} if value is None else value.terms
         inv_sq = pres.reduce_terms({(inv, inv): pres.field.one})
-        return {w: -c for w, c in pres.multiply_terms(inv_sq, inner).items()}
+        return pres.field.canonical({w: -c for w, c in pres.multiply_terms(inv_sq, inner).items()})
 
     def _word_bracket(self, u, v) -> dict:
         """{u, v} for words as a term map, filled into the word-pair table by
@@ -140,7 +140,7 @@ class PoissonStructure:
                 if pair is None:
                     pair = self._word_bracket(wa, wb)
                 axpy(out, pair, ca * cb)
-        return out
+        return self.presentation.field.canonical(out)
 
     def bracket(self, a: Element, b: Element) -> Element:
         """Bilinear, antisymmetric, Leibniz-in-each-argument extension."""
@@ -197,7 +197,7 @@ def _slotwise_bracket(structures, signs, s: TensorElement, t: TensorElement) -> 
                 factors = products.copy()
                 factors[i] = p.bracket_terms(e1[i], e2[i])
                 add_outer(out, factors, coeff if signs[i] > 0 else -coeff, field)
-    return TensorElement(s.factors, s.signature, out, field, normalize=False)
+    return TensorElement(s.factors, s.signature, field.canonical(out), field, normalize=False)
 
 
 def tensor_bracket(p_left: PoissonStructure, p_right: PoissonStructure,
@@ -308,7 +308,7 @@ def poisson_hopf_from_phg(ph: PoissonHopfGaloisStructure, alpha: GeneratorMap) -
         if value:
             raise InputError(
                 f"alpha does not kill the bracket of pair ({s},{t}); "
-                f"alpha({{{s},{t}}}) = {value}"
+                f"alpha({{{s},{t}}}) = {pres.field.spell(value)}"
             )
     return PoissonHopfStructure(p, galois_to_hopf(ph.hopf_galois, alpha))
 

@@ -27,7 +27,9 @@ def add_outer(terms: dict, slots, coeff, field) -> None:
     """terms += coeff * (s_1 ⊗ ... ⊗ s_k) for slot term maps s_i, in one
     pass; a missing key takes the product itself, and zero sums are
     dropped.  Factors that are the field's shared one (the coefficient of
-    a word that is its own normal form) are skipped."""
+    a word that is its own normal form) are skipped.  Like `axpy`, it
+    leaves int representatives over GF(p) for its caller to pass through
+    `field.canonical`."""
     one = field.one
     for combo in itertools.product(*(slot.items() for slot in slots)):
         c = coeff
@@ -74,13 +76,14 @@ class TensorElement(Terms):
     def _normal_terms(self, terms) -> dict:
         """The one normalisation kernel: the sum of the (key, coeff) pairs
         `terms`, each key a k-tuple of words and each coeff nonzero, as the
-        outer products of the slots' memoized normal forms (`add_outer`)."""
+        outer products of the slots' memoized normal forms (`add_outer`),
+        with canonical coefficients."""
         out: dict = {}
         factors, field = self.factors, self.field
         for key, coeff in terms:
             add_outer(out, [f._word_nf(w, "normal_form") for f, w in zip(factors, key)],
                       coeff, field)
-        return out
+        return field.canonical(out)
 
     @classmethod
     def unit(cls, factors, signature, field=None):
@@ -102,11 +105,11 @@ class TensorElement(Terms):
         field = factors[0].field if factors else None
         terms: dict = {}
         add_outer(terms, [e.terms for e in elements], field.one, field)
-        return cls(factors, signature, terms, field, normalize=False)
+        return cls(factors, signature, field.canonical(terms), field, normalize=False)
 
     @classmethod
     def scalar_value(cls, field, value):
-        return cls((), (), {(): value} if value else {}, field, normalize=False)
+        return cls((), (), field.canonical({(): value} if value else {}), field, normalize=False)
 
     # ------------------------------------------------------------------
     def _like(self, terms):
@@ -126,7 +129,7 @@ class TensorElement(Terms):
         return tuple(f.word_key(w) for f, w in zip(self.factors, words))
 
     def _term_str(self, words, c):
-        return f"({c})·{' ⊗ '.join(map(word_str, words)) if words else '1'}"
+        return f"({self.field.spell(c)})·{' ⊗ '.join(map(word_str, words)) if words else '1'}"
 
     @property
     def rank(self):
@@ -237,5 +240,4 @@ class TensorElement(Terms):
         new_factors = tuple(new_factors)
         if len(new_factors) != self.rank:
             raise InputError("transport: rank mismatch")
-        return TensorElement(new_factors, self.signature, dict(self.terms),
-                             new_factors[0].field if new_factors else self.field)
+        return TensorElement(new_factors, self.signature, dict(self.terms), self.field)

@@ -19,9 +19,21 @@ from hgalois import (
 )
 
 
-def exact_div(a, b):
+def _mod(field, c):
+    """The oracles' own normal form of a coefficient: its residue modulo the
+    characteristic p of a prime field, where coefficients are ints, and c
+    itself over Q."""
+    p = field.characteristic
+    return c % p if p else c
+
+
+def exact_div(a, b, field):
     """a / b without floating point: rational coefficients may be plain ints,
-    and `/` on two ints gives a float."""
+    and `/` on two ints gives a float; over GF(p), the residue of a times
+    the inverse of b modulo p."""
+    p = field.characteristic
+    if p:
+        return a * pow(b, -1, p) % p
     if isinstance(a, int) and isinstance(b, int):
         return Fraction(a, b)
     return a / b
@@ -41,7 +53,7 @@ def naive_word_reduce(rules, word, field):
                         coeff = terms.pop(w)
                         for rw, rc in rhs_terms.items():
                             nw = w[:pos] + rw + w[pos + n:]
-                            s = terms.get(nw, field.zero) + coeff * rc
+                            s = _mod(field, terms.get(nw, field.zero) + coeff * rc)
                             if s:
                                 terms[nw] = s
                             else:
@@ -64,7 +76,7 @@ def naive_reduce_terms(pres, terms):
     out = {}
     for w, c in terms.items():
         for nw, nc in naive_word_reduce(rules, w, pres.field).items():
-            s = out.get(nw, pres.field.zero) + c * nc
+            s = _mod(pres.field, out.get(nw, pres.field.zero) + c * nc)
             if s:
                 out[nw] = s
             else:
@@ -77,7 +89,7 @@ def naive_mul(pres, t1, t2):
     for w1, c1 in t1.items():
         for w2, c2 in t2.items():
             w = w1 + w2
-            raw[w] = raw.get(w, pres.field.zero) + c1 * c2
+            raw[w] = _mod(pres.field, raw.get(w, pres.field.zero) + c1 * c2)
     return naive_reduce_terms(pres, raw)
 
 
@@ -96,7 +108,7 @@ def naive_tensor_mul(pres, signature, s, t):
                 c = cs * ct
                 for _, f in combo:
                     c = c * f
-                s2 = out.get(key, pres.field.zero) + c
+                s2 = _mod(pres.field, out.get(key, pres.field.zero) + c)
                 if s2:
                     out[key] = s2
                 else:
@@ -133,14 +145,14 @@ def hg_laws_on_word(pres, mu_images, word):
     for (w1, w2, w3), c in t.items():
         for nw, nc in naive_reduce_terms(pres, {w2 + w3: c}).items():
             key = (w1, nw)
-            s = left.get(key, field.zero) + nc
+            s = _mod(field, left.get(key, field.zero) + nc)
             if s:
                 left[key] = s
             else:
                 left.pop(key, None)
         for nw, nc in naive_reduce_terms(pres, {w1 + w2: c}).items():
             key = (nw, w3)
-            s = right.get(key, field.zero) + nc
+            s = _mod(field, right.get(key, field.zero) + nc)
             if s:
                 right[key] = s
             else:
@@ -153,14 +165,14 @@ def hg_laws_on_word(pres, mu_images, word):
     for (w1, w2, w3), c in t.items():
         for (u1, u2, u3), cu in naive_mu_of_word(pres, mu_images, w1).items():
             key = (u1, u2, u3, w2, w3)
-            s = five_a.get(key, field.zero) + c * cu
+            s = _mod(field, five_a.get(key, field.zero) + c * cu)
             if s:
                 five_a[key] = s
             else:
                 five_a.pop(key, None)
         for (u1, u2, u3), cu in naive_mu_of_word(pres, mu_images, w3).items():
             key = (w1, w2, u1, u2, u3)
-            s = five_b.get(key, field.zero) + c * cu
+            s = _mod(field, five_b.get(key, field.zero) + c * cu)
             if s:
                 five_b[key] = s
             else:
@@ -181,7 +193,7 @@ def hg_verdict_full_basis(pres, mu_images):
         rhs = {}
         for w, c in rule.rhs.terms.items():
             for key, cc in naive_apply(pres, MU_SIG, images, w).items():
-                s = rhs.get(key, pres.field.zero) + c * cc
+                s = _mod(pres.field, rhs.get(key, pres.field.zero) + c * cc)
                 if s:
                     rhs[key] = s
                 else:
@@ -198,7 +210,7 @@ def naive_atom_bracket(p, s, t):
     if s == t:
         return {}
     if pres.atom_key(s) > pres.atom_key(t):
-        return {w: -c for w, c in naive_atom_bracket(p, t, s).items()}
+        return {w: _mod(field, -c) for w, c in naive_atom_bracket(p, t, s).items()}
     if pres.atom_key(t)[1]:
         inner = naive_atom_bracket(p, s, t[:-3])
         scaled = naive_mul(pres, {(t, t): -field.one}, inner)
@@ -225,7 +237,7 @@ def naive_bracket(p, t1, t2):
                     rest = naive_mul(pres, {wa[:i] + wa[i + 1:]: ca * cb}, core)
                     rest = naive_mul(pres, rest, {wb[:j] + wb[j + 1:]: field.one})
                     for w, c in rest.items():
-                        s = out.get(w, field.zero) + c
+                        s = _mod(field, out.get(w, field.zero) + c)
                         if s:
                             out[w] = s
                         else:
@@ -243,7 +255,7 @@ def naive_triple_bracket(p, s, t):
             (w1, c1), (w2, c2), (w3, c3) = combo
             key = (w1, w2, w3)
             c = sign * c1 * c2 * c3
-            acc = out.get(key, field.zero) + c
+            acc = _mod(field, out.get(key, field.zero) + c)
             if acc:
                 out[key] = acc
             else:
@@ -273,7 +285,7 @@ def poisson_hg_verdict_full_basis(p, mu_images):
         lhs = {}
         for w, c in br.items():
             for key, cc in naive_apply(pres, MU_SIG, images, w).items():
-                s = lhs.get(key, field.zero) + c * cc
+                s = _mod(field, lhs.get(key, field.zero) + c * cc)
                 if s:
                     lhs[key] = s
                 else:
@@ -298,7 +310,7 @@ def jacobi_verdict_full_basis(p):
             inner = naive_bracket(p, {b: field.one}, {c: field.one})
             outer = naive_bracket(p, {a: field.one}, inner)
             for word, coeff in outer.items():
-                s = total.get(word, field.zero) + coeff
+                s = _mod(field, total.get(word, field.zero) + coeff)
                 if s:
                     total[word] = s
                 else:
@@ -368,7 +380,7 @@ def reference_unresolved_critical_pairs(pres, *, max_overlap=None):
         if a != b:
             diff = dict(a)
             for w, c in b.items():
-                s = diff.get(w, pres.field.zero) - c
+                s = _mod(pres.field, diff.get(w, pres.field.zero) - c)
                 if s:
                     diff[w] = s
                 else:
@@ -408,7 +420,8 @@ def reference_complete_rules(pres, *, max_new_rules=500, max_overlap=None):
         _, _, _, diff = pairs[0]
         lead = max(diff, key=pres.word_key)
         lead_coeff = diff[lead]
-        rhs = {w: -exact_div(c, lead_coeff) for w, c in diff.items() if w != lead}
+        rhs = {w: _mod(pres.field, -exact_div(c, lead_coeff, pres.field))
+               for w, c in diff.items() if w != lead}
         pres._add_rule(lead, rhs)
         added += 1
         if added > max_new_rules:
@@ -430,7 +443,7 @@ def reference_complete_rules(pres, *, max_new_rules=500, max_overlap=None):
 def _add_into(terms, other, field, sign=1):
     out = dict(terms)
     for k, c in other.items():
-        s = out.get(k, field.zero) + (c if sign > 0 else -c)
+        s = _mod(field, out.get(k, field.zero) + (c if sign > 0 else -c))
         if s:
             out[k] = s
         else:
@@ -446,8 +459,8 @@ def reference_outer(terms_list, field):
         c = field.one
         for _, f in combo:
             c = c * f
-        if c:
-            terms[words] = terms.get(words, field.zero) + c
+        if _mod(field, c):
+            terms[words] = _mod(field, terms.get(words, field.zero) + c)
     return terms
 
 
@@ -464,9 +477,7 @@ def reference_normalize(factors, field, raw):
             c = coeff
             for _, f in combo:
                 c = c * f
-            if not c:
-                continue
-            s = out.get(words, field.zero) + c
+            s = _mod(field, out.get(words, field.zero) + c)
             if s:
                 out[words] = s
             else:
@@ -482,7 +493,7 @@ def reference_tensor_mul(s, t):
         for kt, ct in t.terms.items():
             words = tuple(kt[i] + ks[i] if s.signature[i] else ks[i] + kt[i]
                           for i in range(len(s.factors)))
-            acc = raw.get(words, field.zero) + cs * ct
+            acc = _mod(field, raw.get(words, field.zero) + cs * ct)
             if acc:
                 raw[words] = acc
             else:
@@ -710,13 +721,13 @@ def reference_solve_columns(field, n, cols, rhs):
         dense[row], dense[pivot_row] = dense[pivot_row], dense[row]
         vec[row], vec[pivot_row] = vec[pivot_row], vec[row]
         pv = dense[row][col]
-        dense[row] = [exact_div(x, pv) for x in dense[row]]
-        vec[row] = exact_div(vec[row], pv)
+        dense[row] = [exact_div(x, pv, field) for x in dense[row]]
+        vec[row] = exact_div(vec[row], pv, field)
         for r in range(n):
             if r != row and dense[r][col]:
                 factor = dense[r][col]
-                dense[r] = [a - factor * b for a, b in zip(dense[r], dense[row])]
-                vec[r] = vec[r] - factor * vec[row]
+                dense[r] = [_mod(field, a - factor * b) for a, b in zip(dense[r], dense[row])]
+                vec[r] = _mod(field, vec[r] - factor * vec[row])
         pivots.append((row, col))
         row += 1
         if row == n:
@@ -728,7 +739,7 @@ def reference_solve_columns(field, n, cols, rhs):
     check = [field.zero] * n
     for v, x in solution.items():
         for r, c in cols[v].items():
-            check[r] = check[r] + x * c
+            check[r] = _mod(field, check[r] + x * c)
     if check != [rhs.get(r, field.zero) for r in range(n)]:
         return None
     return solution
@@ -740,7 +751,7 @@ def reference_invert(pres, element):
         word, coeff = next(iter(element.terms.items()))
         if all(pres.generator_of(a).invertible for a in word):
             inv_word = tuple(a[:-3] if a.endswith("^-1") else a + "^-1" for a in reversed(word))
-            return pres.element({inv_word: exact_div(pres.field.one, coeff)})
+            return pres.element({inv_word: exact_div(pres.field.one, coeff, pres.field)})
     basis = pres.finite_basis()
     if basis is None:
         return None
@@ -774,7 +785,7 @@ def reference_product_relation_rules(field, n, table, alpha_names, beta_names):
                 return vec, lead
             factor = vec[lead]
             for w, c in row.items():
-                s = vec.get(w, field.zero) - factor * c
+                s = _mod(field, vec.get(w, field.zero) - factor * c)
                 if s:
                     vec[w] = s
                 else:
@@ -786,12 +797,12 @@ def reference_product_relation_rules(field, n, table, alpha_names, beta_names):
         for word, coeff in vec.items():
             if len(word) == 1:
                 new = (alpha_names[p_idx],) + word
-                out[new] = out.get(new, field.zero) + coeff
+                out[new] = _mod(field, out.get(new, field.zero) + coeff)
             else:
                 m = alpha_names.index(word[0])
                 for q, c in table[(p_idx, m)].items():
                     new = word[1:] if q == 0 else (alpha_names[q],) + word[1:]
-                    out[new] = out.get(new, field.zero) + coeff * c
+                    out[new] = _mod(field, out.get(new, field.zero) + coeff * c)
         return {w: c for w, c in out.items() if c}
 
     pivots = {}
@@ -802,21 +813,21 @@ def reference_product_relation_rules(field, n, table, alpha_names, beta_names):
             for k, c in table[(i, j)].items():
                 if k:
                     word = (beta_names[k],)
-                    vec[word] = vec.get(word, field.zero) + c
+                    vec[word] = _mod(field, vec.get(word, field.zero) + c)
             for m, k in ((i, j), (j, i)):
                 word = (alpha_names[m], beta_names[k])
-                vec[word] = vec.get(word, field.zero) - field.one
+                vec[word] = _mod(field, vec.get(word, field.zero) - field.one)
             queue.append(vec)
     while queue:
         vec, lead = vec_reduce(queue.pop(0), pivots)
         if lead is None:
             continue
-        monic = {w: exact_div(c, vec[lead]) for w, c in vec.items()}
+        monic = {w: exact_div(c, vec[lead], field) for w, c in vec.items()}
         for row in pivots.values():
             if lead in row:
                 factor = row[lead]
                 for w, c in monic.items():
-                    s = row.get(w, field.zero) - factor * c
+                    s = _mod(field, row.get(w, field.zero) - factor * c)
                     if s:
                         row[w] = s
                     else:
@@ -824,7 +835,7 @@ def reference_product_relation_rules(field, n, table, alpha_names, beta_names):
         pivots[lead] = monic
         for p_idx in range(1, n):
             queue.append(left_mult(p_idx, monic))
-    return [(lead, {w: -c for w, c in pivots[lead].items() if w != lead})
+    return [(lead, {w: _mod(field, -c) for w, c in pivots[lead].items() if w != lead})
             for lead in sorted(pivots, key=word_order)]
 
 

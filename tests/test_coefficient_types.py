@@ -1,25 +1,25 @@
 """Every coefficient the package stores or reports is exact and nonzero:
-over Q a plain `int` or a `Fraction`, over GF(p) an `FpElement`, and never
-a float, a bool or a zero.  Each bundled job, two failing variants of
-`sweedler_h4` that carry witnesses, and one that writes x^2 = 0 with a
-zero term, runs over Q and over GF(5) while every presentation,
-sparse echelon and report entry it makes is recorded; then the normal-form
-memos, the rules, the echelon rows, the witnesses, the inverses computed
-and every element or tensor reachable from the job's parsed structures are
-walked."""
+over Q a plain `int` or a `Fraction`, over GF(p) exactly an `int` residue
+c with 0 < c < p, and never a float, a bool or a zero.  Each bundled job,
+two failing variants of `sweedler_h4` that carry witnesses, and one that
+writes x^2 = 0 with a zero term, runs over Q and over GF(5) while every
+presentation, sparse echelon, report entry, element and tensor it makes is
+recorded; then the normal-form memos, the rules, the echelon rows, the
+witnesses, the inverses computed, every element and tensor made and every
+one reachable from the job's parsed structures are walked."""
 
 from fractions import Fraction
 
 import pytest
 
-from hgalois import AlgebraPresentation, cli
+from hgalois import AlgebraPresentation, Element, TensorElement, cli
 from hgalois.cli import run_commands
 from hgalois.examples import BUILTINS, builtin_job
-from hgalois.fields import FpElement
 from hgalois.jobs import Job
 from hgalois.presentations import SparseEchelon, Terms
 
-FIELDS = {"Q": ("rationals", (int, Fraction)), "GF5": ({"prime": 5}, (FpElement,))}
+FIELDS = {"Q": ("rationals", lambda c: type(c) in (int, Fraction) and c != 0),
+          "GF5": ({"prime": 5}, lambda c: type(c) is int and 0 < c < 5)}
 
 
 def _mutant(change):
@@ -61,7 +61,7 @@ def _recorded(monkeypatch, owner, name, seen, *, returned=False):
 def _element_coefficients(obj, where, seen, out):
     """(where, coefficient) of every element and tensor reachable from obj
     through containers and package objects."""
-    if id(obj) in seen or isinstance(obj, (str, bytes, int, Fraction, FpElement)):
+    if id(obj) in seen or isinstance(obj, (str, bytes, int, Fraction)):
         return
     seen.add(id(obj))
     if isinstance(obj, Terms):
@@ -83,12 +83,15 @@ def _element_coefficients(obj, where, seen, out):
 @pytest.mark.parametrize("field", sorted(FIELDS))
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_every_coefficient_is_exact(name, field, monkeypatch):
-    spec, kinds = FIELDS[field]
-    presentations, echelons, entries, inverses = [], [], [], []
+    spec, exact = FIELDS[field]
+    presentations, echelons, entries, inverses, made = [], [], [], [], []
     _recorded(monkeypatch, AlgebraPresentation, "__init__", presentations)
     _recorded(monkeypatch, SparseEchelon, "insert", echelons)
     _recorded(monkeypatch, cli, "entry_to_json", entries)
     _recorded(monkeypatch, AlgebraPresentation, "invert", inverses, returned=True)
+    _recorded(monkeypatch, Element, "__init__", made)
+    _recorded(monkeypatch, TensorElement, "__init__", made)
+    _recorded(monkeypatch, TensorElement, "_like", made, returned=True)
     doc = JOBS[name]()
     doc["field"] = spec
     job = Job(doc)
@@ -105,6 +108,8 @@ def test_every_coefficient_is_exact(name, field, monkeypatch):
     for echelon in echelons:
         for lead, row in echelon.rows.items():
             found += [(f"echelon row {lead}", c) for c in row.values()]
+    for i, value in enumerate(made):
+        found += [(f"made {type(value).__name__} {i}", c) for c in value.terms.values()]
     seen = set()
     for i, entry in enumerate(entries):
         _element_coefficients(entry.witness, f"entry {i} witness", seen, found)
@@ -117,4 +122,4 @@ def test_every_coefficient_is_exact(name, field, monkeypatch):
     assert summary["status"] == ("pass" if name in PASSING else "fail")
     if any(c in ("build-envelope", "check-lemma55") for c in job.commands):
         assert echelons  # the envelope's product-relation echelon was walked
-    assert [(where, c) for where, c in found if type(c) not in kinds or not c] == []
+    assert [(where, c) for where, c in found if not exact(c)] == []

@@ -2,7 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from hgalois import GF, QQ, InputError
+from hgalois import (
+    GF,
+    PLAIN,
+    QQ,
+    AlgebraPresentation,
+    GeneratorMap,
+    GeneratorSymbol,
+    InputError,
+    TensorElement,
+    transport_element,
+)
 from hgalois.cli import run_commands
 from hgalois.errors import JobError
 from hgalois.examples import builtin_job
@@ -35,8 +45,10 @@ def test_rationals_are_ints_until_a_division_leaves_a_remainder():
 def test_prime_field_div():
     F = GF(5)
     assert F.div(F.of_int(3), F.of_int(4)) == F.of_int(2)
-    with pytest.raises(ZeroDivisionError):
-        F.div(F.one, F.zero)
+    assert F.div(-2, 9) == F.div(3, 4) == 2  # int representatives
+    for zero in (F.zero, 5, -10):
+        with pytest.raises(ZeroDivisionError):
+            F.div(F.one, zero)
 
 
 def test_rational_parse_rejects_garbage():
@@ -45,14 +57,19 @@ def test_rational_parse_rejects_garbage():
 
 
 def test_prime_field_arithmetic():
+    """Residues are plain ints; sums and products of int representatives
+    come back to residues through `canonical`, which drops the zeros."""
     F = GF(5)
     a, b = F.of_int(3), F.of_int(4)
-    assert a + b == F.of_int(2)
-    assert a * b == F.of_int(2)
-    assert -a == F.of_int(2)
-    assert a / b == a * F.of_int(4)  # 4^-1 = 4 mod 5
+    assert (a, b, F.of_int(-3), F.of_int(12), F.zero, F.one) == (3, 4, 2, 2, 0, 1)
+    raw = {"sum": a + b, "product": a * b, "negated": -a, "zero": a + 2, "big": 5**40 + 1}
+    assert F.canonical(raw) == {"sum": 2, "product": 2, "negated": 2, "big": 1}
+    assert F.div(a, b) == F.canonical({"q": a * F.of_int(4)})["q"]  # 4^-1 = 4 mod 5
     assert F.parse("7") == F.of_int(2)
     assert F.parse("1/2") == F.of_int(3)
+    assert {type(F.parse(t)) for t in ("7", "-1", "1/2")} == {int}
+    assert F.render(3) == "3" and F.spell(3) == "3 (mod 5)"
+    assert QQ.canonical(raw) is raw and QQ.spell(Fraction(-1, 2)) == "-1/2"
 
 
 def test_prime_field_requires_prime():
@@ -60,17 +77,54 @@ def test_prime_field_requires_prime():
         GF(6)
 
 
+def _gf_presentation(p):
+    return AlgebraPresentation(GF(p), [GeneratorSymbol("x")], [(("x", "x"), {})],
+                               name=f"x2_gf{p}")
+
+
 def test_mixed_prime_fields_rejected():
-    with pytest.raises(InputError):
-        GF(5).of_int(1) + GF(7).of_int(1)
+    """Residues are bare ints, so the field is checked where data of one
+    presentation meets another: elements, tensors, maps, transports and
+    rule right-hand sides over GF(5) and GF(7) raise `InputError`."""
+    p5, p7 = _gf_presentation(5), _gf_presentation(7)
+    x5, x7 = p5.atom_element("x"), p7.atom_element("x")
+    with pytest.raises(InputError, match="different presentations"):
+        x5 + x7
+    with pytest.raises(InputError, match="different presentations"):
+        x5 * x7
+    with pytest.raises(InputError, match="different fields"):
+        TensorElement((p5, p7), (PLAIN, PLAIN), {(("x",), ("x",)): 1})
+    t5 = TensorElement.outer([x5, x5], (PLAIN, PLAIN))
+    with pytest.raises(InputError, match="different fields"):
+        t5.transport((p7, p7))
+    with pytest.raises(InputError, match="different presentations"):
+        t5 + TensorElement.outer([x7, x7], (PLAIN, PLAIN))
+    with pytest.raises(InputError, match="different fields"):
+        transport_element(x5, p7)
+    with pytest.raises(InputError, match="different fields"):
+        GeneratorMap.algebra_map(p5, p7, {"x": x7})
+    with pytest.raises(InputError, match="different field"):
+        p5.add_rule_data(("x", "x", "x"), x7)
+
+
+def test_a_job_has_one_field():
+    """No job reaches a mix of fields: every presentation a job builds,
+    the quotient's target included, is over the job's "field", and a
+    "field" written into the quotient's presentation block is not read."""
+    doc = builtin_job("laurent_mod_x") | {"field": {"prime": 7}}
+    doc["quotient"]["presentation"]["field"] = {"prime": 5}
+    job = Job(doc)
+    f, _, _ = job.quotient()
+    assert {f.source.field, f.targets[0].field, job.presentation.field} == {GF(7)}
+    assert run_commands(job, job.commands)[1]["status"] == "pass"
 
 
 def test_every_nonzero_scalar_inverts():
     F = GF(7)
     for n in range(1, 7):
-        assert F.of_int(n) * (F.one / F.of_int(n)) == F.one
+        assert F.canonical({"unit": F.of_int(n) * F.div(F.one, F.of_int(n))}) == {"unit": F.one}
     q = Fraction(22, 7)
-    assert q * (QQ.one / q) == QQ.one
+    assert q * QQ.div(QQ.one, q) == QQ.one
 
 
 def test_field_from_spec():
@@ -80,10 +134,16 @@ def test_field_from_spec():
         field_from_spec({"weird": 1})
 
 
-@pytest.mark.parametrize("p,text", [(5, "1/0"), (7, "1/7"), (7, " 3 / 14 ")])
+@pytest.mark.parametrize("p,text", [(5, "1/0"), (7, "1/7"), (7, " 3 / 14 "), (7, "3/14")])
 def test_prime_field_zero_denominator_rejected(p, text):
-    with pytest.raises(InputError, match="cannot parse coefficient"):
+    """A denominator that is zero mod p gives that reason, not the
+    `ValueError` of `pow(0, -1, p)`; " 3 / 14 ", with blanks inside, fails
+    the grammar before any division."""
+    with pytest.raises(InputError, match="cannot parse coefficient") as err:
         GF(p).parse(text)
+    reason = ("expected an optional sign, digits and an optional /digits" if " " in text
+              else "the denominator is zero")
+    assert str(err.value) == f"cannot parse coefficient {text!r} over GF({p}): {reason}"
 
 
 GRAMMAR_PROBES = {

@@ -1,7 +1,9 @@
 """Reports byte for byte.  The default `run` report of every bundled job
 must have the golden SHA-256 that the benchmark gate checks
 (`perfbench/expected.json`, read only); the reports of `MORE_GOLDEN`, which
-no default run produces, must have the SHA-256 pinned there."""
+no default run produces, must have the SHA-256 pinned there.  Those include
+every bundled job's GF(421) image, whose relation subjects and envelope
+rules spell coefficients as `c (mod 421)`."""
 
 import hashlib
 import json
@@ -31,9 +33,28 @@ def test_default_run_report_matches_golden_hash(name):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name]
 
 
+def _gf421(doc):
+    doc["field"] = {"prime": 421}
+    return doc
+
+
+def _gf421_mutant():
+    """sweedler_h4 over GF(421) with one coefficient of mu(x) set to 1/3:
+    a failing run whose witnesses carry residues."""
+    doc = _gf421(builtin_job("sweedler_h4"))
+    doc["mu"]["x"][1]["coeff"] = "1/3"
+    return doc
+
+
+JOBS = {"laurent_with_hopf": _laurent_with_hopf, "sweedler_h4_gf421_mutant": _gf421_mutant}
+JOBS.update({f"{name}_gf421": lambda name=name: _gf421(builtin_job(name)) for name in BUILTINS})
+FAILING = {"sweedler_h4_gf421_mutant"}
+
 # (command, job, format, SHA-256 of the report file): the conversions, the
-# Poisson Hopf check of laurent_lambda1 with its Hopf block, and the text
-# report of every bundled job's default run
+# Poisson Hopf check of laurent_lambda1 with its Hopf block, the text report
+# of every bundled job's default run, the JSON and text reports of the
+# default run of every bundled job's GF(421) image, the envelope rules of
+# kxy_truncated over GF(421) and a failing GF(421) mutant
 MORE_GOLDEN = [
     ("convert hopf-to-galois", "sweedler_h4", "json",
      "7fb6559dca78d129d27a4fb9c454b44eb33099ac554e21d2d2578c89ac74dba1"),
@@ -57,16 +78,52 @@ MORE_GOLDEN = [
      "ff422719949f3627359a136e8e7f6c68ec312288c212d33a7130713751d84395"),
     ("run", "z2_zero_bracket", "text",
      "4c1c206b51ab96ee9b598bb46dab13bc75f3d468d932085d50a37cb04e2d78e3"),
+    ("run", "kxy_truncated_gf421", "json",
+     "f9d734a8fa767a1f3eead1c2c2ee490418132885aa7aeb0da67b2e4e17227127"),
+    ("run", "kxy_truncated_gf421", "text",
+     "c822b619b32c940c26ab2783b67aa6e1fd7c12eb7208823c15ce02d3d1bfc5df"),
+    ("run", "laurent_lambda1_gf421", "json",
+     "247426d06286c990c64d996b9ddb3d6920a2ddc88a77c554cdc6a98fc1335d8a"),
+    ("run", "laurent_lambda1_gf421", "text",
+     "462c4929ee28bcf37e48df512dc1d15d8fcd2d31b43d2669e0c80eaf9408f76d"),
+    ("run", "laurent_lambda2_gf421", "json",
+     "17028bce071ac77b5950a9abe40dff5237612e9b7a123f1de0ed82b89d9e37d8"),
+    ("run", "laurent_lambda2_gf421", "text",
+     "47c23da734a1793aea39fd8ca738095f7e2c1651e72c69947d56442281d4f88f"),
+    ("run", "laurent_mod_x_gf421", "json",
+     "cfa234808f3d41423246af05b3be6ca1def0fbb32543d0c87ff7eab8e6c522ce"),
+    ("run", "laurent_mod_x_gf421", "text",
+     "0643388e26b50dbe2b0f3a721409904cc51b9b76ab61ccf545fc6775fc7ac912"),
+    ("run", "ore_q2_laurent_gf421", "json",
+     "5b0d5e481eb79787c305ea6f1bb58240a0925b057ee780463b4e09054d9ea5af"),
+    ("run", "ore_q2_laurent_gf421", "text",
+     "32d1189f44dae0756757ec43a2c017e8c83b7fa041b63cea967433dd57751b75"),
+    ("run", "poisson_ore_laurent_gf421", "json",
+     "16e6cc637cd99115b736daba7d3ba839b665b48e6889494a55680dc265888b18"),
+    ("run", "poisson_ore_laurent_gf421", "text",
+     "97ad0942acca9b3589910dd0a53b4ed12c17b62ecd3a5c149556d224650f1cf4"),
+    ("run", "sweedler_h4_gf421", "json",
+     "6b50cfbc366b158f21216cbf533cba3ad929d5859c38885cfcfaaad5b0b0e0db"),
+    ("run", "sweedler_h4_gf421", "text",
+     "171b73aea7a8dc9729075d78452e76b233bdd970658539b642a42f5f8b6274d4"),
+    ("run", "z2_zero_bracket_gf421", "json",
+     "ade286317e71fef6437148044c44644278687fe03da53cc78e97f043c9ea932e"),
+    ("run", "z2_zero_bracket_gf421", "text",
+     "cdb5ccc5ea014d4654616b5e5b08f3ee03d310524a869205de604d9300a9c42e"),
+    ("build-envelope", "kxy_truncated_gf421", "json",
+     "00e65e22caadf50de912bbfb955b898cdd58b95e1063590e45d92676e985324a"),
+    ("run", "sweedler_h4_gf421_mutant", "json",
+     "c24d6bdf542e71516f6b43829a7b7509485cfeaf5b33c428096bf567e0a280c6"),
 ]
 
 
 @pytest.mark.parametrize("command,name,fmt,sha256", MORE_GOLDEN,
                          ids=[f"{c}:{n}:{f}" for c, n, f, _ in MORE_GOLDEN])
 def test_more_reports_match_golden_hash(command, name, fmt, sha256, tmp_path, capsys):
-    doc = _laurent_with_hopf() if name == "laurent_with_hopf" else builtin_job(name)
+    doc = JOBS[name]() if name in JOBS else builtin_job(name)
     job, report = tmp_path / "job.json", tmp_path / "report"
     job.write_text(json.dumps(doc))
     argv = command.split() + ["--input", str(job), "--format", fmt, "--report", str(report)]
-    assert main(argv) == 0
+    assert main(argv) == (1 if name in FAILING else 0)
     capsys.readouterr()
     assert hashlib.sha256(report.read_bytes()).hexdigest() == sha256

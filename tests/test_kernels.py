@@ -1,7 +1,8 @@
-"""Property tests of the sparse-accumulate kernels, the term-map arithmetic
-of elements and tensors, the tensor-product kernel, and the vanishing-law
-report entry against plain dict arithmetic or the references in
-oracles.py, over Q and GF(5)."""
+"""Property tests of the sparse-accumulate kernels, word reduction on
+generated rewrite systems, the term-map arithmetic of elements and
+tensors, the tensor-product kernel, and the vanishing-law report entry
+against plain dict arithmetic or the references in oracles.py, over Q and
+GF(5)."""
 
 import itertools
 import operator
@@ -25,7 +26,7 @@ from hgalois import (
 from hgalois.presentations import axpy, linear_terms, merge_terms
 from hgalois.tensors import OP, PLAIN, TensorElement, add_outer
 
-from oracles import reference_tensor_mul
+from oracles import naive_reduce_terms, reference_reduce_terms, reference_tensor_mul
 
 # deterministic, and no example database
 SETTINGS = settings(derandomize=True, database=None, max_examples=150)
@@ -57,13 +58,21 @@ def term_maps(values, keys=KEYS):
         lambda d: {k: c for k, c in d.items() if c})
 
 
+def residues(field, terms):
+    """The nonzero terms of a term map, each coefficient taken modulo the
+    characteristic p of a prime field: over GF(p) the kernels combine int
+    representatives, and only their callers reduce the results."""
+    p = field.characteristic
+    return {k: r for k, c in terms.items() if (r := c % p if p else c)}
+
+
 def naive_add(field, *scaled):
     """sum of c * m over (c, m) pairs, by dense dict arithmetic."""
     out = {}
     for scale, terms in scaled:
         for k, c in terms.items():
             out[k] = out.get(k, field.zero) + c * scale
-    return {k: c for k, c in out.items() if c}
+    return residues(field, out)
 
 
 @SETTINGS
@@ -74,7 +83,7 @@ def test_axpy_matches_naive(data):
     scale = data.draw(values | st.just(field.zero) | st.just(-field.one))
     expected = naive_add(field, (field.one, dst), (scale, src))
     axpy(dst, src, scale)
-    assert dst == expected
+    assert residues(field, dst) == expected
     assert all(dst.values())
 
 
@@ -96,7 +105,7 @@ def test_merge_terms_matches_naive(data, op):
     a_before, b_before = dict(a), dict(b)
     sign = field.one if op is operator.add else -field.one
     out = merge_terms(a, b, op)
-    assert out == naive_add(field, (field.one, a), (sign, b))
+    assert residues(field, out) == naive_add(field, (field.one, a), (sign, b))
     assert all(out.values())
     assert (a, b) == (a_before, b_before)  # a copy, not in place
     assert merge_terms(a, a, operator.sub) == {}
@@ -136,7 +145,7 @@ def test_add_outer_matches_naive(data):
         outer[key] = outer.get(key, field.zero) + c
     expected = naive_add(field, (field.one, terms), (coeff, outer))
     add_outer(terms, slots, coeff, field)
-    assert terms == expected
+    assert residues(field, terms) == expected
     assert all(terms.values())
 
 
@@ -150,6 +159,55 @@ def test_add_outer_cancels_exactly(data):
     add_outer(terms, slots, coeff, field)
     add_outer(terms, slots, -coeff, field)
     assert terms == {}
+
+
+# generated rewrite systems: 2-3 atoms, rules whose left-hand sides have
+# 1-3 atoms and whose right-hand sides are smaller in deg-lex order, cap 6
+SYSTEM_CAP = 6
+
+
+def _words(atoms, max_len):
+    return [w for n in range(max_len + 1) for w in itertools.product(atoms, repeat=n)]
+
+
+@st.composite
+def rewrite_systems(draw, values):
+    """(atoms, rules): each rule (lhs, rhs) with rhs a term map of words
+    strictly below lhs in the deg-lex order of the atoms as listed."""
+    atoms = "abc"[:draw(st.integers(2, 3))]
+    rules = []
+    for _ in range(draw(st.integers(1, 4))):
+        lhs = draw(st.sampled_from(_words(atoms, 3)[1:]))
+        key = (len(lhs), tuple(atoms.index(a) for a in lhs))
+        below = [w for w in _words(atoms, len(lhs))
+                 if (len(w), tuple(atoms.index(a) for a in w)) < key]
+        rhs = draw(st.dictionaries(st.sampled_from(below), values, max_size=2))
+        rules.append((lhs, {w: c for w, c in rhs.items() if c}))
+    return atoms, rules
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.data())
+def test_reduce_terms_matches_the_references_on_generated_systems(data):
+    """`reduce_terms`, with its memo filled by earlier calls, against
+    `reference_reduce_terms` (the package's leftmost-redex strategy, its own
+    memo) on every drawn system, and against `naive_word_reduce` (another
+    strategy) on the locally confluent ones, where normal forms are unique
+    (every overlap has at most 5 atoms, within the cap)."""
+    field, values = data.draw(field_and_values())
+    atoms, rules = data.draw(rewrite_systems(values))
+    pres = AlgebraPresentation(field, [GeneratorSymbol(a) for a in atoms], rules,
+                               cap=SYSTEM_CAP, check=False)
+    confluent = not pres.unresolved_critical_pairs()
+    memo = {}
+    for terms in data.draw(st.lists(term_maps(values, st.sampled_from(_words(atoms, SYSTEM_CAP))),
+                                    min_size=1, max_size=3)):
+        got = pres.reduce_terms(terms)
+        assert got == reference_reduce_terms(pres, terms, memo)
+        assert all(type(c) is int and 0 < c < field.characteristic for c in got.values()) \
+            if field.characteristic else all(got.values())
+        if confluent:
+            assert got == naive_reduce_terms(pres, terms)
 
 
 # the quantum plane ba = 2ab cut by a^3 = 0 and b^3 = 0 (confluent), with a
@@ -259,7 +317,7 @@ def test_linear_terms_matches_naive(data):
     terms = data.draw(term_maps(values))
     images = {k: data.draw(term_maps(values)) for k in terms}
     out = linear_terms(terms, images.__getitem__)
-    assert out == naive_add(field, *((c, images[k]) for k, c in terms.items()))
+    assert residues(field, out) == naive_add(field, *((c, images[k]) for k, c in terms.items()))
     assert all(out.values())
 
 
