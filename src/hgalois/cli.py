@@ -10,7 +10,6 @@ input, usage error or a report file that cannot be written.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -34,7 +33,7 @@ from .poisson import (
     check_poisson_hopf,
     poisson_pushforward,
 )
-from .reports import entry_to_json, terms_json
+from .reports import entry_to_json, render_json, render_text, terms_json
 
 
 def _mu_json(hg, render) -> dict:
@@ -200,33 +199,6 @@ def run_commands(job: Job, commands) -> tuple:
     if results:
         summary["results"] = results
     return all_entries, summary
-
-
-def render_json(entries, summary) -> str:
-    return json.dumps(entries + [{"summary": summary}], indent=2, ensure_ascii=False) + "\n"
-
-
-def render_text(entries, summary) -> str:
-    lines = [f"job: {summary['job']} (field: {summary['field']})"]
-    current = None
-    for e in entries:
-        if e["command"] != current:
-            current = e["command"]
-            lines.append(f"== {current} ==")
-        status = "PASS" if e["status"] == "pass" else "FAIL"
-        lines.append(f"  {status}  {e['check']} [{e['anchor']}] :: {e['subject']}")
-        if e["status"] == "fail":
-            witness = e.get("witness")
-            if witness is not None:
-                lines.append(f"        witness: {json.dumps(witness, ensure_ascii=False)}")
-    lines.append(
-        f"summary: {summary['checks']} checks, {summary['passed']} passed, "
-        f"{summary['failed']} failed -> {summary['status'].upper()}"
-    )
-    if "results" in summary:
-        lines.append("results:")
-        lines.append(json.dumps(summary["results"], indent=2, ensure_ascii=False))
-    return "\n".join(lines) + "\n"
 
 
 def _cap_override(args):

@@ -267,37 +267,50 @@ def relation_instance_report(env: EnvelopePresentation) -> VerificationReport:
 
 class TripleEnvelope:
     """U(A) ⊗ U(A)^op ⊗ U(A) with the two structure maps of the triple
-    tensor: the slot-wise algebra map and the three-term Lie map xi."""
+    tensor: the slot-wise algebra map and the three-term Lie map xi.
+
+    Both maps are linear, so each keeps a memo from a source word triple to
+    its canonical image term map, filled on first use; the images of the
+    basis words are fixed with the envelope, so an entry never goes stale.
+    """
 
     def __init__(self, envelope: EnvelopePresentation):
         self.envelope = envelope
         envp = envelope.presentation
         self.factors = (envp, envp, envp)
         self.signature = MU_SIGNATURE
+        self.alpha3_memo: dict = {}
+        self.xi_memo: dict = {}
 
-    def _apply3(self, t: TensorElement, patterns) -> TensorElement:
-        """Sum over the slot patterns of the slot-wise maps applied to t, in
-        one pass over its terms; a pattern names, per slot, the image term
-        maps of the source basis words (alpha or beta)."""
+    def _apply3(self, t: TensorElement, memo, patterns) -> TensorElement:
+        """The slot-wise maps summed over the slot patterns, applied to t
+        term by term through `memo`; a pattern names, per slot, the image
+        term maps of the source basis words (alpha or beta)."""
         src = self.envelope.source.presentation
         if t.rank != 3 or any(f is not src for f in t.factors):
             raise InputError("expected a rank-3 tensor over the enveloped algebra")
-        image = self.envelope.word_image
+        field, image = src.field, self.envelope.word_image
         out: dict = {}
         for words, coeff in t.terms.items():
-            for pattern in patterns:
-                add_outer(out, [image(m, w) for m, w in zip(pattern, words)], coeff, src.field)
-        return TensorElement(self.factors, self.signature, src.field.canonical(out), src.field,
+            terms = memo.get(words)
+            if terms is None:
+                terms = {}
+                for pattern in patterns:
+                    add_outer(terms, [image(m, w) for m, w in zip(pattern, words)],
+                              field.one, field)
+                terms = memo[words] = field.canonical(terms)
+            axpy(out, terms, coeff)
+        return TensorElement(self.factors, self.signature, field.canonical(out), field,
                              normalize=False)
 
     def alpha3(self, t: TensorElement) -> TensorElement:
         a = self.envelope.alpha_images
-        return self._apply3(t, [(a, a, a)])
+        return self._apply3(t, self.alpha3_memo, [(a, a, a)])
 
     def xi(self, t: TensorElement) -> TensorElement:
         """xi = alpha⊗alpha⊗beta + alpha⊗beta⊗alpha + beta⊗alpha⊗alpha."""
         a, b = self.envelope.alpha_images, self.envelope.beta_images
-        return self._apply3(t, [(a, a, b), (a, b, a), (b, a, a)])
+        return self._apply3(t, self.xi_memo, [(a, a, b), (a, b, a), (b, a, a)])
 
 
 def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:

@@ -34,7 +34,12 @@ class DegreeCapError(HgError):
 
 
 class ConfluenceError(HgError):
-    """A critical pair of rewrite rules failed to resolve."""
+    """A critical pair of rewrite rules failed to resolve; `word` is its
+    overlap word (None when the raiser does not give one)."""
+
+    def __init__(self, message, word=None):
+        self.word = word
+        super().__init__(message)
 
 
 class JobError(InputError):

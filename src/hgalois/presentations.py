@@ -387,7 +387,8 @@ class AlgebraPresentation:
                 raise ConfluenceError(
                     f"presentation {name or '<anonymous>'} is not locally confluent; "
                     f"first unresolved overlap: {word_str(word)} "
-                    f"between [{r1}] and [{r2}]"
+                    f"between [{r1}] and [{r2}]",
+                    word,
                 )
 
     # ------------------------------------------------------------------
@@ -652,7 +653,8 @@ class AlgebraPresentation:
             if added == max_new_rules:
                 raise ConfluenceError(
                     f"completion did not stabilize after {max_new_rules} rules; "
-                    f"unresolved overlap: {word_str(word)} between [{r1}] and [{r2}]"
+                    f"unresolved overlap: {word_str(word)} between [{r1}] and [{r2}]",
+                    word,
                 )
             lead = max(diff, key=self.word_key)
             if not lead:

@@ -89,3 +89,86 @@ def entry_to_json(entry: CheckEntry, render_coeff) -> dict:
     if not entry.passed:
         doc["witness"] = serialize_witness(entry.witness, render_coeff)
     return doc
+
+
+def json_text(value) -> str:
+    """The text of `json.dumps(value, indent=2, ensure_ascii=False)` for
+    report data: dicts with string keys, lists and tuples, strings and
+    other JSON scalars.  Strings are escaped by the `json` module's own
+    escaper (its C function when the interpreter has one), and every other
+    scalar keeps `json.dumps`."""
+    import json  # here, so that `import hgalois` does not load json
+
+    quote = json.encoder.encode_basestring
+    if isinstance(value, str):
+        return quote(value)
+    if not (value and isinstance(value, (dict, list, tuple))):
+        return json.dumps(value)
+    out = []
+    _json_lines(value, "", out, quote, json.dumps)
+    return "".join(out)
+
+
+def _json_lines(container, pad, out, quote, dumps) -> None:
+    """Append the indent-2 text of a nonempty container to `out`: its first
+    line continues the last piece, and its closing bracket is indented by
+    `pad`.  Each line is one piece: separator, indent, key and scalar
+    value together."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(container, dict):
+        line = "{\n" + inner
+        for key, item in container.items():
+            if isinstance(item, str):
+                out.append(f"{line}{quote(key)}: {quote(item)}")
+            elif item and isinstance(item, (dict, list, tuple)):
+                out.append(f"{line}{quote(key)}: ")
+                _json_lines(item, inner, out, quote, dumps)
+            else:
+                out.append(f"{line}{quote(key)}: {dumps(item)}")
+            line = sep
+        out.append(f"\n{pad}}}")
+    else:
+        line = "[\n" + inner
+        for item in container:
+            if isinstance(item, str):
+                out.append(line + quote(item))
+            elif item and isinstance(item, (dict, list, tuple)):
+                out.append(line)
+                _json_lines(item, inner, out, quote, dumps)
+            else:
+                out.append(line + dumps(item))
+            line = sep
+        out.append(f"\n{pad}]")
+
+
+def render_json(entries, summary) -> str:
+    """The JSON report: the entry dicts, then the summary object."""
+    return json_text(entries + [{"summary": summary}]) + "\n"
+
+
+def render_text(entries, summary) -> str:
+    """The text report: one line per entry under its command, each failing
+    entry's witness in compact JSON, the summary line and the results."""
+    import json  # here, so that `import hgalois` does not load json
+
+    lines = [f"job: {summary['job']} (field: {summary['field']})"]
+    current = None
+    for e in entries:
+        if e["command"] != current:
+            current = e["command"]
+            lines.append(f"== {current} ==")
+        status = "PASS" if e["status"] == "pass" else "FAIL"
+        lines.append(f"  {status}  {e['check']} [{e['anchor']}] :: {e['subject']}")
+        if e["status"] == "fail":
+            witness = e.get("witness")
+            if witness is not None:
+                lines.append(f"        witness: {json.dumps(witness, ensure_ascii=False)}")
+    lines.append(
+        f"summary: {summary['checks']} checks, {summary['passed']} passed, "
+        f"{summary['failed']} failed -> {summary['status'].upper()}"
+    )
+    if "results" in summary:
+        lines.append("results:")
+        lines.append(json_text(summary["results"]))
+    return "\n".join(lines) + "\n"

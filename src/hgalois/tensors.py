@@ -14,8 +14,6 @@ Linear arithmetic, equality and `repr` come from `presentations.Terms`,
 shared with `Element`; slot maps and folds extend linearly (`linear_terms`).
 """
 
-import itertools
-
 from .errors import InputError
 from .presentations import Element, Terms, linear_terms, word_str
 
@@ -24,21 +22,19 @@ OP = True
 
 
 def add_outer(terms: dict, slots, coeff, field) -> None:
-    """terms += coeff * (s_1 ⊗ ... ⊗ s_k) for slot term maps s_i, in one
-    pass; a missing key takes the product itself, and zero sums are
-    dropped.  Factors that are the field's shared one (the coefficient of
-    a word that is its own normal form) are skipped.  Like `axpy`, it
-    leaves int representatives over GF(p) for its caller to pass through
+    """terms += coeff * (s_1 ⊗ ... ⊗ s_k) for slot term maps s_i: the
+    combinations are built slot by slot, and each is then added in; a
+    missing key takes the product itself, and zero sums are dropped.
+    Factors that are the field's shared one (the coefficient of a word that
+    is its own normal form) are skipped.  Like `axpy`, it leaves int
+    representatives over GF(p) for its caller to pass through
     `field.canonical`."""
     one = field.one
-    for combo in itertools.product(*(slot.items() for slot in slots)):
-        c = coeff
-        for _, f in combo:
-            if f is not one:
-                c = c * f
-        if not c:
-            continue
-        words = tuple(w for w, _ in combo)
+    combos = [((), coeff)]
+    for slot in slots:
+        combos = [(words + (w,), c if f is one else c * f)
+                  for words, c in combos for w, f in slot.items()]
+    for words, c in combos:
         s = terms[words] + c if words in terms else c
         if s:
             terms[words] = s
@@ -77,11 +73,15 @@ class TensorElement(Terms):
         """The one normalisation kernel: the sum of the (key, coeff) pairs
         `terms`, each key a k-tuple of words and each coeff nonzero, as the
         outer products of the slots' memoized normal forms (`add_outer`),
-        with canonical coefficients."""
+        with canonical coefficients.  A memo hit is read straight from
+        `_nf_cache` and only a miss calls `_word_nf`: every memo key passed
+        the cap check when it was stored, and a presentation's cap is fixed,
+        so `DegreeCapError` fires exactly where `_word_nf` would raise it."""
         out: dict = {}
         factors, field = self.factors, self.field
         for key, coeff in terms:
-            add_outer(out, [f._word_nf(w, "normal_form") for f, w in zip(factors, key)],
+            add_outer(out, [nf if (nf := f._nf_cache.get(w)) is not None
+                            else f._word_nf(w, "normal_form") for f, w in zip(factors, key)],
                       coeff, field)
         return field.canonical(out)
 
@@ -149,9 +149,10 @@ class TensorElement(Terms):
         self._check_same(other)
         signature = self.signature
         raw: dict = {}
+        # a key is made from a list, which costs less per term pair than a generator
         for ks, cs in self.terms.items():
             for kt, ct in other.terms.items():
-                words = tuple(t + s if op else s + t for s, t, op in zip(ks, kt, signature))
+                words = tuple([t + s if op else s + t for s, t, op in zip(ks, kt, signature)])
                 c = raw[words] + cs * ct if words in raw else cs * ct
                 if c:
                     raw[words] = c

@@ -241,6 +241,7 @@ def test_completion_budget_is_exact():
     word, r1, r2, _ = pres.unresolved_critical_pairs()[0]
     assert str(exc.value).endswith(
         f"after 2 rules; unresolved overlap: {word_str(word)} between [{r1}] and [{r2}]")
+    assert exc.value.word == word
 
 
 def test_completion_of_a_zero_algebra_names_the_overlap():

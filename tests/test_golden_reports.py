@@ -3,19 +3,24 @@ must have the golden SHA-256 that the benchmark gate checks
 (`perfbench/expected.json`, read only); the reports of `MORE_GOLDEN`, which
 no default run produces, must have the SHA-256 pinned there.  Those include
 every bundled job's GF(421) image, whose relation subjects and envelope
-rules spell coefficients as `c (mod 421)`."""
+rules spell coefficients as `c (mod 421)`.  The report writer itself is
+compared with `json.dumps(indent=2, ensure_ascii=False)` on generated
+values."""
 
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_cli import _laurent_with_hopf
 
 from hgalois.cli import main, render_json, run_commands
 from hgalois.examples import BUILTINS, builtin_job
 from hgalois.jobs import Job
+from hgalois.reports import json_text
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 GOLDEN = json.loads(EXPECTED.read_text(encoding="utf-8"))["golden_sha256"]
@@ -127,3 +132,21 @@ def test_more_reports_match_golden_hash(command, name, fmt, sha256, tmp_path, ca
     assert main(argv) == (1 if name in FAILING else 0)
     capsys.readouterr()
     assert hashlib.sha256(report.read_bytes()).hexdigest() == sha256
+
+
+# strings with non-ASCII text, control characters, quotes, backslashes and
+# the separators that JavaScript does not allow in string literals
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029é中🙂')),
+               max_size=6)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=16)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(JSON_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    """Nested dicts and lists, empty ones included, and every scalar kind."""
+    assert json_text(value) == json.dumps(value, indent=2, ensure_ascii=False)

@@ -1,8 +1,8 @@
-"""Property tests of the sparse-accumulate kernels, word reduction on
-generated rewrite systems, the term-map arithmetic of elements and
-tensors, the tensor-product kernel, and the vanishing-law report entry
-against plain dict arithmetic or the references in oracles.py, over Q and
-GF(5)."""
+"""Property tests of the sparse-accumulate kernels, word reduction,
+critical pairs and completion on generated rewrite systems, the term-map
+arithmetic of elements and tensors, the tensor-product kernel, and the
+vanishing-law report entry against plain dict arithmetic or the references
+in oracles.py, over Q and GF(5)."""
 
 import itertools
 import operator
@@ -17,6 +17,7 @@ from hgalois import (
     MU_SIGNATURE,
     QQ,
     AlgebraPresentation,
+    ConfluenceError,
     DegreeCapError,
     Element,
     GeneratorSymbol,
@@ -26,7 +27,13 @@ from hgalois import (
 from hgalois.presentations import axpy, linear_terms, merge_terms
 from hgalois.tensors import OP, PLAIN, TensorElement, add_outer
 
-from oracles import naive_reduce_terms, reference_reduce_terms, reference_tensor_mul
+from oracles import (
+    naive_reduce_terms,
+    reference_complete_rules,
+    reference_reduce_terms,
+    reference_tensor_mul,
+    reference_unresolved_critical_pairs,
+)
 
 # deterministic, and no example database
 SETTINGS = settings(derandomize=True, database=None, max_examples=150)
@@ -208,6 +215,37 @@ def test_reduce_terms_matches_the_references_on_generated_systems(data):
             if field.characteristic else all(got.values())
         if confluent:
             assert got == naive_reduce_terms(pres, terms)
+
+
+def _completed(make, complete):
+    """(rules, number added or the type of the error raised) after running
+    `complete` on a fresh presentation from `make`."""
+    pres = make()
+    try:
+        outcome = complete(pres)
+    except (ConfluenceError, InputError) as exc:
+        outcome = type(exc)
+    return [(r.lhs, r.rhs_terms) for r in pres.rules], outcome
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.data())
+def test_completion_matches_the_references_on_generated_systems(data):
+    """`unresolved_critical_pairs` and `complete_rules` against the
+    full-scan references on every drawn system: the same pairs in the same
+    order, and the same rules added, or the same error (`ConfluenceError`
+    over budget, `InputError` when the system collapses to zero)."""
+    field, values = data.draw(field_and_values())
+    atoms, rules = data.draw(rewrite_systems(values))
+
+    def make():
+        return AlgebraPresentation(field, [GeneratorSymbol(a) for a in atoms], rules,
+                                   cap=SYSTEM_CAP, check=False)
+
+    pres = make()
+    assert pres.unresolved_critical_pairs() == reference_unresolved_critical_pairs(pres)
+    assert _completed(make, lambda p: p.complete_rules()) == \
+        _completed(make, reference_complete_rules)
 
 
 # the quantum plane ba = 2ab cut by a^3 = 0 and b^3 = 0 (confluent), with a

@@ -1,7 +1,8 @@
 """The Lemma 5.5 fast path against the per-term references in oracles.py:
-xi and alpha3 from cached basis-word images, triple brackets and tensor
-products accumulated in one pass, memo-backed slot normalisation, and the
-whole check with each image product formed once per pair of orders."""
+xi and alpha3 from cached basis-word images through their per-triple
+memos, triple brackets and tensor products accumulated in one pass,
+memo-backed slot normalisation, and the whole check with each image
+product formed once per pair of orders."""
 
 import itertools
 
@@ -98,6 +99,37 @@ def test_xi_and_alpha3_match_on_triples_brackets_and_products(case):
         for t in (triple_bracket(p, t1, t2), t1 * t2):
             assert te.xi(t).terms == reference_xi(env, t)
             assert te.alpha3(t).terms == reference_alpha3(env, t)
+
+
+def test_xi_and_alpha3_memos_match_the_references(case):
+    """A fresh triple envelope: on every triple of basis words alpha3 runs
+    before xi, so a memo shared by the two maps would hand xi the image of
+    alpha3.  Then multi-term tensors whose terms repeat those triples are
+    read through the warm memos, and each memo entry must still be the
+    reference image of its triple (no caller changed it)."""
+    p, env, _, _ = case
+    pres = p.presentation
+    field = pres.field
+    te = TripleEnvelope(env)
+    words = list(itertools.product(env.basis, repeat=3))
+
+    def tensor(terms):
+        return TensorElement((pres,) * 3, MU_SIGNATURE, terms, field, normalize=False)
+
+    for key in words:
+        t = tensor({key: field.one})
+        assert te.alpha3(t).terms == reference_alpha3(env, t)
+        assert te.xi(t).terms == reference_xi(env, t)
+    assert set(te.alpha3_memo) == set(te.xi_memo) == set(words)
+    coeffs = [field.one, field.parse("2/3"), field.parse("-5")]
+    for start in range(0, len(words), 7):
+        t = tensor({key: coeffs[i % 3] for i, key in enumerate(words[start:start + 11])})
+        assert te.xi(t).terms == reference_xi(env, t)
+        assert te.alpha3(t).terms == reference_alpha3(env, t)
+    for key in words:
+        t = tensor({key: field.one})
+        assert te.alpha3_memo[key] == reference_alpha3(env, t)
+        assert te.xi_memo[key] == reference_xi(env, t)
 
 
 def test_triple_bracket_matches(case):

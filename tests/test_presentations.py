@@ -87,12 +87,18 @@ def test_rule_orientation_must_decrease_order():
 
 
 def test_confluence_failure_is_reported():
-    # a^2 -> a and a^2 -> 0 cannot both hold
-    with pytest.raises(ConfluenceError):
-        AlgebraPresentation(
-            QQ, [GeneratorSymbol("a")],
-            relations=[(("a", "a", "a"), {("a",): ONE}), (("a", "a"), {})],
-        )
+    # a^3 -> a and a^2 -> 0 cannot both hold; the error names the first
+    # unresolved overlap, in its message and as `word`
+    relations = [(("a", "a", "a"), {("a",): ONE}), (("a", "a"), {})]
+    with pytest.raises(ConfluenceError) as exc:
+        AlgebraPresentation(QQ, [GeneratorSymbol("a")], relations=relations)
+    unchecked = AlgebraPresentation(QQ, [GeneratorSymbol("a")], relations=relations,
+                                    check=False)
+    word, r1, r2, _ = unchecked.unresolved_critical_pairs()[0]
+    assert str(exc.value) == ("presentation <anonymous> is not locally confluent; "
+                              f"first unresolved overlap: {word_str(word)} "
+                              f"between [{r1}] and [{r2}]")
+    assert exc.value.word == word
 
 
 def test_critical_pairs_all_resolve_on_fixtures():
