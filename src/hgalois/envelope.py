@@ -246,10 +246,10 @@ def relation_instance_report(env: EnvelopePresentation) -> VerificationReport:
         a_br, b_prod = env.alpha_of(p.bracket(ei, ej)), env.beta_of(ei * ej)
         ai_bj, bj_ai, bi_aj, aj_bi = a_i * b_j, b_j * a_i, b_i * a_j, a_j * b_i
 
-        defining_comm = envp.normal_form(a_br - (bi_aj - aj_bi))
-        defining_prod = envp.normal_form(b_prod - (ai_bj + aj_bi))
-        mirrored_comm = envp.normal_form(a_br - (ai_bj - bj_ai))
-        mirrored_prod = envp.normal_form(b_prod - (bi_aj + bj_ai))
+        defining_comm = a_br - (bi_aj - aj_bi)
+        defining_prod = b_prod - (ai_bj + aj_bi)
+        mirrored_comm = a_br - (ai_bj - bj_ai)
+        mirrored_prod = b_prod - (bi_aj + bj_ai)
         for name, anchor, diff in [
             ("defining commutator", ANCHOR_DEFINING, defining_comm),
             ("defining product law", ANCHOR_DEFINING, defining_prod),

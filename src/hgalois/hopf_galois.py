@@ -20,10 +20,7 @@ ANCHOR_ALGEBRA_MAP = "Def 2.1 (mu is an algebra map)"
 ANCHOR_LEFT_LAW = "Def 2.1 Eq (2.1) left law"
 ANCHOR_RIGHT_LAW = "Def 2.1 Eq (2.1) right law"
 ANCHOR_COASSOC = "Def 2.1 Eq (2.2) coassociativity"
-ANCHOR_GROUPLIKE = "Def 2.3 group-like"
-ANCHOR_REVERSE = "Remark 2.2(2) reversed map"
 ANCHOR_PUSHFORWARD = "Remark 2.2(1) quotient pushforward"
-ANCHOR_HOPF_TO_HG = "Prop 2.4 Eq (2.4)"
 ANCHOR_HG_TO_HOPF = "Prop 2.4 Eq (2.3)"
 
 

@@ -23,7 +23,8 @@ from .hopf_galois import (
 from .maps import GeneratorMap
 from .ore import OreData, PoissonOreData
 from .poisson import PoissonStructure
-from .presentations import NAME, AlgebraPresentation, Element, GeneratorSymbol, inverse_atom
+from .presentations import (DEFAULT_CAP, NAME, AlgebraPresentation, Element, GeneratorSymbol,
+                            inverse_atom)
 from .tensors import PLAIN, TensorElement
 
 _TOKEN_RE = re.compile(rf"({NAME})(?:\^(-?[0-9]+))?")  # matched with fullmatch
@@ -124,8 +125,10 @@ class Job:
             if isinstance(spec, dict) and "prime" in spec:
                 json_typed(spec["prime"], int, f"{self.name}.field")
             self.field = field_from_spec(spec)
-        if self.field.characteristic in get(doc, "forbidden_characteristics", list,
-                                            self.name, []):
+        forbidden = get(doc, "forbidden_characteristics", list, self.name, [])
+        if self.field.characteristic in [
+                json_typed(c, int, f"{self.name}.forbidden_characteristics[{i}]")
+                for i, c in enumerate(forbidden)]:
             raise CharacteristicError(
                 f"{self.name}: structure is not defined in characteristic "
                 f"{self.field.characteristic}"
@@ -133,7 +136,7 @@ class Job:
         if cap_override is not None:
             cap_override = degree_cap(cap_override, f"{self.name}.cap_override")
         self.cap_override = cap_override
-        self.cap = self.block_cap(doc, 12, self.name)
+        self.cap = self.block_cap(doc, self.name).get("cap", DEFAULT_CAP)
         self.commands = [json_typed(c, str, f"{self.name}.commands[{i}]")
                          for i, c in enumerate(get(doc, "commands", list, self.name, []))]
         self._parsed = {}  # the results of the `_shared` methods
@@ -145,11 +148,12 @@ class Job:
             raise JobError(self.name, f'this command needs the "{key}" block')
         return json_typed(self.doc[key], dict, f"{self.name}.{key}")
 
-    def block_cap(self, block, default, path) -> int:
-        """The degree cap of a block: the override, else its "cap" field."""
+    def block_cap(self, block, path) -> dict:
+        """The degree cap of a block as keyword arguments: the override, else
+        its "cap" field, else none, and the default of what it builds holds."""
         if self.cap_override is not None:
-            return self.cap_override
-        return degree_cap(block["cap"], f"{path}.cap") if "cap" in block else default
+            return {"cap": self.cap_override}
+        return {"cap": degree_cap(block["cap"], f"{path}.cap")} if "cap" in block else {}
 
     def coeff(self, text, path):
         if isinstance(text, float):
@@ -213,7 +217,7 @@ class Job:
                                             get(g, "invertible", bool, gpath, False)))
         if not gens:
             raise JobError(f"{path}.generators", "at least one generator is required")
-        cap = self.block_cap(block, self.cap, path)
+        cap = self.block_cap(block, path).get("cap", self.cap)
         slot = (cap, {g.name for g in gens} | {inverse_atom(g.name) for g in gens if g.invertible})
         relations = []
         for i, rel in enumerate(get(block, "relations", list, path, [])):
@@ -252,7 +256,9 @@ class Job:
             if len(pair) != 2:
                 raise JobError(f"{epath}.pair", "pair must name two generators")
             key = tuple(json_typed(a, str, f"{epath}.pair[{k}]") for k, a in enumerate(pair))
-            table[key] = self.element(pres, entry.get("value", []), f"{epath}.value")
+            value = self.element(pres, entry.get("value", []), f"{epath}.value")
+            if table.setdefault(key, value) != value:
+                raise JobError(path, f"conflicting bracket values for pair ({key[0]},{key[1]})")
         with at(path):
             return PoissonStructure(pres, table)
 
@@ -293,7 +299,7 @@ class Job:
                                                        name="tau_inverse")
             data = OreData(pres, tau, delta, tau_inverse=tau_inverse,
                            variable=get(block, "variable", str, path, "z"),
-                           cap=self.block_cap(block, 8, path))
+                           **self.block_cap(block, path))
         return data, self.grouplike(pres, block, path)
 
     @_shared
@@ -306,7 +312,7 @@ class Job:
         with at(path):
             data = PoissonOreData(self.poisson(), alpha, delta,
                                   variable=get(block, "variable", str, path, "x"),
-                                  cap=self.block_cap(block, 8, path))
+                                  **self.block_cap(block, path))
         return data, self.grouplike(pres, block, path)
 
     def envelope_block(self) -> dict:
@@ -316,8 +322,8 @@ class Job:
     def envelope(self) -> EnvelopePresentation:
         """The envelope of the job's Poisson algebra."""
         poisson = self.poisson()
-        cap = self.block_cap(self.envelope_block(), 6, f"{self.name}.envelope")
-        return build_envelope(poisson, cap=cap)
+        return build_envelope(poisson, **self.block_cap(self.envelope_block(),
+                                                        f"{self.name}.envelope"))
 
     def lemma55_words(self):
         """The envelope's "sample_words", read after the presentation."""

@@ -88,15 +88,13 @@ class GeneratorMap:
         return _fill_prefixes(table, tuple(word), self.images, self.name,
                               lambda out, _w, _a, img: out * img)
 
-    def apply(self, value) -> TensorElement:
-        """Image of an Element (or raw word) of the source algebra."""
-        if isinstance(value, Element):
-            if value.presentation is not self.source:
-                raise InputError(f"{self.name}: element from a different presentation")
-            out = linear_terms(value.terms, lambda w: self.apply_word(w).terms)
-            return TensorElement(self.targets, self.signature, self.field.canonical(out),
-                                 self.field, normalize=False)
-        return self.apply_word(self.source.validate_word(value))
+    def apply(self, value: Element) -> TensorElement:
+        """Image of an Element of the source algebra; `apply_word` takes a word."""
+        if value.presentation is not self.source:
+            raise InputError(f"{self.name}: element from a different presentation")
+        out = linear_terms(value.terms, lambda w: self.apply_word(w).terms)
+        return TensorElement(self.targets, self.signature, self.field.canonical(out),
+                             self.field, normalize=False)
 
     def apply_element(self, value) -> Element:
         return self.apply(value).to_element()

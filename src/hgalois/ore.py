@@ -36,16 +36,10 @@ from .reports import VerificationReport
 from .tensors import TensorElement
 
 ANCHOR_ORE_RELATION = "Ore relation z a = tau(a) z + delta(a)"
-ANCHOR_SIGMA_DERIVATION = "tau-derivation law"
 ANCHOR_THM28 = {1: "Thm 2.8 condition (1)", 2: "Thm 2.8 condition (2)",
                 3: "Thm 2.8 condition (3)"}
-ANCHOR_MU_Z = "Thm 2.8 / Prop 2.7 mu(z)"
-ANCHOR_POISSON_DERIVATION = "Def 4.1 Eq (4.1)-(4.2)"
-ANCHOR_DELTA_TWIST = "Remark 4.2 Eq (4.3)"
-ANCHOR_ORE_BRACKET = "Remark 4.2 Eq (4.4)"
 ANCHOR_THM44 = {6: "Thm 4.4 Eq (4.6)", 7: "Thm 4.4 Eq (4.7)", 8: "Thm 4.4 Eq (4.8)",
                 9: "Thm 4.4 Eq (4.9)", 10: "Thm 4.4 Eq (4.10)"}
-ANCHOR_MU_X = "Thm 4.4 Eq (4.5) mu(x)"
 
 
 def _check_variable(base: AlgebraPresentation, variable: str) -> str:

@@ -395,11 +395,7 @@ class AlgebraPresentation:
     # atoms and ordering
 
     def generator_of(self, atom: str) -> GeneratorSymbol:
-        try:
-            idx, _ = self._atom_index[atom]
-        except KeyError:
-            raise InputError(f"unknown atom {atom!r} in presentation {self.name or '<anonymous>'}")
-        return self.generators[idx]
+        return self.generators[self.atom_key(atom)[0]]
 
     def atom_key(self, atom: str):
         try:
@@ -427,13 +423,11 @@ class AlgebraPresentation:
                 if self.generator_of(s) is not self.generator_of(t)]
 
     def _add_rule(self, lhs: Word, rhs_terms: dict):
-        lhs = self.validate_word(lhs)
         if not lhs:
             raise InputError("rewrite rule with empty left-hand side")
         rhs = Element(self, self.field.canonical(dict(rhs_terms)))
         lk = self.word_key(lhs)
         for w in rhs.terms:
-            self.validate_word(w)
             if self.word_key(w) >= lk:
                 raise InputError(
                     f"rule {word_str(lhs)} -> {rhs} does not decrease the "
@@ -577,8 +571,7 @@ class AlgebraPresentation:
         return Element(self, {(): self.field.one})
 
     def atom_element(self, atom: str) -> Element:
-        word = self.validate_word((atom,))
-        return self.normal_form(word)
+        return self.normal_form((atom,))
 
     def element(self, terms: dict) -> Element:
         """Normalize a {word-tuple: coeff} map into an Element; keys that
@@ -690,11 +683,7 @@ class AlgebraPresentation:
                 candidate = word + (atom,)
                 if len(candidate) > self.cap:
                     return None
-                try:
-                    reduced = self.reduce_terms({candidate: self.field.one})
-                except DegreeCapError:
-                    return None
-                for w in reduced:
+                for w in self.reduce_terms({candidate: self.field.one}):
                     if w not in seen:
                         seen.add(w)
                         queue.append(w)

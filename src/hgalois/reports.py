@@ -5,14 +5,19 @@ from .presentations import Element, word_to_tokens
 
 
 class CheckEntry:
-    __slots__ = ("check", "anchor", "subject", "passed", "witness")
+    """A law that fails iff it has a witness, a nonzero element or tensor."""
 
-    def __init__(self, check, anchor, subject, passed, witness=None):
+    __slots__ = ("check", "anchor", "subject", "witness")
+
+    def __init__(self, check, anchor, subject, witness=None):
         self.check = check
         self.anchor = anchor
         self.subject = subject
-        self.passed = bool(passed)
-        self.witness = witness
+        self.witness = witness or None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def __repr__(self):
         status = "pass" if self.passed else "FAIL"
@@ -32,13 +37,10 @@ class VerificationReport:
     def failures(self):
         return [e for e in self.entries if not e.passed]
 
-    def add(self, check, anchor, subject, passed, witness=None):
-        self.entries.append(CheckEntry(check, anchor, subject, passed, witness))
-
     def add_vanishing(self, check, anchor, subject, diff):
         """A law that holds iff `diff` (an element or tensor) is zero; a
         nonzero difference is the failure witness."""
-        self.entries.append(CheckEntry(check, anchor, subject, not diff, diff or None))
+        self.entries.append(CheckEntry(check, anchor, subject, diff))
 
     def require(self, message):
         """Raise `InputError(message)` unless every entry passes; the fields
@@ -58,11 +60,7 @@ class VerificationReport:
 
 
 def serialize_witness(witness, render_coeff):
-    """Canonical JSON form of a failure witness (element, tensor, or text)."""
-    if witness is None:
-        return None
-    if isinstance(witness, str):
-        return {"kind": "note", "text": witness}
+    """Canonical JSON form of a failure witness, an element or a tensor."""
     doc = {"kind": "element"} if isinstance(witness, Element) else {
         "kind": "tensor", "signature": ["op" if s else "plain" for s in witness.signature]}
     doc["terms"] = terms_json(witness, render_coeff)
@@ -161,9 +159,7 @@ def render_text(entries, summary) -> str:
         status = "PASS" if e["status"] == "pass" else "FAIL"
         lines.append(f"  {status}  {e['check']} [{e['anchor']}] :: {e['subject']}")
         if e["status"] == "fail":
-            witness = e.get("witness")
-            if witness is not None:
-                lines.append(f"        witness: {json.dumps(witness, ensure_ascii=False)}")
+            lines.append(f"        witness: {json.dumps(e['witness'], ensure_ascii=False)}")
     lines.append(
         f"summary: {summary['checks']} checks, {summary['passed']} passed, "
         f"{summary['failed']} failed -> {summary['status'].upper()}"

@@ -541,6 +541,20 @@ def test_failed_parse_is_not_cached():
             job.poisson()
 
 
+def _brackets(*pairs_and_coeffs):
+    """Bracket entries {pair, value = c g x}, from alternating pairs and c."""
+    return [{"pair": pair, "value": [{"coeff": c, "word": ["g", "x"]}]}
+            for pair, c in zip(pairs_and_coeffs[::2], pairs_and_coeffs[1::2])]
+
+
+@pytest.mark.parametrize("pair,coeff", [(["x", "g"], "1"), (["g", "x"], "-1")])
+def test_repeated_bracket_with_the_same_value_is_accepted(pair, coeff):
+    """A repeat that agrees ({g,x} = -{x,g} when reversed) is no conflict."""
+    doc = builtin_job("laurent_lambda1")
+    doc["bracket"] = _brackets(["x", "g"], "1", pair, coeff)
+    assert run_commands(Job(doc), doc["commands"])[1]["status"] == "pass"
+
+
 # caps below 1, coefficients that are not strings, unknown atoms at
 # exponent 0 (a^0 is the empty word only for an atom a of the presentation),
 # and cap or confluence errors raised inside a block or a command: each
@@ -579,6 +593,16 @@ BAD_VALUES = [
      "sweedler_h4.presentation.generators[0]: invalid generator name 'g\\xa0'"),
     ("ore_q2_laurent", ("ore", "variable"), "z\t",
      "ore_q2_laurent.ore: invalid generator name 'z\\t'"),
+    ("sweedler_h4", ("forbidden_characteristics", 0), "2",
+     "sweedler_h4.forbidden_characteristics[0]: expected an integer, got '2'"),
+    # a bracket pair given twice with different values, in the same order
+    # or reversed, and a nonzero bracket of a generator with itself
+    ("laurent_lambda1", ("bracket",), _brackets(["x", "g"], "1", ["x", "g"], "5"),
+     "laurent_lambda1.bracket: conflicting bracket values for pair (x,g)"),
+    ("laurent_lambda1", ("bracket",), _brackets(["x", "g"], "1", ["g", "x"], "5"),
+     "laurent_lambda1.bracket: conflicting bracket values for pair (g,x)"),
+    ("laurent_lambda1", ("bracket",), _brackets(["x", "x"], "1"),
+     "laurent_lambda1.bracket: bracket {x,x} must vanish"),
 ]
 
 
@@ -625,6 +649,19 @@ def test_python_cap_override_below_one_is_a_job_error(value, message, tmp_path):
     with pytest.raises(JobError, match=f"^sweedler_h4.cap_override: {message}$"):
         jobs.load_job(str(path), cap_override=value)
     assert Job(builtin_job("kxy_truncated"), cap_override=1).cap == 1
+
+
+def test_envelope_past_the_basis_size_guard_exits_two(tmp_path, capsys):
+    """k[x,y]/(x^40, y^40) has 1600 basis words, more than `MAX_BASIS_SIZE`."""
+    doc = {"name": "kxy40", "commands": ["build-envelope"],
+           "presentation": {"generators": ["x", "y"], "commutative": True, "cap": 80,
+                            "relations": [{"lhs": ["x^40"]}, {"lhs": ["y^40"]}]}}
+    job = tmp_path / "kxy40.json"
+    job.write_text(json.dumps(doc))
+    assert run_cli("run", "--input", str(job)) == 2
+    assert capsys.readouterr().err == (
+        "error: kxy40 [build-envelope]: enveloping requires a finite-dimensional Poisson "
+        "algebra (no finite basis at cap 80)\n")
 
 
 def test_confluence_error_names_the_presentation(tmp_path, capsys):

@@ -59,7 +59,7 @@ FAILING = {"sweedler_h4_gf421_mutant"}
 # Poisson Hopf check of laurent_lambda1 with its Hopf block, the text report
 # of every bundled job's default run, the JSON and text reports of the
 # default run of every bundled job's GF(421) image, the envelope rules of
-# kxy_truncated over GF(421) and a failing GF(421) mutant
+# kxy_truncated over GF(421) and both reports of a failing GF(421) mutant
 MORE_GOLDEN = [
     ("convert hopf-to-galois", "sweedler_h4", "json",
      "7fb6559dca78d129d27a4fb9c454b44eb33099ac554e21d2d2578c89ac74dba1"),
@@ -119,6 +119,8 @@ MORE_GOLDEN = [
      "00e65e22caadf50de912bbfb955b898cdd58b95e1063590e45d92676e985324a"),
     ("run", "sweedler_h4_gf421_mutant", "json",
      "c24d6bdf542e71516f6b43829a7b7509485cfeaf5b33c428096bf567e0a280c6"),
+    ("run", "sweedler_h4_gf421_mutant", "text",
+     "8a7363aca0cbbbaba3645eabba440bf99a7257325b9c0308d7949b73f3937686"),
 ]
 
 

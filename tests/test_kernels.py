@@ -17,6 +17,7 @@ from hgalois import (
     MU_SIGNATURE,
     QQ,
     AlgebraPresentation,
+    CheckEntry,
     ConfluenceError,
     DegreeCapError,
     Element,
@@ -346,6 +347,8 @@ def test_add_vanishing_passes_iff_difference_is_zero(data, as_tensor):
         assert entry.witness is diff
     else:
         assert entry.witness is None
+    # an entry made directly keeps the same rule: a zero witness is a pass
+    assert CheckEntry("law", "anchor", "subject", diff).witness is entry.witness
 
 
 @SETTINGS

@@ -11,6 +11,7 @@ from hgalois import (
     InputError,
     word_str,
 )
+from hgalois import presentations
 from conftest import make_h4, make_kxy, make_laurent38
 
 from oracles import naive_reduce_terms
@@ -119,6 +120,19 @@ def test_finite_basis_kxy_dimension():
 def test_laurent_has_no_finite_basis():
     pres, _, _ = make_laurent38()
     assert pres.finite_basis() is None
+
+
+def test_basis_size_guard(monkeypatch):
+    """Commutative k[x,y]/(x^40, y^40) at cap 80 has 1600 basis words, of
+    length at most 78: past `MAX_BASIS_SIZE` words the basis is None,
+    though the cap alone would let the closure finish."""
+    pres = AlgebraPresentation(QQ, [GeneratorSymbol("x"), GeneratorSymbol("y")],
+                               relations=[(("x",) * 40, {}), (("y",) * 40, {})],
+                               commutative=True, cap=80)
+    assert presentations.MAX_BASIS_SIZE < 1600
+    assert pres.finite_basis() is None
+    monkeypatch.setattr(presentations, "MAX_BASIS_SIZE", 1600)
+    assert len(pres.finite_basis()) == 1600
 
 
 def test_multiplication_table_closed():
