@@ -272,6 +272,8 @@ class TripleEnvelope:
     Both maps are linear, so each keeps a memo from a source word triple to
     its canonical image term map, filled on first use; the images of the
     basis words are fixed with the envelope, so an entry never goes stale.
+    `add_image` adds a scaled image into a caller's term map; `xi` and
+    `alpha3` run it into a fresh map and wrap that once (`tensor`).
     """
 
     def __init__(self, envelope: EnvelopePresentation):
@@ -281,16 +283,23 @@ class TripleEnvelope:
         self.signature = MU_SIGNATURE
         self.alpha3_memo: dict = {}
         self.xi_memo: dict = {}
+        a, b = envelope.alpha_images, envelope.beta_images
+        # map name -> (memo, slot patterns); a pattern names, per slot, the
+        # image term maps of the source basis words (alpha or beta)
+        self._maps = {"alpha3": (self.alpha3_memo, [(a, a, a)]),
+                      "xi": (self.xi_memo, [(a, a, b), (a, b, a), (b, a, a)])}
+        self._zero = TensorElement.zero(self.factors, self.signature, envp.field)
 
-    def _apply3(self, t: TensorElement, memo, patterns) -> TensorElement:
-        """The slot-wise maps summed over the slot patterns, applied to t
-        term by term through `memo`; a pattern names, per slot, the image
-        term maps of the source basis words (alpha or beta)."""
+    def add_image(self, out: dict, name, t: TensorElement, scale) -> None:
+        """out += scale * name(t) for the map `name` ("xi" or "alpha3"): the
+        slot-wise maps summed over its slot patterns, applied to t term by
+        term through its memo.  Like `axpy`, it leaves int representatives
+        over GF(p) for the caller to pass through `field.canonical`."""
         src = self.envelope.source.presentation
         if t.rank != 3 or any(f is not src for f in t.factors):
             raise InputError("expected a rank-3 tensor over the enveloped algebra")
+        memo, patterns = self._maps[name]
         field, image = src.field, self.envelope.word_image
-        out: dict = {}
         for words, coeff in t.terms.items():
             terms = memo.get(words)
             if terms is None:
@@ -299,30 +308,51 @@ class TripleEnvelope:
                     add_outer(terms, [image(m, w) for m, w in zip(pattern, words)],
                               field.one, field)
                 terms = memo[words] = field.canonical(terms)
-            axpy(out, terms, coeff)
-        return TensorElement(self.factors, self.signature, field.canonical(out), field,
-                             normalize=False)
+            axpy(out, terms, coeff * scale)
+
+    def tensor(self, terms: dict) -> TensorElement:
+        """The tensor of U ⊗ U^op ⊗ U with the term map `terms` of normal
+        slot words, its coefficients made canonical, built without the
+        checks of `TensorElement.__init__`."""
+        zero = self._zero
+        return zero._like(zero.field.canonical(terms))
 
     def alpha3(self, t: TensorElement) -> TensorElement:
-        a = self.envelope.alpha_images
-        return self._apply3(t, self.alpha3_memo, [(a, a, a)])
+        out: dict = {}
+        self.add_image(out, "alpha3", t, 1)
+        return self.tensor(out)
 
     def xi(self, t: TensorElement) -> TensorElement:
         """xi = alpha⊗alpha⊗beta + alpha⊗beta⊗alpha + beta⊗alpha⊗alpha."""
-        a, b = self.envelope.alpha_images, self.envelope.beta_images
-        return self._apply3(t, self.xi_memo, [(a, a, b), (a, b, a), (b, a, a)])
+        out: dict = {}
+        self.add_image(out, "xi", t, 1)
+        return self.tensor(out)
+
+
+def repeated_sample_word(words):
+    """(i, j) for the first word i of `words` equal to an earlier word j, or
+    None: a repeated sample word would repeat every law on it."""
+    first: dict = {}
+    for i, w in enumerate(words):
+        j = first.setdefault(w, i)
+        if j != i:
+            return i, j
+    return None
 
 
 def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     """The Lie law of xi, the algebra-map law of the slot-wise map, and the
     two mixed laws tying them together, over all pairs of pure tensors with
-    slots drawn from the sample words (default: unit and generators).
+    slots drawn from the sample words (default: unit and generators), which
+    must be distinct.
 
     With x_i = xi(t_i) and a_i = alpha3(t_i), pair (i, j) reads x_i x_j,
     x_j x_i, a_j x_i and a_i x_j, and pair (j, i) reads the same four, so
     each is formed once and held from its first use to its second (both at
     (i, i) on the diagonal).  With x_i a_j, a_i a_j and t_i t_j, a pair
-    forms five tensor products.
+    forms five tensor products.  Each law's difference is summed in one
+    term map, the image of the bracket or product added straight into it
+    (`TripleEnvelope.add_image`), and made canonical once.
     """
     env = te.envelope
     p = env.source
@@ -330,6 +360,9 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     if sample_words is None:
         sample_words = [()] + [(a,) for a in pres.atoms]
     sample_words = [pres.validate_word(w) for w in sample_words]
+    repeat = repeated_sample_word(sample_words)
+    if repeat:
+        raise InputError("sample_words[%d]: repeats sample word [%d]" % repeat)
     elems = [pres.element({w: pres.field.one}) for w in sample_words]
 
     triples = [
@@ -353,22 +386,28 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
             product = held[k, l] = left[k] * xi_cache[l]
         return product
 
+    def law(check, anchor, image, t, *parts):
+        """image(t) plus scale * product over the (scale, product) parts."""
+        diff: dict = {}
+        te.add_image(diff, image, t, 1)
+        for scale, product in parts:
+            axpy(diff, product.terms, scale)
+        report.add_vanishing(check, anchor, label, te.tensor(diff))
+
     for (i, t1), (j, t2) in itertools.product(enumerate(triples), repeat=2):
         label = f"pair {labels[i]} x {labels[j]}"
         br = triple_bracket(p, t1, t2)
         x1, a1, a2 = xi_cache[i], a3_cache[i], a3_cache[j]
 
-        report.add_vanishing("xi is a Lie map", ANCHOR_XI_LIE, label,
-                             te.xi(br) - (used_twice(xx, xi_cache, i, j)
-                                          - used_twice(xx, xi_cache, j, i)))
+        law("xi is a Lie map", ANCHOR_XI_LIE, "xi", br,
+            (-1, used_twice(xx, xi_cache, i, j)), (1, used_twice(xx, xi_cache, j, i)))
         a2_x1 = used_twice(ax, a3_cache, j, i)  # used by both mixed laws
-        report.add_vanishing("slot-map bracket law", ANCHOR_STEP2_BRACKET, label,
-                             te.alpha3(br) - (x1 * a2 - a2_x1))
+        law("slot-map bracket law", ANCHOR_STEP2_BRACKET, "alpha3", br,
+            (-1, x1 * a2), (1, a2_x1))
         prod = t1 * t2
-        report.add_vanishing("xi product law", ANCHOR_STEP2_PRODUCT, label,
-                             te.xi(prod) - (used_twice(ax, a3_cache, i, j) + a2_x1))
-        report.add_vanishing("slot map is multiplicative", ANCHOR_ALPHA3_HOM, label,
-                             te.alpha3(prod) - a1 * a2)
+        law("xi product law", ANCHOR_STEP2_PRODUCT, "xi", prod,
+            (-1, used_twice(ax, a3_cache, i, j)), (-1, a2_x1))
+        law("slot map is multiplicative", ANCHOR_ALPHA3_HOM, "alpha3", prod, (-1, a1 * a2))
     return report
 
 

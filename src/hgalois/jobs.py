@@ -10,7 +10,7 @@ import json
 import re
 from functools import partial, wraps
 
-from .envelope import EnvelopePresentation, build_envelope
+from .envelope import EnvelopePresentation, build_envelope, repeated_sample_word
 from .errors import CharacteristicError, HgError, InputError, JobError
 from .fields import field_from_spec
 from .hopf_galois import (
@@ -332,8 +332,12 @@ class Job:
         if words is None:
             return None
         path = f"{self.name}.envelope.sample_words"
-        return [parse_word(w, f"{path}[{i}]", pres.cap, pres.atoms)
-                for i, w in enumerate(json_typed(words, list, path))]
+        words = [parse_word(w, f"{path}[{i}]", pres.cap, pres.atoms)
+                 for i, w in enumerate(json_typed(words, list, path))]
+        repeat = repeated_sample_word(words)
+        if repeat:
+            raise JobError(f"{path}[{repeat[0]}]", f"repeats sample word [{repeat[1]}]")
+        return words
 
     def quotient(self) -> tuple:
         block, pres = self.block("quotient"), self.presentation

@@ -31,7 +31,7 @@ from .hopf_galois import (
 from .maps import GeneratorMap, check_map_respects_relations
 from .presentations import Element, WordTable, axpy, inverse_atom, merge_terms
 from .reports import VerificationReport
-from .tensors import TensorElement, add_outer
+from .tensors import TensorElement, add_outer, slot_normal_forms
 
 ANCHOR_POISSON = "Def 3.1 Poisson algebra"
 ANCHOR_JACOBI = "Def 3.1 Jacobi identity"
@@ -180,20 +180,20 @@ def _slotwise_bracket(structures, signs, s: TensorElement, t: TensorElement) -> 
     sum over slots i of signs[i] times the slot products with slot i
     replaced by the bracket of structures[i].  The factors of s and t are the
     presentations of the structures; each slot word is read as its
-    memoised normal form under the degree cap."""
+    memoised normal form under the degree cap (`slot_normal_forms`)."""
     field = s.field
     out: dict = {}
     for k1, c1 in s.terms.items():
-        e1 = [f._word_nf(w, "normal_form") for f, w in zip(s.factors, k1)]
+        e1 = slot_normal_forms(s.factors, k1)
         for k2, c2 in t.terms.items():
-            e2 = [f._word_nf(w, "normal_form") for f, w in zip(t.factors, k2)]
+            e2 = slot_normal_forms(t.factors, k2)
             coeff = c1 * c2
             products = [f.multiply_terms(a, b) for f, a, b in zip(s.factors, e1, e2)]
             for i, p in enumerate(structures):
                 factors = products.copy()
                 factors[i] = p.bracket_terms(e1[i], e2[i])
                 add_outer(out, factors, coeff if signs[i] > 0 else -coeff, field)
-    return TensorElement(s.factors, s.signature, field.canonical(out), field, normalize=False)
+    return s._like(field.canonical(out))
 
 
 def tensor_bracket(p_left: PoissonStructure, p_right: PoissonStructure,

@@ -26,20 +26,44 @@ def add_outer(terms: dict, slots, coeff, field) -> None:
     combinations are built slot by slot, and each is then added in; a
     missing key takes the product itself, and zero sums are dropped.
     Factors that are the field's shared one (the coefficient of a word that
-    is its own normal form) are skipped.  Like `axpy`, it leaves int
-    representatives over GF(p) for its caller to pass through
+    is its own normal form) are skipped.  A single-term slot builds no
+    combinations: its word joins `run`, the words that every combination
+    ends in so far, and its factor scales them all.  Like `axpy`, it leaves
+    int representatives over GF(p) for its caller to pass through
     `field.canonical`."""
     one = field.one
     combos = [((), coeff)]
+    run = ()
     for slot in slots:
-        combos = [(words + (w,), c if f is one else c * f)
-                  for words, c in combos for w, f in slot.items()]
+        if len(slot) == 1:
+            for w, f in slot.items():
+                run += (w,)
+                if f is not one:
+                    combos = [(words, c * f) for words, c in combos]
+        elif slot:
+            combos = [(words + run + (w,), c if f is one else c * f)
+                      for words, c in combos for w, f in slot.items()]
+            run = ()
+        else:
+            return
     for words, c in combos:
+        if run:
+            words += run
         s = terms[words] + c if words in terms else c
         if s:
             terms[words] = s
         else:
             terms.pop(words, None)
+
+
+def slot_normal_forms(factors, key) -> list:
+    """The normal form of each slot word of `key` in its factor.  A memo hit
+    is read straight from `_nf_cache` and only a miss calls `_word_nf`:
+    every memo key passed the cap check when it was stored, and a
+    presentation's cap is fixed, so `DegreeCapError` fires exactly where
+    `_word_nf` would raise it."""
+    return [nf if (nf := f._nf_cache.get(w)) is not None else f._word_nf(w, "normal_form")
+            for f, w in zip(factors, key)]
 
 
 class TensorElement(Terms):
@@ -72,17 +96,12 @@ class TensorElement(Terms):
     def _normal_terms(self, terms) -> dict:
         """The one normalisation kernel: the sum of the (key, coeff) pairs
         `terms`, each key a k-tuple of words and each coeff nonzero, as the
-        outer products of the slots' memoized normal forms (`add_outer`),
-        with canonical coefficients.  A memo hit is read straight from
-        `_nf_cache` and only a miss calls `_word_nf`: every memo key passed
-        the cap check when it was stored, and a presentation's cap is fixed,
-        so `DegreeCapError` fires exactly where `_word_nf` would raise it."""
+        outer products of the slots' memoized normal forms (`add_outer`,
+        `slot_normal_forms`), with canonical coefficients."""
         out: dict = {}
         factors, field = self.factors, self.field
         for key, coeff in terms:
-            add_outer(out, [nf if (nf := f._nf_cache.get(w)) is not None
-                            else f._word_nf(w, "normal_form") for f, w in zip(factors, key)],
-                      coeff, field)
+            add_outer(out, slot_normal_forms(factors, key), coeff, field)
         return field.canonical(out)
 
     @classmethod

@@ -603,6 +603,11 @@ BAD_VALUES = [
      "laurent_lambda1.bracket: conflicting bracket values for pair (g,x)"),
     ("laurent_lambda1", ("bracket",), _brackets(["x", "x"], "1"),
      "laurent_lambda1.bracket: bracket {x,x} must vanish"),
+    # a repeated sample word, compared after parsing, would repeat every law on it
+    ("kxy_truncated", ("envelope", "sample_words"), [["x"], ["y"], ["x"], ["y"]],
+     "kxy_truncated.envelope.sample_words[2]: repeats sample word [0]"),
+    ("kxy_truncated", ("envelope", "sample_words"), [[], ["x^2"], ["x", "x"]],
+     "kxy_truncated.envelope.sample_words[2]: repeats sample word [1]"),
 ]
 
 

@@ -136,14 +136,14 @@ def test_missing_keys_take_the_added_coefficient(name):
     assert terms == {(("a",),): two * two}
 
 
-@SETTINGS
-@given(st.data())
-def test_add_outer_matches_naive(data):
-    field, values = data.draw(field_and_values())
-    rank = data.draw(st.integers(1, 3))
-    slots = [data.draw(term_maps(values)) for _ in range(rank)]
-    terms = data.draw(term_maps(values, st.tuples(*[KEYS] * rank)))
-    coeff = data.draw(values | st.just(field.zero))
+def single_term_slots(values):
+    """A slot that is one word, with the field's shared one or another
+    coefficient (no word when the drawn coefficient is zero)."""
+    return st.builds(lambda k, c: {k: c} if c else {}, KEYS, values)
+
+
+def naive_outer(field, slots) -> dict:
+    """s_1 ⊗ ... ⊗ s_k by `itertools.product`."""
     outer = {}
     for combo in itertools.product(*(s.items() for s in slots)):
         c = field.one
@@ -151,10 +151,42 @@ def test_add_outer_matches_naive(data):
             c = c * f
         key = tuple(k for k, _ in combo)
         outer[key] = outer.get(key, field.zero) + c
-    expected = naive_add(field, (field.one, terms), (coeff, outer))
+    return outer
+
+
+@SETTINGS
+@given(st.data())
+def test_add_outer_matches_naive(data):
+    """Ranks 0 to 3; about half the slots are single-term, so they fall
+    before, between and after multi-term and empty slots."""
+    field, values = data.draw(field_and_values())
+    rank = data.draw(st.integers(0, 3))
+    slots = [data.draw(single_term_slots(values) | term_maps(values)) for _ in range(rank)]
+    terms = data.draw(term_maps(values, st.tuples(*[KEYS] * rank)))
+    coeff = data.draw(values | st.just(field.zero))
+    expected = naive_add(field, (field.one, terms), (coeff, naive_outer(field, slots)))
     add_outer(terms, slots, coeff, field)
     assert residues(field, terms) == expected
     assert all(terms.values())
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_add_outer_single_term_slots_in_every_position(name):
+    """Every arrangement of up to three slots of four kinds: one word with
+    the field's shared one, one word with another coefficient, two words,
+    and no word; added into an empty map and into the map it cancels."""
+    field = FIELDS[name]
+    one, two, three = field.one, field.of_int(2), field.of_int(3)
+    kinds = [{("a",): one}, {("b",): two}, {("a",): three, ("a", "b"): one}, {}]
+    for rank in range(4):
+        for slots in itertools.product(kinds, repeat=rank):
+            for coeff in (one, three):
+                expected = naive_add(field, (coeff, naive_outer(field, slots)))
+                terms = {}
+                add_outer(terms, slots, coeff, field)
+                assert residues(field, terms) == expected
+                add_outer(terms, slots, -coeff, field)
+                assert terms == {}
 
 
 @SETTINGS

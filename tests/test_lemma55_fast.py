@@ -2,9 +2,11 @@
 xi and alpha3 from cached basis-word images through their per-triple
 memos, triple brackets and tensor products accumulated in one pass,
 memo-backed slot normalisation, and the whole check with each image
-product formed once per pair of orders."""
+product formed once per pair of orders and each law summed in one map."""
 
+import collections
 import itertools
+import sys
 
 import pytest
 
@@ -161,6 +163,26 @@ def test_slot_word_over_the_cap_still_raises(case):
         (reference.value.word_length, reference.value.cap) == (len(long_word) * 2, envp.cap)
 
 
+def test_triple_bracket_slot_word_over_the_cap_still_raises(case):
+    """`triple_bracket` reads slot normal forms from the memo first; a word
+    over the cap is never a memo key, so it still raises as the reference
+    does."""
+    p, _, _, _ = case
+    pres = p.presentation
+    long_word = (pres.atoms[0],) * (pres.cap + 1)
+    t = TensorElement((pres, pres, pres), MU_SIGNATURE,
+                      {((), long_word, ()): pres.field.one}, normalize=False)
+    unit = TensorElement.unit((pres, pres, pres), MU_SIGNATURE)
+    for s, u in ((t, unit), (unit, t)):
+        with pytest.raises(DegreeCapError) as fast:
+            triple_bracket(p, s, u)
+        with pytest.raises(DegreeCapError) as reference:
+            reference_triple_bracket(p, s, u)
+        assert fast.value.operation == reference.value.operation == "normal_form"
+        assert (fast.value.word_length, fast.value.cap) == \
+            (reference.value.word_length, reference.value.cap) == (len(long_word), pres.cap)
+
+
 def test_check_lemma55_matches_the_reference(case):
     _, _, te, _ = case
     entries = [(e.check, e.anchor, e.subject, e.passed, e.witness and e.witness.terms)
@@ -168,18 +190,66 @@ def test_check_lemma55_matches_the_reference(case):
     assert entries == reference_check_lemma55(te)
 
 
-def test_check_lemma55_matches_the_reference_on_failing_laws():
+def _check_failing_laws(field):
     """The x2y3 envelope read against the bracket doubled: the two bracket
-    laws fail, and every witness is the reference's."""
-    p = log_canonical_x2y3(QQ)
+    laws fail, and every witness is the reference's.  Returns the report."""
+    p = log_canonical_x2y3(field)
     pres = p.presentation
     env = build_envelope(p, cap=6)
-    env.source = PoissonStructure(pres, {("x", "y"): pres.element({("x", "y"): QQ.parse("4/3")})})
+    env.source = PoissonStructure(pres, {("x", "y"): pres.element({("x", "y"): field.parse("4/3")})})
     te = TripleEnvelope(env)
+    report = check_lemma55(te)
     entries = [(e.check, e.anchor, e.subject, e.passed, e.witness and e.witness.terms)
-               for e in check_lemma55(te).entries]
+               for e in report.entries]
     assert {e[0] for e in entries if not e[3]} == {"xi is a Lie map", "slot-map bracket law"}
     assert entries == reference_check_lemma55(te)
+    return report
+
+
+def test_check_lemma55_matches_the_reference_on_failing_laws():
+    _check_failing_laws(QQ)
+
+
+def test_check_lemma55_matches_the_reference_on_failing_laws_over_gf421():
+    """Each law is summed from int representatives and made canonical once,
+    so every witness coefficient is a residue 0 < c < p."""
+    field = GF(421)
+    report = _check_failing_laws(field)
+    coeffs = [c for e in report.failures() for c in e.witness.terms.values()]
+    assert coeffs and all(type(c) is int and 0 < c < field.p for c in coeffs)
+
+
+def test_check_lemma55_rejects_a_repeated_sample_word(case):
+    """A repeated sample word would repeat every law on it."""
+    p, _, te, _ = case
+    a = p.presentation.atoms[0]
+    with pytest.raises(InputError, match=r"^sample_words\[2\]: repeats sample word \[1\]$"):
+        check_lemma55(te, sample_words=[(), (a,), [a]])
+
+
+def test_check_lemma55_sums_each_law_in_one_map(case, monkeypatch):
+    """No law forms a tensor sum or difference, and no tensor is built
+    through `TensorElement.__init__` but the sample triples (`outer`): xi,
+    alpha3, the triple bracket and the products wrap their maps directly."""
+    _, _, te, triples = case
+    calls = collections.Counter()
+    init = TensorElement.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["__init__ from " + sys._getframe(1).f_code.co_name] += 1
+        init(self, *args, **kwargs)
+
+    def forbidden(name):
+        def call(self, other):
+            calls[name] += 1
+            return NotImplemented
+        return call
+
+    monkeypatch.setattr(TensorElement, "__init__", counted_init)
+    monkeypatch.setattr(TensorElement, "__add__", forbidden("__add__"))
+    monkeypatch.setattr(TensorElement, "__sub__", forbidden("__sub__"))
+    check_lemma55(te)
+    assert calls == {"__init__ from outer": len(triples)}
 
 
 def test_check_lemma55_forms_five_tensor_products_per_pair(case, monkeypatch):
