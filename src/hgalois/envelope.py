@@ -329,22 +329,33 @@ class TripleEnvelope:
         return self.tensor(out)
 
 
-def repeated_sample_word(words):
-    """(i, j) for the first word i of `words` equal to an earlier word j, or
-    None: a repeated sample word would repeat every law on it."""
+def _nf_key(pres, word):
+    """The normal form of `word` in `pres`, as a hashable key."""
+    return frozenset(pres.reduce_terms({word: pres.field.one}).items())
+
+
+def repeated_sample_word(pres, words):
+    """(i, reason) for the first word i of `words` whose normal form in
+    `pres` is that of an earlier word j, or None: two such sample words
+    would repeat every law on equal tensors.  The reason names j, and both
+    words when they differ."""
     first: dict = {}
     for i, w in enumerate(words):
-        j = first.setdefault(w, i)
+        j = first.setdefault(_nf_key(pres, w), i)
         if j != i:
-            return i, j
+            if words[j] == w:
+                return i, f"repeats sample word [{j}]"
+            return i, (f"{word_str(w)} has the normal form of sample word "
+                       f"[{j}], {word_str(words[j])}")
     return None
 
 
 def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     """The Lie law of xi, the algebra-map law of the slot-wise map, and the
     two mixed laws tying them together, over all pairs of pure tensors with
-    slots drawn from the sample words (default: unit and generators), which
-    must be distinct.
+    slots drawn from the sample words, which must have distinct normal forms
+    (default: the unit and the generators, the first word of each normal
+    form).
 
     With x_i = xi(t_i) and a_i = alpha3(t_i), pair (i, j) reads x_i x_j,
     x_j x_i, a_j x_i and a_i x_j, and pair (j, i) reads the same four, so
@@ -357,12 +368,15 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     env = te.envelope
     p = env.source
     pres = p.presentation
-    if sample_words is None:
-        sample_words = [()] + [(a,) for a in pres.atoms]
+    if sample_words is None:  # one word per normal form
+        default = {}
+        for w in [()] + [(a,) for a in pres.atoms]:
+            default.setdefault(_nf_key(pres, w), w)
+        sample_words = list(default.values())
     sample_words = [pres.validate_word(w) for w in sample_words]
-    repeat = repeated_sample_word(sample_words)
+    repeat = repeated_sample_word(pres, sample_words)
     if repeat:
-        raise InputError("sample_words[%d]: repeats sample word [%d]" % repeat)
+        raise InputError("sample_words[%d]: %s" % repeat)
     elems = [pres.element({w: pres.field.one}) for w in sample_words]
 
     triples = [

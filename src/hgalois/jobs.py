@@ -334,9 +334,9 @@ class Job:
         path = f"{self.name}.envelope.sample_words"
         words = [parse_word(w, f"{path}[{i}]", pres.cap, pres.atoms)
                  for i, w in enumerate(json_typed(words, list, path))]
-        repeat = repeated_sample_word(words)
+        repeat = repeated_sample_word(pres, words)
         if repeat:
-            raise JobError(f"{path}[{repeat[0]}]", f"repeats sample word [{repeat[1]}]")
+            raise JobError(f"{path}[{repeat[0]}]", repeat[1])
         return words
 
     def quotient(self) -> tuple:

@@ -23,6 +23,14 @@ scan is lazy: `complete_rules` stops it at the first unresolved pair, and
 skips the pairs that it has seen resolve and that no rule added since can
 touch, while `unresolved_critical_pairs` runs it to the end.
 
+Normal forms are memoised for every word of every reduction tree walked,
+with an edge from each word to the words one rewrite above it.  A new rule
+has the highest index, so it can change the normal form only of a word
+whose tree holds its lhs as a factor: `_add_rule` drops exactly the memo
+words that contain the lhs and, along the edges, their ancestors.  A
+resolved pair stays resolved while the words of its two one-step reducts
+keep their entries.
+
 A rule keeps its rhs as a term map and holds its presentation only by weak
 reference, so a presentation is freed by reference counting as soon as
 the last outside reference to it goes, without the cycle collector.
@@ -35,6 +43,7 @@ representatives; the code that stores or returns such a map passes it
 through `field.canonical` once (see `fields`).
 """
 
+import collections
 import itertools
 import operator
 import re
@@ -159,23 +168,23 @@ class WordTable:
     """A memo keyed by words or word pairs whose entries were computed from
     normal forms in some presentations.
 
-    Every new rule replaces a presentation's normal-form memo; `current()`
-    compares those memo objects with the ones the table was filled under
-    and starts an empty table when any of them changed, so an entry never
-    outlives a rule added after it was computed.
+    `current()` compares each presentation's `rule_epoch`, which every new
+    rule moves, with the one the table was filled under, and starts an
+    empty table when any of them moved, so an entry never outlives a rule
+    added after it was computed.
     """
 
-    __slots__ = ("_presentations", "_memos", "_entries")
+    __slots__ = ("_presentations", "_epochs", "_entries")
 
     def __init__(self, presentations):
         self._presentations = tuple(presentations)
-        self._memos = tuple(p._nf_cache for p in self._presentations)
+        self._epochs = tuple(p.rule_epoch for p in self._presentations)
         self._entries: dict = {}
 
     def current(self) -> dict:
-        for p, memo in zip(self._presentations, self._memos):
-            if p._nf_cache is not memo:
-                self._memos = tuple(p._nf_cache for p in self._presentations)
+        for p, epoch in zip(self._presentations, self._epochs):
+            if p.rule_epoch != epoch:
+                self._epochs = tuple(p.rule_epoch for p in self._presentations)
                 self._entries = {}
                 break
         return self._entries
@@ -367,7 +376,11 @@ class AlgebraPresentation:
         self._lhs_lengths: list[int] = []
         self._basis_cache = self._basis_index = None
         self._table_cache = None
+        # word -> normal form, for every word of every reduction tree that
+        # `_word_nf` has walked, and word -> the memo words one step above it
         self._nf_cache: dict[Word, dict] = {}
+        self._parents: dict[Word, list[Word]] = collections.defaultdict(list)
+        self.rule_epoch = 0  # the number of rules added, read by `WordTable`
 
         for g in self.generators:
             if g.invertible:
@@ -446,11 +459,17 @@ class AlgebraPresentation:
         self._lhs_lengths = sorted({*self._lhs_lengths, len(lhs)})
         self._basis_cache = self._basis_index = None
         self._table_cache = None
-        # rules never lengthen words, so the new rule cannot fire while a
-        # shorter word is reduced: those normal forms stay.  A new dict, so
-        # that `WordTable.current` sees the change.
-        n = len(lhs)
-        self._nf_cache = {w: nf for w, nf in self._nf_cache.items() if len(w) < n}
+        # the new rule has the largest index, so it loses every tie at a
+        # position: it changes the redex of exactly the words that contain
+        # its lhs, and with them the normal forms of their ancestors in the
+        # memoised reduction trees; every other entry stays
+        self.rule_epoch += 1
+        memo, parents = self._nf_cache, self._parents
+        stale = [w for w in memo if _has_factor(w, lhs)]
+        while stale:
+            w = stale.pop()
+            if memo.pop(w, None) is not None:
+                stale.extend(parents.pop(w, ()))
         return rule
 
     def add_rule_data(self, lhs, rhs):
@@ -489,8 +508,8 @@ class AlgebraPresentation:
 
         Rules never increase word length, so the cap is checked once per
         word, on entry and before the memo lookup: a memoized normal form
-        does not excuse a word longer than the cap.  Single-word normal
-        forms are memoized.
+        does not excuse a word longer than the cap.  The normal form of
+        every word of a reduction tree is memoized (`_word_nf`).
         """
         out: dict = {}
         for w, c in terms.items():
@@ -501,37 +520,60 @@ class AlgebraPresentation:
     def _word_nf(self, word: Word, operation) -> dict:
         if len(word) > self.cap:
             raise DegreeCapError(operation, word, self.cap)
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
-        out: dict = {}
-        # over GF(p) a stack coefficient is the product of the rule
-        # coefficients along its rewrite chain, left unreduced: reducing it
-        # at every push measured no faster (Python 3.11, 2-CPU Linux), even
-        # for 2800-bit products on 12-atom words over GF(2^61 - 1);
-        # `canonical` reduces the normal form once
-        stack = [(word, self.field.one)]
+        memo = self._nf_cache
+        nf = memo.get(word)
+        if nf is not None:
+            return nf
+        # a post-order walk of the reduction tree: a word is reduced at its
+        # redex (`_find_redex`) into its one-step reducts; an irreducible
+        # word maps to itself, and a reducible one, once its reducts have
+        # entries, to the sum of their entries times the rule coefficients.
+        # Every word of the tree gets an entry, and each reduct records its
+        # parent in `_parents`, for `_add_rule`.  A word with one reduct of
+        # coefficient one shares that reduct's entry: no caller mutates an
+        # entry.  The tree's words are never longer than `word`,
+        # so every memo key has passed the cap check, which
+        # `tensors.slot_normal_forms` relies on.
+        find, parents = self._find_redex, self._parents
+        one, canonical = self.field.one, self.field.canonical
+        hit = find(word)
+        if hit is None:
+            nf = memo[word] = {word: one}
+            return nf
+        # (word, its one-step reducts), for the words whose entries wait on
+        # their reducts
+        stack = [(word, _reducts(word, hit))]
         while stack:
-            w, coeff = stack.pop()
-            cached = self._nf_cache.get(w)
-            if cached is not None:
-                axpy(out, cached, coeff)
+            w, reducts = stack[-1]
+            if w in memo:  # pushed twice, and done since
+                stack.pop()
                 continue
-            hit = self._find_redex(w)
-            if hit is None:
-                # an irreducible entry word keeps the field's shared one
-                s = out[w] + coeff if w in out else coeff
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+            ready = True
+            for child, _ in reducts:
+                if child not in memo:
+                    hit = find(child)
+                    if hit is None:
+                        memo[child] = {child: one}
+                    else:
+                        stack.append((child, _reducts(child, hit)))
+                        ready = False
+            if not ready:
+                continue
+            stack.pop()
+            if len(reducts) == 1:
+                child, rc = reducts[0]
+                nf = memo[child]
+                if rc != one:
+                    nf = canonical({k: c * rc for k, c in nf.items()})
             else:
-                pos, rule = hit
-                head, tail = w[:pos], w[pos + len(rule.lhs):]
-                for rw, rc in rule.rhs_terms.items():
-                    stack.append((head + rw + tail, coeff * rc))
-        out = self._nf_cache[word] = self.field.canonical(out)
-        return out
+                nf = {}
+                for child, rc in reducts:
+                    axpy(nf, memo[child], rc)
+                nf = canonical(nf)
+            memo[w] = nf
+            for child, _ in reducts:
+                parents[child].append(w)
+        return memo[word]
 
     def normal_form(self, value) -> Element:
         if isinstance(value, Element):
@@ -601,17 +643,17 @@ class AlgebraPresentation:
     def _unresolved_pairs(self, resolved: dict):
         """Lazy scan behind `unresolved_critical_pairs`, over the overlap rows.
         Skips the pairs in `resolved` and records there each pair that
-        resolves, as (row, entry) -> length of its overlap word."""
+        resolves, as (row, entry) -> the words of its two one-step reducts."""
         for i, (r1, row) in enumerate(zip(self.rules, self._overlaps)):
             for j, (length, word, pos2, r2) in enumerate(row):
                 if length > self.cap or (i, j) in resolved:
                     continue
-                a = self.reduce_terms(self._one_step(word, 0, r1))
-                b = self.reduce_terms(self._one_step(word, pos2, r2))
+                one_a, one_b = self._one_step(word, 0, r1), self._one_step(word, pos2, r2)
+                a, b = self.reduce_terms(one_a), self.reduce_terms(one_b)
                 if a != b:
                     yield word, r1, r2, self.field.canonical(merge_terms(a, b, operator.sub))
                 else:
-                    resolved[i, j] = len(word)
+                    resolved[i, j] = (*one_a, *one_b)
 
     def complete_rules(self, *, max_new_rules=500):
         """Bounded completion: orient each unresolved critical-pair difference
@@ -621,12 +663,11 @@ class AlgebraPresentation:
         Each round restarts the lazy scan and resolves the first unresolved
         pair in scan order, so the rules added, and their order, are those
         of a full rescan after every rule.  A round skips the pairs that
-        resolved in earlier rounds and are shorter than every rule added
-        since: rules never lengthen words, so a rule whose lhs is longer
-        than a word fires nowhere in that word's reductions and leaves
-        their leftmost redexes as they were, and such a pair resolves again
-        by the same steps.  The round that finds no pair therefore proves
-        local confluence, as a full scan would.
+        resolved in earlier rounds and whose reduct words all kept their
+        memo entries through the rules added since (`_add_rule`): those
+        words keep their normal forms, so such a pair resolves again.  The
+        round that finds no pair therefore proves local confluence, as a
+        full scan would.
 
         Every added rule is a consequence of the existing ones (the
         difference of two reductions of one word), so the presented algebra
@@ -658,7 +699,9 @@ class AlgebraPresentation:
             div, lead_coeff = self.field.div, diff[lead]
             rhs = {w: -div(c, lead_coeff) for w, c in diff.items() if w != lead}
             self._add_rule(lead, rhs)
-            resolved = {k: n for k, n in resolved.items() if n < len(lead)}
+            memo = self._nf_cache
+            resolved = {k: words for k, words in resolved.items()
+                        if all(w in memo for w in words)}
 
     def _one_step(self, word: Word, pos: int, rule: RewriteRule) -> dict:
         head, tail = word[:pos], word[pos + len(rule.lhs):]
@@ -780,6 +823,31 @@ class AlgebraPresentation:
     def __repr__(self):
         gens = ",".join(g.name + ("^±1" if g.invertible else "") for g in self.generators)
         return f"AlgebraPresentation({self.name or gens}; {len(self.rules)} rules)"
+
+
+def _reducts(word: Word, hit) -> list:
+    """The one-step reducts of `word` at the redex `hit` (`_find_redex`),
+    as (word, rule coefficient) pairs."""
+    pos, rule = hit
+    head, tail = word[:pos], word[pos + len(rule.lhs):]
+    return [(head + rw + tail, rc) for rw, rc in rule.rhs_terms.items()]
+
+
+def _has_factor(word: Word, factor: Word) -> bool:
+    """Whether `factor` occurs in `word` as a run of consecutive atoms."""
+    n, first = len(factor), factor[0]
+    last = len(word) - n
+    if last < 0 or first not in word:
+        return False
+    pos = word.index(first)
+    while pos <= last:
+        if word[pos:pos + n] == factor:
+            return True
+        try:
+            pos = word.index(first, pos + 1, last + 1)
+        except ValueError:
+            return False
+    return False
 
 
 def _overlaps(r1: RewriteRule, r2: RewriteRule) -> list:

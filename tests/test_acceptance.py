@@ -6,10 +6,15 @@ success (run with -s to see them).
 """
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hgalois
 import hgalois.poisson as poisson_module
 from hgalois import (
     QQ,
@@ -337,3 +342,21 @@ def test_criterion_11_determinism(name, tmp_path):
     if name == sorted(BUILTINS)[-1]:
         report_line(11, "every bundled job produces byte-identical reports "
                         "across repeated runs")
+
+
+@pytest.mark.parametrize("name", ["kxy_truncated", "poisson_ore_laurent"])
+def test_reports_do_not_depend_on_the_hash_seed(name, tmp_path):
+    """String hashing, and with it the iteration order of a set or of a
+    dict filled from one, changes with PYTHONHASHSEED; none of it may reach
+    a rule list or a report.  `kxy_truncated` completes its envelope."""
+    src = str(pathlib.Path(hgalois.__file__).parents[1])
+    reports = []
+    for seed in ("0", "12345"):
+        path = tmp_path / f"seed{seed}.json"
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "hgalois.cli", "run", "--builtin", name,
+                               "--report", str(path)], env=env, timeout=120)
+        assert done.returncode == 0
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]

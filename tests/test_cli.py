@@ -608,6 +608,9 @@ BAD_VALUES = [
      "kxy_truncated.envelope.sample_words[2]: repeats sample word [0]"),
     ("kxy_truncated", ("envelope", "sample_words"), [[], ["x^2"], ["x", "x"]],
      "kxy_truncated.envelope.sample_words[2]: repeats sample word [1]"),
+    # so would two words with one normal form, here in a commutative algebra
+    ("kxy_truncated", ("envelope", "sample_words"), [["x", "y"], ["y", "x"]],
+     "kxy_truncated.envelope.sample_words[1]: y*x has the normal form of sample word [0], x*y"),
 ]
 
 

@@ -16,6 +16,7 @@ from hgalois import (
     Element,
     GeneratorSymbol,
     InputError,
+    PoissonStructure,
     RewriteRule,
     build_envelope,
     word_str,
@@ -122,7 +123,8 @@ def test_memo_left_by_completion_holds_normal_forms(seed, monkeypatch):
 
 def test_resolved_pair_is_rescanned_after_a_shorter_rule(monkeypatch):
     """A pair carried from an earlier round goes back to the scan when a
-    rule no longer than its overlap word is added; here it then fails.
+    rule is added whose lhs occurs in the reduction trees of its two
+    one-step reducts; here it then fails.
     `test_completion_matches_full_rescan` compares this seed's rule list
     with the reference."""
     rounds = []  # (pairs carried into the round, the round's resolved dict)
@@ -136,9 +138,9 @@ def test_resolved_pair_is_rescanned_after_a_shorter_rule(monkeypatch):
     pres = rescan()
     pres.complete_rules()
     # a^2 b^2, the first overlap of rule 0 with rule 0, resolves in round
-    # 1; the rule added next, ab -> -b - a^2, is shorter, so round 2 scans
-    # the pair again, and it fails there
-    assert rounds[1][1][0, 0] == 4
+    # 1; the lhs of the rule added next, ab -> -b - a^2, occurs in its
+    # reduct ab^2, so round 2 scans the pair again, and it fails there
+    assert (0, 0) in rounds[1][1]
     assert pres.rules[4].lhs == ("a", "b")
     assert (0, 0) not in rounds[2][0] and (0, 0) not in rounds[2][1]
 
@@ -281,3 +283,56 @@ def test_rule_rhs_is_the_element_it_was_built_from():
     assert RewriteRule(("b", "a", "b"), rhs).rhs == rhs
     assert pres.rules[0].rhs == rhs
     assert pres.rules[0].rhs.presentation is pres
+
+
+def log_canonical(field, gens, zero_monomials, qs):
+    """k[gens]/(zero_monomials) with {s, t} = q st for each pair of `qs`,
+    its generators in the order of `gens`: a monomial is written in that
+    order, and a pair listed the other way round takes -q."""
+    pres = AlgebraPresentation(field, [GeneratorSymbol(g) for g in gens],
+                               relations=[(tuple(sorted(m, key=gens.index)), {})
+                                          for m in zero_monomials],
+                               commutative=True)
+    brackets = {}
+    for (s, t), q in qs.items():
+        sign = 1 if gens.index(s) < gens.index(t) else -1
+        s, t = sorted((s, t), key=gens.index)
+        brackets[s, t] = pres.element({(s, t): sign * field.parse(q)})
+    return PoissonStructure(pres, brackets)
+
+
+def hilbert_counts(pres):
+    """The number of irreducible words of each length up to the cap.
+    Irreducible words are closed under taking factors, so each level is
+    the one below extended by one atom, keeping the extensions that end in
+    no lhs."""
+    level, counts = [()], [1]
+    lhss = [r.lhs for r in pres.rules]
+    for _ in range(pres.cap):
+        level = [w + (a,) for w in level for a in pres.atoms
+                 if not any((w + (a,))[-len(lhs):] == lhs for lhs in lhss)]
+        counts.append(len(level))
+    return counts
+
+
+HILBERT = [
+    # k[x,y]/(x^2, y^3) and k[x,y,z]/(x^2, y^2, z^2, xyz), their envelopes at cap 5
+    (("x", "y"), [("x", "x"), ("y", "y", "y")], {("x", "y"): "2/3"},
+     [1, 10, 11, 11, 13, 15]),
+    (("x", "y", "z"), [("x", "x"), ("y", "y"), ("z", "z"), ("x", "y", "z")],
+     {("x", "y"): "2", ("x", "z"): "3/5", ("y", "z"): "-7"}, [1, 12, 20, 22, 30, 39]),
+]
+
+
+@pytest.mark.parametrize("gens,zeros,qs,counts", HILBERT, ids=["x2y3", "x2y2z2xyz"])
+def test_envelope_hilbert_counts_do_not_depend_on_the_rules_found(gens, zeros, qs, counts):
+    """The number of irreducible words of each length belongs to the
+    enveloping algebra, not to the rule set that completion finds, which
+    changes with the generator order and the field: the same counts under
+    the reversed order (its deg-lex order differs, and each bracket
+    constant flips sign with its pair), and over GF(101), which divides no
+    constant.  A missed rule or a stale memo entry shows here even when
+    the rule list agrees with itself."""
+    for field, order in ((QQ, gens), (QQ, gens[::-1]), (GF(101), gens)):
+        env = build_envelope(log_canonical(field, order, zeros, qs), cap=5)
+        assert hilbert_counts(env.presentation) == counts, (field, order)

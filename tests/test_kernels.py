@@ -25,7 +25,7 @@ from hgalois import (
     InputError,
     VerificationReport,
 )
-from hgalois.presentations import axpy, linear_terms, merge_terms
+from hgalois.presentations import WordTable, axpy, linear_terms, merge_terms
 from hgalois.tensors import OP, PLAIN, TensorElement, add_outer
 
 from oracles import (
@@ -279,6 +279,62 @@ def test_completion_matches_the_references_on_generated_systems(data):
     assert pres.unresolved_critical_pairs() == reference_unresolved_critical_pairs(pres)
     assert _completed(make, lambda p: p.complete_rules()) == \
         _completed(make, reference_complete_rules)
+
+
+class _Watched(AlgebraPresentation):
+    """A presentation that, once `watch` is set, checks what survives each
+    rule that `complete_rules` adds against a fresh reduction under the
+    current rules (`reference_reduce_terms`, the package's strategy, with an
+    empty memo): every memo entry, every pair carried as resolved into the
+    next round, and a word table filled before the rule, which must come
+    back empty.  Mid-completion the rules are not confluent, so the
+    reference must follow the package's choice of redex."""
+
+    watch = False
+    rules_checked = 0
+
+    def _fresh(self, memo):
+        return lambda terms: reference_reduce_terms(self, terms, memo)
+
+    def _add_rule(self, lhs, rhs_terms):
+        if not self.watch:
+            return super()._add_rule(lhs, rhs_terms)
+        table = WordTable([self])
+        table.current()["filled"] = True
+        rule = super()._add_rule(lhs, rhs_terms)
+        assert table.current() == {}
+        fresh = self._fresh({})
+        for word, nf in self._nf_cache.items():
+            assert nf == fresh({word: self.field.one}), word
+        self.rules_checked += 1
+        return rule
+
+    def _unresolved_pairs(self, resolved):
+        fresh = self._fresh({})
+        for i, j in resolved:
+            _, word, pos2, r2 = self._overlaps[i][j]
+            assert fresh(self._one_step(word, 0, self.rules[i])) == \
+                fresh(self._one_step(word, pos2, r2)), word
+        return super()._unresolved_pairs(resolved)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.data())
+def test_a_new_rule_keeps_only_what_a_fresh_reduction_gives(data):
+    """`_add_rule` drops exactly the memo words that contain the new lhs
+    and their ancestors, and `complete_rules` keeps a resolved pair while
+    the words of its reducts keep their entries; nothing it keeps may
+    differ from a fresh reduction."""
+    field, values = data.draw(field_and_values())
+    atoms, rules = data.draw(rewrite_systems(values))
+    pres = _Watched(field, [GeneratorSymbol(a) for a in atoms], rules,
+                    cap=SYSTEM_CAP, check=False)
+    pres.watch = True
+    try:
+        added = pres.complete_rules()
+    except (ConfluenceError, InputError):
+        return
+    assert pres.rules_checked == added
 
 
 # the quantum plane ba = 2ab cut by a^3 = 0 and b^3 = 0 (confluent), with a

@@ -6,6 +6,7 @@ product formed once per pair of orders and each law summed in one map."""
 
 import collections
 import itertools
+import re
 import sys
 
 import pytest
@@ -13,8 +14,10 @@ import pytest
 from hgalois import (
     GF,
     QQ,
+    AlgebraPresentation,
     DegreeCapError,
     Element,
+    GeneratorSymbol,
     InputError,
     PoissonStructure,
     TensorElement,
@@ -22,6 +25,7 @@ from hgalois import (
     build_envelope,
     check_lemma55,
     triple_bracket,
+    word_str,
 )
 from hgalois.envelope import MU_SIGNATURE
 from conftest import log_canonical_x2y3, make_kxy, make_kz2
@@ -225,6 +229,27 @@ def test_check_lemma55_rejects_a_repeated_sample_word(case):
     a = p.presentation.atoms[0]
     with pytest.raises(InputError, match=r"^sample_words\[2\]: repeats sample word \[1\]$"):
         check_lemma55(te, sample_words=[(), (a,), [a]])
+
+
+def test_check_lemma55_rejects_two_sample_words_with_one_normal_form(case):
+    """Two different words with one normal form would repeat every law on
+    equal tensors: ab and ba in a commutative algebra, c^2 and 1 in k[Z/2]."""
+    p, _, te, _ = case
+    atoms = p.presentation.atoms
+    words = [atoms[:2], atoms[1::-1]] if len(atoms) > 1 else [[], atoms * 2]
+    message = (f"sample_words[1]: {word_str(words[1])} has the normal form of "
+               f"sample word [0], {word_str(words[0])}")
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        check_lemma55(te, sample_words=words)
+
+
+def test_default_sample_words_keep_one_word_per_normal_form():
+    """In k[x, y]/(y - x, x^2) the generator y reduces to x, so the default
+    sample words are 1 and x: 8 triples, 64 pairs, 4 laws each."""
+    pres = AlgebraPresentation(QQ, [GeneratorSymbol("x"), GeneratorSymbol("y")],
+                               [(("y",), {("x",): 1}), (("x", "x"), {})], commutative=True)
+    report = check_lemma55(TripleEnvelope(build_envelope(PoissonStructure(pres, {}), cap=4)))
+    assert len(report.entries) == 256 and not report.failures()
 
 
 def test_check_lemma55_sums_each_law_in_one_map(case, monkeypatch):
