@@ -27,7 +27,7 @@ from functools import partial
 from .errors import InputError
 from .hopf_galois import MU_SIGNATURE
 from .maps import GeneratorMap, check_map_respects_relations
-from .poisson import PoissonStructure, triple_bracket
+from .poisson import TRIPLE_SIGNS, PoissonStructure, add_slotwise_bracket
 from .presentations import (
     AlgebraPresentation,
     Element,
@@ -265,6 +265,12 @@ def relation_instance_report(env: EnvelopePresentation) -> VerificationReport:
     return report
 
 
+# the slot patterns of the two maps of the triple tensor: per slot, 0 takes
+# the alpha image and 1 the beta image of the source word in that slot
+SLOT_PATTERNS = {"alpha3": ((0, 0, 0),),
+                 "xi": ((0, 0, 1), (0, 1, 0), (1, 0, 0))}
+
+
 class TripleEnvelope:
     """U(A) ⊗ U(A)^op ⊗ U(A) with the two structure maps of the triple
     tensor: the slot-wise algebra map and the three-term Lie map xi.
@@ -272,8 +278,9 @@ class TripleEnvelope:
     Both maps are linear, so each keeps a memo from a source word triple to
     its canonical image term map, filled on first use; the images of the
     basis words are fixed with the envelope, so an entry never goes stale.
-    `add_image` adds a scaled image into a caller's term map; `xi` and
-    `alpha3` run it into a fresh map and wrap that once (`tensor`).
+    `add_image` adds a scaled image of a term map of source word triples
+    into a caller's term map; `xi` and `alpha3` run it on a tensor into a
+    fresh map and wrap that once (`tensor`).
     """
 
     def __init__(self, envelope: EnvelopePresentation):
@@ -283,32 +290,31 @@ class TripleEnvelope:
         self.signature = MU_SIGNATURE
         self.alpha3_memo: dict = {}
         self.xi_memo: dict = {}
-        a, b = envelope.alpha_images, envelope.beta_images
+        images = (envelope.alpha_images, envelope.beta_images)
         # map name -> (memo, slot patterns); a pattern names, per slot, the
-        # image term maps of the source basis words (alpha or beta)
-        self._maps = {"alpha3": (self.alpha3_memo, [(a, a, a)]),
-                      "xi": (self.xi_memo, [(a, a, b), (a, b, a), (b, a, a)])}
+        # image term maps of the source basis words
+        self._maps = {name: (memo, [tuple(images[m] for m in pattern)
+                                    for pattern in SLOT_PATTERNS[name]])
+                      for name, memo in (("alpha3", self.alpha3_memo), ("xi", self.xi_memo))}
         self._zero = TensorElement.zero(self.factors, self.signature, envp.field)
 
-    def add_image(self, out: dict, name, t: TensorElement, scale) -> None:
-        """out += scale * name(t) for the map `name` ("xi" or "alpha3"): the
-        slot-wise maps summed over its slot patterns, applied to t term by
-        term through its memo.  Like `axpy`, it leaves int representatives
-        over GF(p) for the caller to pass through `field.canonical`."""
-        src = self.envelope.source.presentation
-        if t.rank != 3 or any(f is not src for f in t.factors):
-            raise InputError("expected a rank-3 tensor over the enveloped algebra")
+    def add_image(self, out: dict, name, terms: dict, scale) -> None:
+        """out += scale * name(terms) for the map `name` ("xi" or "alpha3")
+        and a term map of source word triples: the slot-wise maps summed
+        over its slot patterns, applied term by term through its memo.
+        Like `axpy`, it leaves int representatives over GF(p) for the caller
+        to pass through `field.canonical`."""
         memo, patterns = self._maps[name]
-        field, image = src.field, self.envelope.word_image
-        for words, coeff in t.terms.items():
-            terms = memo.get(words)
-            if terms is None:
-                terms = {}
+        field, image = self.envelope.source.presentation.field, self.envelope.word_image
+        for words, coeff in terms.items():
+            images = memo.get(words)
+            if images is None:
+                images = {}
                 for pattern in patterns:
-                    add_outer(terms, [image(m, w) for m, w in zip(pattern, words)],
+                    add_outer(images, [image(m, w) for m, w in zip(pattern, words)],
                               field.one, field)
-                terms = memo[words] = field.canonical(terms)
-            axpy(out, terms, coeff * scale)
+                images = memo[words] = field.canonical(images)
+            axpy(out, images, coeff * scale)
 
     def tensor(self, terms: dict) -> TensorElement:
         """The tensor of U ⊗ U^op ⊗ U with the term map `terms` of normal
@@ -317,16 +323,20 @@ class TripleEnvelope:
         zero = self._zero
         return zero._like(zero.field.canonical(terms))
 
-    def alpha3(self, t: TensorElement) -> TensorElement:
+    def _apply(self, name, t: TensorElement) -> TensorElement:
+        src = self.envelope.source.presentation
+        if t.rank != 3 or any(f is not src for f in t.factors):
+            raise InputError("expected a rank-3 tensor over the enveloped algebra")
         out: dict = {}
-        self.add_image(out, "alpha3", t, 1)
+        self.add_image(out, name, t.terms, 1)
         return self.tensor(out)
+
+    def alpha3(self, t: TensorElement) -> TensorElement:
+        return self._apply("alpha3", t)
 
     def xi(self, t: TensorElement) -> TensorElement:
         """xi = alpha⊗alpha⊗beta + alpha⊗beta⊗alpha + beta⊗alpha⊗alpha."""
-        out: dict = {}
-        self.add_image(out, "xi", t, 1)
-        return self.tensor(out)
+        return self._apply("xi", t)
 
 
 def _nf_key(pres, word):
@@ -357,17 +367,22 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     (default: the unit and the generators, the first word of each normal
     form).
 
-    With x_i = xi(t_i) and a_i = alpha3(t_i), pair (i, j) reads x_i x_j,
-    x_j x_i, a_j x_i and a_i x_j, and pair (j, i) reads the same four, so
-    each is formed once and held from its first use to its second (both at
-    (i, i) on the diagonal).  With x_i a_j, a_i a_j and t_i t_j, a pair
-    forms five tensor products.  Each law's difference is summed in one
-    term map, the image of the bracket or product added straight into it
-    (`TripleEnvelope.add_image`), and made canonical once.
+    A sample triple t_i = e_a ⊗ e_b ⊗ e_c is a pure tensor, products and
+    brackets are slot-wise, and alpha and beta are linear, so every law is
+    a signed sum of outer products of table entries filled once per check:
+    for K sample words, the (2K)^2 products in U of the slot images
+    alpha(e_k) and beta(e_k), and the K^2 products and K^2 brackets of the
+    e_k in A, each reduced under its presentation's cap.  xi(t_i) and
+    alpha3(t_i) are lists of slot-image index triples, so xi(t_i) xi(t_j)
+    adds one outer product per pattern pair, the op slot multiplied in
+    reverse; the images of t_i t_j and {t_i, t_j} (`add_slotwise_bracket`)
+    go in through `TripleEnvelope.add_image`.  Each law is summed in one
+    term map and made canonical once.
     """
     env = te.envelope
     p = env.source
     pres = p.presentation
+    field = pres.field
     if sample_words is None:  # one word per normal form
         default = {}
         for w in [()] + [(a,) for a in pres.atoms]:
@@ -377,51 +392,66 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     repeat = repeated_sample_word(pres, sample_words)
     if repeat:
         raise InputError("sample_words[%d]: %s" % repeat)
-    elems = [pres.element({w: pres.field.one}) for w in sample_words]
+    elems = [pres.element({w: field.one}) for w in sample_words]
+    k = len(elems)
+    combos = list(itertools.product(range(k), repeat=3))
+    labels = ["(" + ",".join(word_str(sample_words[n]) for n in combo) + ")" for combo in combos]
 
-    triples = [
-        TensorElement.outer(combo, MU_SIGNATURE)
-        for combo in itertools.product(elems, repeat=3)
-    ]
-    labels = [
-        "(" + ",".join(word_str(w) for w in combo) + ")"
-        for combo in itertools.product(sample_words, repeat=3)
-    ]
+    def by_slot(rows):
+        """A product table read as [left][right] in each slot of the triple
+        tensor: an op slot multiplies in reverse."""
+        return [[list(col) for col in zip(*rows)] if op else rows for op in MU_SIGNATURE]
 
+    # slot image m * k + l is alpha(e_l) for m = 0 and beta(e_l) for m = 1
+    slots = [env.alpha_of(e).terms for e in elems] + [env.beta_of(e).terms for e in elems]
+    envp = env.presentation
+    u0, u1, u2 = by_slot([[envp.multiply_terms(x, y) for y in slots] for x in slots])
+    source = [e.terms for e in elems]
+    src_products = [[pres.multiply_terms(x, y) for y in source] for x in source]
+    src_brackets = [[p.bracket_terms(x, y) for y in source] for x in source]
+    s0, s1, s2 = by_slot(src_products)
+
+    def patterns(name, combo):
+        """name(e_a ⊗ e_b ⊗ e_c) as slot-image index triples, one per slot
+        pattern whose slots are all nonzero (beta(1) = 0)."""
+        out = []
+        for pattern in SLOT_PATTERNS[name]:
+            index = [m * k + l for m, l in zip(pattern, combo)]
+            if all(slots[n] for n in index):
+                out.append(index)
+        return out
+
+    xi = [patterns("xi", combo) for combo in combos]
+    a3 = [patterns("alpha3", combo) for combo in combos]
     report = VerificationReport()
-    xi_cache = [te.xi(t) for t in triples]
-    a3_cache = [te.alpha3(t) for t in triples]
-    xx, ax = {}, {}  # (k, l) -> x_k x_l, a_k x_l, between their two uses
+    one = field.one
 
-    def used_twice(held, left, k, l):
-        """left[k] * x_l: formed at its first use, dropped at its second."""
-        product = held.pop((k, l), None)
-        if product is None:
-            product = held[k, l] = left[k] * xi_cache[l]
-        return product
-
-    def law(check, anchor, image, t, *parts):
-        """image(t) plus scale * product over the (scale, product) parts."""
+    def law(check, anchor, image, source_terms, *parts):
+        """image(source_terms) plus scale * left * right over the (scale,
+        left, right) parts, left and right lists of index triples."""
         diff: dict = {}
-        te.add_image(diff, image, t, 1)
-        for scale, product in parts:
-            axpy(diff, product.terms, scale)
+        te.add_image(diff, image, source_terms, 1)
+        for scale, left, right in parts:
+            for x0, x1, x2 in left:
+                for y0, y1, y2 in right:
+                    add_outer(diff, [u0[x0][y0], u1[x1][y1], u2[x2][y2]], scale, field)
         report.add_vanishing(check, anchor, label, te.tensor(diff))
 
-    for (i, t1), (j, t2) in itertools.product(enumerate(triples), repeat=2):
+    for (i, (a, b, c)), (j, (a2, b2, c2)) in itertools.product(enumerate(combos), repeat=2):
         label = f"pair {labels[i]} x {labels[j]}"
-        br = triple_bracket(p, t1, t2)
-        x1, a1, a2 = xi_cache[i], a3_cache[i], a3_cache[j]
-
-        law("xi is a Lie map", ANCHOR_XI_LIE, "xi", br,
-            (-1, used_twice(xx, xi_cache, i, j)), (1, used_twice(xx, xi_cache, j, i)))
-        a2_x1 = used_twice(ax, a3_cache, j, i)  # used by both mixed laws
-        law("slot-map bracket law", ANCHOR_STEP2_BRACKET, "alpha3", br,
-            (-1, x1 * a2), (1, a2_x1))
-        prod = t1 * t2
-        law("xi product law", ANCHOR_STEP2_PRODUCT, "xi", prod,
-            (-1, used_twice(ax, a3_cache, i, j)), (-1, a2_x1))
-        law("slot map is multiplicative", ANCHOR_ALPHA3_HOM, "alpha3", prod, (-1, a1 * a2))
+        bracket: dict = {}
+        add_slotwise_bracket(bracket, [src_products[a][a2], src_products[b][b2],
+                                       src_products[c][c2]],
+                             [src_brackets[a][a2], src_brackets[b][b2], src_brackets[c][c2]],
+                             TRIPLE_SIGNS, one, field)
+        product: dict = {}
+        add_outer(product, [s0[a][a2], s1[b][b2], s2[c][c2]], one, field)
+        x_i, x_j, a_i, a_j = xi[i], xi[j], a3[i], a3[j]
+        law("xi is a Lie map", ANCHOR_XI_LIE, "xi", bracket, (-1, x_i, x_j), (1, x_j, x_i))
+        law("slot-map bracket law", ANCHOR_STEP2_BRACKET, "alpha3", bracket,
+            (-1, x_i, a_j), (1, a_j, x_i))
+        law("xi product law", ANCHOR_STEP2_PRODUCT, "xi", product, (-1, a_i, x_j), (-1, a_j, x_i))
+        law("slot map is multiplicative", ANCHOR_ALPHA3_HOM, "alpha3", product, (-1, a_i, a_j))
     return report
 
 

@@ -175,24 +175,38 @@ def check_poisson(p: PoissonStructure) -> VerificationReport:
     return report
 
 
+# the slot signs of the bracket on R ⊗ R^op ⊗ R (`triple_bracket`)
+TRIPLE_SIGNS = (1, -1, 1)
+
+
+def add_slotwise_bracket(out: dict, products, brackets, signs, coeff, field) -> None:
+    """out += coeff * {x_1⊗...⊗x_k, y_1⊗...⊗y_k} for pure tensors whose slot
+    products x_i y_i are `products` and slot brackets {x_i, y_i} are
+    `brackets`: the sum over slots i of signs[i] times the outer product of
+    the slot products with slot i replaced by its bracket.  Like
+    `add_outer`, it leaves int representatives over GF(p)."""
+    for i, sign in enumerate(signs):
+        factors = list(products)
+        factors[i] = brackets[i]
+        add_outer(out, factors, coeff if sign > 0 else -coeff, field)
+
+
 def _slotwise_bracket(structures, signs, s: TensorElement, t: TensorElement) -> TensorElement:
-    """The bracket of s and t taken slot by slot: for each pair of terms, the
-    sum over slots i of signs[i] times the slot products with slot i
-    replaced by the bracket of structures[i].  The factors of s and t are the
-    presentations of the structures; each slot word is read as its
-    memoised normal form under the degree cap (`slot_normal_forms`)."""
+    """The bracket of s and t taken slot by slot, term pair by term pair
+    (`add_slotwise_bracket`), with the brackets of structures[i] in slot i.
+    The factors of s and t are the presentations of the structures; each
+    slot word is read as its memoised normal form under the degree cap
+    (`slot_normal_forms`)."""
     field = s.field
     out: dict = {}
     for k1, c1 in s.terms.items():
         e1 = slot_normal_forms(s.factors, k1)
         for k2, c2 in t.terms.items():
             e2 = slot_normal_forms(t.factors, k2)
-            coeff = c1 * c2
-            products = [f.multiply_terms(a, b) for f, a, b in zip(s.factors, e1, e2)]
-            for i, p in enumerate(structures):
-                factors = products.copy()
-                factors[i] = p.bracket_terms(e1[i], e2[i])
-                add_outer(out, factors, coeff if signs[i] > 0 else -coeff, field)
+            add_slotwise_bracket(
+                out, [f.multiply_terms(a, b) for f, a, b in zip(s.factors, e1, e2)],
+                [p.bracket_terms(a, b) for p, a, b in zip(structures, e1, e2)],
+                signs, c1 * c2, field)
     return s._like(field.canonical(out))
 
 
@@ -219,7 +233,7 @@ def triple_bracket(p: PoissonStructure, s: TensorElement, t: TensorElement) -> T
         raise InputError("tensor factors do not match the Poisson presentation")
     if s.signature != t.signature:
         raise InputError("tensor signature mismatch")
-    return _slotwise_bracket((p, p, p), (1, -1, 1), s, t)
+    return _slotwise_bracket((p, p, p), TRIPLE_SIGNS, s, t)
 
 
 # ----------------------------------------------------------------------

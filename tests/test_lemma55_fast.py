@@ -1,8 +1,10 @@
 """The Lemma 5.5 fast path against the per-term references in oracles.py:
 xi and alpha3 from cached basis-word images through their per-triple
 memos, triple brackets and tensor products accumulated in one pass,
-memo-backed slot normalisation, and the whole check with each image
-product formed once per pair of orders and each law summed in one map."""
+memo-backed slot normalisation, and the whole check summed from slot
+tables that it fills once, (2K)^2 + 2K^2 slot products and brackets for
+K sample words, with each law summed in one map and no tensor product or
+triple bracket per pair."""
 
 import collections
 import itertools
@@ -27,6 +29,7 @@ from hgalois import (
     triple_bracket,
     word_str,
 )
+from hgalois import poisson as poisson_module
 from hgalois.envelope import MU_SIGNATURE
 from conftest import log_canonical_x2y3, make_kxy, make_kz2
 
@@ -252,11 +255,21 @@ def test_default_sample_words_keep_one_word_per_normal_form():
     assert len(report.entries) == 256 and not report.failures()
 
 
+def _caller():
+    """The name of the function that called the caller, past any
+    comprehension frame in between."""
+    frame = sys._getframe(2)
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
 def test_check_lemma55_sums_each_law_in_one_map(case, monkeypatch):
-    """No law forms a tensor sum or difference, and no tensor is built
-    through `TensorElement.__init__` but the sample triples (`outer`): xi,
-    alpha3, the triple bracket and the products wrap their maps directly."""
-    _, _, te, triples = case
+    """No law forms a tensor product, sum or difference, no pair takes a
+    triple bracket, and no tensor is built through `TensorElement.__init__`:
+    every law is summed from table entries straight into one term map, and
+    `TripleEnvelope.tensor` wraps it."""
+    _, _, te, _ = case
     calls = collections.Counter()
     init = TensorElement.__init__
 
@@ -265,30 +278,66 @@ def test_check_lemma55_sums_each_law_in_one_map(case, monkeypatch):
         init(self, *args, **kwargs)
 
     def forbidden(name):
-        def call(self, other):
+        def call(*args):
             calls[name] += 1
             return NotImplemented
         return call
 
     monkeypatch.setattr(TensorElement, "__init__", counted_init)
-    monkeypatch.setattr(TensorElement, "__add__", forbidden("__add__"))
-    monkeypatch.setattr(TensorElement, "__sub__", forbidden("__sub__"))
+    for name in ("__mul__", "__add__", "__sub__"):
+        monkeypatch.setattr(TensorElement, name, forbidden(name))
+    monkeypatch.setattr(poisson_module, "triple_bracket", forbidden("triple_bracket"))
     check_lemma55(te)
-    assert calls == {"__init__ from outer": len(triples)}
+    assert calls == {}
 
 
 def test_check_lemma55_forms_five_tensor_products_per_pair(case, monkeypatch):
-    """x_i x_j, x_j x_i, a_j x_i and a_i x_j are read again by the mirrored
-    pair, so with x_i a_j, a_i a_j and t_i t_j a pair forms five products."""
-    _, _, te, triples = case
-    calls = []
-    mul = TensorElement.__mul__
+    """The products x_i x_j, x_j x_i, x_i a_j, a_j x_i, a_i x_j and a_i a_j
+    of each pair, and t_i t_j and {t_i, t_j}, are read from tables that
+    the check fills once: with K sample words, (2K)^2 products of the slot
+    images in U, K^2 products and K^2 brackets of the sample elements, and
+    no other product or bracket is taken by the check itself."""
+    p, _, te, _ = case
+    k = len(p.presentation.atoms) + 1
+    calls = collections.Counter()
+    multiply, bracket = AlgebraPresentation.multiply_terms, PoissonStructure.bracket_terms
 
-    def counted(self, other):
-        calls.append(1)
-        return mul(self, other)
+    def counted(name, method):
+        def call(self, a, b):
+            calls[name, _caller()] += 1
+            return method(self, a, b)
+        return call
 
-    monkeypatch.setattr(TensorElement, "__mul__", counted)
+    monkeypatch.setattr(AlgebraPresentation, "multiply_terms", counted("multiply", multiply))
+    monkeypatch.setattr(PoissonStructure, "bracket_terms", counted("bracket", bracket))
     report = check_lemma55(te)
-    assert len(report.entries) == 4 * len(triples) ** 2
-    assert len(calls) == 5 * len(triples) ** 2
+    assert len(report.entries) == 4 * k ** 6
+    assert {key: n for key, n in calls.items() if key[1] == "check_lemma55"} == {
+        ("multiply", "check_lemma55"): (2 * k) ** 2 + k ** 2,
+        ("bracket", "check_lemma55"): k ** 2}
+
+
+def _xy_bracket(pres, coeff):
+    """{x, y} = coeff * xy on `pres`."""
+    return PoissonStructure(pres, {("x", "y"): pres.element({("x", "y"): pres.field.parse(coeff)})})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "gf101"])
+def test_check_lemma55_matches_the_reference_on_multi_term_sample_elements(field):
+    """In k[x, y, z]/(z - x - y, x^2, y^2) with {x, y} = (3/5) xy the sample
+    word z has the two-term normal form x + y.  Every entry, witness terms
+    included, is the reference's: first with every law passing, then read
+    against the bracket changed to 7 xy, where 40 laws fail."""
+    pres = AlgebraPresentation(field, [GeneratorSymbol(g) for g in "xyz"],
+                               [(("z",), {("x",): 1, ("y",): 1}), (("x", "x"), {}),
+                                (("y", "y"), {})], commutative=True, cap=6)
+    env = build_envelope(_xy_bracket(pres, "3/5"), cap=4)
+    for words, bracket, size, failed in (([(), ("z",), ("x", "z")], "3/5", 2916, 0),
+                                         ([("z",), ("y",)], "7", 256, 40)):
+        env.source = _xy_bracket(pres, bracket)
+        te = TripleEnvelope(env)
+        report = check_lemma55(te, sample_words=words)
+        entries = [(e.check, e.anchor, e.subject, e.passed, e.witness and e.witness.terms)
+                   for e in report.entries]
+        assert (len(entries), len(report.failures())) == (size, failed)
+        assert entries == reference_check_lemma55(te, words)
