@@ -36,7 +36,6 @@ from .hopf_galois import (
     is_grouplike,
     mu_map,
     pushforward,
-    reverse_mu,
 )
 from .poisson import (
     PoissonHopfGaloisStructure,
@@ -45,8 +44,6 @@ from .poisson import (
     check_poisson,
     check_poisson_hg,
     check_poisson_hopf,
-    phg_from_poisson_hopf,
-    poisson_hopf_from_phg,
     poisson_pushforward,
     tensor_bracket,
     triple_bracket,
@@ -60,7 +57,6 @@ from .ore import (
     build_poisson_ore,
     check_thm28,
     check_thm44,
-    extend_mu_ore,
 )
 from .envelope import (
     EnvelopePresentation,
@@ -68,7 +64,6 @@ from .envelope import (
     build_envelope,
     check_lemma55,
     check_thm59,
-    induced_map,
     relation_instance_report,
 )
 

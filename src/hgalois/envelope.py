@@ -50,7 +50,6 @@ ANCHOR_XI_LIE = "Lemma 5.5(2) Eq (5.6)"
 ANCHOR_ALPHA3_HOM = "Lemma 5.5(1)"
 ANCHOR_STEP2_BRACKET = "Lemma 5.7 step 2 (bracket law)"
 ANCHOR_STEP2_PRODUCT = "Lemma 5.7 step 2 (product law)"
-ANCHOR_INDUCED = "Lemma 5.8 Eq (5.15)"
 ANCHOR_UMU = "Theorem 5.9 Eq (5.16)"
 ANCHOR_5_17 = "Theorem 5.9 Eq (5.17)"
 
@@ -453,27 +452,6 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
         law("xi product law", ANCHOR_STEP2_PRODUCT, "xi", product, (-1, a_i, x_j), (-1, a_j, x_i))
         law("slot map is multiplicative", ANCHOR_ALPHA3_HOM, "alpha3", product, (-1, a_i, a_j))
     return report
-
-
-def induced_map(phi: GeneratorMap, ua: EnvelopePresentation,
-                ub: EnvelopePresentation) -> GeneratorMap:
-    """U(phi) on the doubled generators: a_A(w) -> a_B(phi(w)) and
-    b_A(w) -> b_B(phi(w)).  The envelope relations encode both the product
-    and the bracket compatibility of phi, so a non-Poisson phi surfaces
-    here as a failed relation."""
-    if phi.source is not ua.source.presentation or phi.rank != 1 \
-            or phi.targets[0] is not ub.source.presentation:
-        raise InputError("induced_map: phi must map the enveloped algebras A -> B")
-    images = {}
-    for i in range(1, len(ua.basis)):
-        image = phi.apply_element(ua.basis_element(i))
-        images[ua.alpha_names[i]] = ub.alpha_of(image)
-        images[ua.beta_names[i]] = ub.beta_of(image)
-    umap = GeneratorMap.algebra_map(ua.presentation, ub.presentation, images,
-                                    name="U(phi)")
-    check_map_respects_relations(umap, anchor=ANCHOR_INDUCED).require(
-        "induced map violates envelope relation {subject} (phi is not a Poisson homomorphism)")
-    return umap
 
 
 def check_thm59(ph, env: EnvelopePresentation) -> VerificationReport:

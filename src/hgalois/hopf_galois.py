@@ -103,19 +103,6 @@ def is_grouplike(h: HopfGaloisStructure, g: Element) -> GroupLikeResult:
     return GroupLikeResult(True, "", inverse)
 
 
-def reverse_mu(h: HopfGaloisStructure) -> HopfGaloisStructure:
-    """Factor-reversed structure map; defined for commutative R only."""
-    bad = h.presentation.is_commutative_on_atoms()
-    if bad:
-        s, t = bad[0]
-        raise InputError(
-            f"reverse_mu requires a commutative algebra; {s} and {t} do not commute"
-        )
-    images = {atom: img.reversed_slots() for atom, img in h.mu.images.items()}
-    return HopfGaloisStructure(h.presentation,
-                               mu_map(h.presentation, images, name=f"{h.mu.name}'"))
-
-
 def pushforward(h: HopfGaloisStructure, f: GeneratorMap, section: dict) -> HopfGaloisStructure:
     """Push the structure along a surjection f: R -> B.
 

@@ -208,15 +208,6 @@ def assemble_ore(d: OreData, h: HopfGaloisStructure, g: Element,
     return extend(build_ore(d))
 
 
-def extend_mu_ore(d: OreData, h: HopfGaloisStructure, g: Element) -> HopfGaloisStructure:
-    """Build A[z; tau, delta] with the extended structure map; refuses when
-    any extension criterion fails."""
-    g_inv = grouplike_inverse("check_thm28", h, g)
-    check_thm28(d, h, g, g_inv).require(
-        "mu does not extend over the Ore extension: {check} fails for {subject}")
-    return assemble_ore(d, h, g, g_inv)
-
-
 # ----------------------------------------------------------------------
 # Poisson Ore extensions
 

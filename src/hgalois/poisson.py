@@ -24,11 +24,9 @@ from .errors import InputError
 from .hopf_galois import (
     HopfGaloisStructure,
     HopfStructure,
-    galois_to_hopf,
-    hopf_to_galois,
     pushforward,
 )
-from .maps import GeneratorMap, check_map_respects_relations
+from .maps import GeneratorMap
 from .presentations import Element, WordTable, axpy, inverse_atom, merge_terms
 from .reports import VerificationReport
 from .tensors import TensorElement, add_outer, slot_normal_forms
@@ -39,7 +37,6 @@ ANCHOR_POISSON_HG = "Def 3.5 Eq (3.4)"
 ANCHOR_POISSON_HOPF = "Def 3.3 Eq (3.3)"
 ANCHOR_COUNIT_BRACKET = "Lemma 3.4 counit kills brackets"
 ANCHOR_ANTIPODE_BRACKET = "Lemma 3.4 antipode anti-respects brackets"
-ANCHOR_PROP_37_1 = "Prop 3.7(1)"
 
 
 class PoissonStructure:
@@ -297,30 +294,6 @@ def check_poisson_hopf(ph: PoissonHopfStructure) -> VerificationReport:
                              - p.bracket(hs.antipode.apply_element(et),
                                          hs.antipode.apply_element(es)))
     return report
-
-
-def phg_from_poisson_hopf(ph: PoissonHopfStructure) -> PoissonHopfGaloisStructure:
-    """The structure map built from the comultiplication and antipode makes
-    a Poisson Hopf structure into a Poisson Hopf-Galois structure."""
-    return PoissonHopfGaloisStructure(ph.poisson, hopf_to_galois(ph.hopf))
-
-
-def poisson_hopf_from_phg(ph: PoissonHopfGaloisStructure, alpha: GeneratorMap) -> PoissonHopfStructure:
-    """Needs an algebra map alpha: R -> k whose kernel contains all brackets."""
-    pres = ph.presentation
-    p = ph.poisson
-    if alpha.source is not pres or alpha.rank != 0:
-        raise InputError("alpha must be a scalar-valued map on the algebra")
-    check_map_respects_relations(alpha, anchor=ANCHOR_PROP_37_1).require(
-        "alpha is not an algebra map; fails on {subject}")
-    for s, t in itertools.combinations(pres.atoms, 2):
-        value = alpha.apply_scalar(p.bracket(pres.atom_element(s), pres.atom_element(t)))
-        if value:
-            raise InputError(
-                f"alpha does not kill the bracket of pair ({s},{t}); "
-                f"alpha({{{s},{t}}}) = {pres.field.spell(value)}"
-            )
-    return PoissonHopfStructure(p, galois_to_hopf(ph.hopf_galois, alpha))
 
 
 def poisson_pushforward(ph: PoissonHopfGaloisStructure, f: GeneratorMap,

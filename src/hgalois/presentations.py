@@ -529,7 +529,7 @@ class AlgebraPresentation:
         # word maps to itself, and a reducible one, once its reducts have
         # entries, to the sum of their entries times the rule coefficients.
         # Every word of the tree gets an entry, and each reduct records its
-        # parent in `_parents`, for `_add_rule`.  A word with one reduct of
+        # parent in `_parents` once, for `_add_rule`.  A word with one reduct of
         # coefficient one shares that reduct's entry: no caller mutates an
         # entry.  The tree's words are never longer than `word`,
         # so every memo key has passed the cap check, which
@@ -572,7 +572,9 @@ class AlgebraPresentation:
                 nf = canonical(nf)
             memo[w] = nf
             for child, _ in reducts:
-                parents[child].append(w)
+                above = parents[child]
+                if w not in above:  # a recomputed w may still be listed
+                    above.append(w)
         return memo[word]
 
     def normal_form(self, value) -> Element:

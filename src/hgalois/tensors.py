@@ -236,15 +236,6 @@ class TensorElement(Terms):
         raw = linear_terms(self.terms, lambda key: {tuple(a for w in key for a in w): one})
         return pres.normal_form(Element(pres, raw))
 
-    def reversed_slots(self):
-        """Factor order reversed (signature reversed alongside)."""
-        return TensorElement(
-            tuple(reversed(self.factors)),
-            tuple(reversed(self.signature)),
-            {tuple(reversed(k)): c for k, c in self.terms.items()},
-            self.field, normalize=False,
-        )
-
     def to_element(self) -> Element:
         if self.rank != 1:
             raise InputError("to_element needs rank 1")

@@ -35,7 +35,6 @@ from hgalois import (
     check_thm28,
     check_thm44,
     check_thm59,
-    extend_mu_ore,
     galois_to_hopf,
     hopf_to_galois,
     is_grouplike,
@@ -44,7 +43,7 @@ from hgalois import (
 )
 from hgalois.cli import main as cli_main
 from hgalois.examples import BUILTINS
-from hgalois.ore import mu_z_tensor
+from hgalois.ore import assemble_ore, mu_z_tensor
 from hgalois.tensors import OP, PLAIN
 from conftest import (
     make_h4,
@@ -179,7 +178,7 @@ def test_criterion_05_thm28_end_to_end():
     good = OreData(A, tau, {"g": A.zero()}, tau_inverse=tau_inv, variable="z", cap=8)
     report = check_thm28(good, hg, g)
     assert report.passed
-    extension = extend_mu_ore(good, hg, g)
+    extension = assemble_ore(good, hg, g)
     assert extension.presentation.cap == 8
     assert check_hopf_galois(extension).passed
 

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,15 @@ def test_command_table_matches_the_parser():
         elif name not in ("run", "list-builtins"):
             rows.add(name)
     assert rows == set(COMMANDS)
+
+
+def test_readme_names_every_command():
+    """The README's `Commands:` sentence names each row of COMMANDS, `run`
+    and `list-builtins`, once each, and nothing else."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = re.search(r"^Commands: (.*?)\.\s", readme, re.M | re.S).group(1)
+    names = re.findall(r"`([^`]+)`", sentence)
+    assert sorted(names) == sorted([*COMMANDS, "run", "list-builtins"])
 
 
 def _job_file(tmp_path, doc):

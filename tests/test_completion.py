@@ -121,6 +121,16 @@ def test_memo_left_by_completion_holds_normal_forms(seed, monkeypatch):
         assert nf == naive_word_reduce(rules, word, pres.field), word_str(word)
 
 
+def test_parent_lists_hold_each_parent_once():
+    """A word that is dropped and recomputed is listed again above each of
+    its reducts only if it is not listed there still."""
+    env = Job(builtin_job("kxy_truncated")).envelope()
+    parents = env.presentation._parents
+    assert parents
+    for word, above in parents.items():
+        assert len(above) == len(set(above)), word_str(word)
+
+
 def test_resolved_pair_is_rescanned_after_a_shorter_rule(monkeypatch):
     """A pair carried from an earlier round goes back to the scan when a
     rule is added whose lhs occurs in the reduction trees of its two

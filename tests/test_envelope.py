@@ -18,11 +18,10 @@ from hgalois import (
     build_envelope,
     check_lemma55,
     check_thm59,
-    induced_map,
     mu_map,
     relation_instance_report,
 )
-from hgalois.maps import compose
+from hgalois.maps import check_map_respects_relations, compose
 from hgalois.reports import entry_to_json
 from hgalois.tensors import OP, PLAIN
 from conftest import make_kxy, make_kz2, make_laurent38
@@ -300,6 +299,23 @@ def quotient_chain(pres, p):
     return (ky3, p3), (ky2, p2), phi1, phi2
 
 
+def induced_map(phi, ua, ub):
+    """U(phi) on the doubled generators (Lemma 5.8 Eq (5.15)):
+    a_A(w) -> a_B(phi(w)) and b_A(w) -> b_B(phi(w)).  The envelope relations
+    encode both the product and the bracket compatibility of phi, so a
+    non-Poisson phi surfaces as a failed envelope relation."""
+    images = {}
+    for i in range(1, len(ua.basis)):
+        image = phi.apply_element(ua.basis_element(i))
+        images[ua.alpha_names[i]] = ub.alpha_of(image)
+        images[ua.beta_names[i]] = ub.beta_of(image)
+    umap = GeneratorMap.algebra_map(ua.presentation, ub.presentation, images,
+                                    name="U(phi)")
+    check_map_respects_relations(umap, anchor="Lemma 5.8 Eq (5.15)").require(
+        "induced map violates envelope relation {subject} (phi is not a Poisson homomorphism)")
+    return umap
+
+
 class TestInducedMap:
     def test_identity_is_identity(self, kxy_env):
         pres, p, env = kxy_env
@@ -381,9 +397,8 @@ class TestThm59:
         not either), so exactly the relation entries fail."""
         pres, p, env = kxy_env
         from conftest import make_kxy_hopf
-        from hgalois import PoissonHopfStructure, phg_from_poisson_hopf
-        ph = phg_from_poisson_hopf(
-            PoissonHopfStructure(p, make_kxy_hopf(pres)))
+        from hgalois import hopf_to_galois
+        ph = PoissonHopfGaloisStructure(p, hopf_to_galois(make_kxy_hopf(pres)))
         report = check_thm59(ph, env)
         per_element = [e for e in report.entries if e.check == "condition (5.17)"]
         assert len(per_element) == 6

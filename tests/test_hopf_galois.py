@@ -17,7 +17,6 @@ from hgalois import (
     is_grouplike,
     mu_map,
     pushforward,
-    reverse_mu,
 )
 from hgalois.maps import compose
 from hgalois.tensors import OP, PLAIN
@@ -131,30 +130,6 @@ class TestGroupLike:
         assert len(grouplikes) == 4
         for a, b in itertools.product(grouplikes, repeat=2):
             assert is_grouplike(hg, a * b)
-
-
-class TestReverse:
-    def test_palindromic_image_fixed(self, laurent38):
-        _, _, hg = laurent38
-        rev = reverse_mu(hg)
-        assert rev.mu.images["g"] == hg.mu.images["g"]
-
-    def test_reversed_structure_passes_checker(self, laurent38):
-        _, _, hg = laurent38
-        rev = reverse_mu(hg)
-        assert check_hopf_galois(rev).passed
-        x_img = rev.mu.images["x"]
-        assert x_img == hg.mu.images["x"].reversed_slots()
-
-    def test_involution(self, laurent38):
-        _, _, hg = laurent38
-        twice = reverse_mu(reverse_mu(hg))
-        assert all(twice.mu.images[a] == hg.mu.images[a]
-                   for a in hg.presentation.atoms)
-
-    def test_noncommutative_refused(self, h4_hg):
-        with pytest.raises(InputError, match="commutative"):
-            reverse_mu(h4_hg)
 
 
 def laurent_hg():

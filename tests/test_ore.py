@@ -23,10 +23,12 @@ from hgalois import (
     check_poisson_hg,
     check_thm28,
     check_thm44,
-    extend_mu_ore,
     mu_map,
 )
 import hgalois.ore as ore_module
+from hgalois.cli import run_commands
+from hgalois.examples import builtin_job
+from hgalois.jobs import Job
 from hgalois.ore import assemble_ore, assemble_poisson_ore, mu_z_tensor
 from hgalois.tensors import OP, PLAIN
 from conftest import make_h4
@@ -227,8 +229,11 @@ class TestThm28:
 class TestExtension:
     def test_q2_extension_passes_full_check_at_cap_8(self):
         pres, hg = laurent_base()
-        ext = extend_mu_ore(q2_data(pres), hg, pres.atom_element("g"))
+        g = pres.atom_element("g")
+        assert check_thm28(q2_data(pres), hg, g).passed
+        ext = assemble_ore(q2_data(pres), hg, g)
         assert ext.presentation.cap == 8
+        assert set(ext.mu.images) == {"g", "g^-1", "z"}
         report = check_hopf_galois(ext)
         assert report.passed
 
@@ -236,7 +241,8 @@ class TestExtension:
         pres, hg = laurent_base()
         tau = GeneratorMap.identity(pres)
         d = OreData(pres, tau, {"g": pres.zero()}, tau_inverse=tau)
-        ext = extend_mu_ore(d, hg, pres.one())
+        assert check_thm28(d, hg, pres.one()).passed
+        ext = assemble_ore(d, hg, pres.one())
         ore = ext.presentation
         z, one = ore.atom_element("z"), ore.one()
         assert ext.mu.images["z"] == (
@@ -246,10 +252,13 @@ class TestExtension:
         assert check_hopf_galois(ext).passed
 
     def test_refusal_names_the_condition(self):
-        pres, hg = laurent_base()
-        d = q2_data(pres, delta_g=pres.one())
-        with pytest.raises(InputError, match="delta compatibility"):
-            extend_mu_ore(d, hg, pres.atom_element("g"))
+        """ore-extend assembles nothing when a Thm 2.8 condition fails, and
+        its report names that condition."""
+        doc = builtin_job("ore_q2_laurent")
+        doc["ore"]["delta"] = {"g": [{"coeff": "1", "word": []}]}
+        entries, summary = run_commands(Job(doc), ["ore-extend"])
+        assert summary["status"] == "fail" and "results" not in summary
+        assert {e["check"] for e in entries if e["status"] == "fail"} == {"delta compatibility"}
 
     def test_failing_criterion_implies_failing_full_check(self):
         pres, hg = laurent_base()
@@ -261,16 +270,6 @@ class TestExtension:
                                   pres.atom_element("g^-1"), "z")
         bad = HopfGaloisStructure(ore, mu_map(ore, images))
         assert not check_hopf_galois(bad).passed
-
-    def test_assemble_matches_extend(self):
-        pres, hg = laurent_base()
-        g = pres.atom_element("g")
-        extended = extend_mu_ore(q2_data(pres), hg, g)
-        assembled = assemble_ore(q2_data(pres), hg, g)
-        assert repr(assembled.presentation) == repr(extended.presentation)
-        assert set(assembled.mu.images) == set(extended.mu.images) == {"g", "g^-1", "z"}
-        for atom, img in extended.mu.images.items():
-            assert assembled.mu.images[atom].terms == img.terms
 
     def test_assemble_refuses_non_grouplike(self):
         pres, hg = laurent_base()

@@ -9,6 +9,7 @@ from hgalois import (
     AlgebraPresentation,
     GeneratorMap,
     GeneratorSymbol,
+    GF,
     InputError,
     PoissonHopfGaloisStructure,
     PoissonHopfStructure,
@@ -18,8 +19,8 @@ from hgalois import (
     check_poisson,
     check_poisson_hg,
     check_poisson_hopf,
-    phg_from_poisson_hopf,
-    poisson_hopf_from_phg,
+    galois_to_hopf,
+    hopf_to_galois,
     poisson_pushforward,
     tensor_bracket,
     triple_bracket,
@@ -232,10 +233,7 @@ class TestPoissonHopfGalois:
         longer determine the law on the whole basis; this pins down why the
         checker documents its precondition."""
         pres, p = kxy
-        from hgalois import PoissonHopfStructure, phg_from_poisson_hopf
-        from hgalois import check_hopf_galois
-        ph = phg_from_poisson_hopf(
-            PoissonHopfStructure(p, make_kxy_hopf(pres)))
+        ph = PoissonHopfGaloisStructure(p, hopf_to_galois(make_kxy_hopf(pres)))
         assert not check_hopf_galois(ph.hopf_galois).passed  # mu fails x^3 -> 0
         assert check_poisson_hg(ph).passed  # generator pairs alone still agree
         assert poisson_hg_verdict_full_basis(p, ph.mu.images) is False
@@ -287,45 +285,59 @@ class TestPoissonHopf:
 
 
 class TestProp37:
+    """Prop 3.7 as compositions: a Poisson Hopf algebra gives a Poisson
+    Hopf-Galois algebra through hopf_to_galois, and a Poisson Hopf-Galois
+    algebra with an algebra map alpha to k gives a Poisson Hopf algebra
+    through galois_to_hopf when alpha kills every bracket."""
+
     def test_phg_from_poisson_hopf_kxy(self, kxy):
         pres, p = kxy
-        ph = phg_from_poisson_hopf(PoissonHopfStructure(p, make_kxy_hopf(pres)))
+        ph = PoissonHopfGaloisStructure(p, hopf_to_galois(make_kxy_hopf(pres)))
         assert check_poisson_hg(ph).passed
 
     def test_phg_from_poisson_hopf_zero_bracket(self):
         kz2, hg = make_kz2(gen="c")
         eps = GeneratorMap.scalar_map(kz2, {"c": ONE}, name="eps")
-        from hgalois import galois_to_hopf, hopf_to_galois
         hs = galois_to_hopf(hg, eps)
-        ph = phg_from_poisson_hopf(
-            PoissonHopfStructure(PoissonStructure(kz2, {}), hs))
+        ph = PoissonHopfGaloisStructure(PoissonStructure(kz2, {}), hopf_to_galois(hs))
         c = kz2.atom_element("c")
         assert ph.mu.images["c"] == TensorElement.outer([c, c, c], SIG)
-        # by construction the underlying map is hopf_to_galois of the input
-        assert ph.mu.images["c"] == hopf_to_galois(hs).mu.images["c"]
+        assert check_poisson_hg(ph).passed
 
     def test_poisson_hopf_from_phg_example38(self, laurent38):
         pres, p, hg = laurent38
         alpha = GeneratorMap.scalar_map(pres, {"g": ONE, "x": QQ.zero},
                                         name="alpha")
-        ph = poisson_hopf_from_phg(PoissonHopfGaloisStructure(p, hg), alpha)
+        ph = PoissonHopfStructure(p, galois_to_hopf(hg, alpha))
         assert check_poisson_hopf(ph).passed
         from hgalois import check_hopf
         assert check_hopf(ph.hopf).passed
 
-    def test_kernel_condition_enforced(self, laurent38):
-        pres, p, hg = laurent38
-        alpha = GeneratorMap.scalar_map(pres, {"g": ONE, "x": ONE}, name="alpha")
-        with pytest.raises(InputError, match="algebra map|kill"):
-            poisson_hopf_from_phg(PoissonHopfGaloisStructure(p, hg), alpha)
+    @staticmethod
+    def _alpha_x_one(field):
+        """Example 3.8 with alpha(g) = alpha(x) = 1: an algebra map on the
+        free commutative presentation that does not kill {g, x} = -g x."""
+        pres, p, hg = make_laurent38(field=field)
+        one = field.one
+        alpha = GeneratorMap.scalar_map(pres, {"g": one, "x": one}, name="alpha")
+        return pres, PoissonHopfStructure(p, galois_to_hopf(hg, alpha))
+
+    def test_kernel_condition_enforced(self):
+        for field in (QQ, GF(101)):
+            pres, ph = self._alpha_x_one(field)
+            counit = {e.subject: e.witness for e in check_poisson_hopf(ph).failures()
+                      if e.check == "counit kills bracket"}
+            assert counit["pair (g,x)"] == pres.scalar(-field.one)
 
     def test_alpha_x_one_violates_kernel_even_when_algebra_map(self):
-        # with bracket {x,g} = g x, alpha(x)=1, alpha(g)=1 is an algebra map
-        # on the free commutative presentation but alpha({x,g}) = 1 != 0
-        pres, p, hg = make_laurent38()
-        alpha = GeneratorMap.scalar_map(pres, {"g": ONE, "x": ONE}, name="alpha")
-        with pytest.raises(InputError, match="does not kill"):
-            poisson_hopf_from_phg(PoissonHopfGaloisStructure(p, hg), alpha)
+        # alpha is an algebra map, so galois_to_hopf builds a Hopf structure
+        # that passes check_hopf; only the Poisson law on the counit fails
+        from hgalois import check_hopf
+        for field in (QQ, GF(101)):
+            _, ph = self._alpha_x_one(field)
+            assert check_hopf(ph.hopf).passed
+            failing = {(e.check, e.subject) for e in check_poisson_hopf(ph).failures()}
+            assert ("counit kills bracket", "pair (g,x)") in failing
 
 
 class TestPoissonPushforward:

@@ -78,12 +78,6 @@ def test_fold_all_left_to_right():
     assert t.fold_all() == x * g * g
 
 
-def test_reversed_slots_involution():
-    pres, _, gstruct = make_laurent38()
-    t = gstruct.mu.images["x"]
-    assert t.reversed_slots().reversed_slots() == t
-
-
 def test_expand_slot_into_twisted_slot_rejected():
     h4 = make_h4()
     from conftest import make_h4_mu
