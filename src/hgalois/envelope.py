@@ -343,28 +343,36 @@ def _nf_key(pres, word):
     return frozenset(pres.reduce_terms({word: pres.field.one}).items())
 
 
-def repeated_sample_word(pres, words):
-    """(i, reason) for the first word i of `words` whose normal form in
-    `pres` is that of an earlier word j, or None: two such sample words
-    would repeat every law on equal tensors.  The reason names j, and both
-    words when they differ."""
+def sample_word_fault(pres, words):
+    """(where, reason) for the first fault of `words` as Lemma 5.5 sample
+    words, or None.  `where` is "" for the list itself and "[i]" for word
+    i.  Every law would be vacuous for an empty list or on a word whose
+    normal form in `pres` is zero, and a word whose normal form is that of
+    an earlier word j would repeat every law on equal tensors; the reason
+    names j, and both words when they differ."""
+    if not words:
+        return "", "no sample words, so every law would be vacuous"
     first: dict = {}
     for i, w in enumerate(words):
-        j = first.setdefault(_nf_key(pres, w), i)
+        key = _nf_key(pres, w)
+        if not key:
+            return f"[{i}]", (f"{word_str(w)} has normal form zero, so every law "
+                              "on it would be vacuous")
+        j = first.setdefault(key, i)
         if j != i:
             if words[j] == w:
-                return i, f"repeats sample word [{j}]"
-            return i, (f"{word_str(w)} has the normal form of sample word "
-                       f"[{j}], {word_str(words[j])}")
+                return f"[{i}]", f"repeats sample word [{j}]"
+            return f"[{i}]", (f"{word_str(w)} has the normal form of sample word "
+                              f"[{j}], {word_str(words[j])}")
     return None
 
 
 def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     """The Lie law of xi, the algebra-map law of the slot-wise map, and the
     two mixed laws tying them together, over all pairs of pure tensors with
-    slots drawn from the sample words, which must have distinct normal forms
-    (default: the unit and the generators, the first word of each normal
-    form).
+    slots drawn from the sample words, which must be at least one word,
+    none of normal form zero, with distinct normal forms (default: the unit
+    and the generators, the first word of each nonzero normal form).
 
     A sample triple t_i = e_a ⊗ e_b ⊗ e_c is a pure tensor, products and
     brackets are slot-wise, and alpha and beta are linear, so every law is
@@ -377,20 +385,31 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     reverse; the images of t_i t_j and {t_i, t_j} (`add_slotwise_bracket`)
     go in through `TripleEnvelope.add_image`.  Each law is summed in one
     term map and made canonical once.
+
+    Two image-product parts are summed once per unordered pair i < j and
+    held until the pair (j, i): the Lie law's -xi(t_i)xi(t_j) +
+    xi(t_j)xi(t_i), which (j, i) adds negated, and the product law's
+    -(alpha3(t_i)xi(t_j) + alpha3(t_j)xi(t_i)), which (j, i) adds as it
+    is.  On the diagonal the Lie part cancels and is not formed.  The
+    images of {t_i, t_j} and t_i t_j, and the image products of the other
+    two laws, are still summed for every ordered pair, so no verdict rests
+    on the bracket being antisymmetric.
     """
     env = te.envelope
     p = env.source
     pres = p.presentation
     field = pres.field
-    if sample_words is None:  # one word per normal form
+    if sample_words is None:  # one word per nonzero normal form
         default = {}
         for w in [()] + [(a,) for a in pres.atoms]:
-            default.setdefault(_nf_key(pres, w), w)
+            key = _nf_key(pres, w)
+            if key:
+                default.setdefault(key, w)
         sample_words = list(default.values())
     sample_words = [pres.validate_word(w) for w in sample_words]
-    repeat = repeated_sample_word(pres, sample_words)
-    if repeat:
-        raise InputError("sample_words[%d]: %s" % repeat)
+    fault = sample_word_fault(pres, sample_words)
+    if fault:
+        raise InputError("sample_words%s: %s" % fault)
     elems = [pres.element({w: field.one}) for w in sample_words]
     k = len(elems)
     combos = list(itertools.product(range(k), repeat=3))
@@ -425,17 +444,28 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     report = VerificationReport()
     one = field.one
 
-    def law(check, anchor, image, source_terms, *parts):
-        """image(source_terms) plus scale * left * right over the (scale,
-        left, right) parts, left and right lists of index triples."""
-        diff: dict = {}
-        te.add_image(diff, image, source_terms, 1)
+    def add_products(out, *parts):
+        """out += scale * left * right over the (scale, left, right) parts,
+        left and right lists of index triples."""
         for scale, left, right in parts:
             for x0, x1, x2 in left:
                 for y0, y1, y2 in right:
-                    add_outer(diff, [u0[x0][y0], u1[x1][y1], u2[x2][y2]], scale, field)
+                    add_outer(out, [u0[x0][y0], u1[x1][y1], u2[x2][y2]], scale, field)
+        return out
+
+    def law(check, anchor, image, source_terms, *parts, part=None, sign=1):
+        """image(source_terms) plus sign * part, a term map shared with the
+        mirrored pair, plus the products of `parts` (`add_products`)."""
+        diff: dict = {}
+        if part:
+            axpy(diff, part, sign)
+        te.add_image(diff, image, source_terms, 1)
+        add_products(diff, *parts)
         report.add_vanishing(check, anchor, label, te.tensor(diff))
 
+    # unordered pair (i, j), i < j -> its Lie and product-law parts, which
+    # the pair (j, i) adds with the signs -1 and +1
+    shared: dict = {}
     for (i, (a, b, c)), (j, (a2, b2, c2)) in itertools.product(enumerate(combos), repeat=2):
         label = f"pair {labels[i]} x {labels[j]}"
         bracket: dict = {}
@@ -446,10 +476,19 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
         product: dict = {}
         add_outer(product, [s0[a][a2], s1[b][b2], s2[c][c2]], one, field)
         x_i, x_j, a_i, a_j = xi[i], xi[j], a3[i], a3[j]
-        law("xi is a Lie map", ANCHOR_XI_LIE, "xi", bracket, (-1, x_i, x_j), (1, x_j, x_i))
+        sign = 1
+        if i < j:
+            lie, mixed = shared[i, j] = (add_products({}, (-1, x_i, x_j), (1, x_j, x_i)),
+                                         add_products({}, (-1, a_i, x_j), (-1, a_j, x_i)))
+        elif i > j:
+            lie, mixed = shared.pop((j, i))
+            sign = -1
+        else:  # the Lie part cancels term for term
+            lie, mixed = None, add_products({}, (-1, a_i, x_i), (-1, a_i, x_i))
+        law("xi is a Lie map", ANCHOR_XI_LIE, "xi", bracket, part=lie, sign=sign)
         law("slot-map bracket law", ANCHOR_STEP2_BRACKET, "alpha3", bracket,
             (-1, x_i, a_j), (1, a_j, x_i))
-        law("xi product law", ANCHOR_STEP2_PRODUCT, "xi", product, (-1, a_i, x_j), (-1, a_j, x_i))
+        law("xi product law", ANCHOR_STEP2_PRODUCT, "xi", product, part=mixed)
         law("slot map is multiplicative", ANCHOR_ALPHA3_HOM, "alpha3", product, (-1, a_i, a_j))
     return report
 

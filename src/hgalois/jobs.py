@@ -10,7 +10,7 @@ import json
 import re
 from functools import partial, wraps
 
-from .envelope import EnvelopePresentation, build_envelope, repeated_sample_word
+from .envelope import EnvelopePresentation, build_envelope, sample_word_fault
 from .errors import CharacteristicError, HgError, InputError, JobError
 from .fields import field_from_spec
 from .hopf_galois import (
@@ -334,9 +334,9 @@ class Job:
         path = f"{self.name}.envelope.sample_words"
         words = [parse_word(w, f"{path}[{i}]", pres.cap, pres.atoms)
                  for i, w in enumerate(json_typed(words, list, path))]
-        repeat = repeated_sample_word(pres, words)
-        if repeat:
-            raise JobError(f"{path}[{repeat[0]}]", repeat[1])
+        fault = sample_word_fault(pres, words)
+        if fault:
+            raise JobError(path + fault[0], fault[1])
         return words
 
     def quotient(self) -> tuple:

@@ -622,6 +622,15 @@ BAD_VALUES = [
     # so would two words with one normal form, here in a commutative algebra
     ("kxy_truncated", ("envelope", "sample_words"), [["x", "y"], ["y", "x"]],
      "kxy_truncated.envelope.sample_words[1]: y*x has the normal form of sample word [0], x*y"),
+    # no sample words, or a word that reduces to zero, would make every law vacuous
+    ("kxy_truncated", ("envelope", "sample_words"), [],
+     "kxy_truncated.envelope.sample_words: no sample words, so every law would be vacuous"),
+    ("kxy_truncated", ("envelope", "sample_words"), [["x"], ["x", "x", "x"]],
+     "kxy_truncated.envelope.sample_words[1]: x^3 has normal form zero, so every law on it "
+     "would be vacuous"),
+    ("kxy_truncated", ("envelope", "sample_words"), [["x^2", "y"], ["y"]],
+     "kxy_truncated.envelope.sample_words[0]: x^2*y has normal form zero, so every law on it "
+     "would be vacuous"),
 ]
 
 

@@ -4,7 +4,8 @@ memos, triple brackets and tensor products accumulated in one pass,
 memo-backed slot normalisation, and the whole check summed from slot
 tables that it fills once, (2K)^2 + 2K^2 slot products and brackets for
 K sample words, with each law summed in one map and no tensor product or
-triple bracket per pair."""
+triple bracket per pair, and the Lie and product-law image products
+summed once per unordered pair."""
 
 import collections
 import itertools
@@ -29,8 +30,9 @@ from hgalois import (
     triple_bracket,
     word_str,
 )
+from hgalois import envelope as envelope_module
 from hgalois import poisson as poisson_module
-from hgalois.envelope import MU_SIGNATURE
+from hgalois.envelope import MU_SIGNATURE, SLOT_PATTERNS
 from conftest import log_canonical_x2y3, make_kxy, make_kz2
 
 from oracles import (
@@ -197,19 +199,37 @@ def test_check_lemma55_matches_the_reference(case):
     assert entries == reference_check_lemma55(te)
 
 
-def _check_failing_laws(field):
-    """The x2y3 envelope read against the bracket doubled: the two bracket
-    laws fail, and every witness is the reference's.  Returns the report."""
+def _failing_x2y3(field):
+    """The triple envelope of x2y3 read against the bracket doubled."""
     p = log_canonical_x2y3(field)
     pres = p.presentation
     env = build_envelope(p, cap=6)
     env.source = PoissonStructure(pres, {("x", "y"): pres.element({("x", "y"): field.parse("4/3")})})
-    te = TripleEnvelope(env)
+    return TripleEnvelope(env)
+
+
+def _check_failing_laws(field):
+    """The x2y3 envelope read against the bracket doubled: the two bracket
+    laws fail, and every witness is the reference's.  The Lie law of the
+    pair (j, i) has the negated witness of the pair (i, j), and on the
+    diagonal it passes.  Returns the report."""
+    te = _failing_x2y3(field)
     report = check_lemma55(te)
     entries = [(e.check, e.anchor, e.subject, e.passed, e.witness and e.witness.terms)
                for e in report.entries]
     assert {e[0] for e in entries if not e[3]} == {"xi is a Lie map", "slot-map bracket law"}
     assert entries == reference_check_lemma55(te)
+    lie = {e.subject: e for e in report.entries if e.check == "xi is a Lie map"}
+    for subject, entry in lie.items():
+        left, right = subject[len("pair "):].split(" x ")
+        mirror = lie[f"pair {right} x {left}"]
+        if left == right:
+            assert entry.passed
+        elif entry.passed:
+            assert mirror.passed
+        else:
+            assert mirror.witness.terms == field.canonical(
+                {k: -c for k, c in entry.witness.terms.items()})
     return report
 
 
@@ -224,6 +244,75 @@ def test_check_lemma55_matches_the_reference_on_failing_laws_over_gf421():
     report = _check_failing_laws(field)
     coeffs = [c for e in report.failures() for c in e.witness.terms.values()]
     assert coeffs and all(type(c) is int and 0 < c < field.p for c in coeffs)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(421)], ids=["q", "gf421"])
+def test_permuting_the_sample_words_permutes_the_entries(field):
+    """Each (check, subject) keeps its status and witness terms when the
+    sample words are permuted, though the pairs that build the shared
+    parts of the Lie and product laws change with the order.  Run on the
+    failing x2y3 case, so that witnesses are compared too."""
+    te = _failing_x2y3(field)
+
+    def entries(words):
+        report = check_lemma55(te, sample_words=words)
+        out = {(e.check, e.subject): (e.passed, e.witness and e.witness.terms)
+               for e in report.entries}
+        assert len(out) == len(report.entries)
+        return out
+
+    words = [(), ("x",), ("y",)]
+    expected = entries(words)
+    assert len(expected) == 4 * 3 ** 6 and not all(v[0] for v in expected.values())
+    for order in ((2, 0, 1), (1, 2, 0)):
+        assert entries([words[n] for n in order]) == expected
+
+
+def test_check_lemma55_makes_one_outer_product_per_needed_term_pair(case, monkeypatch):
+    """`add_outer` calls of one check, closed form.  With X_i xi patterns
+    and A_i alpha3 patterns for sample triple i, a warm check makes 4 per
+    pair (t_i t_j and the three slots of {t_i, t_j}), 2 X_i A_j for the
+    bracket law and A_i A_j for the multiplicative law per ordered pair,
+    and, per unordered pair i < j, 2 X_i X_j for the Lie law and
+    A_i X_j + A_j X_i for the product law, plus 2 A_i X_i on the diagonal
+    for the product law.  A cold check adds one call per slot pattern of
+    each memo entry it fills.  Summing the two shared parts for every
+    ordered pair took 2 (sum X)^2 + 2 (sum A)(sum X) calls for them, 16,173
+    calls in all for a cold check on kxy_truncated, where now there are
+    11,727."""
+    p, env, _, _ = case
+    pres = p.presentation
+    elems = [pres.one()] + [pres.atom_element(a) for a in pres.atoms]
+    nonzero = [[bool(env.alpha_of(e).terms) for e in elems],
+               [bool(env.beta_of(e).terms) for e in elems]]
+
+    def count(name, combo):
+        return sum(all(nonzero[m][l] for m, l in zip(pattern, combo))
+                   for pattern in SLOT_PATTERNS[name])
+
+    combos = list(itertools.product(range(len(elems)), repeat=3))
+    xs = [count("xi", combo) for combo in combos]
+    a3s = [count("alpha3", combo) for combo in combos]
+    sx, sa = sum(xs), sum(a3s)
+    warm = (4 * len(combos) ** 2 + 2 * sx * sa + sa ** 2
+            + sx ** 2 - sum(x * x for x in xs) + sa * sx + sum(a * x for a, x in zip(a3s, xs)))
+    calls = collections.Counter()
+    add_outer = envelope_module.add_outer
+
+    def counted(*args):
+        calls["add_outer"] += 1
+        add_outer(*args)
+
+    monkeypatch.setattr(envelope_module, "add_outer", counted)
+    monkeypatch.setattr(poisson_module, "add_outer", counted)
+    te = TripleEnvelope(env)
+    check_lemma55(te)
+    cold = calls.pop("add_outer")
+    assert cold - warm == 3 * len(te.xi_memo) + len(te.alpha3_memo)
+    check_lemma55(te)
+    assert calls["add_outer"] == warm
+    if pres.name == "kxy":
+        assert (cold, warm) == (11_727, 10_863)
 
 
 def test_check_lemma55_rejects_a_repeated_sample_word(case):
@@ -244,6 +333,35 @@ def test_check_lemma55_rejects_two_sample_words_with_one_normal_form(case):
                f"sample word [0], {word_str(words[0])}")
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         check_lemma55(te, sample_words=words)
+
+
+def test_check_lemma55_rejects_an_empty_sample_word_list(case):
+    """No sample words would give a check with no laws at all."""
+    _, _, te, _ = case
+    with pytest.raises(InputError, match=r"^sample_words: no sample words, so every law "
+                                         r"would be vacuous$"):
+        check_lemma55(te, sample_words=[])
+
+
+@pytest.mark.parametrize("word", [("x", "x", "x"), ("y", "x", "y")])
+def test_check_lemma55_rejects_a_sample_word_of_normal_form_zero(word):
+    """Every law on a word that reduces to zero compares zero tensors."""
+    _, p = make_kxy(QQ)
+    te = TripleEnvelope(build_envelope(p, cap=4))
+    message = (f"sample_words[1]: {word_str(word)} has normal form zero, so every law on "
+               f"it would be vacuous")
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        check_lemma55(te, sample_words=[("x",), word])
+
+
+def test_default_sample_words_skip_a_generator_of_normal_form_zero():
+    """In k[x, y]/(y, x^2) the generator y is zero, so the default sample
+    words are 1 and x: 8 triples, 64 pairs, 4 laws each."""
+    pres = AlgebraPresentation(QQ, [GeneratorSymbol("x"), GeneratorSymbol("y")],
+                               [(("y",), {}), (("x", "x"), {})], commutative=True)
+    report = check_lemma55(TripleEnvelope(build_envelope(PoissonStructure(pres, {}), cap=4)))
+    assert len(report.entries) == 256 and not report.failures()
+    assert not any("y" in e.subject for e in report.entries)
 
 
 def test_default_sample_words_keep_one_word_per_normal_form():
