@@ -10,7 +10,6 @@ input, usage error or a report file that cannot be written.
 """
 
 import argparse
-import os
 import sys
 
 from .envelope import TripleEnvelope, check_lemma55, check_thm59
@@ -201,23 +200,10 @@ def run_commands(job: Job, commands) -> tuple:
     return all_entries, summary
 
 
-def _cap_override(args):
-    """The override of every degree cap: `--cap`, else HGALOIS_CAP, else None."""
-    if args.cap is not None:
-        return degree_cap(args.cap, "--cap")
-    value = os.environ.get("HGALOIS_CAP")
-    if value is None:
-        return None
-    try:
-        return degree_cap(int(value), "HGALOIS_CAP")
-    except ValueError:
-        raise JobError("HGALOIS_CAP", f"not an integer: {value!r}")
-
-
 def _load(args) -> Job:
     if args.builtin and args.input:
         raise JobError("usage", "give either --input or --builtin, not both")
-    cap = _cap_override(args)
+    cap = None if args.cap is None else degree_cap(args.cap, "--cap")
     if args.builtin:
         job = Job(builtin_job(args.builtin), cap_override=cap)
     elif args.input:

@@ -62,7 +62,8 @@ class EnvelopePresentation:
     """The built envelope together with the two structure maps.
 
     alpha and beta are linear, so each is kept as the image term map of
-    every source basis word, computed once from the finished presentation.
+    every source basis word, computed once from the finished presentation,
+    which the constructor freezes.
     `relation_report` is the `relation_instance_report` that
     `build_envelope` ran on it (None for an envelope made by hand).
     """
@@ -75,6 +76,7 @@ class EnvelopePresentation:
         self.alpha_names = alpha_names
         self.beta_names = beta_names
         self.relation_report = None
+        presentation.freeze()
         atom_terms = [presentation.atom_element(name).terms
                       for name in alpha_names[1:] + beta_names[1:]]
         one = presentation.one().terms
@@ -275,8 +277,8 @@ class TripleEnvelope:
     tensor: the slot-wise algebra map and the three-term Lie map xi.
 
     Both maps are linear, so each keeps a memo from a source word triple to
-    its canonical image term map, filled on first use; the images of the
-    basis words are fixed with the envelope, so an entry never goes stale.
+    its canonical image term map, filled on first use; the envelope's
+    presentation is frozen, so an entry never goes stale.
     `add_image` adds a scaled image of a term map of source word triples
     into a caller's term map; `xi` and `alpha3` run it on a tensor into a
     fresh map and wrap that once (`tensor`).

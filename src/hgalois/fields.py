@@ -200,7 +200,7 @@ def GF(p: int) -> PrimeField:
 
 def field_from_spec(spec) -> "Rationals | PrimeField":
     """Build a field from a job-file descriptor: "rationals" or {"prime": p}."""
-    if spec in (None, "rationals", "Q", "QQ"):
+    if spec == "rationals":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"prime"}:
         return GF(int(spec["prime"]))

@@ -8,12 +8,13 @@ there.  Images of formal inverses are derived from single-term images
 when not supplied, and are always verified to multiply to the unit.  A
 `Derivation` stores one element per atom and extends to words by the
 (twisted) Leibniz rule.  Both compute the image of every word once, from
-the image of the word without its last atom, and keep it in a word table
-until a target presentation gains a rule.
+the image of the word without its last atom, and keep it in a word table.
+Both freeze the presentations whose rules they read (a map its targets, a
+derivation its algebra), so every table entry stays valid.
 """
 
 from .errors import InputError
-from .presentations import Element, WordTable, inverse_atom, linear_terms, word_str
+from .presentations import Element, inverse_atom, linear_terms, word_str
 from .reports import VerificationReport
 from .tensors import OP, PLAIN, TensorElement
 
@@ -38,7 +39,9 @@ class GeneratorMap:
         missing = [a for a in source.atoms if a not in self.images]
         if missing:
             raise InputError(f"{name}: missing image for generator {missing[0]!r}")
-        self._word_images = WordTable(self.targets)
+        for target in self.targets:
+            target.freeze()
+        self._word_images = {(): TensorElement.unit(self.targets, self.signature, self.field)}
 
     def _coerce_image(self, atom, img) -> TensorElement:
         if isinstance(img, Element):
@@ -82,10 +85,7 @@ class GeneratorMap:
         """The image of a word: the unit times the atom images from left to
         right.  Every prefix image is kept in the word table, so a word is
         the kept image of its longest known prefix times the rest."""
-        table = self._word_images.current()
-        if not table:
-            table[()] = TensorElement.unit(self.targets, self.signature, self.field)
-        return _fill_prefixes(table, tuple(word), self.images, self.name,
+        return _fill_prefixes(self._word_images, tuple(word), self.images, self.name,
                               lambda out, _w, _a, img: out * img)
 
     def apply(self, value: Element) -> TensorElement:
@@ -161,7 +161,8 @@ class Derivation:
             if not isinstance(value, Element) or value.presentation is not pres:
                 raise InputError(f"{label}({atom}) must be an element of the base algebra")
             self.images[atom] = pres.normal_form(value)
-        self._word_images = WordTable([pres])
+        pres.freeze()
+        self._word_images = {(): pres.zero()}
         for gen in pres.generators:
             if gen.name not in self.images:
                 raise InputError(f"{label}: missing image for generator {gen.name!r}")
@@ -180,10 +181,8 @@ class Derivation:
 
     def apply_word(self, word) -> Element:
         """D of a raw word (not reduced first), read from the word table."""
-        table = self._word_images.current()
-        if not table:
-            table[()] = self.presentation.zero()
-        return _fill_prefixes(table, tuple(word), self.images, self.label, self._extend)
+        return _fill_prefixes(self._word_images, tuple(word), self.images, self.label,
+                              self._extend)
 
     def apply(self, value: Element) -> Element:
         pres = self.presentation

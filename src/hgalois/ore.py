@@ -8,13 +8,14 @@ table; images of formal inverses default to the forced values
 in which case they are taken literally — the extension criteria below then
 check the given data instead of silently repairing it.  The name of the
 adjoined variable is checked when the data is built.  `validate` runs its
-checks once: its success flag is kept in a `WordTable` of the base, so it
-returns at once until the base gains a rule (invalid data raises on every
-call).  The Poisson Ore extension B[x] is kept beside that flag, so the
-Thm 4.4 check and the assembly share one build.  One path adjoins the
-variable for both kinds of extension, one extends mu for `assemble_ore`
-and `assemble_poisson_ore` (mu's images transported, plus mu(z) or
-mu(x)), and one guard finds the inverse of g.
+checks once and keeps a success flag, so later calls return at once
+(invalid data raises on every call); the data's maps and derivations
+freeze the base, so no rule can be added that the flag has not seen.  The
+Poisson Ore extension B[x] is kept beside that flag, so the Thm 4.4 check
+and the assembly share one build.  One path adjoins the variable for both
+kinds of extension, one extends mu for `assemble_ore` and
+`assemble_poisson_ore` (mu's images transported, plus mu(z) or mu(x)),
+and one guard finds the inverse of g.
 """
 
 import itertools
@@ -27,7 +28,6 @@ from .presentations import (
     AlgebraPresentation,
     Element,
     GeneratorSymbol,
-    WordTable,
     merge_terms,
     transport_element,
 )
@@ -76,14 +76,13 @@ class OreData:
         self.variable = _check_variable(base, variable)
         self.cap = cap
         self.delta = Derivation(base, delta, "delta", tau=tau)
-        self._checked = WordTable([base])  # non-empty after a successful validate
+        self._valid = False  # set by a successful validate
 
     def validate(self):
         """Raise InputError unless tau is a (checked) algebra map, the
         supplied tau inverse really inverts it, and delta is well defined
         against every base relation."""
-        checked = self._checked.current()  # the flag as of the rules the checks read
-        if checked:
+        if self._valid:
             return
         check_map_respects_relations(self.tau, anchor=ANCHOR_ORE_RELATION).require(
             "tau is not an algebra map; fails on {subject}")
@@ -97,7 +96,7 @@ class OreData:
                 if there != e or back != e:
                     raise InputError(f"tau inverse does not invert tau on generator {atom}")
         self.delta.check_relations()
-        checked["valid"] = True
+        self._valid = True
 
 
 def _adjoin_variable(base: AlgebraPresentation, variable: str, relations, *,
@@ -223,14 +222,13 @@ class PoissonOreData:
         self.cap = cap
         self.alpha = Derivation(base.presentation, alpha, "alpha")
         self.delta = Derivation(base.presentation, delta, "delta")
-        # "valid" after a successful validate, "ext" once B[x] is built
-        self._memo = WordTable([base.presentation])
+        self._valid = False  # set by a successful validate
+        self._extension = None  # B[x], once built
 
     def validate(self):
         """Check well-definedness against the base relations, that alpha is
         a Poisson derivation, and the twisted Lie rule for delta."""
-        memo = self._memo.current()  # the flag as of the rules the checks read
-        if "valid" in memo:
+        if self._valid:
             return
         pres = self.base.presentation
         p = self.base
@@ -250,14 +248,13 @@ class PoissonOreData:
                      - self.delta.apply(es) * self.alpha.apply(et))
             if d_lhs != d_rhs:
                 raise InputError(f"delta fails the twisted Lie rule on pair ({s},{t})")
-        memo["valid"] = True
+        self._valid = True
 
     def extension(self) -> AlgebraPresentation:
-        """B[x] (`extension_presentation`), built once per base rule set."""
-        memo = self._memo.current()
-        if "ext" not in memo:
-            memo["ext"] = extension_presentation(self)
-        return memo["ext"]
+        """B[x] (`extension_presentation`), built once."""
+        if self._extension is None:
+            self._extension = extension_presentation(self)
+        return self._extension
 
 
 def extension_presentation(d: PoissonOreData) -> AlgebraPresentation:

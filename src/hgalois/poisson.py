@@ -7,15 +7,15 @@ Brackets against a formal inverse are forced, never user data:
     {a, g^-1} = -g^-2 {a, g}
 
 which follows from 0 = {a, g^-1 g}.  The bracket {u, v} of each pair of
-words, atoms included, is computed once and kept in one word-pair table
-until the presentation gains a rule.  A word pair is split at a last
-letter by the Leibniz rules  {w a, v} = {w, v} a + w {a, v}  and
-{a, w b} = {a, w} b + w {a, b},  each smaller bracket read from the table;
-the bracket of two elements sums their coefficient products times the
-tabled word brackets.  The module also provides the induced
-brackets on tensor squares and on the twisted triple product (with its
-negative middle term), and the compatibility checks tying a bracket to a
-Hopf-Galois or Hopf structure.
+words, atoms included, is computed once and kept in one word-pair table;
+the structure freezes its presentation, so an entry never goes stale.  A
+word pair is split at a last letter by the Leibniz rules
+{w a, v} = {w, v} a + w {a, v}  and  {a, w b} = {a, w} b + w {a, b},  each
+smaller bracket read from the table; the bracket of two elements sums
+their coefficient products times the tabled word brackets.  The module
+also provides the induced brackets on tensor squares and on the twisted
+triple product (with its negative middle term), and the compatibility
+checks tying a bracket to a Hopf-Galois or Hopf structure.
 """
 
 import itertools
@@ -27,7 +27,7 @@ from .hopf_galois import (
     pushforward,
 )
 from .maps import GeneratorMap
-from .presentations import Element, WordTable, axpy, inverse_atom, merge_terms
+from .presentations import Element, axpy, inverse_atom, merge_terms
 from .reports import VerificationReport
 from .tensors import TensorElement, add_outer, slot_normal_forms
 
@@ -70,7 +70,8 @@ class PoissonStructure:
             if (a, b) in self.table and self.table[(a, b)] != value:
                 raise InputError(f"conflicting bracket values for pair ({a},{b})")
             self.table[(a, b)] = presentation.normal_form(value)
-        self._word_brackets = WordTable([presentation])
+        presentation.freeze()
+        self._word_brackets: dict = {}
 
     # ------------------------------------------------------------------
     def atom_bracket(self, s: str, t: str) -> Element:
@@ -99,7 +100,7 @@ class PoissonStructure:
     def _word_bracket(self, u, v) -> dict:
         """{u, v} for words as a term map, filled into the word-pair table by
         {w a, v} = {w, v} a + w {a, v}  and  {a, w b} = {a, w} b + w {a, b}."""
-        memo = self._word_brackets.current()
+        memo = self._word_brackets
         out = memo.get((u, v))
         if out is None:
             if len(u) > 1:
@@ -124,7 +125,7 @@ class PoissonStructure:
         """The bracket of two term maps, as a term map: the sum of
         ca * cb * {u, v} over their terms, {u, v} read from the word-pair
         table (filled on first use)."""
-        memo = self._word_brackets.current()
+        memo = self._word_brackets
         out: dict = {}
         for wa, ca in a.items():
             for wb, cb in b.items():

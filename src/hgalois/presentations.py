@@ -31,6 +31,12 @@ words that contain the lhs and, along the edges, their ancestors.  A
 resolved pair stays resolved while the words of its two one-step reducts
 keep their entries.
 
+Rules are added only while a presentation is built: by the constructor,
+`add_rule_data` and `complete_rules`.  A structure that keeps tables
+computed from the rules (a map, a derivation, a bracket, an envelope)
+calls `freeze` when it is built, and `_add_rule` then refuses every rule,
+so no such table can outlive the rule set it was computed from.
+
 A rule keeps its rhs as a term map and holds its presentation only by weak
 reference, so a presentation is freed by reference counting as soon as
 the last outside reference to it goes, without the cycle collector.
@@ -162,32 +168,6 @@ class SparseEchelon:
                 self.rows[key] = canonical(row)
         self.rows[lead] = monic
         return monic
-
-
-class WordTable:
-    """A memo keyed by words or word pairs whose entries were computed from
-    normal forms in some presentations.
-
-    `current()` compares each presentation's `rule_epoch`, which every new
-    rule moves, with the one the table was filled under, and starts an
-    empty table when any of them moved, so an entry never outlives a rule
-    added after it was computed.
-    """
-
-    __slots__ = ("_presentations", "_epochs", "_entries")
-
-    def __init__(self, presentations):
-        self._presentations = tuple(presentations)
-        self._epochs = tuple(p.rule_epoch for p in self._presentations)
-        self._entries: dict = {}
-
-    def current(self) -> dict:
-        for p, epoch in zip(self._presentations, self._epochs):
-            if p.rule_epoch != epoch:
-                self._epochs = tuple(p.rule_epoch for p in self._presentations)
-                self._entries = {}
-                break
-        return self._entries
 
 
 class GeneratorSymbol:
@@ -380,7 +360,7 @@ class AlgebraPresentation:
         # `_word_nf` has walked, and word -> the memo words one step above it
         self._nf_cache: dict[Word, dict] = {}
         self._parents: dict[Word, list[Word]] = collections.defaultdict(list)
-        self.rule_epoch = 0  # the number of rules added, read by `WordTable`
+        self.frozen = False  # set by `freeze`; `_add_rule` then refuses
 
         for g in self.generators:
             if g.invertible:
@@ -435,7 +415,16 @@ class AlgebraPresentation:
         return [((t, s), {(s, t): one}) for s, t in itertools.combinations(self.atoms, 2)
                 if self.generator_of(s) is not self.generator_of(t)]
 
+    def freeze(self):
+        """Fix the rule set: a structure built on this presentation reads
+        its rules, so `_add_rule` refuses every later rule."""
+        self.frozen = True
+
     def _add_rule(self, lhs: Word, rhs_terms: dict):
+        if self.frozen:
+            raise InputError(
+                f"presentation {self.name or '<anonymous>'} is frozen: a structure reads "
+                f"its rules, so rule {word_str(lhs)} -> ... cannot be added")
         if not lhs:
             raise InputError("rewrite rule with empty left-hand side")
         rhs = Element(self, self.field.canonical(dict(rhs_terms)))
@@ -463,7 +452,6 @@ class AlgebraPresentation:
         # position: it changes the redex of exactly the words that contain
         # its lhs, and with them the normal forms of their ancestors in the
         # memoised reduction trees; every other entry stays
-        self.rule_epoch += 1
         memo, parents = self._nf_cache, self._parents
         stale = [w for w in memo if _has_factor(w, lhs)]
         while stale:

@@ -285,15 +285,6 @@ def test_pushforward_command(capsys):
     assert result["bracket"] == []
 
 
-def test_env_cap_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HGALOIS_CAP", "1")
-    assert run_cli("check-thm28", "--builtin", "ore_q2_laurent") == 2
-    assert "cap" in capsys.readouterr().err
-    monkeypatch.setenv("HGALOIS_CAP", "junk")
-    assert run_cli("check-poisson", "--builtin", "laurent_lambda1") == 2
-    capsys.readouterr()
-
-
 def test_report_written_message(tmp_path, capsys):
     report = tmp_path / "out.json"
     assert run_cli("check-poisson", "--builtin", "kxy_truncated",
@@ -350,6 +341,8 @@ BAD_FIELDS = [
     ("sweedler_h4", ("field",), {"prime": "abc"}, "sweedler_h4.field"),
     ("sweedler_h4", ("field",), {"prime": [5]}, "sweedler_h4.field"),
     ("sweedler_h4", ("field",), {"prime": 5.0}, "sweedler_h4.field"),
+    # only "rationals" and {"prime": p} name a field
+    *[("sweedler_h4", ("field",), spec, "sweedler_h4.field") for spec in (None, "Q", "QQ")],
     ("sweedler_h4", ("forbidden_characteristics",), 5,
      "sweedler_h4.forbidden_characteristics"),
     ("laurent_lambda1", ("bracket",), 5, "laurent_lambda1.bracket"),
@@ -647,15 +640,9 @@ def test_bad_value_exits_two_and_names_it(name, path, value, message, tmp_path, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("source,value", [("--cap", "0"), ("--cap", "-1"), ("HGALOIS_CAP", "0")])
-def test_cap_override_below_one_exits_two(source, value, capsys, monkeypatch):
-    monkeypatch.delenv("HGALOIS_CAP", raising=False)
-    args = ["run", "--builtin", "kxy_truncated"]
-    if source == "--cap":
-        args += ["--cap", value]
-    else:
-        monkeypatch.setenv("HGALOIS_CAP", value)
-    assert run_cli(*args) == 2
+@pytest.mark.parametrize("source,value", [("--cap", "0"), ("--cap", "-1")])
+def test_cap_override_below_one_exits_two(source, value, capsys):
+    assert run_cli("run", "--builtin", "kxy_truncated", "--cap", value) == 2
     assert capsys.readouterr().err == (
         f"error: {source}: a degree cap must be at least 1, got {value}\n")
 

@@ -21,6 +21,8 @@ from hgalois import (
     mu_map,
     relation_instance_report,
 )
+from hgalois.examples import builtin_job
+from hgalois.jobs import Job
 from hgalois.maps import check_map_respects_relations, compose
 from hgalois.reports import entry_to_json
 from hgalois.tensors import OP, PLAIN
@@ -135,6 +137,21 @@ class TestBuildKxy:
         bx = env.beta_of(env.source.presentation.atom_element("x"))
         with pytest.raises(DegreeCapError):
             _ = bx * bx * bx * bx * bx
+
+
+def test_a_built_envelope_refuses_a_new_rule():
+    """`build_envelope` freezes the envelope's presentation: b[x] -> 0 is
+    refused, naming the presentation, and the rule count, the normal form
+    of b[x] and beta(x) stay as they were."""
+    job = Job(builtin_job("kxy_truncated"))
+    env, x = job.envelope(), job.presentation.atom_element("x")
+    envp = env.presentation
+    bx = ("b[x]",)
+    before = (len(envp.rules), envp.normal_form(bx).terms, env.beta_of(x).terms)
+    assert before[1:] == ({bx: ONE}, {bx: ONE})
+    with pytest.raises(InputError, match=r"^presentation U\(kxy_truncated\) is frozen"):
+        envp.add_rule_data(bx, {})
+    assert (len(envp.rules), envp.normal_form(bx).terms, env.beta_of(x).terms) == before
 
 
 def report_rows(report, field):

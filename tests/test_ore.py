@@ -165,15 +165,6 @@ class TestOreDataValidation:
         build_ore(d)
         assert calls == []
 
-    def test_validate_runs_again_after_a_new_base_rule(self):
-        pres, _ = laurent_base()
-        identity = GeneratorMap.identity(pres)
-        d = OreData(pres, identity, {"g": pres.one()}, tau_inverse=identity)
-        d.validate()
-        pres.add_rule_data(("g", "g"), {(): ONE})  # delta(g g) = 2g, delta(1) = 0
-        with pytest.raises(InputError, match="not well defined"):
-            d.validate()
-
     def test_invalid_data_raises_on_every_call(self):
         pres, _ = laurent_base()
         g = pres.atom_element("g")

@@ -179,6 +179,22 @@ def test_basis_index_and_its_readers_follow_a_new_rule():
     assert pres.invert(pres.one() + x) == pres.one() - x
 
 
+def test_a_frozen_presentation_completes_only_when_nothing_is_missing():
+    """`complete_rules` on a frozen presentation returns 0 when its rules
+    are confluent; when it would add a rule, `_add_rule` refuses it and the
+    rules stay as they were."""
+    pres, _ = make_kxy()  # the bracket freezes its presentation
+    assert pres.frozen and pres.complete_rules() == 0
+    # x^3 -> 0 and x^2 -> x: x^3 reduces to 0 and to x, so x -> 0 is missing
+    open_ = AlgebraPresentation(QQ, [GeneratorSymbol("x")],
+                                [(("x",) * 3, {}), (("x", "x"), {("x",): ONE})],
+                                check=False, name="x3")
+    open_.freeze()
+    with pytest.raises(InputError, match="^presentation x3 is frozen"):
+        open_.complete_rules()
+    assert len(open_.rules) == 2 and open_.unresolved_critical_pairs()
+
+
 def test_invert_syntactic_for_laurent_monomials():
     pres, _, _ = make_laurent38()
     g = pres.atom_element("g")

@@ -2,8 +2,9 @@
 the word-pair table of a `PoissonStructure`, word images read from the
 prefix table of a `GeneratorMap`, and derivations read from the prefix
 table of a `Derivation`, compared with the per-letter references in
-oracles.py on every bundled structure over Q and GF(p), before and after a
-presentation gains a rule, and at the degree cap."""
+oracles.py on every bundled structure over Q and GF(p), with and without
+extra rules, and at the degree cap; and the freezing that keeps every
+table entry valid: a presentation a structure reads refuses new rules."""
 
 import itertools
 import random
@@ -20,6 +21,7 @@ from hgalois import (
     Element,
     GeneratorMap,
     GeneratorSymbol,
+    InputError,
     OreData,
     PoissonStructure,
     TensorElement,
@@ -30,6 +32,7 @@ from hgalois import (
 from hgalois.examples import BUILTINS, builtin_job
 from hgalois.fields import field_from_spec
 from hgalois.jobs import Job
+from hgalois.maps import Derivation
 
 from conftest import make_h4
 from oracles import (
@@ -151,42 +154,81 @@ def test_tensor_brackets_reduce_slot_words_first():
 def _kx_y(rules=()):
     """k[x, y] with the given extra rules and the bracket {x, y} = y."""
     pres = AlgebraPresentation(QQ, [GeneratorSymbol("x"), GeneratorSymbol("y")],
-                               list(rules), commutative=True, cap=6)
+                               list(rules), commutative=True, cap=6, name="kxy")
     return PoissonStructure(pres, {("x", "y"): pres.atom_element("y")})
 
 
-def test_bracket_tables_follow_new_rules():
-    """A bracket computed before `add_rule_data` is not served afterwards:
-    {x, y^2} = 2 y^2 until y^2 -> 0 is added, and then it is what a
-    structure built with that rule gives."""
-    y2 = {("y", "y"): QQ.one}
-    p = _kx_y()
+# Each reader below is made from the rules given: (the presentation it
+# reads, a read of its tables as term maps, the oracles' answer to that read)
+
+def _poisson_reader(rules=()):
+    """{x, y^2} with y^2 a raw word: 2 y^2, or 0 under y^2 -> 0."""
+    p = _kx_y(rules)
     pres = p.presentation
-    x, yy = pres.atom_element("x"), Element(pres, dict(y2))
-    assert p.bracket(x, yy).terms == {("y", "y"): QQ.parse("2")}
-    assert p.atom_bracket("x", "y") == pres.atom_element("y")
-
-    pres.add_rule_data(("y", "y"), {})
-    fresh = _kx_y([(("y", "y"), {})])
-    fx, fyy = fresh.presentation.atom_element("x"), Element(fresh.presentation, dict(y2))
-    assert p.bracket(x, yy).terms == fresh.bracket(fx, fyy).terms == {}
-    assert p.bracket(x, yy) == reference_bracket(p, x, yy)
+    x, yy = pres.atom_element("x"), Element(pres, {("y", "y"): QQ.one})
+    return (pres, lambda: p.bracket(x, yy).terms,
+            lambda: reference_bracket(p, x, yy).terms)
 
 
-def test_map_images_follow_new_rules():
-    """An image computed before the target gains a rule is not served
-    afterwards: x^2 -> y^2 until y^2 -> 0 is added to the target."""
-    def make(rules=()):
-        source = AlgebraPresentation(QQ, [GeneratorSymbol("x")], cap=6)
-        target = AlgebraPresentation(QQ, [GeneratorSymbol("y")], list(rules), cap=6)
-        return GeneratorMap.algebra_map(source, target, {"x": target.atom_element("y")})
+def _map_reader(rules=()):
+    """The image of x^3 under x -> y into k<y>."""
+    source = AlgebraPresentation(QQ, [GeneratorSymbol("x")], cap=6, name="S")
+    target = AlgebraPresentation(QQ, [GeneratorSymbol("y")], list(rules), cap=6, name="T")
+    f = GeneratorMap.algebra_map(source, target, {"x": target.atom_element("y")})
+    word = ("x",) * 3
+    return (target, lambda: f.apply_word(word).terms,
+            lambda: reference_apply_word(f, word).terms)
 
-    f = make()
-    assert f.apply_word(("x", "x")).terms == {(("y", "y"),): QQ.one}
-    f.targets[0].add_rule_data(("y", "y"), {})
-    fresh = make([(("y", "y"), {})])
-    assert f.apply_word(("x", "x")).terms == fresh.apply_word(("x", "x")).terms == {}
-    assert f.apply_word(("x", "x", "x")) == reference_apply_word(f, ("x", "x", "x"))
+
+def _derivation_reader(rules=()):
+    """D(x x y) for D(x) = y, D(y) = 0 on k[x, y]."""
+    pres = AlgebraPresentation(QQ, [GeneratorSymbol("x"), GeneratorSymbol("y")],
+                               list(rules), commutative=True, cap=6, name="B")
+    d = Derivation(pres, {"x": pres.atom_element("y"), "y": pres.zero()}, "D")
+    word = ("x", "x", "y")
+    return (pres, lambda: d.apply_word(word).terms,
+            lambda: reference_derivation_word(pres, d.images, word).terms)
+
+
+def _ore_reader(rules=()):
+    """Validated Ore data on the Laurent polynomials with tau = id and
+    delta = 0: tau and delta of g g."""
+    pres = AlgebraPresentation(QQ, [GeneratorSymbol("g", invertible=True)], list(rules),
+                               commutative=True, name="A")
+    identity = GeneratorMap.identity(pres)
+    d = OreData(pres, identity, {"g": pres.zero()}, tau_inverse=identity)
+    word = ("g", "g")
+
+    def read():
+        d.validate()
+        return d.tau.apply_word(word).terms, d.delta.apply_word(word).terms
+    return (pres, read,
+            lambda: (reference_apply_word(d.tau, word).terms, reference_delta_word(d, word).terms))
+
+
+Y2 = [(("y", "y"), {})]
+READERS = {"poisson": (_poisson_reader, Y2), "map-target": (_map_reader, Y2),
+           "derivation-base": (_derivation_reader, Y2),
+           "ore": (_ore_reader, [(("g", "g"), {(): QQ.one}), (("g^-1",), {("g",): QQ.one})])}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_a_structure_freezes_what_it_reads(kind):
+    """A bracket, a map (its target), a derivation (its algebra) and Ore
+    data (its base) freeze the presentation they read: a new rule raises
+    `InputError` naming it, and the rule count, the normal form of the
+    rule's lhs and the tabled answer stay as they were.  A structure built
+    with the rules reads them; both answers match the oracles."""
+    make, rules = READERS[kind]
+    pres, read, reference = make()
+    before = read()
+    assert before == reference()
+    (lhs, rhs), count, nf = rules[0], len(pres.rules), pres.normal_form(rules[0][0])
+    with pytest.raises(InputError, match=rf"^presentation {pres.name} is frozen"):
+        pres.add_rule_data(lhs, rhs)
+    assert (len(pres.rules), pres.normal_form(lhs), read()) == (count, nf, before)
+    _, fresh, fresh_reference = make(rules)
+    assert fresh() == fresh_reference() != before
 
 
 def test_cap_errors_are_not_memoized():
@@ -225,7 +267,7 @@ DERIVATION_BLOCKS = {"ore_q2_laurent": ("ore", ("delta",)),
 DERIVATION_CASES = [("ore_q2_laurent", "bundled"), ("ore_q2_laurent", "nonzero"),
                     ("poisson_ore_laurent", "bundled"), ("poisson_ore_laurent", "nonzero"),
                     ("h4", "bundled")]
-# confluent rule sets added after the tables were filled: g^2 = 1 on the
+# confluent rule sets that change some derivation image: g^2 = 1 on the
 # Laurent polynomials, x = 0 on H4
 NEW_RULES = {"ore_q2_laurent": [(("g", "g"), {(): "1"}), (("g^-1",), {("g",): "1"})],
              "h4": [(("x",), {})]}
@@ -296,29 +338,22 @@ def test_derivations_match_the_letter_loop(case, images, field):
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
 @pytest.mark.parametrize("case", sorted(NEW_RULES))
-def test_derivation_tables_follow_new_rules(case, field):
-    """A word image computed before `add_rule_data` is not served
-    afterwards: every word of length at most three then has the image that
-    data built with the new rules gives, and at least one image changed.
-    The reference reduces a word before it applies tau, so it is compared
-    only where tau respects the new rules (tau(g) = 2g does not respect
-    g^2 = 1)."""
-    rules = NEW_RULES[case]
+def test_derivations_with_new_rules_match_the_letter_loop(case, field):
+    """Data built with the new rules: every word of length at most three
+    has the image the reference gives, and at least one image differs from
+    the data without them.  The reference reduces a word before it applies
+    tau, so it is compared only where tau respects the new rules
+    (tau(g) = 2g does not respect g^2 = 1)."""
     old = _derivations(case, field, images="nonzero")
-    pres = old[0][0].presentation
-    words = _words(pres.atoms, 3)
-    before = [{w: d.apply_word(w).terms for w in words} for d, _, _ in old]
-    for lhs, rhs in rules:
-        pres.add_rule_data(lhs, {w: pres.field.parse(c) for w, c in rhs.items()})
-    fresh = _derivations(case, field, images="nonzero", relations=rules)
+    words = _words(old[0][0].presentation.atoms, 3)
+    fresh = _derivations(case, field, images="nonzero", relations=NEW_RULES[case])
     changed = False
-    for (d, reference, tau), (f, _, _), seen in zip(old, fresh, before):
+    for (d, _, _), (f, reference, tau) in zip(old, fresh):
         tau_respects = tau is None or check_map_respects_relations(tau).passed
         for w in words:
-            image = d.apply_word(w)
-            assert image.terms == f.apply_word(w).terms, (d.label, w)
-            assert not tau_respects or image == reference(w), (d.label, w)
-            changed |= image.terms != seen[w]
+            image = f.apply_word(w)
+            assert not tau_respects or image == reference(w), (f.label, w)
+            changed |= image.terms != d.apply_word(w).terms
     assert changed
 
 
