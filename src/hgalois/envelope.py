@@ -27,7 +27,7 @@ from functools import partial
 from .errors import InputError
 from .hopf_galois import MU_SIGNATURE
 from .maps import GeneratorMap, check_map_respects_relations
-from .poisson import TRIPLE_SIGNS, PoissonStructure, add_slotwise_bracket
+from .poisson import TRIPLE_SIGNS, PoissonStructure
 from .presentations import (
     AlgebraPresentation,
     Element,
@@ -369,6 +369,38 @@ def sample_word_fault(pres, words):
     return None
 
 
+def add_products(out: dict, one, *parts) -> None:
+    """out += scale * left * right over the parts (scale, tables, left,
+    right): left and right are lists of index triples, and the index pair
+    (x_s, y_s) reads the entry tables[s][x_s][y_s], a tuple of (word,
+    coeff) items, in slot s, so each pair of triples adds one outer product
+    of three entries.  The terms go straight into `out`: a missing key
+    takes the product itself and zero sums are dropped (as in `axpy`), a
+    factor that is the field's shared `one` is not multiplied in, and a
+    scale of -1 (the only other scale) negates the first slot's factor.
+    Like `add_outer`, it leaves int representatives over GF(p) for the
+    caller to pass through `field.canonical`."""
+    for scale, (t0, t1, t2), left, right in parts:
+        negate = scale < 0
+        for x0, x1, x2 in left:
+            r0, r1, r2 = t0[x0], t1[x1], t2[x2]
+            for y0, y1, y2 in right:
+                e1, e2 = r1[y1], r2[y2]
+                for w0, c0 in r0[y0]:
+                    if negate:
+                        c0 = -c0
+                    for w1, c1 in e1:
+                        c01 = c0 if c1 is one else c0 * c1
+                        for w2, c2 in e2:
+                            c = c01 if c2 is one else c01 * c2
+                            key = (w0, w1, w2)
+                            s = out[key] + c if key in out else c
+                            if s:
+                                out[key] = s
+                            else:
+                                out.pop(key, None)
+
+
 def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     """The Lie law of xi, the algebra-map law of the slot-wise map, and the
     two mixed laws tying them together, over all pairs of pure tensors with
@@ -381,12 +413,17 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     a signed sum of outer products of table entries filled once per check:
     for K sample words, the (2K)^2 products in U of the slot images
     alpha(e_k) and beta(e_k), and the K^2 products and K^2 brackets of the
-    e_k in A, each reduced under its presentation's cap.  xi(t_i) and
-    alpha3(t_i) are lists of slot-image index triples, so xi(t_i) xi(t_j)
-    adds one outer product per pattern pair, the op slot multiplied in
-    reverse; the images of t_i t_j and {t_i, t_j} (`add_slotwise_bracket`)
+    e_k in A, each reduced under its presentation's cap and kept as a
+    tuple of (word, coeff) items.  xi(t_i) and alpha3(t_i) are lists of
+    slot-image index triples, so xi(t_i) xi(t_j) is one outer product per
+    pattern pair, the op slot multiplied in reverse; t_i t_j is one outer
+    product of source products and {t_i, t_j} three signed ones, slot s of
+    the s-th read from the bracket table.  Every outer product is summed
+    by one kernel (`add_products`); the images of t_i t_j and {t_i, t_j}
     go in through `TripleEnvelope.add_image`.  Each law is summed in one
-    term map and made canonical once.
+    term map and made canonical once; a law whose map is then empty passes
+    and builds no tensor, and only a failing law wraps its map as the
+    witness (`TripleEnvelope.tensor`).
 
     Two image-product parts are summed once per unordered pair i < j and
     held until the pair (j, i): the Lie law's -xi(t_i)xi(t_j) +
@@ -417,19 +454,27 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     combos = list(itertools.product(range(k), repeat=3))
     labels = ["(" + ",".join(word_str(sample_words[n]) for n in combo) + ")" for combo in combos]
 
+    def items(rows):
+        """A table of term maps as a table of (word, coeff) item tuples."""
+        return [[tuple(terms.items()) for terms in row] for row in rows]
+
     def by_slot(rows):
         """A product table read as [left][right] in each slot of the triple
         tensor: an op slot multiplies in reverse."""
-        return [[list(col) for col in zip(*rows)] if op else rows for op in MU_SIGNATURE]
+        return tuple([[list(col) for col in zip(*rows)] if op else rows for op in MU_SIGNATURE])
 
     # slot image m * k + l is alpha(e_l) for m = 0 and beta(e_l) for m = 1
     slots = [env.alpha_of(e).terms for e in elems] + [env.beta_of(e).terms for e in elems]
     envp = env.presentation
-    u0, u1, u2 = by_slot([[envp.multiply_terms(x, y) for y in slots] for x in slots])
+    u = by_slot(items([[envp.multiply_terms(x, y) for y in slots] for x in slots]))
     source = [e.terms for e in elems]
-    src_products = [[pres.multiply_terms(x, y) for y in source] for x in source]
-    src_brackets = [[p.bracket_terms(x, y) for y in source] for x in source]
-    s0, s1, s2 = by_slot(src_products)
+    products = items([[pres.multiply_terms(x, y) for y in source] for x in source])
+    brackets = items([[p.bracket_terms(x, y) for y in source] for x in source])
+    product_slots = by_slot(products)
+    # {t_i, t_j} is the sum over n of TRIPLE_SIGNS[n] times the outer product
+    # of the slot products with slot n bracketed
+    bracket_slots = [(sign, tuple(brackets if m == n else products for m in range(3)))
+                     for n, sign in enumerate(TRIPLE_SIGNS)]
 
     def patterns(name, combo):
         """name(e_a ⊗ e_b ⊗ e_c) as slot-image index triples, one per slot
@@ -443,55 +488,50 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
 
     xi = [patterns("xi", combo) for combo in combos]
     a3 = [patterns("alpha3", combo) for combo in combos]
+    triples = [[combo] for combo in combos]
     report = VerificationReport()
     one = field.one
 
-    def add_products(out, *parts):
-        """out += scale * left * right over the (scale, left, right) parts,
-        left and right lists of index triples."""
-        for scale, left, right in parts:
-            for x0, x1, x2 in left:
-                for y0, y1, y2 in right:
-                    add_outer(out, [u0[x0][y0], u1[x1][y1], u2[x2][y2]], scale, field)
-        return out
-
     def law(check, anchor, image, source_terms, *parts, part=None, sign=1):
         """image(source_terms) plus sign * part, a term map shared with the
-        mirrored pair, plus the products of `parts` (`add_products`)."""
+        mirrored pair, plus the outer products of `parts` (`add_products`);
+        a nonzero sum is the witness."""
         diff: dict = {}
         if part:
             axpy(diff, part, sign)
         te.add_image(diff, image, source_terms, 1)
-        add_products(diff, *parts)
-        report.add_vanishing(check, anchor, label, te.tensor(diff))
+        add_products(diff, one, *parts)
+        diff = field.canonical(diff)
+        report.add_vanishing(check, anchor, label, te.tensor(diff) if diff else None)
 
     # unordered pair (i, j), i < j -> its Lie and product-law parts, which
     # the pair (j, i) adds with the signs -1 and +1
     shared: dict = {}
-    for (i, (a, b, c)), (j, (a2, b2, c2)) in itertools.product(enumerate(combos), repeat=2):
+    for i, j in itertools.product(range(len(combos)), repeat=2):
         label = f"pair {labels[i]} x {labels[j]}"
+        t_i, t_j = triples[i], triples[j]
         bracket: dict = {}
-        add_slotwise_bracket(bracket, [src_products[a][a2], src_products[b][b2],
-                                       src_products[c][c2]],
-                             [src_brackets[a][a2], src_brackets[b][b2], src_brackets[c][c2]],
-                             TRIPLE_SIGNS, one, field)
+        add_products(bracket, one, *[(sign, tables, t_i, t_j) for sign, tables in bracket_slots])
         product: dict = {}
-        add_outer(product, [s0[a][a2], s1[b][b2], s2[c][c2]], one, field)
+        add_products(product, one, (1, product_slots, t_i, t_j))
         x_i, x_j, a_i, a_j = xi[i], xi[j], a3[i], a3[j]
         sign = 1
         if i < j:
-            lie, mixed = shared[i, j] = (add_products({}, (-1, x_i, x_j), (1, x_j, x_i)),
-                                         add_products({}, (-1, a_i, x_j), (-1, a_j, x_i)))
+            lie, mixed = shared[i, j] = ({}, {})
+            add_products(lie, one, (-1, u, x_i, x_j), (1, u, x_j, x_i))
+            add_products(mixed, one, (-1, u, a_i, x_j), (-1, u, a_j, x_i))
         elif i > j:
             lie, mixed = shared.pop((j, i))
             sign = -1
         else:  # the Lie part cancels term for term
-            lie, mixed = None, add_products({}, (-1, a_i, x_i), (-1, a_i, x_i))
+            lie, mixed = None, {}
+            add_products(mixed, one, (-1, u, a_i, x_i), (-1, u, a_i, x_i))
         law("xi is a Lie map", ANCHOR_XI_LIE, "xi", bracket, part=lie, sign=sign)
         law("slot-map bracket law", ANCHOR_STEP2_BRACKET, "alpha3", bracket,
-            (-1, x_i, a_j), (1, a_j, x_i))
+            (-1, u, x_i, a_j), (1, u, a_j, x_i))
         law("xi product law", ANCHOR_STEP2_PRODUCT, "xi", product, part=mixed)
-        law("slot map is multiplicative", ANCHOR_ALPHA3_HOM, "alpha3", product, (-1, a_i, a_j))
+        law("slot map is multiplicative", ANCHOR_ALPHA3_HOM, "alpha3", product,
+            (-1, u, a_i, a_j))
     return report
 
 

@@ -140,9 +140,38 @@ def _json_lines(container, pad, out, quote, dumps) -> None:
         out.append(f"\n{pad}]")
 
 
+# the keys, in order, of a passing entry's dict (`entry_to_json` after the
+# command that `run_commands` puts first)
+PASSING_KEYS = ("command", "check", "anchor", "subject", "status")
+
+
 def render_json(entries, summary) -> str:
-    """The JSON report: the entry dicts, then the summary object."""
-    return json_text(entries + [{"summary": summary}]) + "\n"
+    """The JSON report: the entry dicts, then the summary object, as
+    `json_text` writes the list of them.  An entry dict with exactly the
+    `PASSING_KEYS`, in that order, and only string values is written by one
+    template; every other entry and the summary go through `json_text`,
+    indented one level (a line break in its text is always a line of the
+    layout, since strings escape theirs)."""
+    import json  # here, so that `import hgalois` does not load json
+
+    quote = json.encoder.encode_basestring
+    out = []
+    line = "[\n  "
+    for entry in entries + [{"summary": summary}]:
+        out.append(line)
+        line = ",\n  "
+        if type(entry) is dict and tuple(entry) == PASSING_KEYS:
+            command, check, anchor, subject, status = entry.values()
+            if type(command) is type(check) is type(anchor) is type(subject) \
+                    is type(status) is str:
+                out.append(f'{{\n    "command": {quote(command)},\n'
+                           f'    "check": {quote(check)},\n    "anchor": {quote(anchor)},\n'
+                           f'    "subject": {quote(subject)},\n'
+                           f'    "status": {quote(status)}\n  }}')
+                continue
+        out.append(json_text(entry).replace("\n", "\n  "))
+    out.append("\n]\n")
+    return "".join(out)
 
 
 def render_text(entries, summary) -> str:

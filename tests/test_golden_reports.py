@@ -20,7 +20,7 @@ from test_cli import _laurent_with_hopf
 from hgalois.cli import main, render_json, run_commands
 from hgalois.examples import BUILTINS, builtin_job
 from hgalois.jobs import Job
-from hgalois.reports import json_text
+from hgalois.reports import PASSING_KEYS, json_text
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 GOLDEN = json.loads(EXPECTED.read_text(encoding="utf-8"))["golden_sha256"]
@@ -152,3 +152,27 @@ JSON_VALUES = st.recursive(
 def test_report_writer_matches_json_dumps(value):
     """Nested dicts and lists, empty ones included, and every scalar kind."""
     assert json_text(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def _entry(keys, values):
+    return dict(zip(keys, values))
+
+
+STRINGS = st.tuples(*[TEXT] * len(PASSING_KEYS))
+ENTRIES = st.one_of(
+    st.builds(_entry, st.just(PASSING_KEYS), STRINGS),  # the passing shape
+    st.builds(lambda e, w: {**e, "witness": w},  # a failing entry's shape
+              st.builds(_entry, st.just(PASSING_KEYS), STRINGS), JSON_VALUES),
+    st.builds(_entry, st.permutations(PASSING_KEYS), STRINGS),
+    st.builds(_entry, st.just(PASSING_KEYS), st.tuples(*[JSON_VALUES] * len(PASSING_KEYS))),
+    st.dictionaries(TEXT, JSON_VALUES, max_size=6))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(ENTRIES, max_size=5), st.dictionaries(TEXT, JSON_VALUES, max_size=4))
+def test_report_template_matches_json_dumps(entries, summary):
+    """`render_json` writes an entry of the passing shape by its template
+    and every other entry (keys in another order, a witness, a value that
+    is not a string) and the summary by the writer of `json_text`."""
+    assert render_json(entries, summary) == json.dumps(
+        entries + [{"summary": summary}], indent=2, ensure_ascii=False) + "\n"

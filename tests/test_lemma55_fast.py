@@ -3,9 +3,10 @@ xi and alpha3 from cached basis-word images through their per-triple
 memos, triple brackets and tensor products accumulated in one pass,
 memo-backed slot normalisation, and the whole check summed from slot
 tables that it fills once, (2K)^2 + 2K^2 slot products and brackets for
-K sample words, with each law summed in one map and no tensor product or
-triple bracket per pair, and the Lie and product-law image products
-summed once per unordered pair."""
+K sample words, with each law summed in one map by one outer-product
+kernel (`add_products`), no tensor product or triple bracket per pair,
+the Lie and product-law image products summed once per unordered pair,
+and a tensor built only for a failing law's witness."""
 
 import collections
 import itertools
@@ -269,16 +270,18 @@ def test_permuting_the_sample_words_permutes_the_entries(field):
 
 
 def test_check_lemma55_makes_one_outer_product_per_needed_term_pair(case, monkeypatch):
-    """`add_outer` calls of one check, closed form.  With X_i xi patterns
-    and A_i alpha3 patterns for sample triple i, a warm check makes 4 per
-    pair (t_i t_j and the three slots of {t_i, t_j}), 2 X_i A_j for the
-    bracket law and A_i A_j for the multiplicative law per ordered pair,
-    and, per unordered pair i < j, 2 X_i X_j for the Lie law and
-    A_i X_j + A_j X_i for the product law, plus 2 A_i X_i on the diagonal
-    for the product law.  A cold check adds one call per slot pattern of
-    each memo entry it fills.  Summing the two shared parts for every
-    ordered pair took 2 (sum X)^2 + 2 (sum A)(sum X) calls for them, 16,173
-    calls in all for a cold check on kxy_truncated, where now there are
+    """Outer products of one check, closed form, counted where they are
+    formed: one per pair of index triples in each part that `add_products`
+    sums, and one per `add_outer` call.  With X_i xi patterns and A_i
+    alpha3 patterns for sample triple i, a warm check makes 4 per pair
+    (t_i t_j and the three slots of {t_i, t_j}), 2 X_i A_j for the bracket
+    law and A_i A_j for the multiplicative law per ordered pair, and, per
+    unordered pair i < j, 2 X_i X_j for the Lie law and A_i X_j + A_j X_i
+    for the product law, plus 2 A_i X_i on the diagonal for the product
+    law.  A cold check adds one `add_outer` call per slot pattern of each
+    memo entry it fills.  Summing the two shared parts for every ordered
+    pair took 2 (sum X)^2 + 2 (sum A)(sum X) outer products for them,
+    16,173 in all for a cold check on kxy_truncated, where now there are
     11,727."""
     p, env, _, _ = case
     pres = p.presentation
@@ -297,22 +300,47 @@ def test_check_lemma55_makes_one_outer_product_per_needed_term_pair(case, monkey
     warm = (4 * len(combos) ** 2 + 2 * sx * sa + sa ** 2
             + sx ** 2 - sum(x * x for x in xs) + sa * sx + sum(a * x for a, x in zip(a3s, xs)))
     calls = collections.Counter()
-    add_outer = envelope_module.add_outer
+    add_outer, add_products = envelope_module.add_outer, envelope_module.add_products
 
-    def counted(*args):
-        calls["add_outer"] += 1
+    def counted_outer(*args):
+        calls["outer"] += 1
         add_outer(*args)
 
-    monkeypatch.setattr(envelope_module, "add_outer", counted)
-    monkeypatch.setattr(poisson_module, "add_outer", counted)
+    def counted_products(out, one, *parts):
+        calls["outer"] += sum(len(left) * len(right) for _, _, left, right in parts)
+        add_products(out, one, *parts)
+
+    monkeypatch.setattr(envelope_module, "add_outer", counted_outer)
+    monkeypatch.setattr(poisson_module, "add_outer", counted_outer)
+    monkeypatch.setattr(envelope_module, "add_products", counted_products)
     te = TripleEnvelope(env)
     check_lemma55(te)
-    cold = calls.pop("add_outer")
+    cold = calls.pop("outer")
     assert cold - warm == 3 * len(te.xi_memo) + len(te.alpha3_memo)
     check_lemma55(te)
-    assert calls["add_outer"] == warm
+    assert calls["outer"] == warm
     if pres.name == "kxy":
         assert (cold, warm) == (11_727, 10_863)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(421)], ids=["q", "gf421"])
+def test_check_lemma55_builds_a_tensor_for_each_failing_law_only(field, monkeypatch):
+    """`TripleEnvelope.tensor` wraps the summed map of a failing law into
+    its witness, once, and is never called for a passing law."""
+    te = _failing_x2y3(field)
+    built = []
+    tensor = TripleEnvelope.tensor
+
+    def counted(self, terms):
+        built.append(tensor(self, terms))
+        return built[-1]
+
+    monkeypatch.setattr(TripleEnvelope, "tensor", counted)
+    report = check_lemma55(te)
+    failures = report.failures()
+    assert failures and len(failures) < len(report.entries)
+    assert len(built) == len(failures)
+    assert all(entry.witness is witness for entry, witness in zip(failures, built))
 
 
 def test_check_lemma55_rejects_a_repeated_sample_word(case):
@@ -386,7 +414,7 @@ def test_check_lemma55_sums_each_law_in_one_map(case, monkeypatch):
     """No law forms a tensor product, sum or difference, no pair takes a
     triple bracket, and no tensor is built through `TensorElement.__init__`:
     every law is summed from table entries straight into one term map, and
-    `TripleEnvelope.tensor` wraps it."""
+    `TripleEnvelope.tensor` wraps it when the law fails."""
     _, _, te, _ = case
     calls = collections.Counter()
     init = TensorElement.__init__

@@ -1,3 +1,4 @@
+import collections
 import itertools
 from fractions import Fraction
 
@@ -25,6 +26,9 @@ from hgalois import (
     tensor_bracket,
     triple_bracket,
 )
+from hgalois.cli import run_commands
+from hgalois.examples import builtin_job
+from hgalois.jobs import Job
 from hgalois.tensors import OP, PLAIN
 from conftest import make_kxy_hopf, make_kz2, make_laurent38
 
@@ -125,6 +129,31 @@ class TestCheckPoisson:
     def test_generator_jacobi_verdict_matches_full_basis(self, kxy, laurent38):
         _, p = kxy
         assert check_poisson(p).passed == jacobi_verdict_full_basis(p) is True
+
+    @pytest.mark.parametrize("name", ["kxy_truncated", "laurent_lambda1", "laurent_lambda2",
+                                      "laurent_mod_x", "poisson_ore_laurent"])
+    def test_commutativity_is_tested_once_per_structure(self, name, monkeypatch):
+        """A `PoissonStructure` tests its presentation's commutativity when
+        it is built and freezes the presentation, so `check_poisson` does not
+        test it again; its "commutative presentation" entry still passes."""
+        calls = collections.Counter()
+        test, init = AlgebraPresentation.is_commutative_on_atoms, PoissonStructure.__init__
+
+        def counted_test(pres):
+            calls["test"] += 1
+            return test(pres)
+
+        def counted_init(p, *args):
+            calls["structure"] += 1
+            init(p, *args)
+
+        monkeypatch.setattr(AlgebraPresentation, "is_commutative_on_atoms", counted_test)
+        monkeypatch.setattr(PoissonStructure, "__init__", counted_init)
+        doc = builtin_job(name)
+        entries, _ = run_commands(Job(doc), doc["commands"])
+        commutative = [e for e in entries if e["check"] == "commutative presentation"]
+        assert commutative and all(e["status"] == "pass" for e in commutative)
+        assert calls["test"] == calls["structure"] >= len(commutative)
 
 
 class TestTensorBrackets:
