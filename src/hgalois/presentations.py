@@ -16,12 +16,16 @@ order of `itertools.product(rules, rules)`, then the overlap length k of a
 suffix of lhs(r1) with a prefix of lhs(r2), then the position of lhs(r2)
 strictly inside lhs(r1).  The syntactic overlaps of a rule pair never
 change once both rules exist, so each rule keeps one row of them, built
-when rules are added: a new rule appends its overlaps (old, new) to every
-existing row and opens a row for (new, every rule).  The new rule has the
-highest index, so reading the rows in order is the product order.  The
-scan is lazy: `complete_rules` stops it at the first unresolved pair, and
-skips the pairs that it has seen resolve and that no rule added since can
-touch, while `unresolved_critical_pairs` runs it to the end.
+when rules are added: a new rule appends its overlaps (old, new) to the
+rows of the old rules that it overlaps and opens a row for (new, every
+rule that it overlaps).  Four indexes from the rule left-hand sides to
+rule indices (by prefix, by suffix, by interior factor and by whole lhs)
+name exactly those rules, so `_overlaps` runs only on pairs that overlap.
+The new rule has the highest index, so reading the rows in order is the
+product order, and a pair is keyed by (row, entry).
+`unresolved_critical_pairs` reads every row; `complete_rules` keeps a
+worklist (`_Worklist`), a heap of the keys still to check, popped in scan
+order.
 
 Normal forms are memoised for every word of every reduction tree walked,
 with an edge from each word to the words one rewrite above it.  A new rule
@@ -29,7 +33,9 @@ has the highest index, so it can change the normal form only of a word
 whose tree holds its lhs as a factor: `_add_rule` drops exactly the memo
 words that contain the lhs and, along the edges, their ancestors.  A
 resolved pair stays resolved while the words of its two one-step reducts
-keep their entries.
+keep their entries, so the worklist registers each resolved pair under
+those words, and the words that `_add_rule` drops send back to the heap
+exactly the resolved pairs registered under them.
 
 Rules are added only while a presentation is built: by the constructor,
 `add_rule_data` and `complete_rules`.  A structure that keeps tables
@@ -50,6 +56,7 @@ through `field.canonical` once (see `fields`).
 """
 
 import collections
+import heapq
 import itertools
 import operator
 import re
@@ -349,11 +356,16 @@ class AlgebraPresentation:
         # one row per rule r1: (length, overlap word, position of r2, r2)
         # for every overlap of r1 with r2, in scan order (module docstring)
         self._overlaps: list[list[tuple]] = []
-        self.user_relations: list[tuple[Word, dict]] = []
-        # lhs -> (index, rule) of the first rule with that lhs, and the
-        # sorted lhs lengths: the redex lookup of `_find_redex`
-        self._lhs_index: dict[Word, tuple[int, RewriteRule]] = {}
+        # word -> indices, in order, of the rules whose lhs has it as a
+        # prefix, as a suffix, as a factor touching neither end, and as the
+        # whole lhs: the overlap partners of a new rule (`_open_overlaps`)
+        self._by_prefix = collections.defaultdict(list)
+        self._by_suffix = collections.defaultdict(list)
+        self._by_inner = collections.defaultdict(list)
+        self._by_lhs = collections.defaultdict(list)
+        # the sorted lhs lengths; with `_by_lhs`, the redex lookup of `_find_redex`
         self._lhs_lengths: list[int] = []
+        self.user_relations: list[tuple[Word, dict]] = []
         self._basis_cache = self._basis_index = None
         self._table_cache = None
         # word -> normal form, for every word of every reduction tree that
@@ -421,6 +433,9 @@ class AlgebraPresentation:
         self.frozen = True
 
     def _add_rule(self, lhs: Word, rhs_terms: dict):
+        """Add the rule lhs -> rhs_terms.  Returns the rule, the (row,
+        entry) keys of the overlaps it opened and the memo words it dropped,
+        which `complete_rules` hands to its worklist."""
         if self.frozen:
             raise InputError(
                 f"presentation {self.name or '<anonymous>'} is frozen: a structure reads "
@@ -437,14 +452,7 @@ class AlgebraPresentation:
                     f"reorder generators or reorient the relation"
                 )
         rule = RewriteRule(lhs, rhs)
-        # lhs(r2) overlaps lhs(r1) only if its first atom occurs in lhs(r1)
-        for old, row in zip(self.rules, self._overlaps):
-            if lhs[0] in old.lhs:
-                row.extend(_overlaps(old, rule))
-        self._lhs_index.setdefault(lhs, (len(self.rules), rule))
-        self.rules.append(rule)
-        self._overlaps.append([o for other in self.rules if other.lhs[0] in lhs
-                               for o in _overlaps(rule, other)])
+        opened = self._open_overlaps(rule)
         self._lhs_lengths = sorted({*self._lhs_lengths, len(lhs)})
         self._basis_cache = self._basis_index = None
         self._table_cache = None
@@ -454,11 +462,49 @@ class AlgebraPresentation:
         # memoised reduction trees; every other entry stays
         memo, parents = self._nf_cache, self._parents
         stale = [w for w in memo if _has_factor(w, lhs)]
+        dropped = []
         while stale:
             w = stale.pop()
             if memo.pop(w, None) is not None:
+                dropped.append(w)
                 stale.extend(parents.pop(w, ()))
-        return rule
+        return rule, opened, dropped
+
+    def _open_overlaps(self, rule) -> list:
+        """Append a new rule and its overlaps to the rules and their rows
+        (module docstring), and index its lhs.  Returns the (row, entry) keys
+        of the new overlaps.  The indexes name exactly the rules that
+        overlap the new one, so every `_overlaps` call here finds some."""
+        lhs, n, rows = rule.lhs, len(self.rules), self._overlaps
+        m = len(lhs)
+        inner = {lhs[a:b] for a in range(1, m - 1) for b in range(a + 1, m)}
+        # r1 older: a suffix of lhs(r1) is a prefix of lhs, or lhs lies
+        # strictly inside lhs(r1)
+        left = {i for k in range(1, m + 1) for i in self._by_suffix.get(lhs[:k], ())}
+        left.update(self._by_inner.get(lhs, ()))
+        # r2 older or the rule itself: a prefix of lhs(r2) is a suffix of
+        # lhs, or lhs(r2) lies strictly inside lhs
+        right = {j for k in range(1, m + 1) for j in self._by_prefix.get(lhs[m - k:], ())}
+        right.update(j for factor in inner for j in self._by_lhs.get(factor, ()))
+        if any(lhs[m - k:] == lhs[:k] for k in range(1, m)):
+            right.add(n)
+        self.rules.append(rule)
+        opened = []
+        for i in left:
+            row = rows[i]
+            start = len(row)
+            row.extend(_overlaps(self.rules[i], rule))
+            opened += [(i, j) for j in range(start, len(row))]
+        row = [o for j in sorted(right) for o in _overlaps(rule, self.rules[j])]
+        rows.append(row)
+        opened += [(n, j) for j in range(len(row))]
+        for k in range(1, m + 1):
+            self._by_prefix[lhs[:k]].append(n)
+            self._by_suffix[lhs[m - k:]].append(n)
+        for factor in inner:
+            self._by_inner[factor].append(n)
+        self._by_lhs[lhs].append(n)
+        return opened
 
     def add_rule_data(self, lhs, rhs):
         """Add a rule; rhs is a dict {word: exact coeff}, whose zero terms are dropped."""
@@ -466,7 +512,7 @@ class AlgebraPresentation:
             if rhs.field != self.field:
                 raise InputError("rule right-hand side over a different field")
             rhs = rhs.terms
-        rule = self._add_rule(tuple(lhs), {tuple(w): c for w, c in rhs.items() if c})
+        rule, _, _ = self._add_rule(tuple(lhs), {tuple(w): c for w, c in rhs.items() if c})
         self.user_relations.append((rule.lhs, rule.rhs_terms))
         return rule
 
@@ -477,17 +523,17 @@ class AlgebraPresentation:
         """The leftmost position where some lhs occurs, and at it the rule
         of smallest index: the first hit of a scan of the rules in order at
         each position."""
-        index, lengths, end = self._lhs_index, self._lhs_lengths, len(word)
+        index, lengths, end = self._by_lhs, self._lhs_lengths, len(word)
         for pos in range(end):
             best = None
             for n in lengths:
                 if pos + n > end:
                     break
                 hit = index.get(word[pos:pos + n])
-                if hit is not None and (best is None or hit[0] < best[0]):
-                    best = hit
+                if hit is not None and (best is None or hit[0] < best):
+                    best = hit[0]
             if best is not None:
-                return pos, best[1]
+                return pos, self.rules[best]
         return None
 
     def reduce_terms(self, terms: dict, *, operation="normal_form") -> dict:
@@ -628,55 +674,67 @@ class AlgebraPresentation:
         words of length at most len(l1)+len(l2)-1.  Suffix/prefix overlaps
         longer than the cap are skipped.
         """
-        return list(self._unresolved_pairs({}))
+        out = []
+        for r1, row in zip(self.rules, self._overlaps):
+            for length, word, pos2, r2 in row:
+                if length <= self.cap:
+                    diff, _ = self._pair_difference(word, r1, pos2, r2)
+                    if diff:
+                        out.append((word, r1, r2, diff))
+        return out
 
-    def _unresolved_pairs(self, resolved: dict):
-        """Lazy scan behind `unresolved_critical_pairs`, over the overlap rows.
-        Skips the pairs in `resolved` and records there each pair that
-        resolves, as (row, entry) -> the words of its two one-step reducts."""
-        for i, (r1, row) in enumerate(zip(self.rules, self._overlaps)):
-            for j, (length, word, pos2, r2) in enumerate(row):
-                if length > self.cap or (i, j) in resolved:
-                    continue
-                one_a, one_b = self._one_step(word, 0, r1), self._one_step(word, pos2, r2)
-                a, b = self.reduce_terms(one_a), self.reduce_terms(one_b)
-                if a != b:
-                    yield word, r1, r2, self.field.canonical(merge_terms(a, b, operator.sub))
-                else:
-                    resolved[i, j] = (*one_a, *one_b)
+    def _pair_difference(self, word: Word, r1: RewriteRule, pos2: int, r2: RewriteRule):
+        """(nf(reduct by r1 at 0) - nf(reduct by r2 at pos2), the words of
+        the two one-step reducts) for the critical pair on `word`, summed in
+        one accumulation; the difference is canonical, empty when the pair
+        resolves."""
+        out, words, nf = {}, [], self._word_nf
+        for pos, rule, negate in ((0, r1, False), (pos2, r2, True)):
+            head, tail = word[:pos], word[pos + len(rule.lhs):]
+            for rw, rc in rule.rhs_terms.items():
+                reduct = head + rw + tail
+                words.append(reduct)
+                axpy(out, nf(reduct, "normal_form"), -rc if negate else rc)
+        return self.field.canonical(out), words
 
     def complete_rules(self, *, max_new_rules=500):
         """Bounded completion: orient each unresolved critical-pair difference
         by its leading monomial and add it as a rule, until locally confluent.
         Returns the number of rules added.
 
-        Each round restarts the lazy scan and resolves the first unresolved
-        pair in scan order, so the rules added, and their order, are those
-        of a full rescan after every rule.  A round skips the pairs that
-        resolved in earlier rounds and whose reduct words all kept their
-        memo entries through the rules added since (`_add_rule`): those
-        words keep their normal forms, so such a pair resolves again.  The
-        round that finds no pair therefore proves local confluence, as a
+        The pairs wait in a worklist (`_Worklist`) and are checked in scan
+        order, so the rules added, and their order, are those of a full
+        rescan after every rule.  A pair that resolves leaves the heap; the
+        first that does not gives the next rule, and stays first.  A new
+        rule queues the overlaps it opens, and the memo words it drops
+        (`_add_rule`) queue again the resolved pairs registered under them.
+        Every other resolved pair keeps the normal forms of its reducts, so
+        it resolves again, and an empty heap proves local confluence, as a
         full scan would.
 
         Every added rule is a consequence of the existing ones (the
         difference of two reductions of one word), so the presented algebra
         is unchanged.  Terminates because rules never increase word length
-        and there are finitely many words below the cap.  Adding more than
-        `max_new_rules` rules raises `ConfluenceError`, naming the overlap
-        still unresolved.  A difference that is a nonzero scalar means that
-        the presented algebra is zero; that raises `InputError`, naming the
-        overlap.
+        and there are finitely many words below the cap.  Completion stops
+        at its budget of `max_new_rules` added rules with a
+        `ConfluenceError` naming the overlap still unresolved.  A difference
+        that is a nonzero scalar means that the presented algebra is zero;
+        that raises `InputError`, naming the overlap.
         """
-        resolved: dict = {}
-        for added in itertools.count():
-            pair = next(self._unresolved_pairs(resolved), None)
-            if pair is None:
-                return added
-            word, r1, r2, diff = pair
+        rows = self._overlaps
+        work = _Worklist(rows, self.cap)
+        added = 0
+        while work.pending:
+            i, j = work.pending[0]
+            _, word, pos2, r2 = rows[i][j]
+            r1 = self.rules[i]
+            diff, words = self._pair_difference(word, r1, pos2, r2)
+            if not diff:
+                work.resolve(words)
+                continue
             if added == max_new_rules:
                 raise ConfluenceError(
-                    f"completion did not stabilize after {max_new_rules} rules; "
+                    f"completion stopped at its budget of {max_new_rules} added rules; "
                     f"unresolved overlap: {word_str(word)} between [{r1}] and [{r2}]",
                     word,
                 )
@@ -688,14 +746,10 @@ class AlgebraPresentation:
                     f"{self.field.spell(diff[lead])} = 0")
             div, lead_coeff = self.field.div, diff[lead]
             rhs = {w: -div(c, lead_coeff) for w, c in diff.items() if w != lead}
-            self._add_rule(lead, rhs)
-            memo = self._nf_cache
-            resolved = {k: words for k, words in resolved.items()
-                        if all(w in memo for w in words)}
-
-    def _one_step(self, word: Word, pos: int, rule: RewriteRule) -> dict:
-        head, tail = word[:pos], word[pos + len(rule.lhs):]
-        return {head + rw + tail: rc for rw, rc in rule.rhs_terms.items()}
+            _, opened, dropped = self._add_rule(lead, rhs)
+            work.reopen(opened, dropped)
+            added += 1
+        return added
 
     # ------------------------------------------------------------------
     # finite basis and linear algebra
@@ -813,6 +867,46 @@ class AlgebraPresentation:
     def __repr__(self):
         gens = ",".join(g.name + ("^±1" if g.invertible else "") for g in self.generators)
         return f"AlgebraPresentation({self.name or gens}; {len(self.rules)} rules)"
+
+
+class _Worklist:
+    """The critical pairs that `complete_rules` has yet to check, as (row,
+    entry) keys of the overlaps that fit the cap: a heap, popped in
+    scan order.  A pair that resolves leaves the heap and is registered
+    under the words of its two one-step reducts; it goes back when one of
+    those words loses its memo entry."""
+
+    __slots__ = ("rows", "cap", "pending", "resolved", "waiting")
+
+    def __init__(self, rows: list, cap: int):
+        self.rows, self.cap = rows, cap
+        # generated in scan order, so already a heap
+        self.pending = [(i, j) for i, row in enumerate(rows)
+                        for j, overlap in enumerate(row) if overlap[0] <= cap]
+        self.resolved: set = set()
+        # reduct word -> keys registered under it; a key may be listed again,
+        # or still be listed after it went back to the heap
+        self.waiting = collections.defaultdict(list)
+
+    def resolve(self, words):
+        """The first pending pair resolved, with reducts `words`."""
+        key = heapq.heappop(self.pending)
+        self.resolved.add(key)
+        for w in words:
+            self.waiting[w].append(key)
+
+    def reopen(self, opened, dropped):
+        """A rule was added: queue the overlaps it opened that fit the cap,
+        and the resolved pairs registered under a memo word it dropped."""
+        rows, cap, pending, resolved = self.rows, self.cap, self.pending, self.resolved
+        for i, j in opened:
+            if rows[i][j][0] <= cap:
+                heapq.heappush(pending, (i, j))
+        for w in dropped:
+            for key in self.waiting.pop(w, ()):
+                if key in resolved:
+                    resolved.remove(key)
+                    heapq.heappush(pending, key)
 
 
 def _reducts(word: Word, hit) -> list:

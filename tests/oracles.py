@@ -427,7 +427,7 @@ def reference_complete_rules(pres, *, max_new_rules=500, max_overlap=None):
         if added > max_new_rules:
             word, r1, r2, _ = pairs[0]
             raise ConfluenceError(
-                f"completion did not stabilize after {max_new_rules} rules; "
+                f"completion stopped at its budget of {max_new_rules} added rules; "
                 f"last unresolved overlap: {word_str(word)}"
             )
 

@@ -21,6 +21,7 @@ from hgalois import (
     build_envelope,
     word_str,
 )
+from hgalois import presentations
 from hgalois.cli import run_commands
 from hgalois.examples import BUILTINS, builtin_job
 from hgalois.jobs import Job
@@ -132,27 +133,32 @@ def test_parent_lists_hold_each_parent_once():
 
 
 def test_resolved_pair_is_rescanned_after_a_shorter_rule(monkeypatch):
-    """A pair carried from an earlier round goes back to the scan when a
-    rule is added whose lhs occurs in the reduction trees of its two
-    one-step reducts; here it then fails.
+    """A pair that resolved goes back to the worklist when a rule is added
+    that drops a memo word of its two one-step reducts; here it then fails.
     `test_completion_matches_full_rescan` compares this seed's rule list
     with the reference."""
-    rounds = []  # (pairs carried into the round, the round's resolved dict)
-    scan = AlgebraPresentation._unresolved_pairs
+    events = []  # per added rule: (the failing key, resolved before, dropped, resolved after)
+    reopen = presentations._Worklist.reopen
 
-    def spy(pres, resolved):
-        rounds.append((set(resolved), resolved))
-        return scan(pres, resolved)
+    def spy(work, opened, dropped):
+        before = set(work.resolved)
+        failing = work.pending[0]
+        reopen(work, opened, dropped)
+        events.append((failing, before, set(dropped), set(work.resolved)))
 
-    monkeypatch.setattr(AlgebraPresentation, "_unresolved_pairs", spy)
+    monkeypatch.setattr(presentations._Worklist, "reopen", spy)
     pres = rescan()
     pres.complete_rules()
-    # a^2 b^2, the first overlap of rule 0 with rule 0, resolves in round
-    # 1; the lhs of the rule added next, ab -> -b - a^2, occurs in its
-    # reduct ab^2, so round 2 scans the pair again, and it fails there
-    assert (0, 0) in rounds[1][1]
+    _, word, pos2, r2 = pres._overlaps[0][0]
+    _, reducts = pres._pair_difference(word, pres.rules[0], pos2, r2)
+    # a^2 b^2, the overlap of rule 0 (a^2 b) with rule 1 (b^2), has resolved
+    # when the rule ab -> -b - a^2 is added; that rule drops its reduct ab^2,
+    # so the pair goes back to the heap, fails there and gives the next rule
+    failing, before, dropped, after = events[1]
     assert pres.rules[4].lhs == ("a", "b")
-    assert (0, 0) not in rounds[2][0] and (0, 0) not in rounds[2][1]
+    assert (0, 0) in before and (0, 0) not in after
+    assert ("a", "b", "b") in dropped and ("a", "b", "b") in reducts
+    assert events[2][0] == (0, 0)
 
 
 def _random_words(pres, rng, count=200):
@@ -252,7 +258,8 @@ def test_completion_budget_is_exact():
     assert len(pres.rules) == before + 2
     word, r1, r2, _ = pres.unresolved_critical_pairs()[0]
     assert str(exc.value).endswith(
-        f"after 2 rules; unresolved overlap: {word_str(word)} between [{r1}] and [{r2}]")
+        f"at its budget of 2 added rules; unresolved overlap: {word_str(word)} "
+        f"between [{r1}] and [{r2}]")
     assert exc.value.word == word
 
 

@@ -176,3 +176,27 @@ def test_report_template_matches_json_dumps(entries, summary):
     is not a string) and the summary by the writer of `json_text`."""
     assert render_json(entries, summary) == json.dumps(
         entries + [{"summary": summary}], indent=2, ensure_ascii=False) + "\n"
+
+
+def test_log_canonical_stress_envelope_report_is_pinned():
+    """The envelope of the log-canonical k[x,y,z]/(x^2, y^3, z^2) over
+    GF(101), {x,y} = 2xy, {x,z} = 3xz, {y,z} = 6yz, at cap 8: a completion
+    of several hundred rules, so a change to the pair order, the memo or
+    the overlap rows that alters one rule changes this report."""
+    doc = {
+        "name": "stress_gf101",
+        "field": {"prime": 101},
+        "presentation": {
+            "generators": ["x", "y", "z"],
+            "commutative": True,
+            "relations": [{"lhs": list(m), "rhs": []} for m in ("xx", "yyy", "zz")],
+        },
+        "bracket": [{"pair": [a, b], "value": [{"coeff": q, "word": [a, b]}]}
+                    for (a, b), q in ((("x", "y"), "2"), (("x", "z"), "3"), (("y", "z"), "6"))],
+        "envelope": {"cap": 8},
+        "commands": ["build-envelope"],
+    }
+    entries, summary = run_commands(Job(doc), doc["commands"])
+    assert (summary["passed"], summary["failed"]) == (1090, 0)
+    text = render_json(entries, summary)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest().startswith("0f3f3e218ffd")

@@ -7,6 +7,7 @@ in oracles.py, over Q and GF(5)."""
 import itertools
 import operator
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,9 @@ from hgalois import (
     InputError,
     VerificationReport,
 )
+from hgalois import presentations
+from hgalois.examples import builtin_job
+from hgalois.jobs import Job
 from hgalois.presentations import axpy, linear_terms, merge_terms
 from hgalois.tensors import OP, PLAIN, TensorElement, add_outer
 
@@ -281,55 +285,120 @@ def test_completion_matches_the_references_on_generated_systems(data):
         _completed(make, reference_complete_rules)
 
 
+def exhaustive_rows(pres):
+    """The overlap rows as a scan of every rule pair gives them: row r1 holds
+    `_overlaps(r1, r2)` for r2 in rule order."""
+    return [[o for r2 in pres.rules for o in presentations._overlaps(r1, r2)]
+            for r1 in pres.rules]
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.data())
+def test_indexed_overlap_rows_match_the_exhaustive_rows_on_generated_systems(data):
+    """The rows that the lhs indexes build, after construction and after
+    completion (or its error), against every rule pair in product order."""
+    field, values = data.draw(field_and_values())
+    atoms, rules = data.draw(rewrite_systems(values))
+    pres = AlgebraPresentation(field, [GeneratorSymbol(a) for a in atoms], rules,
+                               cap=SYSTEM_CAP, check=False)
+    assert pres._overlaps == exhaustive_rows(pres)
+    try:
+        pres.complete_rules()
+    except (ConfluenceError, InputError):
+        pass
+    assert pres._overlaps == exhaustive_rows(pres)
+
+
+def test_envelope_rows_come_only_from_overlapping_pairs(monkeypatch):
+    """Building the kxy_truncated envelope calls `_overlaps` only on rule
+    pairs that overlap, and its rows are the exhaustive ones."""
+    found = []
+    overlaps = presentations._overlaps
+
+    def counted(r1, r2):
+        out = overlaps(r1, r2)
+        found.append(len(out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(presentations, "_overlaps", counted)
+        pres = Job(builtin_job("kxy_truncated")).envelope().presentation
+    assert found and min(found) > 0
+    assert pres._overlaps == exhaustive_rows(pres)
+
+
 class _Watched(AlgebraPresentation):
     """A presentation that, once `watch` is set, checks what survives each
     rule that `complete_rules` adds against a fresh reduction under the
     current rules (`reference_reduce_terms`, the package's strategy, with an
-    empty memo): every memo entry and every pair carried as resolved into
-    the next round.  Mid-completion the rules are not confluent, so the
-    reference must follow the package's choice of redex."""
+    empty memo): every memo entry and, through `check_resolved`, every pair
+    that the worklist carries as resolved.  Mid-completion the rules are not
+    confluent, so the reference must follow the package's choice of redex."""
 
     watch = False
     rules_checked = 0
+    pairs_checked = 0
 
     def _fresh(self, memo):
         return lambda terms: reference_reduce_terms(self, terms, memo)
 
     def _add_rule(self, lhs, rhs_terms):
-        rule = super()._add_rule(lhs, rhs_terms)
+        added = super()._add_rule(lhs, rhs_terms)
         if self.watch:
             fresh = self._fresh({})
             for word, nf in self._nf_cache.items():
                 assert nf == fresh({word: self.field.one}), word
             self.rules_checked += 1
-        return rule
+        return added
 
-    def _unresolved_pairs(self, resolved):
+    def check_resolved(self, resolved):
         fresh = self._fresh({})
+
+        def one_step(word, pos, rule):
+            head, tail = word[:pos], word[pos + len(rule.lhs):]
+            return {head + rw + tail: rc for rw, rc in rule.rhs_terms.items()}
+
         for i, j in resolved:
             _, word, pos2, r2 = self._overlaps[i][j]
-            assert fresh(self._one_step(word, 0, self.rules[i])) == \
-                fresh(self._one_step(word, pos2, r2)), word
-        return super()._unresolved_pairs(resolved)
+            assert fresh(one_step(word, 0, self.rules[i])) == \
+                fresh(one_step(word, pos2, r2)), word
+            self.pairs_checked += 1
 
 
-@settings(derandomize=True, database=None, max_examples=80, deadline=None)
-@given(st.data())
-def test_a_new_rule_keeps_only_what_a_fresh_reduction_gives(data):
+def test_a_new_rule_keeps_only_what_a_fresh_reduction_gives():
     """`_add_rule` drops exactly the memo words that contain the new lhs
-    and their ancestors, and `complete_rules` keeps a resolved pair while
-    the words of its reducts keep their entries; nothing it keeps may
-    differ from a fresh reduction."""
-    field, values = data.draw(field_and_values())
-    atoms, rules = data.draw(rewrite_systems(values))
-    pres = _Watched(field, [GeneratorSymbol(a) for a in atoms], rules,
-                    cap=SYSTEM_CAP, check=False)
-    pres.watch = True
-    try:
-        added = pres.complete_rules()
-    except (ConfluenceError, InputError):
-        return
-    assert pres.rules_checked == added
+    and their ancestors, and the worklist of `complete_rules` keeps a
+    resolved pair while the words of its reducts keep their entries;
+    nothing it keeps may differ from a fresh reduction.  Some drawn system
+    must carry a resolved pair past an added rule, or the pair check would
+    not have run."""
+    carried = []
+    reopen = presentations._Worklist.reopen
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(st.data())
+    def run(data):
+        field, values = data.draw(field_and_values())
+        atoms, rules = data.draw(rewrite_systems(values))
+        pres = _Watched(field, [GeneratorSymbol(a) for a in atoms], rules,
+                        cap=SYSTEM_CAP, check=False)
+        pres.watch = True
+
+        def checked(work, opened, dropped):
+            reopen(work, opened, dropped)
+            pres.check_resolved(work.resolved)
+
+        try:
+            with mock.patch.object(presentations._Worklist, "reopen", checked):
+                added = pres.complete_rules()
+        except (ConfluenceError, InputError):
+            return
+        finally:
+            carried.append(pres.pairs_checked)
+        assert pres.rules_checked == added
+
+    run()
+    assert sum(carried) > 0
 
 
 # the quantum plane ba = 2ab cut by a^3 = 0 and b^3 = 0 (confluent), with a
