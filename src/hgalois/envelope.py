@@ -276,12 +276,10 @@ class TripleEnvelope:
     """U(A) ⊗ U(A)^op ⊗ U(A) with the two structure maps of the triple
     tensor: the slot-wise algebra map and the three-term Lie map xi.
 
-    Both maps are linear, so each keeps a memo from a source word triple to
-    its canonical image term map, filled on first use; the envelope's
-    presentation is frozen, so an entry never goes stale.
-    `add_image` adds a scaled image of a term map of source word triples
-    into a caller's term map; `xi` and `alpha3` run it on a tensor into a
-    fresh map and wrap that once (`tensor`).
+    Both maps are linear and read the envelope's image of each source
+    basis word, fixed with its frozen presentation: `xi` and `alpha3` add
+    one outer product per term of their argument and per slot pattern
+    straight into one term map, and wrap it once (`tensor`).
     """
 
     def __init__(self, envelope: EnvelopePresentation):
@@ -289,33 +287,7 @@ class TripleEnvelope:
         envp = envelope.presentation
         self.factors = (envp, envp, envp)
         self.signature = MU_SIGNATURE
-        self.alpha3_memo: dict = {}
-        self.xi_memo: dict = {}
-        images = (envelope.alpha_images, envelope.beta_images)
-        # map name -> (memo, slot patterns); a pattern names, per slot, the
-        # image term maps of the source basis words
-        self._maps = {name: (memo, [tuple(images[m] for m in pattern)
-                                    for pattern in SLOT_PATTERNS[name]])
-                      for name, memo in (("alpha3", self.alpha3_memo), ("xi", self.xi_memo))}
         self._zero = TensorElement.zero(self.factors, self.signature, envp.field)
-
-    def add_image(self, out: dict, name, terms: dict, scale) -> None:
-        """out += scale * name(terms) for the map `name` ("xi" or "alpha3")
-        and a term map of source word triples: the slot-wise maps summed
-        over its slot patterns, applied term by term through its memo.
-        Like `axpy`, it leaves int representatives over GF(p) for the caller
-        to pass through `field.canonical`."""
-        memo, patterns = self._maps[name]
-        field, image = self.envelope.source.presentation.field, self.envelope.word_image
-        for words, coeff in terms.items():
-            images = memo.get(words)
-            if images is None:
-                images = {}
-                for pattern in patterns:
-                    add_outer(images, [image(m, w) for m, w in zip(pattern, words)],
-                              field.one, field)
-                images = memo[words] = field.canonical(images)
-            axpy(out, images, coeff * scale)
 
     def tensor(self, terms: dict) -> TensorElement:
         """The tensor of U ⊗ U^op ⊗ U with the term map `terms` of normal
@@ -325,11 +297,16 @@ class TripleEnvelope:
         return zero._like(zero.field.canonical(terms))
 
     def _apply(self, name, t: TensorElement) -> TensorElement:
-        src = self.envelope.source.presentation
+        env = self.envelope
+        src = env.source.presentation
         if t.rank != 3 or any(f is not src for f in t.factors):
             raise InputError("expected a rank-3 tensor over the enveloped algebra")
+        images = (env.alpha_images, env.beta_images)
         out: dict = {}
-        self.add_image(out, name, t.terms, 1)
+        for words, coeff in t.terms.items():
+            for pattern in SLOT_PATTERNS[name]:
+                add_outer(out, [env.word_image(images[m], w) for m, w in zip(pattern, words)],
+                          coeff, src.field)
         return self.tensor(out)
 
     def alpha3(self, t: TensorElement) -> TensorElement:
@@ -412,18 +389,21 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     brackets are slot-wise, and alpha and beta are linear, so every law is
     a signed sum of outer products of table entries filled once per check:
     for K sample words, the (2K)^2 products in U of the slot images
-    alpha(e_k) and beta(e_k), and the K^2 products and K^2 brackets of the
-    e_k in A, each reduced under its presentation's cap and kept as a
-    tuple of (word, coeff) items.  xi(t_i) and alpha3(t_i) are lists of
-    slot-image index triples, so xi(t_i) xi(t_j) is one outer product per
-    pattern pair, the op slot multiplied in reverse; t_i t_j is one outer
-    product of source products and {t_i, t_j} three signed ones, slot s of
-    the s-th read from the bracket table.  Every outer product is summed
-    by one kernel (`add_products`); the images of t_i t_j and {t_i, t_j}
-    go in through `TripleEnvelope.add_image`.  Each law is summed in one
-    term map and made canonical once; a law whose map is then empty passes
-    and builds no tensor, and only a failing law wraps its map as the
-    witness (`TripleEnvelope.tensor`).
+    alpha(e_k) and beta(e_k), and the alpha and beta images of the K^2
+    products and the K^2 brackets of the e_k in A, each reduced under its
+    presentation's cap and kept as a tuple of (word, coeff) items.
+    xi(t_i) and alpha3(t_i) are lists of slot-image index triples, so
+    xi(t_i) xi(t_j) is one outer product per pattern pair, the op slot
+    multiplied in reverse.  A map's image of t_i t_j is one outer product
+    of product images per slot pattern of the map, the op slot again in
+    reverse, and its image of {t_i, t_j} is one per slot pattern and
+    bracketed slot n, signed TRIPLE_SIGNS[n], with slot n read from the
+    bracket images and the other slots from the product images in order,
+    the op slot included, as `triple_bracket` multiplies them.  Every
+    outer product is summed by one kernel (`add_products`).
+    Each law is summed in one term map and made canonical once; a law
+    whose map is then empty passes and builds no tensor, and only a
+    failing law wraps its map as the witness (`TripleEnvelope.tensor`).
 
     Two image-product parts are summed once per unordered pair i < j and
     held until the pair (j, i): the Lie law's -xi(t_i)xi(t_j) +
@@ -431,7 +411,7 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     -(alpha3(t_i)xi(t_j) + alpha3(t_j)xi(t_i)), which (j, i) adds as it
     is.  On the diagonal the Lie part cancels and is not formed.  The
     images of {t_i, t_j} and t_i t_j, and the image products of the other
-    two laws, are still summed for every ordered pair, so no verdict rests
+    two laws, are summed for every ordered pair, so no verdict rests
     on the bracket being antisymmetric.
     """
     env = te.envelope
@@ -463,18 +443,30 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
         tensor: an op slot multiplies in reverse."""
         return tuple([[list(col) for col in zip(*rows)] if op else rows for op in MU_SIGNATURE])
 
+    def images(rows):
+        """The alpha and beta images of a table of source term maps."""
+        return [items([[image(Element(pres, x)).terms for x in row] for row in rows])
+                for image in (env.alpha_of, env.beta_of)]
+
     # slot image m * k + l is alpha(e_l) for m = 0 and beta(e_l) for m = 1
     slots = [env.alpha_of(e).terms for e in elems] + [env.beta_of(e).terms for e in elems]
     envp = env.presentation
     u = by_slot(items([[envp.multiply_terms(x, y) for y in slots] for x in slots]))
     source = [e.terms for e in elems]
-    products = items([[pres.multiply_terms(x, y) for y in source] for x in source])
-    brackets = items([[p.bracket_terms(x, y) for y in source] for x in source])
-    product_slots = by_slot(products)
-    # {t_i, t_j} is the sum over n of TRIPLE_SIGNS[n] times the outer product
-    # of the slot products with slot n bracketed
-    bracket_slots = [(sign, tuple(brackets if m == n else products for m in range(3)))
-                     for n, sign in enumerate(TRIPLE_SIGNS)]
+    products = images([[pres.multiply_terms(x, y) for y in source] for x in source])
+    brackets = images([[p.bracket_terms(x, y) for y in source] for x in source])
+    product_slots = [by_slot(table) for table in products]
+
+    def image_parts(name):
+        """The map's images of t_i t_j and of {t_i, t_j}, each a list of
+        (sign, tables) parts; a pattern's slot s reads the alpha or the beta
+        images as the pattern names."""
+        patterns = SLOT_PATTERNS[name]
+        return ([(1, tuple(product_slots[m][s] for s, m in enumerate(pattern)))
+                 for pattern in patterns],
+                [(sign, tuple((brackets if s == n else products)[m]
+                              for s, m in enumerate(pattern)))
+                 for n, sign in enumerate(TRIPLE_SIGNS) for pattern in patterns])
 
     def patterns(name, combo):
         """name(e_a ⊗ e_b ⊗ e_c) as slot-image index triples, one per slot
@@ -488,19 +480,20 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
 
     xi = [patterns("xi", combo) for combo in combos]
     a3 = [patterns("alpha3", combo) for combo in combos]
+    xi_product, xi_bracket = image_parts("xi")
+    a3_product, a3_bracket = image_parts("alpha3")
     triples = [[combo] for combo in combos]
     report = VerificationReport()
     one = field.one
 
-    def law(check, anchor, image, source_terms, *parts, part=None, sign=1):
-        """image(source_terms) plus sign * part, a term map shared with the
-        mirrored pair, plus the outer products of `parts` (`add_products`);
-        a nonzero sum is the witness."""
+    def law(check, anchor, image, *parts, part=None, sign=1):
+        """The image parts `image` of the pair, plus sign * part, a term map
+        shared with the mirrored pair, plus the outer products of `parts`
+        (`add_products`); a nonzero sum is the witness."""
         diff: dict = {}
         if part:
             axpy(diff, part, sign)
-        te.add_image(diff, image, source_terms, 1)
-        add_products(diff, one, *parts)
+        add_products(diff, one, *[(scale, tables, t_i, t_j) for scale, tables in image], *parts)
         diff = field.canonical(diff)
         report.add_vanishing(check, anchor, label, te.tensor(diff) if diff else None)
 
@@ -510,10 +503,6 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     for i, j in itertools.product(range(len(combos)), repeat=2):
         label = f"pair {labels[i]} x {labels[j]}"
         t_i, t_j = triples[i], triples[j]
-        bracket: dict = {}
-        add_products(bracket, one, *[(sign, tables, t_i, t_j) for sign, tables in bracket_slots])
-        product: dict = {}
-        add_products(product, one, (1, product_slots, t_i, t_j))
         x_i, x_j, a_i, a_j = xi[i], xi[j], a3[i], a3[j]
         sign = 1
         if i < j:
@@ -526,12 +515,11 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
         else:  # the Lie part cancels term for term
             lie, mixed = None, {}
             add_products(mixed, one, (-1, u, a_i, x_i), (-1, u, a_i, x_i))
-        law("xi is a Lie map", ANCHOR_XI_LIE, "xi", bracket, part=lie, sign=sign)
-        law("slot-map bracket law", ANCHOR_STEP2_BRACKET, "alpha3", bracket,
+        law("xi is a Lie map", ANCHOR_XI_LIE, xi_bracket, part=lie, sign=sign)
+        law("slot-map bracket law", ANCHOR_STEP2_BRACKET, a3_bracket,
             (-1, u, x_i, a_j), (1, u, a_j, x_i))
-        law("xi product law", ANCHOR_STEP2_PRODUCT, "xi", product, part=mixed)
-        law("slot map is multiplicative", ANCHOR_ALPHA3_HOM, "alpha3", product,
-            (-1, u, a_i, a_j))
+        law("xi product law", ANCHOR_STEP2_PRODUCT, xi_product, part=mixed)
+        law("slot map is multiplicative", ANCHOR_ALPHA3_HOM, a3_product, (-1, u, a_i, a_j))
     return report
 
 

@@ -213,8 +213,11 @@ class Job:
             gpath = f"{path}.generators[{i}]"
             g = json_typed({"name": g} if isinstance(g, str) else g, dict, gpath)
             with at(gpath):
-                gens.append(GeneratorSymbol(get(g, "name", str, gpath),
-                                            get(g, "invertible", bool, gpath, False)))
+                gen = GeneratorSymbol(get(g, "name", str, gpath),
+                                      get(g, "invertible", bool, gpath, False))
+            if any(h.name == gen.name for h in gens):
+                raise JobError(gpath, f"duplicate generator name {gen.name!r}")
+            gens.append(gen)
         if not gens:
             raise JobError(f"{path}.generators", "at least one generator is required")
         cap = self.block_cap(block, path).get("cap", self.cap)

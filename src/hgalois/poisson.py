@@ -74,10 +74,6 @@ class PoissonStructure:
         self._word_brackets: dict = {}
 
     # ------------------------------------------------------------------
-    def atom_bracket(self, s: str, t: str) -> Element:
-        """{s, t} for atoms, read from the word-pair table."""
-        return Element(self.presentation, self._word_bracket((s,), (t,)))
-
     def _forced_atom_bracket(self, s: str, t: str) -> dict:
         """{s, t} for atoms as a term map: the table value, or the value
         forced by antisymmetry or by {a, g^-1} = -g^-2 {a, g}."""
@@ -178,34 +174,26 @@ def check_poisson(p: PoissonStructure) -> VerificationReport:
 TRIPLE_SIGNS = (1, -1, 1)
 
 
-def add_slotwise_bracket(out: dict, products, brackets, signs, coeff, field) -> None:
-    """out += coeff * {x_1⊗...⊗x_k, y_1⊗...⊗y_k} for pure tensors whose slot
-    products x_i y_i are `products` and slot brackets {x_i, y_i} are
-    `brackets`: the sum over slots i of signs[i] times the outer product of
-    the slot products with slot i replaced by its bracket.  Like
-    `add_outer`, it leaves int representatives over GF(p)."""
-    for i, sign in enumerate(signs):
-        factors = list(products)
-        factors[i] = brackets[i]
-        add_outer(out, factors, coeff if sign > 0 else -coeff, field)
-
-
 def _slotwise_bracket(structures, signs, s: TensorElement, t: TensorElement) -> TensorElement:
-    """The bracket of s and t taken slot by slot, term pair by term pair
-    (`add_slotwise_bracket`), with the brackets of structures[i] in slot i.
-    The factors of s and t are the presentations of the structures; each
-    slot word is read as its memoised normal form under the degree cap
-    (`slot_normal_forms`)."""
+    """The bracket of s and t taken slot by slot, term pair by term pair,
+    with the brackets of structures[i] in slot i: for pure tensors, the sum
+    over slots i of signs[i] times the outer product of the slot products
+    with slot i replaced by its bracket.  The factors of s and t are the
+    presentations of the structures; each slot word is read as its
+    memoised normal form under the degree cap (`slot_normal_forms`)."""
     field = s.field
     out: dict = {}
     for k1, c1 in s.terms.items():
         e1 = slot_normal_forms(s.factors, k1)
         for k2, c2 in t.terms.items():
             e2 = slot_normal_forms(t.factors, k2)
-            add_slotwise_bracket(
-                out, [f.multiply_terms(a, b) for f, a, b in zip(s.factors, e1, e2)],
-                [p.bracket_terms(a, b) for p, a, b in zip(structures, e1, e2)],
-                signs, c1 * c2, field)
+            products = [f.multiply_terms(a, b) for f, a, b in zip(s.factors, e1, e2)]
+            brackets = [p.bracket_terms(a, b) for p, a, b in zip(structures, e1, e2)]
+            coeff = c1 * c2
+            for i, sign in enumerate(signs):
+                factors = list(products)
+                factors[i] = brackets[i]
+                add_outer(out, factors, coeff if sign > 0 else -coeff, field)
     return s._like(field.canonical(out))
 
 

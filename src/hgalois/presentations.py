@@ -14,8 +14,9 @@ the normal forms are exactly g^m with m in Z.
 Critical pairs are scanned in a fixed order: rule pairs (r1, r2) in the
 order of `itertools.product(rules, rules)`, then the overlap length k of a
 suffix of lhs(r1) with a prefix of lhs(r2), then the position of lhs(r2)
-strictly inside lhs(r1).  The syntactic overlaps of a rule pair never
-change once both rules exist, so each rule keeps one row of them, built
+strictly inside lhs(r1); a suffix/prefix overlap longer than the cap is
+not checked.  The syntactic overlaps of a rule pair never change once both
+rules exist, so each rule keeps one row of those the scan checks, built
 when rules are added: a new rule appends its overlaps (old, new) to the
 rows of the old rules that it overlaps and opens a row for (new, every
 rule that it overlaps).  Four indexes from the rule left-hand sides to
@@ -353,8 +354,9 @@ class AlgebraPresentation:
         self.atoms: list[str] = atoms
 
         self.rules: list[RewriteRule] = []
-        # one row per rule r1: (length, overlap word, position of r2, r2)
-        # for every overlap of r1 with r2, in scan order (module docstring)
+        # one row per rule r1: (overlap word, position of r2, r2) for every
+        # overlap of r1 with r2 that the scan checks, in scan order (module
+        # docstring)
         self._overlaps: list[list[tuple]] = []
         # word -> indices, in order, of the rules whose lhs has it as a
         # prefix, as a suffix, as a factor touching neither end, and as the
@@ -474,7 +476,8 @@ class AlgebraPresentation:
         """Append a new rule and its overlaps to the rules and their rows
         (module docstring), and index its lhs.  Returns the (row, entry) keys
         of the new overlaps.  The indexes name exactly the rules that
-        overlap the new one, so every `_overlaps` call here finds some."""
+        overlap the new one, so an `_overlaps` call here finds none only
+        when every overlap is longer than the cap."""
         lhs, n, rows = rule.lhs, len(self.rules), self._overlaps
         m = len(lhs)
         inner = {lhs[a:b] for a in range(1, m - 1) for b in range(a + 1, m)}
@@ -493,9 +496,9 @@ class AlgebraPresentation:
         for i in left:
             row = rows[i]
             start = len(row)
-            row.extend(_overlaps(self.rules[i], rule))
+            row.extend(_overlaps(self.rules[i], rule, self.cap))
             opened += [(i, j) for j in range(start, len(row))]
-        row = [o for j in sorted(right) for o in _overlaps(rule, self.rules[j])]
+        row = [o for j in sorted(right) for o in _overlaps(rule, self.rules[j], self.cap)]
         rows.append(row)
         opened += [(n, j) for j in range(len(row))]
         for k in range(1, m + 1):
@@ -672,15 +675,14 @@ class AlgebraPresentation:
         Overlaps considered: proper suffix/prefix overlaps of two rule
         left-hand sides and full containment of one lhs in another, i.e.
         words of length at most len(l1)+len(l2)-1.  Suffix/prefix overlaps
-        longer than the cap are skipped.
+        longer than the cap are left out of the rows (`_overlaps`).
         """
         out = []
         for r1, row in zip(self.rules, self._overlaps):
-            for length, word, pos2, r2 in row:
-                if length <= self.cap:
-                    diff, _ = self._pair_difference(word, r1, pos2, r2)
-                    if diff:
-                        out.append((word, r1, r2, diff))
+            for word, pos2, r2 in row:
+                diff, _ = self._pair_difference(word, r1, pos2, r2)
+                if diff:
+                    out.append((word, r1, r2, diff))
         return out
 
     def _pair_difference(self, word: Word, r1: RewriteRule, pos2: int, r2: RewriteRule):
@@ -722,11 +724,11 @@ class AlgebraPresentation:
         that raises `InputError`, naming the overlap.
         """
         rows = self._overlaps
-        work = _Worklist(rows, self.cap)
+        work = _Worklist(rows)
         added = 0
         while work.pending:
             i, j = work.pending[0]
-            _, word, pos2, r2 = rows[i][j]
+            word, pos2, r2 = rows[i][j]
             r1 = self.rules[i]
             diff, words = self._pair_difference(word, r1, pos2, r2)
             if not diff:
@@ -871,18 +873,16 @@ class AlgebraPresentation:
 
 class _Worklist:
     """The critical pairs that `complete_rules` has yet to check, as (row,
-    entry) keys of the overlaps that fit the cap: a heap, popped in
-    scan order.  A pair that resolves leaves the heap and is registered
-    under the words of its two one-step reducts; it goes back when one of
-    those words loses its memo entry."""
+    entry) keys of the overlap rows: a heap, popped in scan order.  A pair
+    that resolves leaves the heap and is registered under the words of its
+    two one-step reducts; it goes back when one of those words loses its
+    memo entry."""
 
-    __slots__ = ("rows", "cap", "pending", "resolved", "waiting")
+    __slots__ = ("pending", "resolved", "waiting")
 
-    def __init__(self, rows: list, cap: int):
-        self.rows, self.cap = rows, cap
+    def __init__(self, rows: list):
         # generated in scan order, so already a heap
-        self.pending = [(i, j) for i, row in enumerate(rows)
-                        for j, overlap in enumerate(row) if overlap[0] <= cap]
+        self.pending = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
         self.resolved: set = set()
         # reduct word -> keys registered under it; a key may be listed again,
         # or still be listed after it went back to the heap
@@ -896,12 +896,11 @@ class _Worklist:
             self.waiting[w].append(key)
 
     def reopen(self, opened, dropped):
-        """A rule was added: queue the overlaps it opened that fit the cap,
-        and the resolved pairs registered under a memo word it dropped."""
-        rows, cap, pending, resolved = self.rows, self.cap, self.pending, self.resolved
-        for i, j in opened:
-            if rows[i][j][0] <= cap:
-                heapq.heappush(pending, (i, j))
+        """A rule was added: queue the overlaps it opened, and the resolved
+        pairs registered under a memo word it dropped."""
+        pending, resolved = self.pending, self.resolved
+        for key in opened:
+            heapq.heappush(pending, key)
         for w in dropped:
             for key in self.waiting.pop(w, ()):
                 if key in resolved:
@@ -934,9 +933,11 @@ def _has_factor(word: Word, factor: Word) -> bool:
     return False
 
 
-def _overlaps(r1: RewriteRule, r2: RewriteRule) -> list:
-    """Overlaps of lhs(r1) with lhs(r2), in scan order, as (length, word,
-    position of lhs(r2) in word, r2); lhs(r1) starts every word at 0."""
+def _overlaps(r1: RewriteRule, r2: RewriteRule, cap: int) -> list:
+    """Overlaps of lhs(r1) with lhs(r2) that the scan checks, in scan
+    order, as (word, position of lhs(r2) in word, r2); lhs(r1) starts every
+    word at 0.  A suffix/prefix overlap longer than `cap` is left out; a
+    contained lhs is checked whatever the cap."""
     l1, l2 = r1.lhs, r2.lhs
     out = []
     # suffix of l1 == prefix of l2 (length k), overlap word l1 + l2[k:];
@@ -944,14 +945,13 @@ def _overlaps(r1: RewriteRule, r2: RewriteRule) -> list:
     for k in range(1, min(len(l1), len(l2)) + 1):
         if r1 is r2 and k == len(l1):
             continue
-        if l1[len(l1) - k:] == l2[:k]:
-            word = l1 + l2[k:]
-            out.append((len(word), word, len(l1) - k, r2))
-    # l2 strictly inside l1; length 0, since the scan never skips these
+        if l1[len(l1) - k:] == l2[:k] and len(l1) + len(l2) - k <= cap:
+            out.append((l1 + l2[k:], len(l1) - k, r2))
+    # l2 strictly inside l1
     if len(l2) < len(l1):
         for pos in range(1, len(l1) - len(l2)):
             if l1[pos:pos + len(l2)] == l2:
-                out.append((0, l1, pos, r2))
+                out.append((l1, pos, r2))
     return out
 
 

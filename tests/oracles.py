@@ -609,8 +609,8 @@ def reference_check_lemma55(te, sample_words=None):
 
 
 # ----------------------------------------------------------------------
-# Word-level extensions, copied from the package's original
-# `PoissonStructure.atom_bracket`/`bracket` and `GeneratorMap.apply_word`/
+# Word-level extensions, copied from the package's original atom and
+# element brackets of `PoissonStructure` and `GeneratorMap.apply_word`/
 # `apply`: nothing is memoized, every letter pair of every term pair is
 # evaluated again, and every word is folded from the unit.
 

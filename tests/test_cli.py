@@ -704,3 +704,12 @@ def test_cap_error_keeps_its_class_and_attributes():
         assert err.value.path == "sweedler_h4.mu.x"
         assert str(err.value) == "sweedler_h4.mu.x: normal_form: word g*x of length 2 exceeds " \
                                  "degree cap 1"
+
+
+def test_repeated_generator_name_names_the_repeating_entry(tmp_path, capsys):
+    """A generator name given twice is refused at the entry that repeats it."""
+    doc = {"name": "t", "presentation": {"generators": ["x", {"name": "x"}]},
+           "commands": ["check-poisson"]}
+    assert run_cli("run", "--input", _job_file(tmp_path, doc)) == 2
+    assert capsys.readouterr().err == \
+        "error: t.presentation.generators[1]: duplicate generator name 'x'\n"

@@ -4,16 +4,15 @@ c with 0 < c < p, and never a float, a bool or a zero.  Each bundled job,
 two failing variants of `sweedler_h4` that carry witnesses, and one that
 writes x^2 = 0 with a zero term, runs over Q and over GF(5) while every
 presentation, sparse echelon, report entry, element and tensor it makes is
-recorded; then the normal-form memos, the xi and alpha3 image memos of
-each triple envelope, the rules, the echelon rows, the witnesses, the
-inverses computed, every element and tensor made and every one reachable
-from the job's parsed structures are walked."""
+recorded; then the normal-form memos, the rules, the echelon rows, the
+witnesses, the inverses computed, every element and tensor made and every
+one reachable from the job's parsed structures are walked."""
 
 from fractions import Fraction
 
 import pytest
 
-from hgalois import AlgebraPresentation, Element, TensorElement, TripleEnvelope, cli
+from hgalois import AlgebraPresentation, Element, TensorElement, cli
 from hgalois.cli import run_commands
 from hgalois.examples import BUILTINS, builtin_job
 from hgalois.jobs import Job
@@ -86,9 +85,7 @@ def _element_coefficients(obj, where, seen, out):
 def test_every_coefficient_is_exact(name, field, monkeypatch):
     spec, exact = FIELDS[field]
     presentations, echelons, entries, inverses, made = [], [], [], [], []
-    triple_envelopes = []
     _recorded(monkeypatch, AlgebraPresentation, "__init__", presentations)
-    _recorded(monkeypatch, TripleEnvelope, "__init__", triple_envelopes)
     _recorded(monkeypatch, SparseEchelon, "insert", echelons)
     _recorded(monkeypatch, cli, "entry_to_json", entries)
     _recorded(monkeypatch, AlgebraPresentation, "invert", inverses, returned=True)
@@ -108,10 +105,6 @@ def test_every_coefficient_is_exact(name, field, monkeypatch):
             found += [(f"{p.name} rule {rule.lhs}", c) for c in rule.rhs_terms.values()]
         for lhs, terms in p.user_relations:
             found += [(f"{p.name} relation {lhs}", c) for c in terms.values()]
-    for te in triple_envelopes:
-        for memo_name in ("alpha3_memo", "xi_memo"):
-            for words, image in getattr(te, memo_name).items():
-                found += [(f"{memo_name} {words}", c) for c in image.values()]
     for echelon in echelons:
         for lead, row in echelon.rows.items():
             found += [(f"echelon row {lead}", c) for c in row.values()]
@@ -129,6 +122,4 @@ def test_every_coefficient_is_exact(name, field, monkeypatch):
     assert summary["status"] == ("pass" if name in PASSING else "fail")
     if any(c in ("build-envelope", "check-lemma55") for c in job.commands):
         assert echelons  # the envelope's product-relation echelon was walked
-    if any(c in ("check-lemma55", "check-thm59") for c in job.commands):
-        assert any(te.alpha3_memo and te.xi_memo for te in triple_envelopes)
     assert [(where, c) for where, c in found if not exact(c)] == []

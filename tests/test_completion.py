@@ -149,7 +149,7 @@ def test_resolved_pair_is_rescanned_after_a_shorter_rule(monkeypatch):
     monkeypatch.setattr(presentations._Worklist, "reopen", spy)
     pres = rescan()
     pres.complete_rules()
-    _, word, pos2, r2 = pres._overlaps[0][0]
+    word, pos2, r2 = pres._overlaps[0][0]
     _, reducts = pres._pair_difference(word, pres.rules[0], pos2, r2)
     # a^2 b^2, the overlap of rule 0 (a^2 b) with rule 1 (b^2), has resolved
     # when the rule ab -> -b - a^2 is added; that rule drops its reduct ab^2,

@@ -5,6 +5,7 @@ vanishing-law report entry against plain dict arithmetic or the references
 in oracles.py, over Q and GF(5)."""
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from unittest import mock
@@ -287,8 +288,8 @@ def test_completion_matches_the_references_on_generated_systems(data):
 
 def exhaustive_rows(pres):
     """The overlap rows as a scan of every rule pair gives them: row r1 holds
-    `_overlaps(r1, r2)` for r2 in rule order."""
-    return [[o for r2 in pres.rules for o in presentations._overlaps(r1, r2)]
+    `_overlaps(r1, r2, cap)` for r2 in rule order."""
+    return [[o for r2 in pres.rules for o in presentations._overlaps(r1, r2, pres.cap)]
             for r1 in pres.rules]
 
 
@@ -311,14 +312,14 @@ def test_indexed_overlap_rows_match_the_exhaustive_rows_on_generated_systems(dat
 
 def test_envelope_rows_come_only_from_overlapping_pairs(monkeypatch):
     """Building the kxy_truncated envelope calls `_overlaps` only on rule
-    pairs that overlap, and its rows are the exhaustive ones."""
+    pairs that overlap, though perhaps only past the cap, and its rows are
+    the exhaustive ones."""
     found = []
     overlaps = presentations._overlaps
 
-    def counted(r1, r2):
-        out = overlaps(r1, r2)
-        found.append(len(out))
-        return out
+    def counted(r1, r2, cap):
+        found.append(len(overlaps(r1, r2, math.inf)))
+        return overlaps(r1, r2, cap)
 
     with monkeypatch.context() as m:
         m.setattr(presentations, "_overlaps", counted)
@@ -359,7 +360,7 @@ class _Watched(AlgebraPresentation):
             return {head + rw + tail: rc for rw, rc in rule.rhs_terms.items()}
 
         for i, j in resolved:
-            _, word, pos2, r2 = self._overlaps[i][j]
+            word, pos2, r2 = self._overlaps[i][j]
             assert fresh(one_step(word, 0, self.rules[i])) == \
                 fresh(one_step(word, pos2, r2)), word
             self.pairs_checked += 1

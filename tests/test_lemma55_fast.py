@@ -1,12 +1,13 @@
 """The Lemma 5.5 fast path against the per-term references in oracles.py:
-xi and alpha3 from cached basis-word images through their per-triple
-memos, triple brackets and tensor products accumulated in one pass,
-memo-backed slot normalisation, and the whole check summed from slot
-tables that it fills once, (2K)^2 + 2K^2 slot products and brackets for
-K sample words, with each law summed in one map by one outer-product
-kernel (`add_products`), no tensor product or triple bracket per pair,
-the Lie and product-law image products summed once per unordered pair,
-and a tensor built only for a failing law's witness."""
+xi and alpha3 from cached basis-word images, one outer product per term
+and slot pattern, triple brackets and tensor products accumulated in one
+pass, memo-backed slot normalisation, and the whole check summed from
+tables that it fills once: (2K)^2 + 2K^2 slot products and brackets for
+K sample words, and the alpha and beta images of the 2K^2 source
+products and brackets.  Each law is summed in one map by one
+outer-product kernel (`add_products`), with no tensor product or triple
+bracket per pair, the Lie and product-law image products summed once per
+unordered pair, and a tensor built only for a failing law's witness."""
 
 import collections
 import itertools
@@ -115,10 +116,10 @@ def test_xi_and_alpha3_match_on_triples_brackets_and_products(case):
 
 def test_xi_and_alpha3_memos_match_the_references(case):
     """A fresh triple envelope: on every triple of basis words alpha3 runs
-    before xi, so a memo shared by the two maps would hand xi the image of
-    alpha3.  Then multi-term tensors whose terms repeat those triples are
-    read through the warm memos, and each memo entry must still be the
-    reference image of its triple (no caller changed it)."""
+    before xi, so state shared by the two maps would hand xi the image of
+    alpha3.  Then multi-term tensors whose terms repeat those triples, and
+    every single triple once more: each image must still be the
+    reference's (no earlier call changed what a later one reads)."""
     p, env, _, _ = case
     pres = p.presentation
     field = pres.field
@@ -132,7 +133,6 @@ def test_xi_and_alpha3_memos_match_the_references(case):
         t = tensor({key: field.one})
         assert te.alpha3(t).terms == reference_alpha3(env, t)
         assert te.xi(t).terms == reference_xi(env, t)
-    assert set(te.alpha3_memo) == set(te.xi_memo) == set(words)
     coeffs = [field.one, field.parse("2/3"), field.parse("-5")]
     for start in range(0, len(words), 7):
         t = tensor({key: coeffs[i % 3] for i, key in enumerate(words[start:start + 11])})
@@ -140,8 +140,8 @@ def test_xi_and_alpha3_memos_match_the_references(case):
         assert te.alpha3(t).terms == reference_alpha3(env, t)
     for key in words:
         t = tensor({key: field.one})
-        assert te.alpha3_memo[key] == reference_alpha3(env, t)
-        assert te.xi_memo[key] == reference_xi(env, t)
+        assert te.xi(t).terms == reference_xi(env, t)
+        assert te.alpha3(t).terms == reference_alpha3(env, t)
 
 
 def test_triple_bracket_matches(case):
@@ -272,17 +272,16 @@ def test_permuting_the_sample_words_permutes_the_entries(field):
 def test_check_lemma55_makes_one_outer_product_per_needed_term_pair(case, monkeypatch):
     """Outer products of one check, closed form, counted where they are
     formed: one per pair of index triples in each part that `add_products`
-    sums, and one per `add_outer` call.  With X_i xi patterns and A_i
-    alpha3 patterns for sample triple i, a warm check makes 4 per pair
-    (t_i t_j and the three slots of {t_i, t_j}), 2 X_i A_j for the bracket
-    law and A_i A_j for the multiplicative law per ordered pair, and, per
-    unordered pair i < j, 2 X_i X_j for the Lie law and A_i X_j + A_j X_i
-    for the product law, plus 2 A_i X_i on the diagonal for the product
-    law.  A cold check adds one `add_outer` call per slot pattern of each
-    memo entry it fills.  Summing the two shared parts for every ordered
-    pair took 2 (sum X)^2 + 2 (sum A)(sum X) outer products for them,
-    16,173 in all for a cold check on kxy_truncated, where now there are
-    11,727."""
+    sums, and one per `add_outer` call, of which there are none.  With X_i
+    xi patterns and A_i alpha3 patterns for sample triple i, a check makes
+    16 per ordered pair for the images of t_i t_j and {t_i, t_j} (one part
+    per slot pattern of a map, times the three bracketed slots for the
+    bracket: 3 + 1 for the product, 9 + 3 for the bracket), 2 X_i A_j for
+    the bracket law and A_i A_j for the multiplicative law per ordered
+    pair, and, per unordered pair i < j, 2 X_i X_j for the Lie law and
+    A_i X_j + A_j X_i for the product law, plus 2 A_i X_i on the diagonal
+    for the product law.  A check reads only tables that it fills itself,
+    so a second check on the same triple envelope makes as many."""
     p, env, _, _ = case
     pres = p.presentation
     elems = [pres.one()] + [pres.atom_element(a) for a in pres.atoms]
@@ -297,13 +296,13 @@ def test_check_lemma55_makes_one_outer_product_per_needed_term_pair(case, monkey
     xs = [count("xi", combo) for combo in combos]
     a3s = [count("alpha3", combo) for combo in combos]
     sx, sa = sum(xs), sum(a3s)
-    warm = (4 * len(combos) ** 2 + 2 * sx * sa + sa ** 2
-            + sx ** 2 - sum(x * x for x in xs) + sa * sx + sum(a * x for a, x in zip(a3s, xs)))
+    expected = (16 * len(combos) ** 2 + 2 * sx * sa + sa ** 2
+                + sx ** 2 - sum(x * x for x in xs) + sa * sx + sum(a * x for a, x in zip(a3s, xs)))
     calls = collections.Counter()
     add_outer, add_products = envelope_module.add_outer, envelope_module.add_products
 
     def counted_outer(*args):
-        calls["outer"] += 1
+        calls["add_outer"] += 1
         add_outer(*args)
 
     def counted_products(out, one, *parts):
@@ -314,13 +313,12 @@ def test_check_lemma55_makes_one_outer_product_per_needed_term_pair(case, monkey
     monkeypatch.setattr(poisson_module, "add_outer", counted_outer)
     monkeypatch.setattr(envelope_module, "add_products", counted_products)
     te = TripleEnvelope(env)
-    check_lemma55(te)
-    cold = calls.pop("outer")
-    assert cold - warm == 3 * len(te.xi_memo) + len(te.alpha3_memo)
-    check_lemma55(te)
-    assert calls["outer"] == warm
+    for _ in range(2):
+        check_lemma55(te)
+        assert calls == {"outer": expected}
+        calls.clear()
     if pres.name == "kxy":
-        assert (cold, warm) == (11_727, 10_863)
+        assert expected == 19_611
 
 
 @pytest.mark.parametrize("field", [QQ, GF(421)], ids=["q", "gf421"])

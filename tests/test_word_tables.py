@@ -93,8 +93,9 @@ def test_brackets_match_the_letter_loop(name, field):
     so the second answer comes from the tables."""
     p = _job(name, field).poisson()
     pres = p.presentation
+    atom = {a: Element(pres, {(a,): pres.field.one}) for a in pres.atoms}
     for s, t in itertools.product(pres.atoms, repeat=2):
-        assert p.atom_bracket(s, t) == reference_atom_bracket(p, s, t)
+        assert p.bracket(atom[s], atom[t]) == reference_atom_bracket(p, s, t)
     words = _words(pres.atoms, 2)
     elems = [pres.element({w: pres.field.one}) for w in words]
     elems += _random_elements(pres, words, 12, seed=len(words))
