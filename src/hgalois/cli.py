@@ -125,7 +125,7 @@ def _cmd_build_envelope(job):
 def _cmd_pushforward(job):
     f, section, ideal = job.quotient()
     render = job.field.render
-    if job.doc.get("bracket") is not None:
+    if "bracket" in job.doc:
         pushed = poisson_pushforward(_poisson_hg(job), f, section, ideal)
         report = (check_hopf_galois(pushed.hopf_galois)
                   .extend(check_poisson(pushed.poisson))
@@ -179,10 +179,7 @@ def run_commands(job: Job, commands) -> tuple:
     for command in commands:
         with at(f"{job.name} [{command}]"):
             report, result = COMMANDS[command](job)
-        for entry in report.entries:
-            doc = {"command": command}
-            doc.update(entry_to_json(entry, render))
-            all_entries.append(doc)
+        all_entries += [entry_to_json(entry, render, command) for entry in report.entries]
         if result is not None:
             results[command] = result
     passed = sum(1 for e in all_entries if e["status"] == "pass")

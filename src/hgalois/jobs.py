@@ -331,12 +331,11 @@ class Job:
     def lemma55_words(self):
         """The envelope's "sample_words", read after the presentation."""
         pres = self.presentation
-        words = self.envelope_block().get("sample_words")
+        words = get(self.envelope_block(), "sample_words", list, f"{self.name}.envelope", None)
         if words is None:
             return None
         path = f"{self.name}.envelope.sample_words"
-        words = [parse_word(w, f"{path}[{i}]", pres.cap, pres.atoms)
-                 for i, w in enumerate(json_typed(words, list, path))]
+        words = [parse_word(w, f"{path}[{i}]", pres.cap, pres.atoms) for i, w in enumerate(words)]
         fault = sample_word_fault(pres, words)
         if fault:
             raise JobError(path + fault[0], fault[1])

@@ -77,8 +77,14 @@ def terms_json(value, render_coeff) -> list:
     return [{"coeff": render_coeff(c), name: tokens(k)} for k, c in value.sorted_terms()]
 
 
-def entry_to_json(entry: CheckEntry, render_coeff) -> dict:
+# the keys, in order, of a passing entry's dict; a failing entry's dict
+# has its "witness" after them
+PASSING_KEYS = ("command", "check", "anchor", "subject", "status")
+
+
+def entry_to_json(entry: CheckEntry, render_coeff, command: str) -> dict:
     doc = {
+        "command": command,
         "check": entry.check,
         "anchor": entry.anchor,
         "subject": entry.subject,
@@ -89,69 +95,13 @@ def entry_to_json(entry: CheckEntry, render_coeff) -> dict:
     return doc
 
 
-def json_text(value) -> str:
-    """The text of `json.dumps(value, indent=2, ensure_ascii=False)` for
-    report data: dicts with string keys, lists and tuples, strings and
-    other JSON scalars.  Strings are escaped by the `json` module's own
-    escaper (its C function when the interpreter has one), and every other
-    scalar keeps `json.dumps`."""
-    import json  # here, so that `import hgalois` does not load json
-
-    quote = json.encoder.encode_basestring
-    if isinstance(value, str):
-        return quote(value)
-    if not (value and isinstance(value, (dict, list, tuple))):
-        return json.dumps(value)
-    out = []
-    _json_lines(value, "", out, quote, json.dumps)
-    return "".join(out)
-
-
-def _json_lines(container, pad, out, quote, dumps) -> None:
-    """Append the indent-2 text of a nonempty container to `out`: its first
-    line continues the last piece, and its closing bracket is indented by
-    `pad`.  Each line is one piece: separator, indent, key and scalar
-    value together."""
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(container, dict):
-        line = "{\n" + inner
-        for key, item in container.items():
-            if isinstance(item, str):
-                out.append(f"{line}{quote(key)}: {quote(item)}")
-            elif item and isinstance(item, (dict, list, tuple)):
-                out.append(f"{line}{quote(key)}: ")
-                _json_lines(item, inner, out, quote, dumps)
-            else:
-                out.append(f"{line}{quote(key)}: {dumps(item)}")
-            line = sep
-        out.append(f"\n{pad}}}")
-    else:
-        line = "[\n" + inner
-        for item in container:
-            if isinstance(item, str):
-                out.append(line + quote(item))
-            elif item and isinstance(item, (dict, list, tuple)):
-                out.append(line)
-                _json_lines(item, inner, out, quote, dumps)
-            else:
-                out.append(line + dumps(item))
-            line = sep
-        out.append(f"\n{pad}]")
-
-
-# the keys, in order, of a passing entry's dict (`entry_to_json` after the
-# command that `run_commands` puts first)
-PASSING_KEYS = ("command", "check", "anchor", "subject", "status")
-
-
 def render_json(entries, summary) -> str:
     """The JSON report: the entry dicts, then the summary object, as
-    `json_text` writes the list of them.  An entry dict with exactly the
-    `PASSING_KEYS`, in that order, and only string values is written by one
-    template; every other entry and the summary go through `json_text`,
-    indented one level (a line break in its text is always a line of the
-    layout, since strings escape theirs)."""
+    `json.dumps(indent=2, ensure_ascii=False)` writes the list of them.  An
+    entry dict with exactly the `PASSING_KEYS`, in that order, and only
+    string values is written by one template; every other entry and the
+    summary go through `json.dumps`, indented one level (a line break in
+    its text is always a line of the layout, since strings escape theirs)."""
     import json  # here, so that `import hgalois` does not load json
 
     quote = json.encoder.encode_basestring
@@ -169,7 +119,7 @@ def render_json(entries, summary) -> str:
                            f'    "subject": {quote(subject)},\n'
                            f'    "status": {quote(status)}\n  }}')
                 continue
-        out.append(json_text(entry).replace("\n", "\n  "))
+        out.append(json.dumps(entry, indent=2, ensure_ascii=False).replace("\n", "\n  "))
     out.append("\n]\n")
     return "".join(out)
 
@@ -195,5 +145,5 @@ def render_text(entries, summary) -> str:
     )
     if "results" in summary:
         lines.append("results:")
-        lines.append(json_text(summary["results"]))
+        lines.append(json.dumps(summary["results"], indent=2, ensure_ascii=False))
     return "\n".join(lines) + "\n"

@@ -285,6 +285,16 @@ def test_pushforward_command(capsys):
     assert result["bracket"] == []
 
 
+def test_pushforward_without_a_bracket_checks_only_the_hopf_galois_half():
+    doc = builtin_job("laurent_mod_x")
+    poisson_entries, _ = run_commands(Job(doc), ["pushforward"])
+    del doc["bracket"]
+    entries, summary = run_commands(Job(doc), ["pushforward"])
+    assert list(summary["results"]["pushforward"]) == ["mu"]
+    assert (summary["status"], len(entries), len(poisson_entries)) == ("pass", 8, 15)
+    assert entries == poisson_entries[:8]
+
+
 def test_report_written_message(tmp_path, capsys):
     report = tmp_path / "out.json"
     assert run_cli("check-poisson", "--builtin", "kxy_truncated",
@@ -564,6 +574,10 @@ def test_repeated_bracket_with_the_same_value_is_accepted(pair, coeff):
 # and cap or confluence errors raised inside a block or a command: each
 # names its field or command
 BAD_VALUES = [
+    # null is not an absent key: neither the pushforward's bracket nor the sample words
+    ("laurent_mod_x", ("bracket",), None, "laurent_mod_x.bracket: expected an array, got None"),
+    ("kxy_truncated", ("envelope", "sample_words"), None,
+     "kxy_truncated.envelope.sample_words: expected an array, got None"),
     ("kxy_truncated", ("envelope", "cap"), -3,
      "kxy_truncated.envelope.cap: a degree cap must be at least 1, got -3"),
     ("kxy_truncated", ("cap",), 0, "kxy_truncated.cap: a degree cap must be at least 1, got 0"),

@@ -155,9 +155,11 @@ def test_a_built_envelope_refuses_a_new_rule():
 
 
 def report_rows(report, field):
-    """Each entry as its JSON form (check, anchor, subject, status and
-    serialized witness) together with the raw witness."""
-    return [(entry_to_json(e, field.render), e.witness) for e in report.entries]
+    """Each entry as its JSON form under `build-envelope` (command, check,
+    anchor, subject, status and serialized witness) together with the raw
+    witness."""
+    return [(entry_to_json(e, field.render, "build-envelope"), e.witness)
+            for e in report.entries]
 
 
 DROPPED_RULES = range(0, 105, 7)  # 15 of the 105 rules of the kxy envelope at cap 4

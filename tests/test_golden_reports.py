@@ -3,12 +3,13 @@ must have the golden SHA-256 that the benchmark gate checks
 (`perfbench/expected.json`, read only); the reports of `MORE_GOLDEN`, which
 no default run produces, must have the SHA-256 pinned there.  Those include
 every bundled job's GF(421) image, whose relation subjects and envelope
-rules spell coefficients as `c (mod 421)`.  The report writer itself is
-compared with `json.dumps(indent=2, ensure_ascii=False)` on generated
-values."""
+rules spell coefficients as `c (mod 421)`.  The JSON report of generated
+entries is compared with `json.dumps(indent=2, ensure_ascii=False)`."""
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from test_cli import _laurent_with_hopf
 from hgalois.cli import main, render_json, run_commands
 from hgalois.examples import BUILTINS, builtin_job
 from hgalois.jobs import Job
-from hgalois.reports import PASSING_KEYS, json_text
+from hgalois.reports import PASSING_KEYS
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 GOLDEN = json.loads(EXPECTED.read_text(encoding="utf-8"))["golden_sha256"]
@@ -147,13 +148,6 @@ JSON_VALUES = st.recursive(
     max_leaves=16)
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(JSON_VALUES)
-def test_report_writer_matches_json_dumps(value):
-    """Nested dicts and lists, empty ones included, and every scalar kind."""
-    assert json_text(value) == json.dumps(value, indent=2, ensure_ascii=False)
-
-
 def _entry(keys, values):
     return dict(zip(keys, values))
 
@@ -171,11 +165,41 @@ ENTRIES = st.one_of(
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.lists(ENTRIES, max_size=5), st.dictionaries(TEXT, JSON_VALUES, max_size=4))
 def test_report_template_matches_json_dumps(entries, summary):
-    """`render_json` writes an entry of the passing shape by its template
-    and every other entry (keys in another order, a witness, a value that
-    is not a string) and the summary by the writer of `json_text`."""
+    """`render_json` writes an entry of the passing shape by a template of
+    what `json.dumps` writes, and every other entry (keys in another order,
+    a witness, a value that is not a string) and the summary by `json.dumps`
+    itself."""
     assert render_json(entries, summary) == json.dumps(
         entries + [{"summary": summary}], indent=2, ensure_ascii=False) + "\n"
+
+
+KEY_ORDER_JOBS = {name: lambda name=name: builtin_job(name) for name in BUILTINS}
+KEY_ORDER_JOBS["sweedler_h4_gf421_mutant"] = _gf421_mutant
+
+
+@pytest.mark.parametrize("name", sorted(KEY_ORDER_JOBS))
+def test_entry_dicts_have_the_passing_keys_in_order(name):
+    """Every entry dict has exactly the `PASSING_KEYS` in order, with
+    string values, and a failing one has its witness last, so the template
+    of `render_json` writes every passing entry.  A passing entry that
+    missed the template (a dict or string subclass) would be written by
+    `json.dumps` to the same bytes, only more slowly: no golden sees it."""
+    doc = KEY_ORDER_JOBS[name]()
+    entries, summary = run_commands(Job(doc), doc["commands"])
+    assert (summary["failed"] > 0) == (name in FAILING)
+    for entry in entries:
+        witness = ("witness",) if entry["status"] == "fail" else ()
+        assert type(entry) is dict and tuple(entry) == PASSING_KEYS + witness
+        assert all(type(entry[key]) is str for key in PASSING_KEYS)
+
+
+def test_import_does_not_load_json():
+    """The report writers import `json` when they run, not at import."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import hgalois; print('json' in sys.modules)"
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "False\n"
 
 
 def test_log_canonical_stress_envelope_report_is_pinned():
