@@ -35,7 +35,6 @@ from .presentations import (
     SparseEchelon,
     axpy,
     linear_terms,
-    merge_terms,
     word_str,
 )
 from .reports import VerificationReport
@@ -146,11 +145,13 @@ def build_envelope(p: PoissonStructure, cap: int = 6) -> EnvelopePresentation:
         for j in range(1, n):
             br = pres.coeff_vector(p.bracket(elems[i], elems[j]))
             add((alpha_names[i], alpha_names[j]), _alpha_words(table[(i, j)], alpha_names))
-            add((beta_names[i], alpha_names[j]), merge_terms(
-                {(alpha_names[j], beta_names[i]): field.one}, _alpha_words(br, alpha_names)))
+            # the swapped word has length 2 and the bracket part's words at most
+            # length 1, so the two parts share no key
+            add((beta_names[i], alpha_names[j]), {
+                (alpha_names[j], beta_names[i]): field.one, **_alpha_words(br, alpha_names)})
             if i > j:
-                add((beta_names[i], beta_names[j]), merge_terms(
-                    {(beta_names[j], beta_names[i]): field.one}, _beta_words(br, beta_names)))
+                add((beta_names[i], beta_names[j]), {
+                    (beta_names[j], beta_names[i]): field.one, **_beta_words(br, beta_names)})
     for lhs, rhs in _product_relation_rules(field, env_pres.word_key, n, table,
                                             alpha_names, beta_names):
         add(lhs, rhs)

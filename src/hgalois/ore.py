@@ -28,7 +28,6 @@ from .presentations import (
     AlgebraPresentation,
     Element,
     GeneratorSymbol,
-    merge_terms,
     transport_element,
 )
 from .poisson import PoissonHopfGaloisStructure, PoissonStructure, check_poisson_hg
@@ -120,8 +119,8 @@ def build_ore(d: OreData) -> AlgebraPresentation:
         relations.extend(base.commutation_rules())
     for atom in base.atoms:
         tau_a = d.tau.apply_element(base.atom_element(atom))
-        rhs = merge_terms({w + (z,): c for w, c in tau_a.terms.items()},
-                          d.delta.images[atom].terms)
+        # the tau part's words end in z and the delta part's do not: no shared key
+        rhs = {**{w + (z,): c for w, c in tau_a.terms.items()}, **d.delta.images[atom].terms}
         relations.append(((z, atom), rhs))
     return _adjoin_variable(base, z, relations, commutative=False, cap=d.cap, default="A")
 

@@ -27,7 +27,7 @@ from .hopf_galois import (
     pushforward,
 )
 from .maps import GeneratorMap
-from .presentations import Element, axpy, inverse_atom, merge_terms
+from .presentations import Element, axpy, inverse_atom
 from .reports import VerificationReport
 from .tensors import TensorElement, add_outer, slot_normal_forms
 
@@ -113,8 +113,8 @@ class PoissonStructure:
     def _leibniz(self, left: dict, a, w, right: dict) -> dict:
         """The normal form of left * a + w * right, for words a and w."""
         pres = self.presentation
-        raw = merge_terms({x + a: c for x, c in left.items()},
-                          {w + y: c for y, c in right.items()})
+        raw = {x + a: c for x, c in left.items()}
+        axpy(raw, {w + y: c for y, c in right.items()}, pres.field.one)
         return pres.reduce_terms(raw, operation="multiply")
 
     def bracket_terms(self, a: dict, b: dict) -> dict:

@@ -50,16 +50,19 @@ the last outside reference to it goes, without the cycle collector.
 
 `Terms`, the term-map core of `Element` and `tensors.TensorElement`, holds
 their linear arithmetic; `linear_terms` extends a map on keys linearly.
-The kernels `merge_terms`, `axpy` and `linear_terms` combine coefficients
-with plain `+`, `-` and `*`, so over GF(p) their results hold int
-representatives; the code that stores or returns such a map passes it
-through `field.canonical` once (see `fields`).
+`axpy` is the one general sparse-accumulate kernel: sums and differences,
+reduction, `linear_terms` and the products of `multiply_terms` and
+`TensorElement.__mul__` (one call per left term) all add through it.  Only
+the two outer-product kernels of the hot paths, `tensors.add_outer` and
+`envelope.add_products`, keep drop-zero loops of their own.  These kernels
+combine coefficients with plain `+`, `-` and `*`, so over GF(p) their
+results hold int representatives; the code that stores or returns such a
+map passes it through `field.canonical` once (see `fields`).
 """
 
 import collections
 import heapq
 import itertools
-import operator
 import re
 import weakref
 
@@ -97,20 +100,6 @@ def word_to_tokens(word: Word) -> list[str]:
             base, exp = atom, n
         tokens.append(base if exp == 1 else f"{base}^{exp}")
     return tokens
-
-
-def merge_terms(terms: dict, other: dict, op=operator.add) -> dict:
-    """A copy of `terms` with each coefficient c of `other` combined in as
-    op(terms[w], c) (op is `operator.add` or `operator.sub`); a missing
-    key takes c or -c, and zero sums are dropped."""
-    out = dict(terms)
-    for w, c in other.items():
-        s = op(out[w], c) if w in out else (c if op is operator.add else -c)
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
 
 
 def axpy(dst: dict, src: dict, scale) -> None:
@@ -231,17 +220,19 @@ class Terms:
         if reason:
             raise InputError(reason)
 
-    def _combine(self, other, op):
+    def _combine(self, other, sign):
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_same(other)
-        return self._like(self.field.canonical(merge_terms(self.terms, other.terms, op)))
+        out = dict(self.terms)
+        axpy(out, other.terms, sign)
+        return self._like(self.field.canonical(out))
 
     def __add__(self, other):
-        return self._combine(other, operator.add)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self._combine(other, operator.sub)
+        return self._combine(other, -1)
 
     def __neg__(self):
         return self._like(self.field.canonical({k: -c for k, c in self.terms.items()}))
@@ -632,14 +623,8 @@ class AlgebraPresentation:
         """The normal form of the product of two term maps of this
         presentation, under the "multiply" cap label."""
         raw: dict = {}
-        for wa, ca in a.items():
-            for wb, cb in b.items():
-                w = wa + wb
-                s = raw[w] + ca * cb if w in raw else ca * cb
-                if s:
-                    raw[w] = s
-                else:
-                    raw.pop(w, None)
+        for wa, ca in a.items():  # the words of one row are distinct
+            axpy(raw, {wa + wb: cb for wb, cb in b.items()}, ca)
         return self.reduce_terms(raw, operation="multiply")
 
     # ------------------------------------------------------------------
@@ -873,39 +858,39 @@ class AlgebraPresentation:
 
 class _Worklist:
     """The critical pairs that `complete_rules` has yet to check, as (row,
-    entry) keys of the overlap rows: a heap, popped in scan order.  A pair
-    that resolves leaves the heap and is registered under the words of its
-    two one-step reducts; it goes back when one of those words loses its
-    memo entry."""
+    entry) keys of the overlap rows: a heap, popped in scan order, where a
+    key may stand more than once.  A key that is not on the heap has
+    resolved: it left the heap with every copy and is registered under the
+    words of its two one-step reducts, and it goes back when one of those
+    words loses its memo entry."""
 
-    __slots__ = ("pending", "resolved", "waiting")
+    __slots__ = ("pending", "waiting")
 
     def __init__(self, rows: list):
         # generated in scan order, so already a heap
         self.pending = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
-        self.resolved: set = set()
         # reduct word -> keys registered under it; a key may be listed again,
         # or still be listed after it went back to the heap
         self.waiting = collections.defaultdict(list)
 
     def resolve(self, words):
         """The first pending pair resolved, with reducts `words`."""
-        key = heapq.heappop(self.pending)
-        self.resolved.add(key)
+        pending = self.pending
+        key = heapq.heappop(pending)
+        while pending and pending[0] == key:
+            heapq.heappop(pending)
         for w in words:
             self.waiting[w].append(key)
 
     def reopen(self, opened, dropped):
-        """A rule was added: queue the overlaps it opened, and the resolved
-        pairs registered under a memo word it dropped."""
-        pending, resolved = self.pending, self.resolved
+        """A rule was added: queue the overlaps it opened, and every key
+        registered under a memo word it dropped."""
+        pending = self.pending
         for key in opened:
             heapq.heappush(pending, key)
         for w in dropped:
             for key in self.waiting.pop(w, ()):
-                if key in resolved:
-                    resolved.remove(key)
-                    heapq.heappush(pending, key)
+                heapq.heappush(pending, key)
 
 
 def _reducts(word: Word, hit) -> list:

@@ -15,7 +15,7 @@ shared with `Element`; slot maps and folds extend linearly (`linear_terms`).
 """
 
 from .errors import InputError
-from .presentations import Element, Terms, linear_terms, word_str
+from .presentations import Element, Terms, axpy, linear_terms, word_str
 
 PLAIN = False
 OP = True
@@ -168,15 +168,11 @@ class TensorElement(Terms):
         self._check_same(other)
         signature = self.signature
         raw: dict = {}
-        # a key is made from a list, which costs less per term pair than a generator
+        # a key is made from a list, which costs less per term pair than a
+        # generator; the keys of one left term's row are distinct
         for ks, cs in self.terms.items():
-            for kt, ct in other.terms.items():
-                words = tuple([t + s if op else s + t for s, t, op in zip(ks, kt, signature)])
-                c = raw[words] + cs * ct if words in raw else cs * ct
-                if c:
-                    raw[words] = c
-                else:
-                    raw.pop(words, None)
+            axpy(raw, {tuple([t + s if op else s + t for s, t, op in zip(ks, kt, signature)]): ct
+                       for kt, ct in other.terms.items()}, cs)
         return self._like(self._normal_terms(raw.items()))
 
     # ------------------------------------------------------------------

@@ -124,6 +124,12 @@ def log_canonical_x2y3(field=QQ):
     return PoissonStructure(pres, {("x", "y"): pres.element({("x", "y"): q})})
 
 
+def resolved_keys(work):
+    """The keys that a `complete_rules` worklist carries as resolved: those
+    registered under a reduct word and not on the heap."""
+    return {key for keys in work.waiting.values() for key in keys} - set(work.pending)
+
+
 def make_kxy_hopf(pres):
     one = pres.field.one
     zero = pres.field.zero

@@ -25,7 +25,7 @@ from hgalois import presentations
 from hgalois.cli import run_commands
 from hgalois.examples import BUILTINS, builtin_job
 from hgalois.jobs import Job
-from conftest import log_canonical_x2y3, make_kxy
+from conftest import log_canonical_x2y3, make_kxy, resolved_keys
 
 from oracles import (
     naive_word_reduce,
@@ -141,10 +141,10 @@ def test_resolved_pair_is_rescanned_after_a_shorter_rule(monkeypatch):
     reopen = presentations._Worklist.reopen
 
     def spy(work, opened, dropped):
-        before = set(work.resolved)
+        before = resolved_keys(work)
         failing = work.pending[0]
         reopen(work, opened, dropped)
-        events.append((failing, before, set(dropped), set(work.resolved)))
+        events.append((failing, before, set(dropped), resolved_keys(work)))
 
     monkeypatch.setattr(presentations._Worklist, "reopen", spy)
     pres = rescan()

@@ -30,9 +30,10 @@ from hgalois import (
 from hgalois import presentations
 from hgalois.examples import builtin_job
 from hgalois.jobs import Job
-from hgalois.presentations import axpy, linear_terms, merge_terms
+from hgalois.presentations import axpy, linear_terms
 from hgalois.tensors import OP, PLAIN, TensorElement, add_outer
 
+from conftest import resolved_keys
 from oracles import (
     naive_reduce_terms,
     reference_complete_rules,
@@ -110,28 +111,15 @@ def test_axpy_cancels_exactly(data):
     assert dst == {}
 
 
-@SETTINGS
-@given(st.data(), st.sampled_from([operator.add, operator.sub]))
-def test_merge_terms_matches_naive(data, op):
-    field, values = data.draw(field_and_values())
-    a, b = data.draw(term_maps(values)), data.draw(term_maps(values))
-    a_before, b_before = dict(a), dict(b)
-    sign = field.one if op is operator.add else -field.one
-    out = merge_terms(a, b, op)
-    assert residues(field, out) == naive_add(field, (field.one, a), (sign, b))
-    assert all(out.values())
-    assert (a, b) == (a_before, b_before)  # a copy, not in place
-    assert merge_terms(a, a, operator.sub) == {}
-
-
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_missing_keys_take_the_added_coefficient(name):
     """A key the destination lacks takes the added coefficient (negated for
     a difference), and a zero one is not stored."""
     field = FIELDS[name]
     two, zero = field.of_int(2), field.zero
-    assert merge_terms({}, {("a",): two, ("b",): zero}) == {("a",): two}
-    assert merge_terms({}, {("a",): two, ("b",): zero}, operator.sub) == {("a",): -two}
+    empty, added = Element(PRES[field], {}), Element(PRES[field], {("a",): two, ("b",): zero})
+    assert (empty + added).terms == {("a",): two}
+    assert (empty - added).terms == {("a",): field.of_int(-2)}
     dst = {}
     axpy(dst, {("a",): two, ("b",): two}, zero)
     axpy(dst, {("a",): two, ("b",): zero}, two)
@@ -387,7 +375,7 @@ def test_a_new_rule_keeps_only_what_a_fresh_reduction_gives():
 
         def checked(work, opened, dropped):
             reopen(work, opened, dropped)
-            pres.check_resolved(work.resolved)
+            pres.check_resolved(resolved_keys(work))
 
         try:
             with mock.patch.object(presentations._Worklist, "reopen", checked):
@@ -548,6 +536,24 @@ def test_term_map_arithmetic_matches_naive(data, as_tensor):
     assert bool(x) == bool(a) == (not x.is_zero())
     assert (x == y) == (a == b) and (x != y) == (a != b)
     assert (x.terms, y.terms) == (a, b)  # the operands are unchanged
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([operator.add, operator.sub]), st.booleans())
+def test_sum_and_difference_match_naive(data, op, as_tensor):
+    """`+` and `-` of elements and of tensors, the one `axpy` kernel behind
+    both: the naive sum or difference with no zero stored, both operands
+    unchanged, and x - x is zero."""
+    field, values = data.draw(field_and_values())
+    keys, make = _term_map_kind(PRES[field], field, as_tensor)
+    a, b = data.draw(term_maps(values, keys)), data.draw(term_maps(values, keys))
+    x, y = make(dict(a)), make(dict(b))
+    sign = field.one if op is operator.add else -field.one
+    out = op(x, y)
+    assert out.terms == naive_add(field, (field.one, a), (sign, b))
+    assert all(out.terms.values())
+    assert (x.terms, y.terms) == (a, b)  # a copy, not in place
+    assert (x - x).terms == {}
 
 
 def test_term_maps_keep_their_parents_messages_and_hashing():
