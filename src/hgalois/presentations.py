@@ -19,11 +19,12 @@ not checked.  The syntactic overlaps of a rule pair never change once both
 rules exist, so each rule keeps one row of those the scan checks, built
 when rules are added: a new rule appends its overlaps (old, new) to the
 rows of the old rules that it overlaps and opens a row for (new, every
-rule that it overlaps).  Four indexes from the rule left-hand sides to
-rule indices (by prefix, by suffix, by interior factor and by whole lhs)
-name exactly those rules, so `_overlaps` runs only on pairs that overlap.
-The new rule has the highest index, so reading the rows in order is the
-product order, and a pair is keyed by (row, entry).
+rule that it overlaps).  Four indexes from the rule left-hand sides (by
+prefix, by suffix, by interior factor with its position, and by whole lhs)
+name those overlaps: each index hit is one overlap entry, so the rows are
+read off the hits, with no second test of the pair.  The new rule has the
+highest index, so reading the rows in order is the product order, and a
+pair is keyed by (row, entry).
 `unresolved_critical_pairs` reads every row; `complete_rules` keeps a
 worklist (`_Worklist`), a heap of the keys still to check, popped in scan
 order.
@@ -32,11 +33,13 @@ Normal forms are memoised for every word of every reduction tree walked,
 with an edge from each word to the words one rewrite above it.  A new rule
 has the highest index, so it can change the normal form only of a word
 whose tree holds its lhs as a factor: `_add_rule` drops exactly the memo
-words that contain the lhs and, along the edges, their ancestors.  A
-resolved pair stays resolved while the words of its two one-step reducts
-keep their entries, so the worklist registers each resolved pair under
-those words, and the words that `_add_rule` drops send back to the heap
-exactly the resolved pairs registered under them.
+words that contain the lhs and, along the edges, their ancestors.  It
+finds those words by a substring test: each memo word keeps a `str` code,
+one character per atom, and a word contains the lhs exactly when its code
+contains the lhs's code.  A resolved pair stays resolved while the words
+of its two one-step reducts keep their entries, so the worklist registers
+each resolved pair under those words, and the words that `_add_rule` drops
+send back to the heap exactly the resolved pairs registered under them.
 
 Rules are added only while a presentation is built: by the constructor,
 `add_rule_data` and `complete_rules`.  A structure that keeps tables
@@ -104,7 +107,20 @@ def word_to_tokens(word: Word) -> list[str]:
 
 def axpy(dst: dict, src: dict, scale) -> None:
     """dst += src * scale in place, each coefficient multiplied as c * scale;
-    a missing key takes the product itself, and zero sums are dropped."""
+    a missing key takes the product itself, and zero sums are dropped.  An
+    int scale of 1 or -1 adds or subtracts each c without multiplying."""
+    if scale.__class__ is int and (scale == 1 or scale == -1):
+        sub = scale < 0
+        for w, c in src.items():
+            if w in dst:
+                s = dst[w] - c if sub else dst[w] + c
+            else:
+                s = -c if sub else c
+            if s:
+                dst[w] = s
+            else:
+                dst.pop(w, None)
+        return
     for w, c in src.items():
         s = dst[w] + c * scale if w in dst else c * scale
         if s:
@@ -348,10 +364,11 @@ class AlgebraPresentation:
         # one row per rule r1: (overlap word, position of r2, r2) for every
         # overlap of r1 with r2 that the scan checks, in scan order (module
         # docstring)
-        self._overlaps: list[list[tuple]] = []
+        self._overlap_rows: list[list[tuple]] = []
         # word -> indices, in order, of the rules whose lhs has it as a
-        # prefix, as a suffix, as a factor touching neither end, and as the
-        # whole lhs: the overlap partners of a new rule (`_open_overlaps`)
+        # prefix, as a suffix and as the whole lhs, and (index, position) of
+        # each occurrence as a factor touching neither end: the overlaps of
+        # a new rule (`_open_overlaps`)
         self._by_prefix = collections.defaultdict(list)
         self._by_suffix = collections.defaultdict(list)
         self._by_inner = collections.defaultdict(list)
@@ -365,6 +382,12 @@ class AlgebraPresentation:
         # `_word_nf` has walked, and word -> the memo words one step above it
         self._nf_cache: dict[Word, dict] = {}
         self._parents: dict[Word, list[Word]] = collections.defaultdict(list)
+        # one character per atom, and memo word -> its characters as a str,
+        # for the words in the memo at the last stale scan of `_add_rule`: a
+        # word contains an lhs as a factor exactly when its code contains
+        # the lhs's code as a substring
+        self._atom_code = {a: chr(i + 1) for i, a in enumerate(atoms)}
+        self._codes: dict[Word, str] = {}
         self.frozen = False  # set by `freeze`; `_add_rule` then refuses
 
         for g in self.generators:
@@ -422,8 +445,10 @@ class AlgebraPresentation:
 
     def freeze(self):
         """Fix the rule set: a structure built on this presentation reads
-        its rules, so `_add_rule` refuses every later rule."""
+        its rules, so `_add_rule` refuses every later rule, and the stale
+        scan's codes, which serve only `_add_rule`, are let go."""
         self.frozen = True
+        self._codes = {}
 
     def _add_rule(self, lhs: Word, rhs_terms: dict):
         """Add the rule lhs -> rhs_terms.  Returns the rule, the (row,
@@ -453,12 +478,20 @@ class AlgebraPresentation:
         # position: it changes the redex of exactly the words that contain
         # its lhs, and with them the normal forms of their ancestors in the
         # memoised reduction trees; every other entry stays
-        memo, parents = self._nf_cache, self._parents
-        stale = [w for w in memo if _has_factor(w, lhs)]
+        memo, parents, codes, code = self._nf_cache, self._parents, self._codes, self._atom_code
+        # only `_add_rule` drops memo entries, so the words coded at the last
+        # scan are the memo's first len(codes) and those added since are its
+        # tail; an atom outside the presentation (`reduce_terms` does not
+        # check atoms) codes as U+0000, which no lhs holds
+        for w in itertools.islice(memo, len(codes), None):
+            codes[w] = "".join([code.get(a, "\0") for a in w])
+        key = "".join([code[a] for a in lhs])
+        stale = [w for w, s in codes.items() if key in s]
         dropped = []
         while stale:
             w = stale.pop()
             if memo.pop(w, None) is not None:
+                del codes[w]
                 dropped.append(w)
                 stale.extend(parents.pop(w, ()))
         return rule, opened, dropped
@@ -466,37 +499,50 @@ class AlgebraPresentation:
     def _open_overlaps(self, rule) -> list:
         """Append a new rule and its overlaps to the rules and their rows
         (module docstring), and index its lhs.  Returns the (row, entry) keys
-        of the new overlaps.  The indexes name exactly the rules that
-        overlap the new one, so an `_overlaps` call here finds none only
-        when every overlap is longer than the cap."""
-        lhs, n, rows = rule.lhs, len(self.rules), self._overlaps
-        m = len(lhs)
-        inner = {lhs[a:b] for a in range(1, m - 1) for b in range(a + 1, m)}
-        # r1 older: a suffix of lhs(r1) is a prefix of lhs, or lhs lies
-        # strictly inside lhs(r1)
-        left = {i for k in range(1, m + 1) for i in self._by_suffix.get(lhs[:k], ())}
-        left.update(self._by_inner.get(lhs, ()))
-        # r2 older or the rule itself: a prefix of lhs(r2) is a suffix of
-        # lhs, or lhs(r2) lies strictly inside lhs
-        right = {j for k in range(1, m + 1) for j in self._by_prefix.get(lhs[m - k:], ())}
-        right.update(j for factor in inner for j in self._by_lhs.get(factor, ()))
-        if any(lhs[m - k:] == lhs[:k] for k in range(1, m)):
-            right.add(n)
-        self.rules.append(rule)
+        of the new overlaps.  Each index hit is one overlap, so the entries
+        are read off the hits: an old row gains, for k ascending, its
+        suffix/prefix overlaps of length k with the new lhs, then the new
+        lhs at each inner position; the new row lists its partners in
+        order, each with the same two parts."""
+        lhs, rules, rows, cap = rule.lhs, self.rules, self._overlap_rows, self.cap
+        n, m = len(rules), len(lhs)
+        rules.append(rule)
         opened = []
-        for i in left:
-            row = rows[i]
-            start = len(row)
-            row.extend(_overlaps(self.rules[i], rule, self.cap))
-            opened += [(i, j) for j in range(start, len(row))]
-        row = [o for j in sorted(right) for o in _overlaps(rule, self.rules[j], self.cap)]
+        # r1 older: a suffix of lhs(r1) is lhs[:k], or lhs lies strictly
+        # inside lhs(r1) at pos
+        for k in range(1, m + 1):
+            for i in self._by_suffix.get(lhs[:k], ()):
+                l1 = rules[i].lhs
+                if len(l1) + m - k <= cap:
+                    opened.append((i, len(rows[i])))
+                    rows[i].append((l1 + lhs[k:], len(l1) - k, rule))
+        for i, pos in self._by_inner.get(lhs, ()):
+            opened.append((i, len(rows[i])))
+            rows[i].append((rules[i].lhs, pos, rule))
+        # r2 older or the rule itself: a prefix of lhs(r2) is lhs[m - k:],
+        # or lhs(r2) lies strictly inside lhs at a
+        partners = collections.defaultdict(list)
+        for k in range(1, m + 1):
+            tail = lhs[m - k:]
+            for j in self._by_prefix.get(tail, ()):
+                l2 = rules[j].lhs
+                if m + len(l2) - k <= cap:
+                    partners[j].append((lhs + l2[k:], m - k, rules[j]))
+            if k < m and tail == lhs[:k] and 2 * m - k <= cap:
+                partners[n].append((lhs + lhs[k:], m - k, rule))
+        for a in range(1, m - 1):
+            for b in range(a + 1, m):
+                for j in self._by_lhs.get(lhs[a:b], ()):
+                    partners[j].append((lhs, a, rules[j]))
+        row = [o for j in sorted(partners) for o in partners[j]]
         rows.append(row)
         opened += [(n, j) for j in range(len(row))]
         for k in range(1, m + 1):
             self._by_prefix[lhs[:k]].append(n)
             self._by_suffix[lhs[m - k:]].append(n)
-        for factor in inner:
-            self._by_inner[factor].append(n)
+        for a in range(1, m - 1):
+            for b in range(a + 1, m):
+                self._by_inner[lhs[a:b]].append((n, a))
         self._by_lhs[lhs].append(n)
         return opened
 
@@ -660,10 +706,10 @@ class AlgebraPresentation:
         Overlaps considered: proper suffix/prefix overlaps of two rule
         left-hand sides and full containment of one lhs in another, i.e.
         words of length at most len(l1)+len(l2)-1.  Suffix/prefix overlaps
-        longer than the cap are left out of the rows (`_overlaps`).
+        longer than the cap are left out of the rows (`_open_overlaps`).
         """
         out = []
-        for r1, row in zip(self.rules, self._overlaps):
+        for r1, row in zip(self.rules, self._overlap_rows):
             for word, pos2, r2 in row:
                 diff, _ = self._pair_difference(word, r1, pos2, r2)
                 if diff:
@@ -708,7 +754,7 @@ class AlgebraPresentation:
         that is a nonzero scalar means that the presented algebra is zero;
         that raises `InputError`, naming the overlap.
         """
-        rows = self._overlaps
+        rows = self._overlap_rows
         work = _Worklist(rows)
         added = 0
         while work.pending:
@@ -899,45 +945,6 @@ def _reducts(word: Word, hit) -> list:
     pos, rule = hit
     head, tail = word[:pos], word[pos + len(rule.lhs):]
     return [(head + rw + tail, rc) for rw, rc in rule.rhs_terms.items()]
-
-
-def _has_factor(word: Word, factor: Word) -> bool:
-    """Whether `factor` occurs in `word` as a run of consecutive atoms."""
-    n, first = len(factor), factor[0]
-    last = len(word) - n
-    if last < 0 or first not in word:
-        return False
-    pos = word.index(first)
-    while pos <= last:
-        if word[pos:pos + n] == factor:
-            return True
-        try:
-            pos = word.index(first, pos + 1, last + 1)
-        except ValueError:
-            return False
-    return False
-
-
-def _overlaps(r1: RewriteRule, r2: RewriteRule, cap: int) -> list:
-    """Overlaps of lhs(r1) with lhs(r2) that the scan checks, in scan
-    order, as (word, position of lhs(r2) in word, r2); lhs(r1) starts every
-    word at 0.  A suffix/prefix overlap longer than `cap` is left out; a
-    contained lhs is checked whatever the cap."""
-    l1, l2 = r1.lhs, r2.lhs
-    out = []
-    # suffix of l1 == prefix of l2 (length k), overlap word l1 + l2[k:];
-    # k = len covers prefix/suffix containments of the shorter lhs
-    for k in range(1, min(len(l1), len(l2)) + 1):
-        if r1 is r2 and k == len(l1):
-            continue
-        if l1[len(l1) - k:] == l2[:k] and len(l1) + len(l2) - k <= cap:
-            out.append((l1 + l2[k:], len(l1) - k, r2))
-    # l2 strictly inside l1
-    if len(l2) < len(l1):
-        for pos in range(1, len(l1) - len(l2)):
-            if l1[pos:pos + len(l2)] == l2:
-                out.append((l1, pos, r2))
-    return out
 
 
 def transport_element(element: Element, presentation: AlgebraPresentation) -> Element:

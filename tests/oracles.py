@@ -406,6 +406,30 @@ def reference_unresolved_critical_pairs(pres, *, max_overlap=None):
     return bad
 
 
+def reference_overlaps(r1, r2, cap):
+    """Overlaps of lhs(r1) with lhs(r2) that the package's scan checks, in
+    scan order, as (word, position of lhs(r2) in word, r2), by testing
+    every overlap length and position of the pair: the package's original
+    per-pair `_overlaps`.  lhs(r1) starts every word at 0.  A suffix/prefix
+    overlap longer than `cap` is left out; a contained lhs is checked
+    whatever the cap."""
+    l1, l2 = r1.lhs, r2.lhs
+    out = []
+    # suffix of l1 == prefix of l2 (length k), overlap word l1 + l2[k:];
+    # k = len covers prefix/suffix containments of the shorter lhs
+    for k in range(1, min(len(l1), len(l2)) + 1):
+        if r1 is r2 and k == len(l1):
+            continue
+        if l1[len(l1) - k:] == l2[:k] and len(l1) + len(l2) - k <= cap:
+            out.append((l1 + l2[k:], len(l1) - k, r2))
+    # l2 strictly inside l1
+    if len(l2) < len(l1):
+        for pos in range(1, len(l1) - len(l2)):
+            if l1[pos:pos + len(l2)] == l2:
+                out.append((l1, pos, r2))
+    return out
+
+
 def reference_complete_rules(pres, *, max_new_rules=500, max_overlap=None):
     """Completion by a full rescan after every new rule, copied from the
     package's original `complete_rules`.  Each rescan starts an empty memo

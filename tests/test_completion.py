@@ -132,6 +132,31 @@ def test_parent_lists_hold_each_parent_once():
         assert len(above) == len(set(above)), word_str(word)
 
 
+def test_stale_scan_matches_atoms_not_their_names():
+    """Generators a, b and ab, and the rule a*b -> ab: the memo word a*b*x
+    holds the lhs and is dropped, while the one-atom word ab, whose name
+    spells the lhs, stays.  The second rule ab*x -> x drops ab*x, coded at
+    the first scan, and its parent a*b*x, reduced again after it.  A word
+    with an atom outside the presentation stays through both scans.  Once
+    the rules are frozen, the codes are let go."""
+    pres = AlgebraPresentation(QQ, [GeneratorSymbol(g) for g in ("a", "b", "ab", "x")],
+                               check=False)
+    memo = pres._nf_cache
+    for word in (("a", "b", "x"), ("ab",), ("ab", "x")):
+        pres.normal_form(word)
+    pres.reduce_terms({("q",): ONE})
+    pres.add_rule_data(("a", "b"), {("ab",): ONE})
+    assert ("a", "b", "x") not in memo
+    assert {("ab",), ("ab", "x"), ("q",)} <= memo.keys()
+    assert pres.normal_form(("a", "b", "x")).terms == {("ab", "x"): ONE}
+    pres.add_rule_data(("ab", "x"), {("x",): ONE})
+    assert ("a", "b", "x") not in memo and ("ab", "x") not in memo
+    assert pres._codes.keys() == memo.keys() >= {("ab",), ("q",)}
+    assert pres.normal_form(("a", "b", "x")).terms == {("x",): ONE}
+    pres.freeze()
+    assert pres._codes == {}
+
+
 def test_resolved_pair_is_rescanned_after_a_shorter_rule(monkeypatch):
     """A pair that resolved goes back to the worklist when a rule is added
     that drops a memo word of its two one-step reducts; here it then fails.
@@ -149,7 +174,7 @@ def test_resolved_pair_is_rescanned_after_a_shorter_rule(monkeypatch):
     monkeypatch.setattr(presentations._Worklist, "reopen", spy)
     pres = rescan()
     pres.complete_rules()
-    word, pos2, r2 = pres._overlaps[0][0]
+    word, pos2, r2 = pres._overlap_rows[0][0]
     _, reducts = pres._pair_difference(word, pres.rules[0], pos2, r2)
     # a^2 b^2, the overlap of rule 0 (a^2 b) with rule 1 (b^2), has resolved
     # when the rule ab -> -b - a^2 is added; that rule drops its reduct ab^2,

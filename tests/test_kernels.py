@@ -37,6 +37,7 @@ from conftest import resolved_keys
 from oracles import (
     naive_reduce_terms,
     reference_complete_rules,
+    reference_overlaps,
     reference_reduce_terms,
     reference_tensor_mul,
     reference_unresolved_critical_pairs,
@@ -276,8 +277,8 @@ def test_completion_matches_the_references_on_generated_systems(data):
 
 def exhaustive_rows(pres):
     """The overlap rows as a scan of every rule pair gives them: row r1 holds
-    `_overlaps(r1, r2, cap)` for r2 in rule order."""
-    return [[o for r2 in pres.rules for o in presentations._overlaps(r1, r2, pres.cap)]
+    `reference_overlaps(r1, r2, cap)` for r2 in rule order."""
+    return [[o for r2 in pres.rules for o in reference_overlaps(r1, r2, pres.cap)]
             for r1 in pres.rules]
 
 
@@ -290,30 +291,25 @@ def test_indexed_overlap_rows_match_the_exhaustive_rows_on_generated_systems(dat
     atoms, rules = data.draw(rewrite_systems(values))
     pres = AlgebraPresentation(field, [GeneratorSymbol(a) for a in atoms], rules,
                                cap=SYSTEM_CAP, check=False)
-    assert pres._overlaps == exhaustive_rows(pres)
+    assert pres._overlap_rows == exhaustive_rows(pres)
     try:
         pres.complete_rules()
     except (ConfluenceError, InputError):
         pass
-    assert pres._overlaps == exhaustive_rows(pres)
+    assert pres._overlap_rows == exhaustive_rows(pres)
 
 
-def test_envelope_rows_come_only_from_overlapping_pairs(monkeypatch):
-    """Building the kxy_truncated envelope calls `_overlaps` only on rule
-    pairs that overlap, though perhaps only past the cap, and its rows are
-    the exhaustive ones."""
-    found = []
-    overlaps = presentations._overlaps
-
-    def counted(r1, r2, cap):
-        found.append(len(overlaps(r1, r2, math.inf)))
-        return overlaps(r1, r2, cap)
-
-    with monkeypatch.context() as m:
-        m.setattr(presentations, "_overlaps", counted)
-        pres = Job(builtin_job("kxy_truncated")).envelope().presentation
-    assert found and min(found) > 0
-    assert pres._overlaps == exhaustive_rows(pres)
+def test_envelope_rows_come_only_from_overlapping_pairs():
+    """The rows that the lhs index hits give while the kxy_truncated
+    envelope completes are those of every rule pair tested overlap by
+    overlap (`reference_overlaps`): no index hit adds an entry that is not
+    an overlap, none is missed, and the cap leaves out the same ones.  Some
+    overlap of the build is longer than the cap, so the cap filter runs."""
+    pres = Job(builtin_job("kxy_truncated")).envelope().presentation
+    assert pres._overlap_rows == exhaustive_rows(pres)
+    uncapped = [[o for r2 in pres.rules for o in reference_overlaps(r1, r2, math.inf)]
+                for r1 in pres.rules]
+    assert sum(map(len, uncapped)) > sum(map(len, pres._overlap_rows))
 
 
 class _Watched(AlgebraPresentation):
@@ -321,7 +317,8 @@ class _Watched(AlgebraPresentation):
     rule that `complete_rules` adds against a fresh reduction under the
     current rules (`reference_reduce_terms`, the package's strategy, with an
     empty memo): every memo entry and, through `check_resolved`, every pair
-    that the worklist carries as resolved.  Mid-completion the rules are not
+    that the worklist carries as resolved.  The stale scan's codes must
+    cover exactly the memo words.  Mid-completion the rules are not
     confluent, so the reference must follow the package's choice of redex."""
 
     watch = False
@@ -334,6 +331,7 @@ class _Watched(AlgebraPresentation):
     def _add_rule(self, lhs, rhs_terms):
         added = super()._add_rule(lhs, rhs_terms)
         if self.watch:
+            assert self._codes.keys() == self._nf_cache.keys()
             fresh = self._fresh({})
             for word, nf in self._nf_cache.items():
                 assert nf == fresh({word: self.field.one}), word
@@ -348,7 +346,7 @@ class _Watched(AlgebraPresentation):
             return {head + rw + tail: rc for rw, rc in rule.rhs_terms.items()}
 
         for i, j in resolved:
-            word, pos2, r2 = self._overlaps[i][j]
+            word, pos2, r2 = self._overlap_rows[i][j]
             assert fresh(one_step(word, 0, self.rules[i])) == \
                 fresh(one_step(word, pos2, r2)), word
             self.pairs_checked += 1

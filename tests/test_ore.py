@@ -401,3 +401,78 @@ class TestThm44:
         extended = assemble_poisson_ore(d, ph, g)
         assert check_poisson_hg(extended).passed
         assert check_hopf_galois(extended.hopf_galois).passed
+
+
+# Non-degenerate Ore data.  Every other passing Ore instance has delta = 0
+# (Thm 2.8) or alpha = 0 over a zero bracket (Thm 4.4), where whole terms
+# of the laws vanish, so a sign error in them goes unseen.  Each instance
+# below passes, and each test names an operator mutant of ore.py that it
+# kills and that the rest of this file, the acceptance, golden, CLI and
+# mutant-census tests all miss.
+
+def _term(coeff, *word):
+    return {"coeff": coeff, "word": list(word)}
+
+
+def thm28_job(delta_g):
+    """k[g^±1] with tau(g) = 2g and delta(g) given, checked by Theorem 2.8
+    and assembled (`check-thm28`, `ore-extend`)."""
+    doc = builtin_job("ore_q2_laurent")
+    doc["ore"]["delta"] = {"g": delta_g}
+    return doc
+
+
+def thm44_job(delta_g2):
+    """k[g1^±1, g2^±1] with {g1, g2} = 3 g1 g2, group-like g1,
+    alpha(g2) = 3 g2 (= g1^-1 {g1, g2}), delta(g1) = 0 and delta(g2) given,
+    checked by Theorem 4.4 and assembled (`check-thm44`,
+    `poisson-ore-extend`)."""
+    gens = ("g1", "g2")
+    return {
+        "name": "poisson_ore_log_canonical",
+        "field": "rationals",
+        "presentation": {"generators": [{"name": g, "invertible": True} for g in gens],
+                         "commutative": True},
+        "bracket": [{"pair": ["g1", "g2"], "value": [_term("3", "g1", "g2")]}],
+        "mu": {g: [{"coeff": "1", "factors": [[g], [g + "^-1"], [g]]}] for g in gens},
+        "poisson_ore": {"variable": "x", "cap": 8,
+                        "alpha": {"g1": [], "g2": [_term("3", "g2")]},
+                        "delta": {"g1": [], "g2": delta_g2},
+                        "grouplike": [_term("1", "g1")]},
+        "commands": ["check-thm44", "poisson-ore-extend"],
+    }
+
+
+def _checks_passed(doc):
+    entries, summary = run_commands(Job(doc), doc["commands"])
+    assert [e["check"] for e in entries if e["status"] == "fail"] == []
+    return summary["passed"]
+
+
+def test_thm28_inner_delta_passes():
+    """delta(g) = g, the inner tau-derivation -(a - tau(a)).  Kills
+    `term1 - term2 + term3` in `check_thm28`'s delta compatibility."""
+    assert _checks_passed(thm28_job([_term("1", "g")])) == 25
+
+
+def test_thm28_delta_g_squared_passes():
+    """delta(g) = g^2.  Kills `term1 + term2 - term3` and
+    `(term1 + term2 + term3) + rhs3` in `check_thm28`'s delta
+    compatibility."""
+    assert _checks_passed(thm28_job([_term("1", "g", "g")])) == 25
+
+
+def test_thm44_delta_g2_passes():
+    """delta(g2) = g2.  Kills `PoissonOreData.validate` with `-` for `+` in
+    the alpha-derivation rule ({alpha(s), t} - {s, alpha(t)}), and
+    `check_thm44` with `+` for `-` in Eq (4.6) (alpha determined by g) and
+    Eq (4.9) (the alpha cross law)."""
+    assert _checks_passed(thm44_job([_term("1", "g2")])) == 78
+
+
+def test_thm44_delta_g1g2_passes():
+    """delta(g2) = g1 g2.  Kills `PoissonOreData.validate` with a flipped
+    sign in the twisted Lie rule ({delta(s), t} - {s, delta(t)}), and
+    `check_thm44` with `+` for `-` in Eq (4.7) (mu-alpha compatibility) and
+    Eq (4.8) (the third-slot alpha law)."""
+    assert _checks_passed(thm44_job([_term("1", "g1", "g2")])) == 78
