@@ -124,12 +124,11 @@ class PoissonStructure:
         memo = self._word_brackets
         out: dict = {}
         for wa, ca in a.items():
-            unit = ca == 1  # then ca * cb is cb
             for wb, cb in b.items():
                 pair = memo.get((wa, wb))
                 if pair is None:
                     pair = self._word_bracket(wa, wb)
-                axpy(out, pair, cb if unit else ca * cb)
+                axpy(out, pair, ca * cb)
         return self.presentation.field.canonical(out)
 
     def bracket(self, a: Element, b: Element) -> Element:

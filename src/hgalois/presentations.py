@@ -107,20 +107,7 @@ def word_to_tokens(word: Word) -> list[str]:
 
 def axpy(dst: dict, src: dict, scale) -> None:
     """dst += src * scale in place, each coefficient multiplied as c * scale;
-    a missing key takes the product itself, and zero sums are dropped.  An
-    int scale of 1 or -1 adds or subtracts each c without multiplying."""
-    if scale.__class__ is int and (scale == 1 or scale == -1):
-        sub = scale < 0
-        for w, c in src.items():
-            if w in dst:
-                s = dst[w] - c if sub else dst[w] + c
-            else:
-                s = -c if sub else c
-            if s:
-                dst[w] = s
-            else:
-                dst.pop(w, None)
-        return
+    a missing key takes the product itself, and zero sums are dropped."""
     for w, c in src.items():
         s = dst[w] + c * scale if w in dst else c * scale
         if s:
@@ -445,10 +432,8 @@ class AlgebraPresentation:
 
     def freeze(self):
         """Fix the rule set: a structure built on this presentation reads
-        its rules, so `_add_rule` refuses every later rule, and the stale
-        scan's codes, which serve only `_add_rule`, are let go."""
+        its rules, so `_add_rule` refuses every later rule."""
         self.frozen = True
-        self._codes = {}
 
     def _add_rule(self, lhs: Word, rhs_terms: dict):
         """Add the rule lhs -> rhs_terms.  Returns the rule, the (row,

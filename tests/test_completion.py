@@ -137,8 +137,7 @@ def test_stale_scan_matches_atoms_not_their_names():
     holds the lhs and is dropped, while the one-atom word ab, whose name
     spells the lhs, stays.  The second rule ab*x -> x drops ab*x, coded at
     the first scan, and its parent a*b*x, reduced again after it.  A word
-    with an atom outside the presentation stays through both scans.  Once
-    the rules are frozen, the codes are let go."""
+    with an atom outside the presentation stays through both scans."""
     pres = AlgebraPresentation(QQ, [GeneratorSymbol(g) for g in ("a", "b", "ab", "x")],
                                check=False)
     memo = pres._nf_cache
@@ -153,8 +152,6 @@ def test_stale_scan_matches_atoms_not_their_names():
     assert ("a", "b", "x") not in memo and ("ab", "x") not in memo
     assert pres._codes.keys() == memo.keys() >= {("ab",), ("q",)}
     assert pres.normal_form(("a", "b", "x")).terms == {("x",): ONE}
-    pres.freeze()
-    assert pres._codes == {}
 
 
 def test_resolved_pair_is_rescanned_after_a_shorter_rule(monkeypatch):
