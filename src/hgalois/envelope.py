@@ -121,10 +121,7 @@ def build_envelope(p: PoissonStructure, cap: int = 6) -> EnvelopePresentation:
     field = pres.field
     basis = pres.finite_basis()
     if basis is None:
-        raise InputError(
-            "enveloping requires a finite-dimensional Poisson algebra "
-            f"(no finite basis at cap {pres.cap})"
-        )
+        raise InputError(f"enveloping requires a finite basis, and {pres.basis_limits()}")
     n = len(basis)
     if basis[0] != ():
         raise InputError("basis does not contain the unit word")

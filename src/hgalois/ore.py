@@ -153,20 +153,20 @@ def check_thm28(d: OreData, h: HopfGaloisStructure, g: Element,
         subject = f"generator {atom}"
         mu_tau = h.mu.apply(tau(a_elem))
         first = t.slot_transform(0, tau)
-        all_three = first.slot_transform(1, tau).slot_transform(2, tau)
+        first_two = first.slot_transform(1, tau)
+        all_three = first_two.slot_transform(2, tau)
         report.add_vanishing("mu-tau compatibility", ANCHOR_THM28[1], subject,
                              (mu_tau - first) or (first - all_three))
 
         lhs2 = t.slot_transform(0, conj).slot_transform(1, conj)
-        rhs2 = t.slot_transform(0, tau).slot_transform(1, tau)
-        report.add_vanishing("conjugation matches tau", ANCHOR_THM28[2], subject, lhs2 - rhs2)
+        report.add_vanishing("conjugation matches tau", ANCHOR_THM28[2], subject,
+                             lhs2 - first_two)
 
         term1 = t.slot_transform(0, d.delta.apply)
-        term2 = (t.slot_transform(0, lambda e: g * e)
-                 .slot_transform(1, lambda e: e * g_inv)
+        g_first = t.slot_transform(0, lambda e: g * e)
+        term2 = (g_first.slot_transform(1, lambda e: e * g_inv)
                  .slot_transform(2, d.delta.apply))
-        term3 = (t.slot_transform(0, lambda e: g * e)
-                 .slot_transform(1, lambda e: g_inv * d.delta.apply(tau_inv(conj(e)))))
+        term3 = g_first.slot_transform(1, lambda e: g_inv * d.delta.apply(tau_inv(conj(e))))
         rhs3 = h.mu.apply(d.delta.apply(a_elem))
         report.add_vanishing("delta compatibility", ANCHOR_THM28[3], subject,
                              (term1 + term2 + term3) - rhs3)
@@ -326,10 +326,9 @@ def check_thm44(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
         t_ext = t.transport(trip)
         lhs10 = ph.mu.apply(d.delta.apply(a_elem)).transport(trip)
         term1 = t_ext.slot_transform(0, lambda e: to_ext(d.delta.apply(to_base(e))))
-        term2 = (t_ext.slot_transform(0, lambda e: to_ext(g) * e)
-                 .slot_transform(1, bracket_ginv_x))
-        term3 = (t_ext.slot_transform(0, lambda e: to_ext(g) * e)
-                 .slot_transform(1, lambda e: to_ext(g_inv) * e)
+        g_first = t_ext.slot_transform(0, lambda e: to_ext(g) * e)
+        term2 = g_first.slot_transform(1, bracket_ginv_x)
+        term3 = (g_first.slot_transform(1, lambda e: to_ext(g_inv) * e)
                  .slot_transform(2, lambda e: to_ext(d.delta.apply(to_base(e)))))
         report.add_vanishing("mu-delta compatibility", ANCHOR_THM44[10], subject,
                              lhs10 - (term1 + term2 + term3))

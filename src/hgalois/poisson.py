@@ -119,16 +119,12 @@ class PoissonStructure:
 
     def bracket_terms(self, a: dict, b: dict) -> dict:
         """The bracket of two term maps, as a term map: the sum of
-        ca * cb * {u, v} over their terms, {u, v} read from the word-pair
-        table (filled on first use)."""
-        memo = self._word_brackets
+        ca * cb * {u, v} over their terms, {u, v} from `_word_bracket`."""
+        word_bracket = self._word_bracket
         out: dict = {}
         for wa, ca in a.items():
             for wb, cb in b.items():
-                pair = memo.get((wa, wb))
-                if pair is None:
-                    pair = self._word_bracket(wa, wb)
-                axpy(out, pair, ca * cb)
+                axpy(out, word_bracket(wa, wb), ca * cb)
         return self.presentation.field.canonical(out)
 
     def bracket(self, a: Element, b: Element) -> Element:
@@ -183,10 +179,10 @@ def _slotwise_bracket(structures, signs, s: TensorElement, t: TensorElement) -> 
     memoised normal form under the degree cap (`slot_normal_forms`)."""
     field = s.field
     out: dict = {}
+    right = [(slot_normal_forms(t.factors, k2), c2) for k2, c2 in t.terms.items()]
     for k1, c1 in s.terms.items():
         e1 = slot_normal_forms(s.factors, k1)
-        for k2, c2 in t.terms.items():
-            e2 = slot_normal_forms(t.factors, k2)
+        for e2, c2 in right:
             products = [f.multiply_terms(a, b) for f, a, b in zip(s.factors, e1, e2)]
             brackets = [p.bracket_terms(a, b) for p, a, b in zip(structures, e1, e2)]
             coeff = c1 * c2

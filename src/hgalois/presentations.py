@@ -590,9 +590,7 @@ class AlgebraPresentation:
         # Every word of the tree gets an entry, and each reduct records its
         # parent in `_parents` once, for `_add_rule`.  A word with one reduct of
         # coefficient one shares that reduct's entry: no caller mutates an
-        # entry.  The tree's words are never longer than `word`,
-        # so every memo key has passed the cap check, which
-        # `tensors.slot_normal_forms` relies on.
+        # entry.
         find, parents = self._find_redex, self._parents
         one, canonical = self.field.one, self.field.canonical
         hit = find(word)
@@ -776,7 +774,9 @@ class AlgebraPresentation:
         """Normal-form words reachable from 1 by right multiplication.
 
         Returns the sorted word list when the closure stabilizes, or None
-        when it keeps producing new words (infinite-dimensional at this cap).
+        when the search reaches one of its limits (`basis_limits`): a word
+        longer than the cap, or more than `MAX_BASIS_SIZE` words.  None
+        does not say which, nor that the algebra is infinite-dimensional.
         """
         if self._basis_cache is not None:
             return self._basis_cache
@@ -798,12 +798,16 @@ class AlgebraPresentation:
         self._basis_index = {w: i for i, w in enumerate(self._basis_cache)}
         return self._basis_cache
 
+    def basis_limits(self) -> str:
+        """Why `finite_basis` returned None, for an error message: its
+        search stopped at one of two limits and does not record which."""
+        return (f"the basis search stopped at one of its limits, the degree cap {self.cap} "
+                f"or MAX_BASIS_SIZE = {MAX_BASIS_SIZE} basis words")
+
     def basis_index(self) -> dict:
         """{word: its position in `finite_basis()`}, kept beside the basis."""
         if self.finite_basis() is None:
-            raise InputError(
-                f"presentation {self.name or '<anonymous>'} has no finite basis at cap {self.cap}"
-            )
+            raise InputError(f"presentation {self.name or '<anonymous>'}: {self.basis_limits()}")
         return self._basis_index
 
     def coeff_vector(self, element: Element) -> dict:

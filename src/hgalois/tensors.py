@@ -57,13 +57,9 @@ def add_outer(terms: dict, slots, coeff, field) -> None:
 
 
 def slot_normal_forms(factors, key) -> list:
-    """The normal form of each slot word of `key` in its factor.  A memo hit
-    is read straight from `_nf_cache` and only a miss calls `_word_nf`:
-    every memo key passed the cap check when it was stored, and a
-    presentation's cap is fixed, so `DegreeCapError` fires exactly where
-    `_word_nf` would raise it."""
-    return [nf if (nf := f._nf_cache.get(w)) is not None else f._word_nf(w, "normal_form")
-            for f, w in zip(factors, key)]
+    """The normal form of each slot word of `key` in its factor, read
+    through the factor's memo (`_word_nf`), which checks the cap first."""
+    return [f._word_nf(w, "normal_form") for f, w in zip(factors, key)]
 
 
 class TensorElement(Terms):

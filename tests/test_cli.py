@@ -689,8 +689,24 @@ def test_envelope_past_the_basis_size_guard_exits_two(tmp_path, capsys):
     job.write_text(json.dumps(doc))
     assert run_cli("run", "--input", str(job)) == 2
     assert capsys.readouterr().err == (
-        "error: kxy40 [build-envelope]: enveloping requires a finite-dimensional Poisson "
-        "algebra (no finite basis at cap 80)\n")
+        "error: kxy40 [build-envelope]: enveloping requires a finite basis, and the basis "
+        "search stopped at one of its limits, the degree cap 80 or MAX_BASIS_SIZE = 1024 "
+        "basis words\n")
+
+
+def test_envelope_past_the_presentation_cap_exits_two(tmp_path, capsys):
+    """z2_zero_bracket has dimension 2, but at presentation cap 1 the basis
+    search meets c*c, a word longer than the cap; the error names the limits
+    and claims no infinite dimension."""
+    doc = builtin_job("z2_zero_bracket")
+    doc["presentation"]["cap"] = 1
+    job = tmp_path / "z2.json"
+    job.write_text(json.dumps(doc))
+    assert run_cli("run", "--input", str(job)) == 2
+    assert capsys.readouterr().err == (
+        "error: z2_zero_bracket [build-envelope]: enveloping requires a finite basis, and "
+        "the basis search stopped at one of its limits, the degree cap 1 or MAX_BASIS_SIZE "
+        "= 1024 basis words\n")
 
 
 def test_confluence_error_names_the_presentation(tmp_path, capsys):

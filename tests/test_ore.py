@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hgalois import (
     QQ,
@@ -476,3 +478,30 @@ def test_thm44_delta_g1g2_passes():
     `check_thm44` with `+` for `-` in Eq (4.7) (mu-alpha compatibility) and
     Eq (4.8) (the third-slot alpha law)."""
     assert _checks_passed(thm44_job([_term("1", "g1", "g2")])) == 78
+
+
+# Theorem 2.8 as an oracle: the criterion is an "if and only if", so on any
+# Ore data its verdict must equal the full Hopf-Galois check of the
+# assembled extension.  delta(g) stays of degree at most 2: a g^3 term makes
+# `build_ore` refuse the rule z g -> 2 g z + delta(g).
+
+SMALL = st.integers(-3, 3)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(SMALL, SMALL, SMALL)
+@example(0, 0, 0)    # delta = 0
+@example(0, 1, 0)    # delta(g) = g
+@example(0, -3, 0)   # delta(g) = -3g
+@example(0, 0, 1)    # delta(g) = g^2
+@example(0, 1, 1)    # delta(g) = g + g^2
+@example(1, 0, 0)    # delta(g) = 1, which fails
+@example(-1, 1, 0)   # delta(g) = g - 1, which fails
+def test_thm28_verdict_equals_the_full_check(a, b, c):
+    """Over k[g^±1] with tau(g) = 2g and delta(g) = a + b g + c g^2,
+    `check_thm28` passes exactly when `check_hopf_galois` passes on
+    `build_ore` with mu(z) = `mu_z_tensor` (`assemble_ore`)."""
+    pres, hg = laurent_base()
+    g = pres.atom_element("g")
+    d = q2_data(pres, delta_g=pres.one().scale(a) + g.scale(b) + (g * g).scale(c))
+    assert check_thm28(d, hg, g).passed == check_hopf_galois(assemble_ore(d, hg, g)).passed

@@ -122,6 +122,16 @@ def test_laurent_has_no_finite_basis():
     assert pres.finite_basis() is None
 
 
+def test_basis_index_error_names_both_limits():
+    """A None basis does not say which limit stopped the search, so the
+    error names both, with their values."""
+    pres, _, _ = make_laurent38()
+    with pytest.raises(InputError, match=(
+            rf": the basis search stopped at one of its limits, the degree cap {pres.cap} or "
+            rf"MAX_BASIS_SIZE = {presentations.MAX_BASIS_SIZE} basis words$")):
+        pres.basis_index()
+
+
 def test_basis_size_guard(monkeypatch):
     """Commutative k[x,y]/(x^40, y^40) at cap 80 has 1600 basis words, of
     length at most 78: past `MAX_BASIS_SIZE` words the basis is None,
