@@ -117,7 +117,7 @@ def _cmd_build_envelope(job):
     result = {
         "source_dimension": len(env.basis),
         "generators": [g.name for g in env.presentation.generators],
-        "rules": [repr(r) for r in env.presentation.rules],
+        "rules": [env.presentation.rule_text(r) for r in env.presentation.rules],
     }
     return env.relation_report, result
 

@@ -134,8 +134,7 @@ def build_envelope(p: PoissonStructure, cap: int = 6) -> EnvelopePresentation:
     alpha_names = [None] + [f"a[{labels[i]}]" for i in range(1, n)]
     beta_names = [None] + [f"b[{labels[i]}]" for i in range(1, n)]
     generators = [GeneratorSymbol(name) for name in alpha_names[1:] + beta_names[1:]]
-    env_pres = AlgebraPresentation(field, generators, cap=cap, check=False,
-                                   name=f"U({pres.name or 'A'})")
+    env_pres = AlgebraPresentation(field, generators, cap=cap, name=f"U({pres.name or 'A'})")
 
     add = env_pres.add_rule_data
     for i in range(1, n):

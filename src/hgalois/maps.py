@@ -14,7 +14,7 @@ derivation its algebra), so every table entry stays valid.
 """
 
 from .errors import InputError
-from .presentations import Element, inverse_atom, linear_terms, word_str
+from .presentations import Element, inverse_atom, linear_terms
 from .reports import VerificationReport
 from .tensors import OP, PLAIN, TensorElement
 
@@ -194,10 +194,11 @@ class Derivation:
     def check_relations(self):
         """Raise InputError unless D of the raw left-hand word of every rule
         equals D of its right-hand side."""
-        for rule in self.presentation.rules:
-            if self.apply_word(rule.lhs) != self.apply(rule.rhs):
+        pres = self.presentation
+        for rule in pres.rules:
+            if self.apply_word(rule.lhs) != self.apply(Element(pres, rule.rhs_terms)):
                 raise InputError(f"{self.label} is not well defined: fails on relation "
-                                 f"{word_str(rule.lhs)} -> {rule.rhs}")
+                                 f"{pres.rule_text(rule)}")
 
 
 def _fill_prefixes(table: dict, word: tuple, images: dict, name, step):
@@ -248,9 +249,9 @@ def compose(outer: GeneratorMap, inner: GeneratorMap, *, name="composite") -> Ge
 
 def check_map_respects_relations(gmap: GeneratorMap, *, anchor="algebra map well-defined") -> VerificationReport:
     """One entry per rewrite rule of the source: image(lhs) == image(rhs)."""
-    report = VerificationReport()
-    for rule in gmap.source.rules:
-        report.add_vanishing(f"{gmap.name} respects relation", anchor,
-                             f"{word_str(rule.lhs)} -> {rule.rhs}",
-                             gmap.apply_word(rule.lhs) - gmap.apply(rule.rhs))
+    report, source = VerificationReport(), gmap.source
+    for rule in source.rules:
+        rhs = Element(source, rule.rhs_terms)
+        report.add_vanishing(f"{gmap.name} respects relation", anchor, source.rule_text(rule),
+                             gmap.apply_word(rule.lhs) - gmap.apply(rhs))
     return report

@@ -13,9 +13,9 @@ checks once and keeps a success flag, so later calls return at once
 freeze the base, so no rule can be added that the flag has not seen.  The
 Poisson Ore extension B[x] is kept beside that flag, so the Thm 4.4 check
 and the assembly share one build.  One path adjoins the variable for both
-kinds of extension, one extends mu for `assemble_ore` and
-`assemble_poisson_ore` (mu's images transported, plus mu(z) or mu(x)),
-and one guard finds the inverse of g.
+kinds of extension.  `assemble_ore` and `assemble_poisson_ore` each find
+the inverse of g unless given it, build their extension and extend mu
+over it (`_extend_mu`: mu's images transported, plus mu(z) or mu(x)).
 """
 
 import itertools
@@ -185,25 +185,21 @@ def mu_z_tensor(ore_pres, g: Element, g_inv: Element, variable: str) -> TensorEl
             - TensorElement.outer([g_t, gi_t * z_el, one], MU_SIGNATURE))
 
 
-def _mu_extender(caller: str, h: HopfGaloisStructure, g: Element, variable: str, g_inv):
-    """The function that extends mu over an extension `ext` by `variable`:
-    h's images transported, plus mu_z_tensor.  Without `g_inv`, checks that
-    g is group-like."""
-    if g_inv is None:
-        g_inv = grouplike_inverse(caller, h, g)
-
-    def extend(ext: AlgebraPresentation) -> HopfGaloisStructure:
-        images = {atom: img.transport((ext, ext, ext)) for atom, img in h.mu.images.items()}
-        images[variable] = mu_z_tensor(ext, g, g_inv, variable)
-        return HopfGaloisStructure(ext, mu_map(ext, images))
-    return extend
+def _extend_mu(h: HopfGaloisStructure, ext: AlgebraPresentation, variable: str,
+               g: Element, g_inv: Element) -> HopfGaloisStructure:
+    """mu over the extension `ext` by `variable`: h's images transported,
+    plus mu_z_tensor."""
+    images = {atom: img.transport((ext, ext, ext)) for atom, img in h.mu.images.items()}
+    images[variable] = mu_z_tensor(ext, g, g_inv, variable)
+    return HopfGaloisStructure(ext, mu_map(ext, images))
 
 
 def assemble_ore(d: OreData, h: HopfGaloisStructure, g: Element,
                  g_inv: Element = None) -> HopfGaloisStructure:
     """A[z; tau, delta] with mu extended by mu(z), for data that passed Thm 2.8."""
-    extend = _mu_extender("assemble_ore", h, g, d.variable, g_inv)
-    return extend(build_ore(d))
+    if g_inv is None:
+        g_inv = grouplike_inverse("assemble_ore", h, g)
+    return _extend_mu(h, build_ore(d), d.variable, g, g_inv)
 
 
 # ----------------------------------------------------------------------
@@ -250,17 +246,12 @@ class PoissonOreData:
         self._valid = True
 
     def extension(self) -> AlgebraPresentation:
-        """B[x] (`extension_presentation`), built once."""
+        """The commutative polynomial extension B[x], built once (no bracket validation)."""
         if self._extension is None:
-            self._extension = extension_presentation(self)
+            pres = self.base.presentation
+            self._extension = _adjoin_variable(pres, self.variable, list(pres.user_relations),
+                                               commutative=True, cap=self.cap, default="B")
         return self._extension
-
-
-def extension_presentation(d: PoissonOreData) -> AlgebraPresentation:
-    """The commutative polynomial extension B[x] (no bracket validation)."""
-    pres = d.base.presentation
-    return _adjoin_variable(pres, d.variable, list(pres.user_relations),
-                            commutative=True, cap=d.cap, default="B")
 
 
 def build_poisson_ore(d: PoissonOreData) -> PoissonStructure:
@@ -279,9 +270,14 @@ def build_poisson_ore(d: PoissonOreData) -> PoissonStructure:
 
 def check_thm44(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
                 g: Element) -> VerificationReport:
-    """The five identities deciding whether the bracket extension carries
-    the structure map mu(x) = x⊗1⊗1 - g⊗g^-1 x⊗1 + g⊗g^-1⊗x; on success the
-    assembled extension is itself re-checked as a Poisson Hopf-Galois algebra.
+    """Theorem 4.4's identities, Eqs (4.6)-(4.10), for the structure map
+    mu(x) = x⊗1⊗1 - g⊗g^-1 x⊗1 + g⊗g^-1⊗x on the bracket extension; on
+    success the assembled extension is re-checked as a Poisson Hopf-Galois algebra.
+
+    Over the log-canonical k[g1^±1, g2^±1] of `tests/test_ore.py` only one
+    direction holds: data that passes the identities assembles into an
+    extension passing `check_poisson_hg` and `check_hopf_galois`, but so
+    does failing data such as alpha(g2) = 4 g2 with delta = 0.
 
     The identities are evaluated on the supplied alpha/delta images as
     data; consistency of those images is deliberately part of what the
@@ -348,6 +344,9 @@ def check_thm44(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
 def assemble_poisson_ore(d: PoissonOreData, ph: PoissonHopfGaloisStructure,
                          g: Element, g_inv: Element = None) -> PoissonHopfGaloisStructure:
     """The extended Poisson Hopf-Galois structure on B[x]."""
-    extend = _mu_extender("assemble_poisson_ore", ph.hopf_galois, g, d.variable, g_inv)
+    h = ph.hopf_galois
+    if g_inv is None:
+        g_inv = grouplike_inverse("assemble_poisson_ore", h, g)
     p_ext = build_poisson_ore(d)
-    return PoissonHopfGaloisStructure(p_ext, extend(p_ext.presentation))
+    hg_ext = _extend_mu(h, p_ext.presentation, d.variable, g, g_inv)
+    return PoissonHopfGaloisStructure(p_ext, hg_ext)

@@ -47,9 +47,10 @@ computed from the rules (a map, a derivation, a bracket, an envelope)
 calls `freeze` when it is built, and `_add_rule` then refuses every rule,
 so no such table can outlive the rule set it was computed from.
 
-A rule keeps its rhs as a term map and holds its presentation only by weak
-reference, so a presentation is freed by reference counting as soon as
-the last outside reference to it goes, without the cycle collector.
+A rule keeps its rhs as a term map and holds no reference to its
+presentation (`rule_text` spells it), so a presentation is freed by
+reference counting as soon as the last outside reference to it goes,
+without the cycle collector.
 
 `Terms`, the term-map core of `Element` and `tensors.TensorElement`, holds
 their linear arithmetic; `linear_terms` extends a map on keys linearly.
@@ -67,7 +68,6 @@ import collections
 import heapq
 import itertools
 import re
-import weakref
 
 from .errors import ConfluenceError, DegreeCapError, InputError
 
@@ -186,28 +186,14 @@ class GeneratorSymbol:
 
 
 class RewriteRule:
-    """An oriented rule  lhs (word) -> rhs (element of the presentation).
+    """An oriented rule  lhs (word) -> rhs, the rhs as a term map of normal
+    words of its presentation (`AlgebraPresentation.rule_text` spells it)."""
 
-    The rhs terms are stored as `rhs_terms`; the presentation is held by
-    weak reference, so `rhs` raises `InputError` once it has been freed.
-    """
+    __slots__ = ("lhs", "rhs_terms")
 
-    __slots__ = ("lhs", "rhs_terms", "_owner")
-
-    def __init__(self, lhs: Word, rhs: "Element"):
+    def __init__(self, lhs: Word, rhs_terms: dict):
         self.lhs = tuple(lhs)
-        self.rhs_terms = rhs.terms
-        self._owner = weakref.ref(rhs.presentation)
-
-    @property
-    def rhs(self) -> "Element":
-        presentation = self._owner()
-        if presentation is None:
-            raise InputError(f"the presentation of rule {word_str(self.lhs)} -> ... has been freed")
-        return Element(presentation, self.rhs_terms)
-
-    def __repr__(self):
-        return f"{word_str(self.lhs)} -> {self.rhs}"
+        self.rhs_terms = rhs_terms
 
 
 class Terms:
@@ -310,6 +296,9 @@ class Element(Terms):
 class AlgebraPresentation:
     """A finitely presented algebra with a terminating rewriting system.
 
+    The constructor raises `ConfluenceError` unless its rules are locally
+    confluent; `add_rule_data` adds a rule without that check.
+
     Parameters
     ----------
     field : coefficient field (`QQ` or `GF(p)`)
@@ -320,11 +309,10 @@ class AlgebraPresentation:
     commutative : if set, commutation rules  t*s -> s*t  are added for every
         pair of distinct-generator atoms with t > s.
     cap : degree cap; any word longer than this aborts with `DegreeCapError`.
-    check : verify local confluence of the finished rule set at construction.
     """
 
     def __init__(self, field, generators, relations=(), *, commutative=False,
-                 cap=DEFAULT_CAP, check=True, name=""):
+                 cap=DEFAULT_CAP, name=""):
         self.field = field
         self.name = name
         self.cap = cap
@@ -388,16 +376,14 @@ class AlgebraPresentation:
         for lhs, rhs in relations:
             self.add_rule_data(lhs, rhs)
 
-        if check:
-            pairs = self.unresolved_critical_pairs()
-            if pairs:
-                word, r1, r2, _ = pairs[0]
-                raise ConfluenceError(
-                    f"presentation {name or '<anonymous>'} is not locally confluent; "
-                    f"first unresolved overlap: {word_str(word)} "
-                    f"between [{r1}] and [{r2}]",
-                    word,
-                )
+        pairs = self.unresolved_critical_pairs()
+        if pairs:
+            word, r1, r2, _ = pairs[0]
+            raise ConfluenceError(
+                f"presentation {name or '<anonymous>'} is not locally confluent; "
+                f"first unresolved overlap: {self._overlap_text(word, r1, r2)}",
+                word,
+            )
 
     # ------------------------------------------------------------------
     # atoms and ordering
@@ -430,6 +416,14 @@ class AlgebraPresentation:
         return [((t, s), {(s, t): one}) for s, t in itertools.combinations(self.atoms, 2)
                 if self.generator_of(s) is not self.generator_of(t)]
 
+    def rule_text(self, rule: RewriteRule) -> str:
+        """A rule of this presentation spelled  lhs -> rhs, as reports and
+        messages show it."""
+        return f"{word_str(rule.lhs)} -> {Element(self, rule.rhs_terms)}"
+
+    def _overlap_text(self, word: Word, r1: RewriteRule, r2: RewriteRule) -> str:
+        return f"{word_str(word)} between [{self.rule_text(r1)}] and [{self.rule_text(r2)}]"
+
     def freeze(self):
         """Fix the rule set: a structure built on this presentation reads
         its rules, so `_add_rule` refuses every later rule."""
@@ -445,16 +439,15 @@ class AlgebraPresentation:
                 f"its rules, so rule {word_str(lhs)} -> ... cannot be added")
         if not lhs:
             raise InputError("rewrite rule with empty left-hand side")
-        rhs = Element(self, self.field.canonical(dict(rhs_terms)))
+        rule = RewriteRule(lhs, self.field.canonical(dict(rhs_terms)))
         lk = self.word_key(lhs)
-        for w in rhs.terms:
+        for w in rule.rhs_terms:
             if self.word_key(w) >= lk:
                 raise InputError(
-                    f"rule {word_str(lhs)} -> {rhs} does not decrease the "
+                    f"rule {self.rule_text(rule)} does not decrease the "
                     f"degree-lexicographic order (offending term {word_str(w)}); "
                     f"reorder generators or reorient the relation"
                 )
-        rule = RewriteRule(lhs, rhs)
         opened = self._open_overlaps(rule)
         self._lhs_lengths = sorted({*self._lhs_lengths, len(lhs)})
         self._basis_cache = self._basis_index = None
@@ -751,15 +744,14 @@ class AlgebraPresentation:
             if added == max_new_rules:
                 raise ConfluenceError(
                     f"completion stopped at its budget of {max_new_rules} added rules; "
-                    f"unresolved overlap: {word_str(word)} between [{r1}] and [{r2}]",
+                    f"unresolved overlap: {self._overlap_text(word, r1, r2)}",
                     word,
                 )
             lead = max(diff, key=self.word_key)
             if not lead:
                 raise InputError(
                     f"presentation {self.name or '<anonymous>'} collapses to zero: overlap "
-                    f"{word_str(word)} between [{r1}] and [{r2}] gives "
-                    f"{self.field.spell(diff[lead])} = 0")
+                    f"{self._overlap_text(word, r1, r2)} gives {self.field.spell(diff[lead])} = 0")
             div, lead_coeff = self.field.div, diff[lead]
             rhs = {w: -div(c, lead_coeff) for w, c in diff.items() if w != lead}
             _, opened, dropped = self._add_rule(lead, rhs)

@@ -124,6 +124,15 @@ def log_canonical_x2y3(field=QQ):
     return PoissonStructure(pres, {("x", "y"): pres.element({("x", "y"): q})})
 
 
+def with_rules(pres, relations):
+    """`pres` with `relations` added by `add_rule_data` after its constructor
+    has checked local confluence, as `build_envelope` adds its rules: the
+    way to build a system whose critical pairs need not resolve."""
+    for lhs, rhs in relations:
+        pres.add_rule_data(lhs, rhs)
+    return pres
+
+
 def resolved_keys(work):
     """The keys that a `complete_rules` worklist carries as resolved: those
     registered under a reduct word and not on the heap."""

@@ -68,7 +68,7 @@ def naive_word_reduce(rules, word, field):
 
 
 def rule_data(pres):
-    return [(r.lhs, dict(r.rhs.terms)) for r in pres.rules]
+    return [(r.lhs, dict(r.rhs_terms)) for r in pres.rules]
 
 
 def naive_reduce_terms(pres, terms):
@@ -191,7 +191,7 @@ def hg_verdict_full_basis(pres, mu_images):
     for rule in pres.rules:
         lhs = naive_apply(pres, MU_SIG, images, rule.lhs)
         rhs = {}
-        for w, c in rule.rhs.terms.items():
+        for w, c in rule.rhs_terms.items():
             for key, cc in naive_apply(pres, MU_SIG, images, w).items():
                 s = _mod(pres.field, rhs.get(key, pres.field.zero) + c * cc)
                 if s:
@@ -347,7 +347,7 @@ def reference_reduce_terms(pres, terms, memo):
                 pos, rule = hit
                 head, tail = word[:pos], word[pos + len(rule.lhs):]
                 out = {}
-                for rw, rc in rule.rhs.terms.items():
+                for rw, rc in rule.rhs_terms.items():
                     out = _add_into(out, {w: rc * c for w, c in word_nf(head + rw + tail).items()},
                                     field)
                 memo[word] = out
@@ -372,7 +372,7 @@ def reference_unresolved_critical_pairs(pres, *, max_overlap=None):
 
     def one_step(word, pos, rule):
         head, tail = word[:pos], word[pos + len(rule.lhs):]
-        return {head + rw + tail: rc for rw, rc in rule.rhs.terms.items()}
+        return {head + rw + tail: rc for rw, rc in rule.rhs_terms.items()}
 
     def compare(word, pos1, r1, pos2, r2):
         a = reference_reduce_terms(pres, one_step(word, pos1, r1), memo)

@@ -526,10 +526,10 @@ def test_poisson_ore_job_checks_once(monkeypatch):
     data and builds B[x] once, and reports what a fresh job per command
     reports."""
     calls = {"PoissonOreData": 0, "check_thm44": 0, "check_relations": 0, "is_grouplike": 0,
-             "extension_presentation": 0}
+             "_adjoin_variable": 0}
     _count_calls(monkeypatch, calls, jobs, "PoissonOreData")
     _count_calls(monkeypatch, calls, cli, "check_thm44")
-    for name in ("is_grouplike", "extension_presentation"):
+    for name in ("is_grouplike", "_adjoin_variable"):
         _count_calls(monkeypatch, calls, ore, name)
     _count_calls(monkeypatch, calls, maps.Derivation, "check_relations")
     doc = builtin_job("poisson_ore_laurent")
@@ -540,7 +540,7 @@ def test_poisson_ore_job_checks_once(monkeypatch):
     # two derivations (alpha, delta), checked by one validate; B[x] is read
     # by check-thm44, its assembly and poisson-ore-extend
     assert calls == {"PoissonOreData": 1, "check_thm44": 1, "check_relations": 2,
-                     "is_grouplike": 1, "extension_presentation": 1}
+                     "is_grouplike": 1, "_adjoin_variable": 1}
     assert job.poisson_ore_data() is job.poisson_ore_data()
     _assert_same_as_fresh_jobs(doc, commands, entries, summary)
 

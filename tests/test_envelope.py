@@ -26,7 +26,7 @@ from hgalois.jobs import Job
 from hgalois.maps import check_map_respects_relations, compose
 from hgalois.reports import entry_to_json
 from hgalois.tensors import OP, PLAIN
-from conftest import make_kxy, make_kz2, make_laurent38
+from conftest import make_kxy, make_kz2, make_laurent38, with_rules
 from oracles import reference_relation_instance_report
 
 ONE = QQ.one
@@ -169,8 +169,8 @@ def drop_rule(env, k):
     """The envelope rebuilt by hand from its rules with rule k left out."""
     envp = env.presentation
     rules = [(r.lhs, r.rhs_terms) for i, r in enumerate(envp.rules) if i != k]
-    broken = AlgebraPresentation(envp.field, envp.generators, rules, cap=envp.cap,
-                                 check=False, name=f"{envp.name} without rule {k}")
+    broken = with_rules(AlgebraPresentation(envp.field, envp.generators, cap=envp.cap,
+                                            name=f"{envp.name} without rule {k}"), rules)
     return EnvelopePresentation(env.source, env.basis, broken, env.alpha_names, env.beta_names)
 
 

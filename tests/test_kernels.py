@@ -33,7 +33,7 @@ from hgalois.jobs import Job
 from hgalois.presentations import axpy, linear_terms
 from hgalois.tensors import OP, PLAIN, TensorElement, add_outer
 
-from conftest import resolved_keys
+from conftest import resolved_keys, with_rules
 from oracles import (
     naive_reduce_terms,
     reference_complete_rules,
@@ -230,8 +230,8 @@ def test_reduce_terms_matches_the_references_on_generated_systems(data):
     (every overlap has at most 5 atoms, within the cap)."""
     field, values = data.draw(field_and_values())
     atoms, rules = data.draw(rewrite_systems(values))
-    pres = AlgebraPresentation(field, [GeneratorSymbol(a) for a in atoms], rules,
-                               cap=SYSTEM_CAP, check=False)
+    pres = with_rules(AlgebraPresentation(field, [GeneratorSymbol(a) for a in atoms],
+                                          cap=SYSTEM_CAP), rules)
     confluent = not pres.unresolved_critical_pairs()
     memo = {}
     for terms in data.draw(st.lists(term_maps(values, st.sampled_from(_words(atoms, SYSTEM_CAP))),
@@ -266,8 +266,8 @@ def test_completion_matches_the_references_on_generated_systems(data):
     atoms, rules = data.draw(rewrite_systems(values))
 
     def make():
-        return AlgebraPresentation(field, [GeneratorSymbol(a) for a in atoms], rules,
-                                   cap=SYSTEM_CAP, check=False)
+        return with_rules(AlgebraPresentation(field, [GeneratorSymbol(a) for a in atoms],
+                                              cap=SYSTEM_CAP), rules)
 
     pres = make()
     assert pres.unresolved_critical_pairs() == reference_unresolved_critical_pairs(pres)
@@ -289,8 +289,8 @@ def test_indexed_overlap_rows_match_the_exhaustive_rows_on_generated_systems(dat
     completion (or its error), against every rule pair in product order."""
     field, values = data.draw(field_and_values())
     atoms, rules = data.draw(rewrite_systems(values))
-    pres = AlgebraPresentation(field, [GeneratorSymbol(a) for a in atoms], rules,
-                               cap=SYSTEM_CAP, check=False)
+    pres = with_rules(AlgebraPresentation(field, [GeneratorSymbol(a) for a in atoms],
+                                          cap=SYSTEM_CAP), rules)
     assert pres._overlap_rows == exhaustive_rows(pres)
     try:
         pres.complete_rules()
@@ -367,8 +367,8 @@ def test_a_new_rule_keeps_only_what_a_fresh_reduction_gives():
     def run(data):
         field, values = data.draw(field_and_values())
         atoms, rules = data.draw(rewrite_systems(values))
-        pres = _Watched(field, [GeneratorSymbol(a) for a in atoms], rules,
-                        cap=SYSTEM_CAP, check=False)
+        gens = [GeneratorSymbol(a) for a in atoms]
+        pres = with_rules(_Watched(field, gens, cap=SYSTEM_CAP), rules)
         pres.watch = True
 
         def checked(work, opened, dropped):

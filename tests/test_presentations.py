@@ -12,7 +12,7 @@ from hgalois import (
     word_str,
 )
 from hgalois import presentations
-from conftest import make_h4, make_kxy, make_laurent38
+from conftest import make_h4, make_kxy, make_laurent38, with_rules
 
 from oracles import naive_reduce_terms
 
@@ -93,12 +93,11 @@ def test_confluence_failure_is_reported():
     relations = [(("a", "a", "a"), {("a",): ONE}), (("a", "a"), {})]
     with pytest.raises(ConfluenceError) as exc:
         AlgebraPresentation(QQ, [GeneratorSymbol("a")], relations=relations)
-    unchecked = AlgebraPresentation(QQ, [GeneratorSymbol("a")], relations=relations,
-                                    check=False)
+    unchecked = with_rules(AlgebraPresentation(QQ, [GeneratorSymbol("a")]), relations)
     word, r1, r2, _ = unchecked.unresolved_critical_pairs()[0]
     assert str(exc.value) == ("presentation <anonymous> is not locally confluent; "
-                              f"first unresolved overlap: {word_str(word)} "
-                              f"between [{r1}] and [{r2}]")
+                              f"first unresolved overlap: {word_str(word)} between "
+                              f"[{unchecked.rule_text(r1)}] and [{unchecked.rule_text(r2)}]")
     assert exc.value.word == word
 
 
@@ -196,9 +195,8 @@ def test_a_frozen_presentation_completes_only_when_nothing_is_missing():
     pres, _ = make_kxy()  # the bracket freezes its presentation
     assert pres.frozen and pres.complete_rules() == 0
     # x^3 -> 0 and x^2 -> x: x^3 reduces to 0 and to x, so x -> 0 is missing
-    open_ = AlgebraPresentation(QQ, [GeneratorSymbol("x")],
-                                [(("x",) * 3, {}), (("x", "x"), {("x",): ONE})],
-                                check=False, name="x3")
+    open_ = with_rules(AlgebraPresentation(QQ, [GeneratorSymbol("x")], name="x3"),
+                       [(("x",) * 3, {}), (("x", "x"), {("x",): ONE})])
     open_.freeze()
     with pytest.raises(InputError, match="^presentation x3 is frozen"):
         open_.complete_rules()

@@ -89,8 +89,9 @@ def _maps(job):
 @pytest.mark.parametrize("name", POISSON_JOBS)
 def test_brackets_match_the_letter_loop(name, field):
     """Atom brackets (inverse atoms included), brackets of all words of
-    length at most two, and of random sparse elements; each is asked twice,
-    so the second answer comes from the tables."""
+    length at most two, of each word of length three with each atom in both
+    orders, and of random sparse elements; each is asked twice, so the
+    second answer comes from the tables."""
     p = _job(name, field).poisson()
     pres = p.presentation
     atom = {a: Element(pres, {(a,): pres.field.one}) for a in pres.atoms}
@@ -100,6 +101,8 @@ def test_brackets_match_the_letter_loop(name, field):
     elems = [pres.element({w: pres.field.one}) for w in words]
     elems += _random_elements(pres, words, 12, seed=len(words))
     pairs = list(itertools.product(elems, repeat=2))
+    longer = [pres.element({w: pres.field.one}) for w in _words(pres.atoms, 3) if len(w) == 3]
+    pairs += [pair for w in longer for a in atom.values() for pair in ((w, a), (a, w))]
     first = [p.bracket(a, b) for a, b in pairs]
     for (a, b), value in zip(pairs, first):
         expected = reference_bracket(p, a, b)
