@@ -22,6 +22,7 @@ empty word and b(1) is zero, both forced by the defining laws.
 """
 
 import itertools
+import math
 from functools import partial
 
 from .errors import InputError
@@ -353,7 +354,8 @@ def add_products(out: dict, one, *parts) -> None:
     factor that is the field's shared `one` is not multiplied in, and a
     scale of -1 (the only other scale) negates the first slot's factor.
     Like `add_outer`, it leaves int representatives over GF(p) for the
-    caller to pass through `field.canonical`."""
+    caller to pass through `field.canonical`; over Q `check_lemma55`
+    passes it int coefficients too, scaled by D, and never a `Fraction`."""
     for scale, (t0, t1, t2), left, right in parts:
         negate = scale < 0
         for x0, x1, x2 in left:
@@ -401,6 +403,10 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     Each law is summed in one term map and made canonical once; a law
     whose map is then empty passes and builds no tensor, and only a
     failing law wraps its map as the witness (`TripleEnvelope.tensor`).
+    Over Q every coefficient of the tables is scaled by D, the lcm of all
+    their denominators, so the kernel sums plain ints: each outer product
+    has three factors, a law's map is D^3 times its value, and only a
+    failing law's map is divided by D^3 to give its witness.
 
     Two image-product parts are summed once per unordered pair i < j and
     held until the pair (j, i): the Lie law's -xi(t_i)xi(t_j) +
@@ -431,27 +437,37 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
     combos = list(itertools.product(range(k), repeat=3))
     labels = ["(" + ",".join(word_str(sample_words[n]) for n in combo) + ")" for combo in combos]
 
+    def images(rows):
+        """The alpha and beta images of a table of source term maps."""
+        return [[[image(Element(pres, x)).terms for x in row] for row in rows]
+                for image in (env.alpha_of, env.beta_of)]
+
+    # slot image m * k + l is alpha(e_l) for m = 0 and beta(e_l) for m = 1
+    slots = [env.alpha_of(e).terms for e in elems] + [env.beta_of(e).terms for e in elems]
+    envp = env.presentation
+    source = [e.terms for e in elems]
+    tables = [[[envp.multiply_terms(x, y) for y in slots] for x in slots],
+              *images([[pres.multiply_terms(x, y) for y in source] for x in source]),
+              *images([[p.bracket_terms(x, y) for y in source] for x in source])]
+    # D, the lcm of the tables' denominators, over Q only
+    lcd = None if field.characteristic else math.lcm(*{
+        c.denominator for rows in tables for row in rows for terms in row for c in terms.values()})
+
     def items(rows):
-        """A table of term maps as a table of (word, coeff) item tuples."""
-        return [[tuple(terms.items()) for terms in row] for row in rows]
+        """A table of term maps as a table of (word, coeff) item tuples,
+        each coeff scaled by D over Q."""
+        if lcd is None:
+            return [[tuple(terms.items()) for terms in row] for row in rows]
+        return [[tuple((w, c.numerator * (lcd // c.denominator)) for w, c in terms.items())
+                 for terms in row] for row in rows]
 
     def by_slot(rows):
         """A product table read as [left][right] in each slot of the triple
         tensor: an op slot multiplies in reverse."""
         return tuple([[list(col) for col in zip(*rows)] if op else rows for op in MU_SIGNATURE])
 
-    def images(rows):
-        """The alpha and beta images of a table of source term maps."""
-        return [items([[image(Element(pres, x)).terms for x in row] for row in rows])
-                for image in (env.alpha_of, env.beta_of)]
-
-    # slot image m * k + l is alpha(e_l) for m = 0 and beta(e_l) for m = 1
-    slots = [env.alpha_of(e).terms for e in elems] + [env.beta_of(e).terms for e in elems]
-    envp = env.presentation
-    u = by_slot(items([[envp.multiply_terms(x, y) for y in slots] for x in slots]))
-    source = [e.terms for e in elems]
-    products = images([[pres.multiply_terms(x, y) for y in source] for x in source])
-    brackets = images([[p.bracket_terms(x, y) for y in source] for x in source])
+    u, *tables = map(items, tables)
+    u, products, brackets = by_slot(u), tables[:2], tables[2:]
     product_slots = [by_slot(table) for table in products]
 
     def image_parts(name):
@@ -492,6 +508,8 @@ def check_lemma55(te: TripleEnvelope, sample_words=None) -> VerificationReport:
             axpy(diff, part, sign)
         add_products(diff, one, *[(scale, tables, t_i, t_j) for scale, tables in image], *parts)
         diff = field.canonical(diff)
+        if diff and lcd:  # a failing law over Q: its value is diff / D^3
+            diff = {key: field.div(c, lcd ** 3) for key, c in diff.items()}
         report.add_vanishing(check, anchor, label, te.tensor(diff) if diff else None)
 
     # unordered pair (i, j), i < j -> its Lie and product-law parts, which

@@ -10,6 +10,9 @@ plain `+`, `-` and `*`, which is sound because Z -> GF(p) is a ring map;
 kernel stores or returns it.  Over Q `canonical` returns its map unchanged.
 `field.div` is the one division on coefficients: over Q it returns the
 exact quotient, an `int` whenever that is integral, and never a float.
+The Lemma 5.5 check keeps its kernel in ints over Q as well: it scales its
+tables by the lcm D of their denominators and divides only a failing
+law's map by D^3 (`envelope.check_lemma55`).
 There is no floating point anywhere, so equality of elements is decidable
 and exact.
 """
@@ -40,6 +43,20 @@ def parse_coefficient(field, text: str):
     except ZeroDivisionError:
         reason = "the denominator is zero"
     raise InputError(f"cannot parse coefficient {text!r} over {field.name}: {reason}")
+
+
+# `str` refuses an int of more digits than sys.get_int_max_str_digits()
+# (4300 by default, never below 640), so `_decimal` spells 600 at a time
+_CHUNK = 10 ** 600
+
+
+def _decimal(n: int) -> str:
+    """n in decimal, whatever its length."""
+    head, chunks = abs(n), []
+    while head >= _CHUNK:
+        head, r = divmod(head, _CHUNK)
+        chunks.append(f"{r:0600d}")
+    return ("-" if n < 0 else "") + str(head) + "".join(reversed(chunks))
 
 
 class Rationals:
@@ -80,7 +97,12 @@ class Rationals:
     parse = parse_coefficient
 
     def render(self, value) -> str:
-        return str(value)
+        """`str(value)`, however many digits it has."""
+        try:
+            return str(value)
+        except ValueError:  # past the limit on int-to-text conversion
+            num, den = value.numerator, value.denominator
+            return _decimal(num) if den == 1 else f"{_decimal(num)}/{_decimal(den)}"
 
     spell = render
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -212,3 +213,32 @@ def test_h4_over_a_61_bit_prime():
     _, summary = run_commands(Job(doc), ["check-hopf-galois"])
     assert (summary["field"], summary["status"]) == (f"GF({2**61 - 1})", "pass")
 
+
+
+def test_rationals_render_past_the_int_to_text_limit():
+    """Python refuses to spell an int of more than 4300 digits (by default);
+    `render` and `spell` still give the digits that `str` would, by chunks,
+    and leave the process-wide limit as it was."""
+    limit = sys.get_int_max_str_digits()
+    assert QQ.render(10**5000) == QQ.spell(10**5000) == "1" + "0" * 5000
+    assert QQ.render(1 - 10**5000) == "-" + "9" * 5000
+    big = Fraction(10**4400 + 1, 3)
+    assert QQ.render(big) == "1" + "0" * 4399 + "1/3"
+    assert QQ.render(Fraction(-1, 10**4400)) == "-1/1" + "0" * 4400
+    for value in (0, -7, Fraction(-3, 4), 10**600 - 1, 10**600, -10**1200 - 5):
+        assert QQ.render(value) == str(value)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_collapse_through_a_huge_coefficient_is_an_input_error():
+    """ba = 10^5000 and ab = 0 collapse the algebra to zero; the error names
+    the overlap and spells the coefficient, in place of a `ValueError` from
+    int-to-text conversion."""
+    limit = sys.get_int_max_str_digits()
+    pres = AlgebraPresentation(QQ, [GeneratorSymbol("a"), GeneratorSymbol("b")], name="zero")
+    pres.add_rule_data(("b", "a"), {(): 10**5000})
+    pres.add_rule_data(("a", "b"), {})
+    with pytest.raises(InputError, match="^presentation zero collapses to zero: overlap b[*]a ") as exc:
+        pres.complete_rules()
+    assert "1" + "0" * 5000 in str(exc.value)
+    assert sys.get_int_max_str_digits() == limit

@@ -13,6 +13,7 @@ import collections
 import itertools
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -200,12 +201,12 @@ def test_check_lemma55_matches_the_reference(case):
     assert entries == reference_check_lemma55(te)
 
 
-def _failing_x2y3(field):
-    """The triple envelope of x2y3 read against the bracket doubled."""
+def _failing_x2y3(field, bracket="4/3"):
+    """The triple envelope of x2y3 read against the bracket {x, y} =
+    `bracket` xy (by default doubled)."""
     p = log_canonical_x2y3(field)
-    pres = p.presentation
     env = build_envelope(p, cap=6)
-    env.source = PoissonStructure(pres, {("x", "y"): pres.element({("x", "y"): field.parse("4/3")})})
+    env.source = _xy_bracket(p.presentation, bracket)
     return TripleEnvelope(env)
 
 
@@ -245,6 +246,53 @@ def test_check_lemma55_matches_the_reference_on_failing_laws_over_gf421():
     report = _check_failing_laws(field)
     coeffs = [c for e in report.failures() for c in e.witness.terms.values()]
     assert coeffs and all(type(c) is int and 0 < c < field.p for c in coeffs)
+
+
+@pytest.mark.parametrize("name", ["kxy_truncated_q", "log_canonical_x2y3"])
+def test_check_lemma55_over_q_sums_in_ints(name, monkeypatch):
+    """The envelope's rules hold proper fractions, yet every table entry
+    that reaches `add_products` over Q has int coefficients: the check
+    scales its tables by the lcm D of their denominators."""
+    make, cap = ENVELOPES[name]
+    env = build_envelope(make(), cap=cap)
+    assert any(type(c) is Fraction for rule in env.presentation.rules
+               for c in rule.rhs_terms.values())
+    types = set()
+    add_products = envelope_module.add_products
+
+    def typed(out, one, *parts):
+        types.update(type(c) for _, tables, _, _ in parts for table in tables
+                     for row in table for entry in row for _, c in entry)
+        add_products(out, one, *parts)
+
+    monkeypatch.setattr(envelope_module, "add_products", typed)
+    report = check_lemma55(TripleEnvelope(env))
+    assert report.passed and types == {int}
+
+
+def test_check_lemma55_over_q_divides_a_failing_law_by_d_cubed(monkeypatch):
+    """x2y3 read against {x, y} = 3/5 xy: the rules bring the denominators
+    2 and 3 and the bracket 5, so D = 30.  Each failing law's int map is
+    divided by D^3 = 27000, once per witness term, and every entry, witness
+    terms included, is the reference's, some witnesses with proper
+    fractions."""
+    te = _failing_x2y3(QQ, "3/5")
+    divisors = collections.Counter()
+    div = type(QQ).div
+
+    def counted(self, a, b):
+        divisors[b] += 1
+        return div(self, a, b)
+
+    monkeypatch.setattr(type(QQ), "div", counted)
+    report = check_lemma55(te)
+    monkeypatch.undo()
+    witnesses = [e.witness.terms for e in report.failures()]
+    assert divisors == {30 ** 3: sum(map(len, witnesses))}
+    assert any(type(c) is Fraction for terms in witnesses for c in terms.values())
+    entries = [(e.check, e.anchor, e.subject, e.passed, e.witness and e.witness.terms)
+               for e in report.entries]
+    assert entries == reference_check_lemma55(te)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(421)], ids=["q", "gf421"])
